@@ -8,7 +8,9 @@ Exit status: 0 success, 1 validation error, 2 numerical failure.
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -121,6 +123,8 @@ def _load_cone(path):
         raise InvalidConfig(f"--cone: cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"--cone: {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(desc, dict):
+        raise InvalidConfig(f"--cone: {path!r}: top level must be an object")
     base_dir = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -138,13 +142,11 @@ def _load_ivp(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
-        return GeodesicIVP(
-            t0=float(data["t0"]),
-            u0=float(data["u0"]),
-            dt0=float(data["dt0"]),
-            du0=float(data["du0"]),
-            length=float(data["length"]),
-        )
+        fields = {k: float(data[k]) for k in ("t0", "u0", "dt0", "du0", "length")}
+        for key, value in fields.items():
+            if not math.isfinite(value):
+                raise InvalidConfig(f"--ivp: {key} must be finite, got {value!r}")
+        return GeodesicIVP(**fields)
     except OSError as exc:
         raise InvalidConfig(f"--ivp: cannot read {path!r}: {exc}") from exc
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -273,6 +275,12 @@ _HANDLERS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponent forms, so it would read a
+        # value such as -7.25e-05 as an unknown option name
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with status 2 on bad usage; route through InvalidConfig
     # so validation errors consistently exit 1
     def error(self, message):

@@ -23,6 +23,7 @@ ON_CONE_RTOL = 1e-8
 _CHART_GRID = 1024
 _NEWTON_CAP = 16
 _NEWTON_TOL = 1e-12
+_SEED_BLOCK = 256  # directions per seed block: a 2 MB score matrix
 
 
 class SphericalBaseCurve:
@@ -191,33 +192,47 @@ class Cone:
             )
 
     def chart_t(self, direction, t_hint=None):
-        """Base parameter of a unit direction on the cone (grid + Newton)."""
+        """Base parameter of unit direction(s) on the cone (grid + Newton).
+
+        A (3,) direction gives a float, an (n, 3) array of directions an
+        (n,) array.  Without t_hint every direction is seeded from the
+        argmax of its dot product with a grid of base points; then Newton
+        on g(t) = <d - y(t), y'(t)> runs over all directions at once,
+        each stopping on its own.  Open bases keep seeds and iterates
+        inside the margin of the order-2 stencil.
+        """
         base = self.base
+        dirs = np.asarray(direction, dtype=float)
+        d = np.atleast_2d(dirs)
+        d0, d1 = base.domain
+        lo, hi = -np.inf, np.inf
+        if not base.periodic:
+            m2 = base.curve.fd_margin(2)
+            lo, hi = d0 + m2, d1 - m2
         if t_hint is None:
-            d0, d1 = base.domain
             grid = np.linspace(d0, d1, _CHART_GRID, endpoint=not base.periodic)
             ys = base.evaluate(grid)
-            t = float(grid[np.argmax(ys @ direction)])
+            t = np.empty(d.shape[0])
+            for i in range(0, d.shape[0], _SEED_BLOCK):
+                t[i:i + _SEED_BLOCK] = grid[np.argmax(d[i:i + _SEED_BLOCK] @ ys.T, axis=1)]
         else:
-            t = float(t_hint)
+            t = np.broadcast_to(np.asarray(t_hint, dtype=float), d.shape[:1]).copy()
+        t = np.clip(t, lo, hi)
+        active = np.arange(t.size)
         for _ in range(_NEWTON_CAP):
-            jet = base.jet(np.array([t]))
-            y, y1, y2 = jet[0][0], jet[1][0], jet[2][0]
-            r = direction - y
-            g = float(r @ y1)
-            gp = float(-(y1 @ y1) + r @ y2)
-            if gp == 0.0:
+            if active.size == 0:
                 break
-            step = g / gp
-            t -= step
-            if abs(step) < _NEWTON_TOL:
-                break
-        if not base.periodic:
-            t = float(np.clip(t, base.domain[0], base.domain[1]))
-        return t
-
-    def descriptor(self):
-        return {"kind": "general"}
+            ta = t[active]
+            r = d[active] - base.evaluate(ta)
+            y1 = base.derivative(ta, 1)
+            g = np.sum(r * y1, axis=-1)
+            gp = -np.sum(y1 * y1, axis=-1) + np.sum(r * base.derivative(ta, 2), axis=-1)
+            moving = gp != 0.0
+            step = np.zeros_like(g)
+            step[moving] = g[moving] / gp[moving]
+            t[active] = np.clip(ta - step, lo, hi)
+            active = active[moving & ~(np.abs(step) < _NEWTON_TOL)]
+        return float(t[0]) if dirs.ndim == 1 else t
 
 
 class CircularCone(Cone):
@@ -243,9 +258,6 @@ class CircularCone(Cone):
         elif t < 0.0:
             t += period
         return t
-
-    def descriptor(self):
-        return {"kind": "circular", "psi0": self.psi0}
 
 
 def cone_point(cone, t, u):
@@ -282,19 +294,36 @@ def chart_coordinates(cone, point, t_hint=None):
     p = np.asarray(point, dtype=float)
     u = float(np.linalg.norm(p))
     if u < cone.u_min:
-        raise VertexPoint(f"|point| = {u:.3g} is below u_min = {cone.u_min:.3g}")
-    direction = p / u
-    t = cone.chart_t(direction, t_hint=t_hint)
-    residual = float(np.linalg.norm(u * cone.base.evaluate(t) - p))
-    if residual > ON_CONE_RTOL * u:
-        raise NotOnCone(
-            f"chart residual {residual:.3g} exceeds {ON_CONE_RTOL:.0e} * u"
-        )
+        raise _vertex_error(cone, u)
+    t = cone.chart_t(p / u, t_hint=t_hint)
+    _check_on_cone(cone, p, u, t)
     return t, u
 
 
+def _vertex_error(cone, u):
+    return VertexPoint(f"|point| = {u:.3g} is below u_min = {cone.u_min:.3g}")
+
+
+def _check_on_cone(cone, pts, u, t):
+    """Raise NotOnCone for the first point farther than ON_CONE_RTOL * u from u * y(t)."""
+    u = np.asarray(u)
+    residual = np.linalg.norm(u[..., None] * cone.base.evaluate(t) - pts, axis=-1)
+    bad = np.flatnonzero(residual > ON_CONE_RTOL * u)
+    if bad.size:
+        raise NotOnCone(
+            f"chart residual {float(residual.flat[bad[0]]):.3g} exceeds "
+            f"{ON_CONE_RTOL:.0e} * u"
+        )
+
+
 def chart_curve(cone, curve, s=None, samples=256):
-    """Chart an ambient curve: s -> (t(s), u(s)) with t tracked continuously."""
+    """Chart an ambient curve: s -> (t(s), u(s)) with t tracked continuously.
+
+    General cones chart every sample in one batched solve and unwrap t by
+    the base period, which assumes consecutive samples lie less than half
+    a period apart in t.  The first sample, in order, that sits at the
+    vertex or off the cone raises.
+    """
     if s is None:
         s = sample_grid(curve, samples)
     s = np.asarray(s, dtype=float)
@@ -311,11 +340,14 @@ def chart_curve(cone, curve, s=None, samples=256):
                 f"chart residual {float(np.max(residual)):.3g} exceeds tolerance"
             )
     else:
-        t = np.empty_like(u)
-        hint = None
-        for i, p in enumerate(pts):
-            t[i], _ = chart_coordinates(cone, p, t_hint=hint)
-            hint = t[i]
+        vertex = np.flatnonzero(u < cone.u_min)
+        n = vertex[0] if vertex.size else u.size
+        t = cone.chart_t(pts[:n] / u[:n, None])
+        _check_on_cone(cone, pts[:n], u[:n], t)
+        if vertex.size:
+            raise _vertex_error(cone, u[n])
+        if cone.base.periodic:
+            t = np.unwrap(t, period=cone.base.period)
     return ChartCurve.from_samples(s, t, u)
 
 
@@ -572,10 +604,11 @@ def latitude_circle(cone, u0, t_start=None, t_span=None):
     cone._check_u(np.asarray(u0))
     base = cone.base
     d0, d1 = base.domain
+    margin = 0.0 if base.periodic else base.curve.fd_margin(3)
     if t_start is None:
-        t_start = d0
+        t_start = d0 + margin
     if t_span is None:
-        t_span = (d1 - d0) if base.periodic else (d1 - d0) - 2 * base.curve.fd_margin(3)
+        t_span = (d1 - d0) - 2 * margin
     if not base.contains_range(t_start, t_start + t_span):
         raise BaseDomainExceeded("latitude span leaves the base domain")
 

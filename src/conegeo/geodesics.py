@@ -199,7 +199,7 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
         if min(t_out) < d0 or max(t_out) > d1:
             raise BaseDomainExceeded("integrated t left the base domain")
     drift = (c_hi - c_lo) / max(abs(c0), 1e-14) if abs(c0) > 1e-14 else (c_hi - c_lo)
-    if drift > drift_tol:
+    if not (drift <= drift_tol):
         raise StepTooLarge(
             f"Clairaut drift {drift:.3g} exceeds {drift_tol:.3g}; reduce h"
         )

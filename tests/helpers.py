@@ -11,6 +11,8 @@ from conegeo import (
     reparametrize_arclength,
     spherical_curve,
 )
+from conegeo.cones import ON_CONE_RTOL
+from conegeo.errors import NotOnCone, VertexPoint
 
 
 def trig_jet_curve(coeff_a, coeff_b, domain):
@@ -78,3 +80,53 @@ def twisted_cubic_unit_speed():
 
     raw = SpaceCurve.from_function(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
     return reparametrize_arclength(raw)
+
+
+def sequential_chart_t(cone, direction, t_hint=None):
+    """Reference chart inversion: one scalar grid-seeded Newton solve."""
+    base = cone.base
+    if t_hint is None:
+        d0, d1 = base.domain
+        grid = np.linspace(d0, d1, 1024, endpoint=not base.periodic)
+        t = float(grid[np.argmax(base.evaluate(grid) @ direction)])
+    else:
+        t = float(t_hint)
+    for _ in range(16):
+        jet = base.jet(np.array([t]))
+        y, y1, y2 = jet[0][0], jet[1][0], jet[2][0]
+        r = direction - y
+        g = float(r @ y1)
+        gp = float(-(y1 @ y1) + r @ y2)
+        if gp == 0.0:
+            break
+        step = g / gp
+        t -= step
+        if abs(step) < 1e-12:
+            break
+    if not base.periodic:
+        t = float(np.clip(t, base.domain[0], base.domain[1]))
+    return t
+
+
+def sequential_chart_curve(cone, curve, s):
+    """Reference chart of a curve on a general cone: (t, u) sample by sample.
+
+    Each sample is seeded from the previous one's t, which keeps t
+    continuous; the first vertex or off-cone sample raises.
+    """
+    pts = np.atleast_2d(curve.evaluate(np.asarray(s, dtype=float)))
+    t = np.empty(len(pts))
+    u = np.empty(len(pts))
+    hint = None
+    for i, p in enumerate(pts):
+        u[i] = np.linalg.norm(p)
+        if u[i] < cone.u_min:
+            raise VertexPoint(f"|point| = {u[i]:.3g} is below u_min = {cone.u_min:.3g}")
+        t[i] = sequential_chart_t(cone, p / u[i], t_hint=hint)
+        residual = float(np.linalg.norm(u[i] * cone.base.evaluate(t[i]) - p))
+        if residual > ON_CONE_RTOL * u[i]:
+            raise NotOnCone(
+                f"chart residual {residual:.3g} exceeds {ON_CONE_RTOL:.0e} * u"
+            )
+        hint = t[i]
+    return t, u

@@ -258,3 +258,38 @@ def test_config_file_precedence(tmp_path):
 def test_unknown_command_exits_1():
     assert run_cli("frobnicate") == 1
     assert run_cli() == 1
+
+
+def test_negative_numbers_in_exponent_form(tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run_cli("generate", "--a", 1.0, "--b", "-1E3", "--c", "-7.25e-05",
+                   "--psi0", 0.8, "--samples", 64, "--out", spaced) == 0
+    assert run_cli("generate", "--a", 1.0, "--b=-1000", "--c=-0.0000725",
+                   "--psi0", 0.8, "--samples", 64, "--out", joined) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_cone_json_not_an_object_exits_1(tmp_path, capsys):
+    cone = tmp_path / "cone.json"
+    cone.write_text("[1, 2]")
+    ivp = tmp_path / "ivp.json"
+    ivp.write_text(json.dumps(
+        {"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}))
+    out = tmp_path / "ig.csv"
+    assert run_cli("integrate", "--cone", cone, "--ivp", ivp, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["dt0", "length"])
+def test_integrate_nonfinite_ivp_exits_1(tmp_path, quarter_cone_json, capsys, key):
+    data = {"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}
+    data[key] = float("nan") if key == "dt0" else float("inf")
+    ivp = tmp_path / "ivp.json"
+    ivp.write_text(json.dumps(data))
+    out = tmp_path / "ig.csv"
+    assert run_cli("integrate", "--cone", quarter_cone_json, "--ivp", ivp,
+                   "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConfig: ")
+    assert not out.exists()

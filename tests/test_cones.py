@@ -7,6 +7,8 @@ from conegeo import (
     CircularCone,
     Cone,
     RectifyingParams,
+    SpaceCurve,
+    base_from_samples,
     chart_coordinates,
     chart_curve,
     clairaut_invariant,
@@ -30,6 +32,7 @@ from conegeo.errors import (
     NotOnCone,
     VertexPoint,
 )
+from helpers import sequential_chart_curve
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +140,100 @@ def test_chart_rejects_off_cone_point(quarter_cone):
 def test_chart_rejects_vertex(quarter_cone):
     with pytest.raises(VertexPoint):
         chart_coordinates(quarter_cone, np.array([0.0, 0.0, 1e-12]))
+
+
+# ----------------------------------------------------------------------
+# batched chart inversion
+
+
+def test_chart_curve_matches_sequential_oracle(wavy_cone):
+    period = wavy_cone.base.period
+    geodesic = generate_rectifying(RectifyingParams(1.5, -0.5, 0.2), wavy_cone.base)
+    # winds 2.3 periods, so t must stay continuous across the seam
+    latitude = latitude_circle(wavy_cone, 1.7, t_span=2.3 * period)
+    for curve, n in ((geodesic, 256), (latitude, 700)):
+        s = np.linspace(*curve.domain, n)
+        t_ref, u_ref = sequential_chart_curve(wavy_cone, curve, s)
+        chart = chart_curve(wavy_cone, curve, s=s)
+        assert np.max(np.abs(chart.samples[1] - t_ref)) < 1e-12
+        np.testing.assert_allclose(chart.samples[2], u_ref, rtol=1e-14, atol=0.0)
+    assert np.ptp(chart.samples[1]) > 2.2 * period
+
+
+@pytest.mark.parametrize("vertex_first", [True, False])
+def test_chart_curve_first_offending_sample_raises(wavy_cone, vertex_first):
+    base = wavy_cone.base
+    s = np.linspace(0.0, 3.0, 40)
+    pts = 2.0 * base.evaluate(s)
+    i_vertex, i_off = (10, 25) if vertex_first else (25, 10)
+    pts[i_vertex] *= 1e-6
+    pts[i_off] *= np.array([1.0, 1.0, 1.01])
+    curve = SpaceCurve.from_samples(s, pts)
+    with pytest.raises((VertexPoint, NotOnCone)) as ref:
+        sequential_chart_curve(wavy_cone, curve, s)
+    with pytest.raises((VertexPoint, NotOnCone)) as got:
+        chart_curve(wavy_cone, curve, s=s)
+    assert type(got.value) is type(ref.value)
+    assert type(got.value) is (VertexPoint if vertex_first else NotOnCone)
+    assert str(got.value) == str(ref.value)
+
+
+def test_chart_t_scalar_and_batch(wavy_cone):
+    t0 = np.array([0.3, 1.1, 2.9])
+    dirs = wavy_cone.base.evaluate(t0)
+    one = wavy_cone.chart_t(dirs[1])
+    many = wavy_cone.chart_t(dirs)
+    assert isinstance(one, float)
+    assert isinstance(many, np.ndarray) and many.shape == (3,)
+    assert abs(one - t0[1]) < 1e-12
+    assert np.max(np.abs(many - t0)) < 1e-12
+
+
+def _sampled_closed_cone():
+    base = perturbed_circle_base(0.8, seed=12, amplitude=0.04)
+    t = np.linspace(0.0, base.period, 2049)
+    pts = base.evaluate(t)
+    pts[-1] = pts[0]
+    return Cone(base_from_samples(t, pts))
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_chart_curve_base_calls_do_not_grow_with_samples(wavy_cone, monkeypatch, sampled):
+    # a per-sample solve would call the base evaluators once or more per sample
+    cone = _sampled_closed_cone() if sampled else wavy_cone
+    base = cone.base
+    calls = []
+    for name in ("evaluate", "derivative", "jet"):
+        method = getattr(base, name)
+
+        def counted(*args, _method=method, **kwargs):
+            calls.append(1)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(base, name, counted)
+    curve = generate_rectifying(RectifyingParams(1.2, 0.4, -0.1), base)
+    counts = []
+    for n in (64, 1024):
+        calls.clear()
+        chart_curve(cone, curve, samples=n)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
+    assert counts[1] < 200
+
+
+def test_chart_latitude_on_open_sampled_base():
+    full = perturbed_circle_base(0.8, seed=3, amplitude=0.04)
+    t_nodes = np.linspace(0.0, 0.6 * full.period, 801)
+    cone = Cone(base_from_samples(t_nodes, full.evaluate(t_nodes)))
+    assert not cone.base.periodic
+    u0 = 1.5
+    lat = latitude_circle(cone, u0)
+    s = np.linspace(*lat.domain, 200)
+    chart = chart_curve(cone, lat, s=s)
+    t_start = cone.base.domain[0] + cone.base.curve.fd_margin(3)
+    assert np.max(np.abs(chart.samples[1] - (t_start + s / u0))) < 1e-9
+    # between nodes the Hermite base sits slightly off the unit sphere
+    assert np.max(np.abs(chart.samples[2] - u0)) < 1e-9 * u0
 
 
 # ----------------------------------------------------------------------

@@ -178,6 +178,12 @@ def test_integrate_step_too_large():
         integrate_geodesic(cone, ivp, h=0.05, drift_tol=1e-15)
 
 
+def test_integrate_nan_drift_fails_gate():
+    ivp = GeodesicIVP(t0=0.0, u0=1.0, dt0=float("nan"), du0=0.2, length=0.1)
+    with pytest.raises(StepTooLarge):
+        integrate_geodesic(CircularCone(0.8), ivp, h=0.01)
+
+
 # ----------------------------------------------------------------------
 # verify_geodesic
 
