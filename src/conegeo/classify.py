@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import jets as jt
-from .curves import KAPPA_FLOOR, frenet_apparatus, sample_grid
+from .curves import KAPPA_FLOOR, frenet_apparatus, frenet_frame, sample_grid
 from .errors import (
     DegenerateFit,
     InsufficientSamples,
@@ -109,9 +109,8 @@ def classify_rectifying_or_spherical(curve, samples=256, tol=None,
     if tol is None:
         tol = default_tolerance(curve)
     s = sample_grid(curve, samples)
-    frames = frenet_apparatus(curve, s, kappa_floor=kappa_floor)
-    pts = curve.evaluate(s)
-    d1 = curve.derivative(s, 1)
+    pts, d1, d2, d3 = curve.derivatives(s, (0, 1, 2, 3))
+    frames = frenet_frame(d1, d2, d3, kappa_floor=kappa_floor)
     mag = np.linalg.norm(np.cross(pts, d1), axis=-1)
     scale = float(np.max(np.linalg.norm(pts, axis=-1)))
     tangential = np.sum(pts * frames.tangent, axis=-1)
@@ -249,8 +248,8 @@ def classification_identity_residual(curve, U, samples=256, report=None,
     dx = float(s[1] - s[0])
     if np.max(np.abs(np.diff(s) - dx)) > 1e-8 * dx:
         raise ValueError("identity residual needs a uniform sample grid")
-    frames = frenet_apparatus(curve, s, kappa_floor=kappa_floor)
-    pts = curve.evaluate(s)
+    pts, d1, d2, d3 = curve.derivatives(s, (0, 1, 2, 3))
+    frames = frenet_frame(d1, d2, d3, kappa_floor=kappa_floor)
     y = pts / np.linalg.norm(pts, axis=-1)[..., None]
 
     g = y @ U

@@ -25,7 +25,7 @@ from .cones import (
     develop,
     read_base_csv,
 )
-from .curves import SpaceCurve, read_curve_csv, reparametrize_arclength
+from .curves import SpaceCurve, read_curve_csv, reparametrize_arclength, table_text
 from .errors import ConeGeoError, DegenerateFit, InvalidConfig
 from .geodesics import (
     GeodesicIVP,
@@ -52,17 +52,11 @@ class RunConfig:
 
 
 def curve_csv_text(s, points):
-    lines = ["s,x,y,z"]
-    for si, (x, y, z) in zip(s, points):
-        lines.append(f"{float(si)!r},{float(x)!r},{float(y)!r},{float(z)!r}")
-    return "\n".join(lines) + "\n"
+    return table_text("s,x,y,z", s, points)
 
 
 def development_csv_text(s, planar):
-    lines = ["s,px,py"]
-    for si, (px, py) in zip(s, planar):
-        lines.append(f"{float(si)!r},{float(px)!r},{float(py)!r}")
-    return "\n".join(lines) + "\n"
+    return table_text("s,px,py", s, planar)
 
 
 def report_json_text(payload):
@@ -107,12 +101,11 @@ def _positive(params, *keys):
 
 def _load_curve(path):
     try:
-        s, pts = read_curve_csv(path)
+        return SpaceCurve.from_samples(*read_curve_csv(path))
     except OSError as exc:
         raise InvalidConfig(f"--in: cannot read {path!r}: {exc}") from exc
     except ValueError as exc:
         raise InvalidConfig(f"--in: {exc}") from exc
-    return SpaceCurve.from_samples(s, pts)
 
 
 def _load_cone(path):
@@ -159,7 +152,9 @@ def _load_ivp(path):
 
 def _cmd_generate(p):
     _require(p, "a", "out")
-    _positive(p, "a", "samples")
+    _positive(p, "a")
+    if p.get("samples") is not None and p["samples"] < 2:
+        raise InvalidConfig(f"--samples must be at least 2, got {p['samples']!r}")
     if (p.get("psi0") is None) == (p.get("base") is None):
         raise InvalidConfig("exactly one of --psi0 or --base is required")
     _check_writable(p["out"], "out")
@@ -174,12 +169,12 @@ def _cmd_generate(p):
         curve = generate_circular_geodesic(params, p["psi0"], s_domain)
     else:
         try:
-            t, pts = read_base_csv(p["base"])
+            base = base_from_samples(*read_base_csv(p["base"]))
         except OSError as exc:
             raise InvalidConfig(f"--base: cannot read {p['base']!r}: {exc}") from exc
         except ValueError as exc:
             raise InvalidConfig(f"--base: {exc}") from exc
-        curve = generate_rectifying(params, base_from_samples(t, pts), s_domain)
+        curve = generate_rectifying(params, base, s_domain)
     n = int(p.get("samples") or 1024)
     s = np.linspace(*curve.domain, n)
     _atomic_write(p["out"], curve_csv_text(s, curve.evaluate(s)))
@@ -375,6 +370,9 @@ def build_config(argv):
                     params[key] = coerce(value) if coerce and value is not None else value
                 except (TypeError, ValueError) as exc:
                     raise InvalidConfig(f"--config: bad value for {key!r}: {exc}") from exc
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"--{key.replace('_', '-')} must be finite, got {value!r}")
     return RunConfig(command=ns.command, params=params)
 
 

@@ -9,7 +9,13 @@ coordinates; develop() realizes that isometry.
 import numpy as np
 
 from . import jets as jt
-from .curves import SpaceCurve, reparametrize_arclength, sample_grid
+from .curves import (
+    SpaceCurve,
+    read_table,
+    reparametrize_arclength,
+    sample_grid,
+    write_table,
+)
 from .errors import (
     BaseDomainExceeded,
     DegenerateBase,
@@ -71,22 +77,28 @@ class SphericalBaseCurve:
     def evaluate(self, t):
         return self._curve.evaluate(self._wrap(t))
 
-    def derivative(self, t, order=1):
+    def _wraps_stencil(self):
         # periodic sampled bases wrap the stencil itself so evaluation near
         # the seam does not run into domain margins
-        if self.periodic and self._curve.derivative_mode == "finite-difference":
+        return self.periodic and self._curve.derivative_mode == "finite-difference"
+
+    def derivative(self, t, order=1):
+        return self.derivatives(t, (order,))[0]
+
+    def derivatives(self, t, orders):
+        """Derivatives of the given orders at t in one pass; order 0 is y(t)."""
+        if self._wraps_stencil():
             arr = np.asarray(t, dtype=float)
             st = self._curve.settings
-            out = jt.fd_derivative(lambda q: self.evaluate(q),
-                                   np.atleast_1d(arr), order, st.h, st.scheme)
-            return out[0] if arr.ndim == 0 else out
-        return self._curve.derivative(self._wrap(t), order)
+            out = jt.fd_derivatives(self.evaluate, np.atleast_1d(arr), orders,
+                                    st.h, st.scheme)
+            return [o[0] for o in out] if arr.ndim == 0 else out
+        return self._curve.derivatives(self._wrap(t), orders)
 
     def jet(self, t):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.periodic and self._curve.derivative_mode == "finite-difference":
-            return np.stack([self.evaluate(arr)]
-                            + [self.derivative(arr, k) for k in (1, 2, 3)])
+        if self._wraps_stencil():
+            return np.stack(self.derivatives(arr, (0, 1, 2, 3)))
         return self._curve.jet(self._wrap(arr))
 
     def contains_range(self, t_lo, t_hi, margin=0.0):
@@ -223,10 +235,10 @@ class Cone:
             if active.size == 0:
                 break
             ta = t[active]
-            r = d[active] - base.evaluate(ta)
-            y1 = base.derivative(ta, 1)
+            y, y1, y2 = base.derivatives(ta, (0, 1, 2))
+            r = d[active] - y
             g = np.sum(r * y1, axis=-1)
-            gp = -np.sum(y1 * y1, axis=-1) + np.sum(r * base.derivative(ta, 2), axis=-1)
+            gp = -np.sum(y1 * y1, axis=-1) + np.sum(r * y2, axis=-1)
             moving = gp != 0.0
             step = np.zeros_like(g)
             step[moving] = g[moving] / gp[moving]
@@ -276,8 +288,11 @@ def surface_normal(cone, t, u=None):
     """Unit normal of the cone, N = (y' x y)/|y' x y|; independent of u."""
     if u is not None:
         cone._check_u(np.asarray(u, dtype=float))
-    y = cone.base.evaluate(t)
-    y1 = cone.base.derivative(t, 1)
+    return unit_normal(*cone.base.derivatives(t, (0, 1)))
+
+
+def unit_normal(y, y1):
+    """Cone normal (y' x y)/|y' x y| from base points y and tangents y'."""
     n = np.cross(y1, y)
     nrm = np.linalg.norm(n, axis=-1)
     if np.any(nrm < 1e-6):
@@ -316,18 +331,19 @@ def _check_on_cone(cone, pts, u, t):
         )
 
 
-def chart_curve(cone, curve, s=None, samples=256):
+def chart_curve(cone, curve, s=None, samples=256, points=None):
     """Chart an ambient curve: s -> (t(s), u(s)) with t tracked continuously.
 
     General cones chart every sample in one batched solve and unwrap t by
     the base period, which assumes consecutive samples lie less than half
     a period apart in t.  The first sample, in order, that sits at the
-    vertex or off the cone raises.
+    vertex or off the cone raises.  points, when given, is curve.evaluate(s)
+    already computed.
     """
     if s is None:
         s = sample_grid(curve, samples)
     s = np.asarray(s, dtype=float)
-    pts = np.atleast_2d(curve.evaluate(s))
+    pts = np.atleast_2d(curve.evaluate(s) if points is None else points)
     u = np.linalg.norm(pts, axis=-1)
     if isinstance(cone, CircularCone):
         if np.any(u < cone.u_min):
@@ -485,8 +501,7 @@ def geodesic_curvature(cone, curve, s):
     chart = chart_curve(cone, curve, s=np.atleast_1d(np.asarray(s, dtype=float)))
     t = chart.samples[1]
     N = surface_normal(cone, t)
-    d1 = np.atleast_2d(curve.derivative(s, 1))
-    d2 = np.atleast_2d(curve.derivative(s, 2))
+    d1, d2 = (np.atleast_2d(d) for d in curve.derivatives(s, (1, 2)))
     kg = np.sum(d2 * np.cross(N, d1), axis=-1)
     if np.ndim(s) == 0:
         return float(kg[0])
@@ -643,24 +658,9 @@ def cone_from_descriptor(desc, resolve_path=None):
 
 
 def read_base_csv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "t,x,y,z":
-        raise ValueError(f"{path}: expected header 't,x,y,z'")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    if data.ndim != 2 or data.shape[1] != 4:
-        raise ValueError(f"{path}: expected four columns per row")
-    t = data[:, 0]
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError(f"{path}: parameter column must be strictly increasing")
-    return t, data[:, 1:]
+    data = read_table(path, "t,x,y,z")
+    return data[:, 0], data[:, 1:]
 
 
 def write_base_csv(path, t, points):
-    t = np.asarray(t, dtype=float)
-    points = np.asarray(points, dtype=float)
-    lines = ["t,x,y,z"]
-    for ti, (x, y, z) in zip(t, points):
-        lines.append(f"{float(ti)!r},{float(x)!r},{float(y)!r},{float(z)!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, "t,x,y,z", t, points)

@@ -125,7 +125,7 @@ class SpaceCurve:
     def _check_domain(self, s):
         s0, s1 = self._domain
         slack = 1e-9 * self.length
-        bad = (s < s0 - slack) | (s > s1 + slack)
+        bad = ~((s >= s0 - slack) & (s <= s1 + slack))
         if np.any(bad):
             worst = float(np.asarray(s)[bad].flat[0]) if np.ndim(s) else float(s)
             raise ParameterOutOfDomain(
@@ -152,38 +152,43 @@ class SpaceCurve:
         """order-th derivative of alpha at s (order 1, 2 or 3)."""
         if order not in (1, 2, 3):
             raise ValueError("order must be 1, 2 or 3")
+        return self.derivatives(s, (order,))[0]
+
+    def derivatives(self, s, orders):
+        """Derivatives of the given orders at s in one pass; order 0 is the point.
+
+        Analytic curves make one jet call.  Finite-difference curves check
+        the margin of the highest order, then evaluate each stencil offset
+        once.  Returns a list in `orders` order.
+        """
         arr = np.asarray(s, dtype=float)
         self._check_domain(arr)
+        q = np.atleast_1d(arr)
         if self._jet is not None:
-            out = np.asarray(self._jet(np.atleast_1d(arr)))[order]
+            jet = np.asarray(self._jet(q))
+            out = [jet[k] for k in orders]
         else:
-            margin = self.fd_margin(order) * (1.0 - 2e-9)
+            top = max(orders)
+            margin = self.fd_margin(top) * (1.0 - 2e-9)
             s0, s1 = self._domain
-            if np.any(arr < s0 + margin) or np.any(arr > s1 - margin):
+            if top and (np.any(arr < s0 + margin) or np.any(arr > s1 - margin)):
                 raise InsufficientMargin(
-                    f"order-{order} stencil needs {margin:.3g} of margin inside "
+                    f"order-{top} stencil needs {margin:.3g} of margin inside "
                     f"[{s0}, {s1}]"
                 )
-            out = jt.fd_derivative(
-                lambda q: self._evaluator(q),
-                np.atleast_1d(arr),
-                order,
-                self._settings.h,
-                self._settings.scheme,
-            )
+            out = jt.fd_derivatives(self._evaluator, q, orders,
+                                    self._settings.h, self._settings.scheme)
         if arr.ndim == 0:
-            return out[0]
+            return [o[0] for o in out]
         return out
 
     def jet(self, s):
         """Value plus first three derivatives, shape (4, n, 3)."""
         arr = np.atleast_1d(np.asarray(s, dtype=float))
+        if self._jet is None:
+            return np.stack(self.derivatives(arr, (0, 1, 2, 3)))
         self._check_domain(arr)
-        if self._jet is not None:
-            return np.asarray(self._jet(arr), dtype=float)
-        return np.stack(
-            [self.evaluate(arr)] + [self.derivative(arr, k) for k in (1, 2, 3)]
-        )
+        return np.asarray(self._jet(arr), dtype=float)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -359,14 +364,16 @@ def sample_grid(curve, n=256, max_order=3):
 
 
 def frenet_apparatus(curve, s, kappa_floor=KAPPA_FLOOR):
-    """Frenet frame(s) at s.
+    """Frenet frame(s) at s, from one pass over the first three derivatives."""
+    return frenet_frame(*curve.derivatives(s, (1, 2, 3)), kappa_floor=kappa_floor)
 
-    kappa = |alpha''| and tau = <alpha' x alpha'', alpha'''> / kappa^2
-    for unit-speed curves; raises VanishingCurvature below the floor.
+
+def frenet_frame(d1, d2, d3, kappa_floor=KAPPA_FLOOR):
+    """Frenet frame from the first three derivatives of a unit-speed curve.
+
+    kappa = |alpha''| and tau = <alpha' x alpha'', alpha'''> / kappa^2;
+    raises VanishingCurvature below the floor.
     """
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(s, 2)
-    d3 = curve.derivative(s, 3)
     speed = np.linalg.norm(d1, axis=-1)
     if np.any(speed < 1e-12):
         raise SingularSpeed("zero tangent; cannot build a frame")
@@ -391,8 +398,7 @@ def frenet_apparatus(curve, s, kappa_floor=KAPPA_FLOOR):
 
 def cross_magnitude(curve, s):
     """|alpha(s) x alpha'(s)|."""
-    p = curve.evaluate(s)
-    d1 = curve.derivative(s, 1)
+    p, d1 = curve.derivatives(s, (0, 1))
     return np.linalg.norm(np.cross(p, d1), axis=-1)
 
 
@@ -400,7 +406,8 @@ def _adaptive_simpson_segments(f, nodes, tol):
     """Per-interval integrals of f over consecutive nodes, adaptive Simpson.
 
     Each interval is refined by panel doubling until the Simpson update is
-    below its share of tol, then Richardson-extrapolated.
+    below its share of tol, then Richardson-extrapolated.  An interval whose
+    update is not finite stops at once: refining cannot mend it.
     """
     a = nodes[:-1]
     b = nodes[1:]
@@ -422,7 +429,7 @@ def _adaptive_simpson_segments(f, nodes, tol):
     for _ in range(14):
         cur = composite(a[active], b[active], panels)
         err = np.abs(cur - prev[active])
-        done = err <= 15.0 * np.maximum(tol_i[active], 1e-300)
+        done = ~(err > 15.0 * np.maximum(tol_i[active], 1e-300))
         idx = np.flatnonzero(active)
         out[idx[done]] = cur[done] + (cur[done] - prev[active][done]) / 15.0
         prev[idx] = cur
@@ -473,6 +480,8 @@ def reparametrize_arclength(curve, tol=1e-10, table_size=4097):
     m = curve.fd_margin(1)
     scan = np.linspace(s0 + m, s1 - m, 2049)
     v = speed(scan)
+    if not np.all(np.isfinite(v)):
+        raise SingularSpeed("speed is not finite on the parameter domain")
     vmax = float(np.max(v))
     if float(np.min(v)) < 1e-12 * max(1.0, vmax):
         raise SingularSpeed(
@@ -511,28 +520,57 @@ def reparametrize_arclength(curve, tol=1e-10, table_size=4097):
 
 
 # ----------------------------------------------------------------------
-# CSV interchange: header `s,x,y,z`, shortest round-trip decimals
+# CSV interchange: one header line, then rows of shortest round-trip decimals
+
+
+def table_text(header, *columns):
+    """CSV text of 1-D columns and (n, k) column blocks, repr-formatted."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%r"] * table.shape[1])
+    return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
+
+
+def write_table(path, header, *columns):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(table_text(header, *columns))
+
+
+def read_table(path, header):
+    """Rows of a CSV file under the given header line, shape (n, columns).
+
+    Blank lines are skipped and `#` is data, not a comment.  Every value
+    must be finite and the first column strictly increasing.
+    """
+    width = header.count(",") + 1
+    with open(path, "r", encoding="ascii") as fh:
+        lines = iter(fh.readline, "")
+        if next((ln for ln in lines if ln.strip()), "").strip() != header:
+            raise ValueError(f"{path}: expected header {header!r}")
+        start = fh.tell()
+        data = np.empty((0, 0))
+        if any(ln.strip() for ln in lines):  # loadtxt warns on a file without rows
+            fh.seek(start)
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    if data.shape[1] != width:
+        words = {3: "three", 4: "four"}
+        raise ValueError(f"{path}: expected {words.get(width, width)} columns per row")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite value {float(data[row, col])} "
+                         f"in data row {row + 1}, column {col + 1}")
+    if np.any(np.diff(data[:, 0]) <= 0.0):
+        raise ValueError(f"{path}: parameter column must be strictly increasing")
+    return data
 
 
 def write_curve_csv(path, s, points):
-    s = np.asarray(s, dtype=float)
-    points = np.asarray(points, dtype=float)
-    lines = ["s,x,y,z"]
-    for si, (x, y, z) in zip(s, points):
-        lines.append(f"{float(si)!r},{float(x)!r},{float(y)!r},{float(z)!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, "s,x,y,z", s, points)
 
 
 def read_curve_csv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "s,x,y,z":
-        raise ValueError(f"{path}: expected header 's,x,y,z'")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    if data.ndim != 2 or data.shape[1] != 4:
-        raise ValueError(f"{path}: expected four columns per row")
-    s = data[:, 0]
-    if np.any(np.diff(s) <= 0.0):
-        raise ValueError(f"{path}: parameter column must be strictly increasing")
-    return s, data[:, 1:]
+    data = read_table(path, "s,x,y,z")
+    return data[:, 0], data[:, 1:]

@@ -29,9 +29,9 @@ from .cones import (
     curve_from_chart,
     develop,
     line_fit,
-    surface_normal,
+    unit_normal,
 )
-from .curves import KAPPA_FLOOR, SpaceCurve, frenet_apparatus, sample_grid
+from .curves import KAPPA_FLOOR, SpaceCurve, frenet_frame, sample_grid
 from .errors import (
     BaseDomainExceeded,
     StepTooLarge,
@@ -253,18 +253,17 @@ def verify_geodesic(cone: Cone, curve: SpaceCurve, samples=256,
     if thresholds is None:
         thresholds = VerifyThresholds()
     s = sample_grid(curve, samples)
-    chart = chart_curve(cone, curve, s=s)
+    pts, d1, d2, d3 = curve.derivatives(s, (0, 1, 2, 3))
+    chart = chart_curve(cone, curve, s=s, points=pts)
     t_arr, u_arr = chart.samples[1], chart.samples[2]
 
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(s, 2)
-    N = surface_normal(cone, t_arr)
+    y, y1 = cone.base.derivatives(t_arr, (0, 1))
+    N = unit_normal(y, y1)
     kg = np.sum(d2 * np.cross(N, d1), axis=-1)
     max_kg = float(np.max(np.abs(kg)))
 
     # u^2 t' via the chart velocity decomposition t' = <alpha', y'(t)> / u,
     # exact pointwise, so the constancy test is not limited by series stencils
-    y1 = cone.base.derivative(t_arr, 1)
     C = u_arr * np.sum(d1 * y1, axis=-1)
     mean_c = float(np.mean(C))
     spread = float(np.max(C) - np.min(C))
@@ -277,7 +276,7 @@ def verify_geodesic(cone: Cone, curve: SpaceCurve, samples=256,
     if float(np.max(kappa)) < kappa_floor:
         return GeodesyReport(max_kg, relvar, None, straightness, "ruling")
 
-    frames = frenet_apparatus(curve, s, kappa_floor=kappa_floor)
+    frames = frenet_frame(d1, d2, d3, kappa_floor=kappa_floor)
     align = float(np.min(np.abs(np.sum(frames.normal * N, axis=-1))))
     ok = (
         max_kg < thresholds.max_abs_kg

@@ -43,15 +43,39 @@ def stencil_reach(scheme, order):
 
 def fd_derivative(evaluate, s, order, h, scheme=4):
     """Central finite difference of a vectorized evaluator at parameters s."""
-    offsets, coeffs = stencil(scheme, order)
+    return fd_derivatives(evaluate, s, (order,), h, scheme)[0]
+
+
+def fd_derivatives(evaluate, s, orders, h, scheme=4):
+    """Central differences of several orders from one set of stencil taps.
+
+    Each distinct offset is evaluated once (7 taps for orders 1-3 at
+    scheme 4); order 0 is the tap at offset 0, the value itself.  Each
+    order sums its terms in stencil order, so the result is bitwise that
+    of a separate single-order stencil.  Returns a list in `orders` order.
+    """
     s = np.asarray(s, dtype=float)
-    acc = None
-    for k, c in zip(offsets, coeffs):
-        if c == 0.0:
+    taps = {}
+
+    def tap(k):
+        if k not in taps:
+            taps[k] = np.asarray(evaluate(s + k * h), dtype=float)
+        return taps[k]
+
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(tap(0.0))
             continue
-        term = c * np.asarray(evaluate(s + k * h), dtype=float)
-        acc = term if acc is None else acc + term
-    return acc / h**order
+        offsets, coeffs = stencil(scheme, order)
+        acc = None
+        for k, c in zip(offsets, coeffs):
+            if c == 0.0:
+                continue
+            term = c * tap(k)
+            acc = term if acc is None else acc + term
+        out.append(acc / h**order)
+    return out
 
 
 def series_derivative(values, dx, order=1, scheme=4):

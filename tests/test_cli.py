@@ -293,3 +293,69 @@ def test_integrate_nonfinite_ivp_exits_1(tmp_path, quarter_cone_json, capsys, ke
                    "--out", out) == 1
     assert capsys.readouterr().err.startswith("error: InvalidConfig: ")
     assert not out.exists()
+
+
+def _assert_invalid_config(capsys, *paths):
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: ") and len(err.splitlines()) == 1
+    for path in paths:
+        assert not path.exists()
+    return err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_csv_value_exits_1(tmp_path, quarter_cone_json, capsys, bad):
+    rows = [f"{0.1 * k!r},{1.0 + k},0.5,0.25" for k in range(6)]
+    rows[3] = rows[3].replace("0.5", bad)
+    csv = tmp_path / "c.csv"
+    csv.write_text("s,x,y,z\n" + "\n".join(rows) + "\n")
+    rep = tmp_path / "rep.json"
+    assert run_cli("classify", "--in", csv, "--report", rep) == 1
+    assert "non-finite value" in _assert_invalid_config(capsys, rep)
+    base = tmp_path / "base.csv"
+    base.write_text(csv.read_text().replace("s,x,y,z", "t,x,y,z"))
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--a", 1.0, "--base", base, "--out", out) == 1
+    assert "non-finite value" in _assert_invalid_config(capsys, out)
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"kind": "general", "base_csv": "base.csv"}))
+    assert run_cli("develop", "--cone", cone, "--in", csv, "--out", out) == 1
+    assert "non-finite value" in _assert_invalid_config(capsys, out)
+
+
+@pytest.mark.parametrize("args", [
+    ("--a=inf", "--psi0=0.5"),
+    ("--a=nan", "--psi0=0.5"),
+    ("--a=1", "--psi0=nan"),
+    ("--a=1", "--b=-inf", "--psi0=0.5"),
+    ("--a=1", "--psi0=0.5", "--smin=-inf", "--smax=1"),
+])
+def test_nonfinite_float_option_exits_1(tmp_path, capsys, args):
+    out = tmp_path / "c.csv"
+    assert run_cli("generate", *args, "--out", out) == 1
+    assert "must be finite" in _assert_invalid_config(capsys, out)
+
+
+def test_nonfinite_config_value_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generate": {"psi0": float("inf")}}))
+    out = tmp_path / "c.csv"
+    assert run_cli("--config", cfg, "generate", "--a", 1.0, "--out", out) == 1
+    assert "--psi0 must be finite" in _assert_invalid_config(capsys, out)
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_generate_needs_two_samples(tmp_path, capsys, samples):
+    out = tmp_path / "c.csv"
+    assert run_cli("generate", "--a", 1.0, "--psi0", 0.8, f"--samples={samples}",
+                   "--out", out) == 1
+    assert "--samples must be at least 2" in _assert_invalid_config(capsys, out)
+
+
+def test_one_row_curve_csv_exits_1(tmp_path, quarter_cone_json, capsys):
+    csv = tmp_path / "one.csv"
+    csv.write_text("s,x,y,z\n0.0,1.0,0.0,1.0\n")
+    rep = tmp_path / "rep.json"
+    assert run_cli("verify", "--cone", quarter_cone_json, "--in", csv,
+                   "--report", rep) == 1
+    assert "need at least two samples" in _assert_invalid_config(capsys, rep)

@@ -32,6 +32,8 @@ from conegeo.errors import (
     NotOnCone,
     VertexPoint,
 )
+from conegeo import cones as cones_module
+from conegeo import curves as curves_module
 from helpers import sequential_chart_curve
 
 
@@ -203,7 +205,7 @@ def test_chart_curve_base_calls_do_not_grow_with_samples(wavy_cone, monkeypatch,
     cone = _sampled_closed_cone() if sampled else wavy_cone
     base = cone.base
     calls = []
-    for name in ("evaluate", "derivative", "jet"):
+    for name in ("evaluate", "derivative", "derivatives", "jet"):
         method = getattr(base, name)
 
         def counted(*args, _method=method, **kwargs):
@@ -219,6 +221,31 @@ def test_chart_curve_base_calls_do_not_grow_with_samples(wavy_cone, monkeypatch,
         counts.append(len(calls))
     assert counts[1] <= counts[0]
     assert counts[1] < 200
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_newton_iteration_evaluates_each_base_offset_once(monkeypatch, closed):
+    # value, y' and y'' of a sampled base come from one 5-tap stencil pass
+    full = perturbed_circle_base(0.8, seed=12, amplitude=0.04)
+    if closed:
+        cone = _sampled_closed_cone()
+    else:
+        t_nodes = np.linspace(0.0, 0.6 * full.period, 801)
+        cone = Cone(base_from_samples(t_nodes, full.evaluate(t_nodes)))
+    t_true = np.linspace(0.5, 1.5, 40)
+    dirs = cone.base.evaluate(t_true)
+    calls = []
+    hermite = curves_module._HermiteInterpolant
+    plain = hermite.__call__
+
+    def counted(self, q):
+        calls.append(q.size)
+        return plain(self, q)
+
+    monkeypatch.setattr(hermite, "__call__", counted)
+    monkeypatch.setattr(cones_module, "_NEWTON_CAP", 1)
+    cone.chart_t(dirs, t_hint=t_true + 0.01)
+    assert 1 <= len(calls) <= 6
 
 
 def test_chart_latitude_on_open_sampled_base():

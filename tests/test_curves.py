@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from conegeo import (
     write_curve_csv,
 )
 from conegeo import jets as jt
+from conegeo.curves import _adaptive_simpson_segments, read_table, table_text
 from conegeo.errors import (
     InsufficientMargin,
     ParameterOutOfDomain,
@@ -65,6 +68,15 @@ def test_evaluate_out_of_domain():
         circ.evaluate(100.0)
 
 
+def test_nan_parameter_is_out_of_domain():
+    circ = circle_curve(1.0)
+    for s in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ParameterOutOfDomain):
+            circ.evaluate(s)
+        with pytest.raises(ParameterOutOfDomain):
+            circ.derivative(s, 1)
+
+
 # ----------------------------------------------------------------------
 # derivative
 
@@ -92,6 +104,52 @@ def test_derivative_constant_curve_is_zero():
     )
     for order in (1, 2, 3):
         assert np.allclose(const.derivative(0.5, order), 0.0, atol=1e-8)
+
+
+def _counting_fd_helix():
+    hx = helix_curve(0.6, 0.8)
+    calls = []
+
+    def evaluator(q):
+        calls.append(q.size)
+        return hx.evaluate(q)
+
+    return SpaceCurve.from_function(evaluator, hx.domain), calls
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+def test_derivatives_bitwise_equal_to_single_orders(scalar):
+    hx = helix_curve(0.6, 0.8)
+    fd, _ = _counting_fd_helix()
+    s = 2.5 if scalar else np.linspace(1.0, 5.0, 11)
+    for curve in (hx, fd):
+        got = curve.derivatives(s, (0, 1, 2, 3))
+        expect = [curve.evaluate(s)] + [curve.derivative(s, k) for k in (1, 2, 3)]
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+        assert curve.jet(s).tobytes() == np.stack(
+            [np.atleast_2d(e) for e in expect]).tobytes()
+
+
+def test_fd_frames_and_jet_evaluate_each_offset_once():
+    # one evaluator call per distinct stencil offset -3..3, not one per term
+    fd, calls = _counting_fd_helix()
+    s = np.linspace(1.0, 5.0, 11)
+    frenet_apparatus(fd, s)
+    assert len(calls) == 7
+    calls.clear()
+    fd.jet(s)
+    assert len(calls) == 7
+
+
+def test_derivatives_margin_of_highest_order():
+    fd, _ = _counting_fd_helix()
+    s0 = fd.domain[0]
+    edge = s0 + fd.fd_margin(2)
+    fd.derivatives(edge, (0, 1, 2))
+    with pytest.raises(InsufficientMargin):
+        fd.derivatives(edge, (0, 1, 2, 3))
 
 
 def test_derivative_margin_enforced():
@@ -166,6 +224,28 @@ def test_reparametrize_singular_speed():
     cusp = SpaceCurve.from_function(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
     with pytest.raises(SingularSpeed):
         reparametrize_arclength(cusp)
+
+
+def test_simpson_stops_on_nonfinite_integrand():
+    # a NaN update never meets the tolerance; refining it would only grow
+    # the panel count, so such intervals stop after the first doubling
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.full_like(x, np.nan)
+
+    out = _adaptive_simpson_segments(f, np.array([0.0, 0.5, 1.0]), 1e-10)
+    assert np.all(np.isnan(out))
+    assert len(calls) == 2
+
+
+def test_reparametrize_rejects_nonfinite_speed():
+    nan_curve = SpaceCurve.from_function(
+        lambda s: np.where(s[:, None] > 0.5, np.nan, s[:, None] * [1.0, 0.0, 0.0]),
+        (0.0, 1.0))
+    with pytest.raises(SingularSpeed):
+        reparametrize_arclength(nan_curve)
 
 
 # ----------------------------------------------------------------------
@@ -292,4 +372,84 @@ def test_curve_csv_rejects_decreasing(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("s,x,y,z\n1.0,0,0,0\n0.5,1,1,1\n")
     with pytest.raises(ValueError):
+        read_curve_csv(path)
+
+
+def _old_curve_csv_text(s, points):
+    # the per-row f-string emitter the table layer replaced
+    lines = ["s,x,y,z"]
+    for si, (x, y, z) in zip(s, points):
+        lines.append(f"{float(si)!r},{float(x)!r},{float(y)!r},{float(z)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_table_text_matches_row_emitter_on_awkward_values():
+    awkward = [-0.0, 0.0, 1e16, 1e15, -1e15, 1e-5, 5e-324, 2.5e-310, -1e-310,
+               0.1 + 0.2, 1 / 3, 123456789.123, 2.0**53 + 2, -7.25e-05, 1e300]
+    vals = np.array(awkward)
+    s = np.arange(vals.size, dtype=float) - 0.5
+    points = np.stack([vals, vals[::-1], -vals], axis=-1)
+    assert table_text("s,x,y,z", s, points) == _old_curve_csv_text(s, points)
+    # float32 and integer inputs widen exactly, as float() did
+    fits = np.max(np.abs(points), axis=1) < 1e30
+    p32 = points[fits].astype(np.float32)
+    assert table_text("s,x,y,z", s[fits], p32) == _old_curve_csv_text(s[fits], p32)
+    si = np.arange(vals.size)
+    assert table_text("s,x,y,z", si, points) == _old_curve_csv_text(si, points)
+
+
+def test_read_table_parses_like_float(tmp_path):
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
+                           [5e-324, -0.0, 2.2250738585072014e-308, 0.1 + 0.2]])
+    s = np.arange(vals.size, dtype=float)
+    path = tmp_path / "c.csv"
+    write_curve_csv(path, s, np.stack([vals, -vals, vals / 3], axis=-1))
+    text = path.read_text().splitlines()[1:]
+    expect = np.array([[float(v) for v in row.split(",")] for row in text])
+    got = read_table(path, "s,x,y,z")
+    assert got.tobytes() == expect.tobytes()
+    odd = tmp_path / "odd.csv"
+    odd.write_text("s,x,y,z\n 1 ,+2.5E+3,  -1e-320,7\n2,10,0,0\n")
+    assert read_table(odd, "s,x,y,z").tolist() == [[1.0, 2500.0, -1e-320, 7.0],
+                                                  [2.0, 10.0, 0.0, 0.0]]
+
+
+def test_read_table_accepts_crlf_and_blank_lines(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"\r\ns,x,y,z\r\n\r\n0,1,2,3\r\n\r\n1,4,5,6\r\n\r\n")
+    s, pts = read_curve_csv(path)
+    assert s.tolist() == [0.0, 1.0]
+    assert pts.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0,1,2,3#c\n1,1,1,1\n", "could not convert"),
+    ("#0,1,2,3\n1,1,1,1\n", "could not convert"),
+    ("0,1,2,3\n1,1,1\n", "number of columns"),
+    ("0,1,2,3,\n1,1,1,1,\n", "could not convert"),
+    ("0,1,2\n1,1,1\n", "expected four columns per row"),
+    ("0,1,nan,3\n1,1,1,1\n", "non-finite value nan in data row 1, column 3"),
+    ("0,1,2,3\n1,inf,1,1\n", "non-finite value inf in data row 2, column 2"),
+    ("0,1,2,3\n1,1,1,-Infinity\n", "non-finite value -inf"),
+    ("0,1,2,3\n1,1,1,1e400\n", "non-finite value inf"),
+    ("nan,1,2,3\n1,1,1,1\n", "non-finite value nan"),
+    ("", "expected four columns per row"),
+    ("\n\n", "expected four columns per row"),
+])
+def test_read_table_rejects(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("s,x,y,z\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as info:
+            read_curve_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("text", ["", "\n", "x,y,z\n0,1,2\n", "s,x,y\n0,1,2,3\n"])
+def test_read_table_rejects_header(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="expected header 's,x,y,z'"):
         read_curve_csv(path)

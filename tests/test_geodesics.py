@@ -6,6 +6,7 @@ from conegeo import (
     Cone,
     GeodesicIVP,
     RectifyingParams,
+    SpaceCurve,
     base_from_samples,
     circular_base,
     cross_check_circular_cone,
@@ -14,14 +15,17 @@ from conegeo import (
     fit_slant_axis,
     generate_circular_geodesic,
     generate_rectifying,
+    geodesic_curvature,
     integrate_geodesic,
     latitude_circle,
     line_fit,
     perturbed_circle_base,
     rectifying_chart,
     ruling,
+    sample_grid,
     verify_geodesic,
 )
+from conegeo import curves as curves_module
 from conegeo.classify import LABEL_RECTIFYING, classify_rectifying_or_spherical
 from conegeo.errors import (
     BaseDomainExceeded,
@@ -231,6 +235,29 @@ def test_verify_on_general_cone():
     cur = generate_rectifying(RectifyingParams(0.9, 0.2, 1.0), base)
     rep = verify_geodesic(cone, cur)
     assert rep.verdict == "geodesic"
+
+
+def test_verify_fd_curve_takes_one_stencil_pass(monkeypatch):
+    # points, d1, d2 and d3 for the gates and the frames come from the 7 taps
+    # of one pass; the circular cone's base is analytic, so every counted
+    # Hermite call is the curve's
+    cone = CircularCone(0.75)
+    closed_form = generate_rectifying(RectifyingParams(1.2, 0.5, -0.3), cone.base)
+    nodes = np.linspace(*closed_form.domain, 2049)
+    sampled = SpaceCurve.from_samples(nodes, closed_form.evaluate(nodes))
+    calls = []
+    plain = curves_module._HermiteInterpolant.__call__
+
+    def counted(self, q):
+        calls.append(q.size)
+        return plain(self, q)
+
+    monkeypatch.setattr(curves_module._HermiteInterpolant, "__call__", counted)
+    rep = verify_geodesic(cone, sampled)
+    assert len(calls) <= 7
+    assert rep.verdict == "geodesic"
+    kg = geodesic_curvature(cone, sampled, sample_grid(sampled, 256))
+    assert rep.max_abs_kg == float(np.max(np.abs(kg)))
 
 
 def test_verify_winding_geodesic_on_narrow_cone():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,39 @@ def test_jet_reparametrize_gives_unit_speed():
     # the arc-length acceleration must be orthogonal to the velocity
     dots = np.sum(rep[1] * rep[2], axis=-1)
     assert np.max(np.abs(dots)) < 1e-14
+
+
+def _trig(t):
+    t = np.asarray(t, dtype=float)
+    return np.stack([np.sin(3 * t), np.cos(t) * t, np.exp(0.3 * t)], axis=-1)
+
+
+@pytest.mark.parametrize("scheme", [2, 4])
+def test_fd_derivatives_bitwise_equal_to_single_orders(scheme):
+    s = np.linspace(-0.7, 1.3, 23)
+    h = 1e-3
+    single = {0: _trig(s)}
+    for order in (1, 2, 3):
+        single[order] = jt.fd_derivative(_trig, s, order, h, scheme)
+    for size in (1, 2, 3, 4):
+        for orders in itertools.permutations((0, 1, 2, 3), size):
+            got = jt.fd_derivatives(_trig, s, orders, h, scheme)
+            assert len(got) == len(orders)
+            for order, value in zip(orders, got):
+                assert value.tobytes() == single[order].tobytes(), (orders, order)
+
+
+@pytest.mark.parametrize("scheme,orders,taps", [
+    (4, (1, 2, 3), 7), (4, (0, 1, 2, 3), 7), (4, (1, 2), 5), (4, (0, 1), 5),
+    (4, (1,), 4), (4, (2,), 5), (4, (3,), 6), (2, (0, 1, 2, 3), 5), (2, (1, 2), 3),
+])
+def test_fd_derivatives_evaluates_each_offset_once(scheme, orders, taps):
+    seen = []
+
+    def counted(q):
+        seen.append(float(q[0]))
+        return _trig(q)
+
+    jt.fd_derivatives(counted, np.array([0.4, 0.5]), orders, 1e-3, scheme)
+    assert len(seen) == taps
+    assert len(set(seen)) == taps
