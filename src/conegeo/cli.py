@@ -127,7 +127,7 @@ def _load_cone(path):
         return cone_from_descriptor(desc, resolve_path=resolve)
     except OSError as exc:
         raise InvalidConfig(f"--cone: cannot read base curve: {exc}") from exc
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InvalidConfig(f"--cone: bad descriptor: {exc}") from exc
 
 

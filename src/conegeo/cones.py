@@ -19,6 +19,7 @@ from .curves import (
 from .errors import (
     BaseDomainExceeded,
     DegenerateBase,
+    InvalidHalfAngle,
     NonpositiveRadialCoordinate,
     NotOnCone,
     ParameterOutOfDomain,
@@ -97,9 +98,7 @@ class SphericalBaseCurve:
 
     def jet(self, t):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self._wraps_stencil():
-            return np.stack(self.derivatives(arr, (0, 1, 2, 3)))
-        return self._curve.jet(self._wrap(arr))
+        return np.stack(self.derivatives(arr, (0, 1, 2, 3)))
 
     def contains_range(self, t_lo, t_hi, margin=0.0):
         if self.periodic:
@@ -108,11 +107,17 @@ class SphericalBaseCurve:
         return t_lo >= d0 + margin and t_hi <= d1 - margin
 
 
-def circular_base(psi0):
-    """Circle of spherical radius psi0 around the north pole, unit speed."""
+def _half_angle(psi0):
+    """psi0 as a float; raises InvalidHalfAngle outside (0, pi/2)."""
     psi0 = float(psi0)
     if not (0.0 < psi0 < np.pi / 2):
-        raise ValueError("half angle must lie strictly between 0 and pi/2")
+        raise InvalidHalfAngle(f"half angle {psi0!r} must lie strictly between 0 and pi/2")
+    return psi0
+
+
+def circular_base(psi0):
+    """Circle of spherical radius psi0 around the north pole, unit speed."""
+    psi0 = _half_angle(psi0)
     sp, cp = np.sin(psi0), np.cos(psi0)
 
     def jet(t):
@@ -137,9 +142,7 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
     sphere and reparametrized to unit speed; small amplitudes keep the
     spherical bending positive, matching the circular case's orientation.
     """
-    psi0 = float(psi0)
-    if not (0.0 < psi0 < np.pi / 2):
-        raise ValueError("half angle must lie strictly between 0 and pi/2")
+    psi0 = _half_angle(psi0)
     rng = np.random.default_rng(seed)
     sp, cp = np.sin(psi0), np.cos(psi0)
     ks = np.arange(1, modes + 1)
@@ -251,15 +254,8 @@ class CircularCone(Cone):
     """Right circular cone with half angle psi0; closed-form chart."""
 
     def __init__(self, psi0, u_max=1e6):
-        psi0 = float(psi0)
-        if not (0.0 < psi0 < np.pi / 2):
-            from .errors import InvalidHalfAngle
-
-            raise InvalidHalfAngle(
-                f"half angle {psi0!r} must lie strictly between 0 and pi/2"
-            )
-        self.psi0 = psi0
-        super().__init__(circular_base(psi0), u_max=u_max)
+        self.psi0 = _half_angle(psi0)
+        super().__init__(circular_base(self.psi0), u_max=u_max)
 
     def chart_t(self, direction, t_hint=None):
         sp = np.sin(self.psi0)
@@ -395,10 +391,6 @@ class ChartCurve:
         return np.sqrt(uj[1] ** 2 + uj[0] ** 2 * tj[1] ** 2)
 
     @staticmethod
-    def from_functions(t_jet_fn, u_jet_fn, domain):
-        return ChartCurve(t_jet_fn, u_jet_fn, domain)
-
-    @staticmethod
     def from_samples(s, t, u, dt=None, du=None):
         """Sampled chart; derivatives default to stencils on the series."""
         s = np.asarray(s, dtype=float)
@@ -409,79 +401,27 @@ class ChartCurve:
             raise ValueError("sampled charts need a uniform parameter grid")
 
         def scalar_jet_fn(values, slopes):
-            interp = _ScalarHermite(s, values, slopes, dx)
-            return interp.jet
+            d2, r2 = jt.series_derivative(values, dx, 2)
+            d3, r3 = jt.series_derivative(values, dx, 3)
+            s2, s3 = s[r2:s.size - r2], s[r3:s.size - r3]
+
+            def jet(q):
+                return np.stack([jt.hermite(s, values, slopes, q),
+                                 jt.hermite(s, values, slopes, q, derivative=True),
+                                 np.interp(q, s2, d2), np.interp(q, s3, d3)])
+
+            return jet
 
         if dt is None:
-            dt = _series_slope(t, dx)
+            dt = jt.node_slopes(s, t)
         if du is None:
-            du = _series_slope(u, dx)
+            du = jt.node_slopes(s, u)
         return ChartCurve(
             scalar_jet_fn(t, dt),
             scalar_jet_fn(u, du),
             (s[0], s[-1]),
             samples=(s, t, u),
         )
-
-
-def _series_slope(values, dx):
-    """Order-4 first derivative of a uniform series, one-sided at the ends."""
-    n = values.size
-    out = np.empty_like(values)
-    if n >= 5:
-        out[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (
-            12 * dx
-        )
-        c0 = np.array([-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4])
-        c1 = np.array([-1 / 4, -5 / 6, 3 / 2, -1 / 2, 1 / 12])
-        out[0] = c0 @ values[:5] / dx
-        out[1] = c1 @ values[:5] / dx
-        out[-1] = -(c0 @ values[-1:-6:-1]) / dx
-        out[-2] = -(c1 @ values[-1:-6:-1]) / dx
-    else:
-        out[:] = np.gradient(values, dx)
-    return out
-
-
-class _ScalarHermite:
-    """Cubic Hermite interpolation of a scalar series with known slopes."""
-
-    def __init__(self, s, values, slopes, dx):
-        self.s = s
-        self.v = values
-        self.m = slopes
-        self.dx = dx
-        d2, r2 = jt.series_derivative(values, dx, 2)
-        d3, r3 = jt.series_derivative(values, dx, 3)
-        self._d2 = (d2, r2)
-        self._d3 = (d3, r3)
-
-    def _interp(self, table, reach, q):
-        s_in = self.s[reach: self.s.size - reach] if reach else self.s
-        return np.interp(q, s_in, table)
-
-    def jet(self, q):
-        q = np.asarray(q, dtype=float)
-        s = self.s
-        idx = np.clip(np.searchsorted(s, q, side="right") - 1, 0, s.size - 2)
-        h = s[idx + 1] - s[idx]
-        th = (q - s[idx]) / h
-        t2, t3 = th * th, th**3
-        v = (
-            (2 * t3 - 3 * t2 + 1) * self.v[idx]
-            + (t3 - 2 * t2 + th) * h * self.m[idx]
-            + (-2 * t3 + 3 * t2) * self.v[idx + 1]
-            + (t3 - t2) * h * self.m[idx + 1]
-        )
-        d1 = (
-            (6 * t2 - 6 * th) * self.v[idx] / h
-            + (3 * t2 - 4 * th + 1) * self.m[idx]
-            + (6 * th - 6 * t2) * self.v[idx + 1] / h
-            + (3 * t2 - 2 * th) * self.m[idx + 1]
-        )
-        d2 = self._interp(*self._d2, q)
-        d3 = self._interp(*self._d3, q)
-        return np.stack([v, d1, d2, d3])
 
 
 def curve_from_chart(base: SphericalBaseCurve, chart: ChartCurve) -> SpaceCurve:
@@ -635,7 +575,7 @@ def latitude_circle(cone, u0, t_start=None, t_span=None):
         z = np.zeros_like(s)
         return np.stack([np.full_like(s, u0), z, z, z])
 
-    chart = ChartCurve.from_functions(t_jet, u_jet, (0.0, u0 * t_span))
+    chart = ChartCurve(t_jet, u_jet, (0.0, u0 * t_span))
     return curve_from_chart(base, chart)
 
 
@@ -647,7 +587,10 @@ def cone_from_descriptor(desc, resolve_path=None):
     """Build a cone from its JSON descriptor (dict)."""
     kind = desc.get("kind")
     if kind == "circular":
-        return CircularCone(float(desc["psi0"]))
+        psi0 = float(desc["psi0"])
+        if not np.isfinite(psi0):
+            raise ValueError(f"psi0 must be finite, got {psi0!r}")
+        return CircularCone(psi0)
     if kind == "general":
         path = desc["base_csv"]
         if resolve_path is not None:

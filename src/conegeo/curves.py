@@ -18,12 +18,6 @@ from .errors import (
 
 KAPPA_FLOOR = 1e-9
 
-# uniform-grid derivative weights for node tangents, order 4
-_EDGE_D1 = {
-    0: (-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4),
-    1: (-1 / 4, -5 / 6, 3 / 2, -1 / 2, 1 / 12),
-}
-
 
 @dataclass(frozen=True)
 class DerivativeSettings:
@@ -185,10 +179,7 @@ class SpaceCurve:
     def jet(self, s):
         """Value plus first three derivatives, shape (4, n, 3)."""
         arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if self._jet is None:
-            return np.stack(self.derivatives(arr, (0, 1, 2, 3)))
-        self._check_domain(arr)
-        return np.asarray(self._jet(arr), dtype=float)
+        return np.stack(self.derivatives(arr, (0, 1, 2, 3)))
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -206,72 +197,14 @@ class SpaceCurve:
             raise ValueError("need at least two samples")
         if np.any(np.diff(s) <= 0.0):
             raise ValueError("sample parameters must be strictly increasing")
-        interp = _HermiteInterpolant(s, points)
+        slopes = jt.node_slopes(s, points)
         return SpaceCurve(
-            interp,
+            lambda q: jt.hermite(s, points, slopes, q),
             (s[0], s[-1]),
             kind="sampled",
             settings=settings,
             nodes=(s, points),
         )
-
-
-class _HermiteInterpolant:
-    """Piecewise cubic Hermite through nodes, tangents from node differences."""
-
-    def __init__(self, s, values):
-        self.s = np.asarray(s, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self.tangents = _node_tangents(self.s, self.values)
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        s = self.s
-        idx = np.clip(np.searchsorted(s, q, side="right") - 1, 0, s.size - 2)
-        h = s[idx + 1] - s[idx]
-        th = (q - s[idx]) / h
-        t2 = th * th
-        t3 = t2 * th
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = t3 - 2 * t2 + th
-        h01 = -2 * t3 + 3 * t2
-        h11 = t3 - t2
-        p0 = self.values[idx]
-        p1 = self.values[idx + 1]
-        m0 = self.tangents[idx]
-        m1 = self.tangents[idx + 1]
-        return (
-            h00[..., None] * p0
-            + (h10 * h)[..., None] * m0
-            + h01[..., None] * p1
-            + (h11 * h)[..., None] * m1
-        )
-
-
-def _node_tangents(s, values):
-    n = s.size
-    d = np.diff(s)
-    uniform = n >= 5 and np.max(np.abs(d - d.mean())) < 1e-8 * d.mean()
-    m = np.empty_like(values)
-    if uniform:
-        h = d.mean()
-        v = values
-        m[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-        for i in (0, 1):
-            c = _EDGE_D1[i]
-            m[i] = sum(ck * v[k] for k, ck in enumerate(c)) / h
-            m[n - 1 - i] = -sum(ck * v[n - 1 - k] for k, ck in enumerate(c)) / h
-    else:
-        # non-uniform fallback, second order
-        m[0] = (values[1] - values[0]) / d[0]
-        m[-1] = (values[-1] - values[-2]) / d[-1]
-        if n > 2:
-            w = d[:-1] + d[1:]
-            m[1:-1] = (
-                (values[2:] - values[1:-1]) / d[1:, None] * (d[:-1] / w)[:, None]
-                + (values[1:-1] - values[:-2]) / d[:-1, None] * (d[1:] / w)[:, None]
-            )
-    return m
 
 
 # ----------------------------------------------------------------------
@@ -442,28 +375,6 @@ def _adaptive_simpson_segments(f, nodes, tol):
     return out
 
 
-class _InverseArclength:
-    """Monotone cubic Hermite lookup tau(s) with slopes 1/speed."""
-
-    def __init__(self, s_table, tau_table, inv_speed):
-        self.s = s_table
-        self.tau = tau_table
-        self.slope = inv_speed
-
-    def __call__(self, q):
-        q = np.clip(np.asarray(q, dtype=float), self.s[0], self.s[-1])
-        idx = np.clip(np.searchsorted(self.s, q, side="right") - 1, 0, self.s.size - 2)
-        h = self.s[idx + 1] - self.s[idx]
-        th = (q - self.s[idx]) / h
-        t2, t3 = th * th, th * th * th
-        return (
-            (2 * t3 - 3 * t2 + 1) * self.tau[idx]
-            + (t3 - 2 * t2 + th) * h * self.slope[idx]
-            + (-2 * t3 + 3 * t2) * self.tau[idx + 1]
-            + (t3 - t2) * h * self.slope[idx + 1]
-        )
-
-
 def reparametrize_arclength(curve, tol=1e-10, table_size=4097):
     """Arc-length reparametrization of a regular curve.
 
@@ -499,7 +410,10 @@ def reparametrize_arclength(curve, tol=1e-10, table_size=4097):
     # remain comparable before and after reparametrization
     s_table = s0 + np.concatenate([[0.0], np.cumsum(seg)])
     total = float(s_table[-1] - s_table[0])
-    inverse = _InverseArclength(s_table, tau_nodes, 1.0 / speed(tau_nodes))
+    slopes = 1.0 / speed(tau_nodes)
+
+    def inverse(q):
+        return jt.hermite(s_table, tau_nodes, slopes, np.clip(q, s_table[0], s_table[-1]))
 
     def evaluator(q):
         return curve.evaluate(inverse(q))

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import jets as jt
 from .classify import (
     LABEL_RECTIFYING,
     classification_identity_residual,
@@ -34,9 +35,14 @@ from .cones import (
 from .curves import KAPPA_FLOOR, SpaceCurve, frenet_frame, sample_grid
 from .errors import (
     BaseDomainExceeded,
+    InsufficientSamples,
     StepTooLarge,
     VertexApproach,
 )
+
+# RK4 peaks near 240 bytes per step (five float lists, then the chart arrays),
+# so this ceiling caps one run near 240 MB, about 5 s on a 2-vCPU Xeon
+MAX_RK4_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ def rectifying_chart(params: RectifyingParams, s_domain=None) -> ChartCurve:
             [r / a, w / r, a / r**3, -3.0 * a**2 * w / r**5]
         )
 
-    return ChartCurve.from_functions(t_jet, u_jet, s_domain)
+    return ChartCurve(t_jet, u_jet, s_domain)
 
 
 def generate_rectifying(params: RectifyingParams, base: SphericalBaseCurve,
@@ -144,11 +150,14 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
     Returns a sampled chart with the integrator's exact nodal derivatives.
     Raises VertexApproach if u falls below the cone's u_min and
     StepTooLarge if the Clairaut invariant drifts beyond drift_tol
-    (default 1e-9 per unit arc length).
+    (default 1e-9 per unit arc length).  length/h above MAX_RK4_STEPS
+    raises ValueError before anything is allocated.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
     L = float(ivp.length)
+    if not (L / h <= MAX_RK4_STEPS):
+        raise ValueError(f"length/step = {L / h:.3g} exceeds {MAX_RK4_STEPS} RK4 steps")
     if drift_tol is None:
         drift_tol = 1e-9 * max(1.0, L)
     u_min = cone.u_min
@@ -158,10 +167,8 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
         return dt, du, -2.0 * du * dt / u, u * dt * dt
 
     n_full = int(np.floor(L / h + 1e-12))
-    steps = [h] * n_full
     tail = L - n_full * h
-    if tail > 1e-12 * max(1.0, L):
-        steps.append(tail)
+    has_tail = tail > 1e-12 * max(1.0, L)
 
     t, u, dt, du = float(ivp.t0), float(ivp.u0), float(ivp.dt0), float(ivp.du0)
     s_out, t_out, u_out = [0.0], [t], [u]
@@ -169,7 +176,8 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
     c0 = u * u * dt
     c_lo = c_hi = c0
     s_acc = 0.0
-    for hs in steps:
+    for i in range(n_full + has_tail):
+        hs = h if i < n_full else tail
         k1 = rhs(t, u, dt, du)
         k2 = rhs(t + 0.5 * hs * k1[0], u + 0.5 * hs * k1[1],
                  dt + 0.5 * hs * k1[2], du + 0.5 * hs * k1[3])
@@ -205,7 +213,7 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
         )
 
     # the tail step breaks grid uniformity; drop it from the sampled chart
-    if len(steps) > n_full and n_full >= 1:
+    if has_tail and n_full >= 1:
         s_out, t_out, u_out = s_out[:-1], t_out[:-1], u_out[:-1]
         dt_out, du_out = dt_out[:-1], du_out[:-1]
     return ChartCurve.from_samples(
@@ -253,6 +261,10 @@ def verify_geodesic(cone: Cone, curve: SpaceCurve, samples=256,
     if thresholds is None:
         thresholds = VerifyThresholds()
     s = sample_grid(curve, samples)
+    # the sampled chart differentiates t and u with the order-3 series stencil
+    need = 2 * jt.stencil_reach(4, 3) + 1
+    if s.size < need:
+        raise InsufficientSamples(f"verify needs at least {need} sample points, got {s.size}")
     pts, d1, d2, d3 = curve.derivatives(s, (0, 1, 2, 3))
     chart = chart_curve(cone, curve, s=s, points=pts)
     t_arr, u_arr = chart.samples[1], chart.samples[2]

@@ -25,6 +25,13 @@ _CENTRAL = {
     },
 }
 
+# one-sided order-4 first-derivative weights of the first two nodes of a
+# uniform grid; the last two nodes use them mirrored, with opposite sign
+_EDGE_D1 = (
+    (-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4),
+    (-1 / 4, -5 / 6, 3 / 2, -1 / 2, 1 / 12),
+)
+
 
 def stencil(scheme, order):
     if scheme not in _CENTRAL:
@@ -99,6 +106,59 @@ def series_derivative(values, dx, order=1, scheme=4):
             continue
         acc += c * values[reach + k : reach + k + core]
     return acc / dx**order, reach
+
+
+def node_slopes(s, values):
+    """First derivatives at the nodes of a sampled function, values (n,) or (n, k).
+
+    Uniform grids of at least 5 nodes use order-4 central differences with
+    one-sided order-4 rows at both ends.  Other grids use the second-order
+    three-point rule inside and one-sided first differences at both ends.
+    """
+    s = np.asarray(s, dtype=float)
+    v = np.asarray(values, dtype=float)
+    n = s.size
+    d = np.diff(s)
+    m = np.empty_like(v)
+    if n >= 5 and np.max(np.abs(d - d.mean())) < 1e-8 * d.mean():
+        h = d.mean()
+        m[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+        for i, c in enumerate(_EDGE_D1):
+            m[i] = sum(ck * v[k] for k, ck in enumerate(c)) / h
+            m[n - 1 - i] = -sum(ck * v[n - 1 - k] for k, ck in enumerate(c)) / h
+        return m
+    d = d.reshape(d.shape + (1,) * (v.ndim - 1))
+    m[0] = (v[1] - v[0]) / d[0]
+    m[-1] = (v[-1] - v[-2]) / d[-1]
+    if n > 2:
+        w = d[:-1] + d[1:]
+        m[1:-1] = ((v[2:] - v[1:-1]) / d[1:] * (d[:-1] / w)
+                   + (v[1:-1] - v[:-2]) / d[:-1] * (d[1:] / w))
+    return m
+
+
+def hermite(s, values, slopes, q, derivative=False):
+    """Piecewise cubic Hermite interpolant through (s, values) with node slopes.
+
+    values and slopes are (n,) or (n, k); the basis weights broadcast over
+    the trailing axis.  Returns the interpolant at q, or its first
+    derivative with derivative=True.  q outside [s[0], s[-1]] extrapolates
+    the end cubic.
+    """
+    idx = np.clip(np.searchsorted(s, q, side="right") - 1, 0, s.size - 2)
+    h = s[idx + 1] - s[idx]
+    th = (q - s[idx]) / h
+    t2 = th * th
+    if derivative:
+        w = ((6 * t2 - 6 * th) / h, 3 * t2 - 4 * th + 1,
+             (6 * th - 6 * t2) / h, 3 * t2 - 2 * th)
+    else:
+        t3 = t2 * th
+        w = (2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * h, -2 * t3 + 3 * t2, (t3 - t2) * h)
+    tail = (1,) * (values.ndim - 1)
+    w00, w10, w01, w11 = (x.reshape(x.shape + tail) for x in w)
+    return (w00 * values[idx] + w10 * slopes[idx]
+            + w01 * values[idx + 1] + w11 * slopes[idx + 1])
 
 
 def _dot(a, b):

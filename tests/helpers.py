@@ -11,8 +11,27 @@ from conegeo import (
     reparametrize_arclength,
     spherical_curve,
 )
+from conegeo import jets
 from conegeo.cones import ON_CONE_RTOL
 from conegeo.errors import NotOnCone, VertexPoint
+
+
+def count_vector_hermite_calls(monkeypatch):
+    """Record q.size of every jets.hermite call on (n, k) values.
+
+    Sampled curves and bases interpolate (n, 3) points; the scalar calls
+    of sampled charts are not counted.
+    """
+    calls = []
+    plain = jets.hermite
+
+    def counted(s, values, slopes, q, derivative=False):
+        if values.ndim == 2:
+            calls.append(np.size(q))
+        return plain(s, values, slopes, q, derivative)
+
+    monkeypatch.setattr(jets, "hermite", counted)
+    return calls
 
 
 def trig_jet_curve(coeff_a, coeff_b, domain):

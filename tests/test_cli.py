@@ -282,6 +282,54 @@ def test_cone_json_not_an_object_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "circular", "psi0": null}',
+    '{"kind": "circular", "psi0": [1]}',
+    '{"kind": "circular", "psi0": NaN}',
+    '{"kind": "circular", "psi0": -Infinity}',
+    '{"kind": "circular", "psi0": 1e400}',
+    '{"kind": "circular", "psi0": 1' + "0" * 400 + '}',
+    '{"kind": "general", "base_csv": 5}',
+    '{"kind": "general", "base_csv": null}',
+])
+def test_cone_json_bad_field_exits_1(tmp_path, capsys, text):
+    cone = tmp_path / "cone.json"
+    cone.write_text(text)
+    out = tmp_path / "dev.csv"
+    assert run_cli("develop", "--cone", cone, "--in", tmp_path / "c.csv", "--out", out) == 1
+    err = _assert_invalid_config(capsys, out)
+    assert "Traceback" not in err and "--cone: bad descriptor" in err
+
+
+def test_cone_json_out_of_range_half_angle_exits_2(tmp_path, capsys):
+    cone = tmp_path / "cone.json"
+    cone.write_text('{"kind": "circular", "psi0": 2.0}')
+    out = tmp_path / "dev.csv"
+    assert run_cli("develop", "--cone", cone, "--in", tmp_path / "c.csv", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidHalfAngle: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples,code", [(1, 2), (2, 2), (4, 2), (5, 2), (6, 0), (7, 0)])
+def test_verify_samples_below_chart_stencil_exit_2(tmp_path, capsys, samples, code):
+    curve = tmp_path / "c.csv"
+    assert run_cli("generate", "--a", 1.2, "--b", 0.3, "--c", 0.1, "--psi0", 0.8,
+                   "--samples", 256, "--out", curve) == 0
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
+    rep = tmp_path / "rep.json"
+    assert run_cli("verify", "--cone", cone, "--in", curve, f"--samples={samples}",
+                   "--report", rep) == code
+    report = json.loads(rep.read_text())
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: InsufficientSamples: ") and len(err.splitlines()) == 1
+        assert report["error"] == "InsufficientSamples"
+    else:
+        assert report["verdict"] == "geodesic"
+
+
 @pytest.mark.parametrize("key", ["dt0", "length"])
 def test_integrate_nonfinite_ivp_exits_1(tmp_path, quarter_cone_json, capsys, key):
     data = {"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}

@@ -33,8 +33,7 @@ from conegeo.errors import (
     VertexPoint,
 )
 from conegeo import cones as cones_module
-from conegeo import curves as curves_module
-from helpers import sequential_chart_curve
+from helpers import count_vector_hermite_calls, sequential_chart_curve
 
 
 @pytest.fixture(scope="module")
@@ -234,15 +233,7 @@ def test_newton_iteration_evaluates_each_base_offset_once(monkeypatch, closed):
         cone = Cone(base_from_samples(t_nodes, full.evaluate(t_nodes)))
     t_true = np.linspace(0.5, 1.5, 40)
     dirs = cone.base.evaluate(t_true)
-    calls = []
-    hermite = curves_module._HermiteInterpolant
-    plain = hermite.__call__
-
-    def counted(self, q):
-        calls.append(q.size)
-        return plain(self, q)
-
-    monkeypatch.setattr(hermite, "__call__", counted)
+    calls = count_vector_hermite_calls(monkeypatch)
     monkeypatch.setattr(cones_module, "_NEWTON_CAP", 1)
     cone.chart_t(dirs, t_hint=t_true + 0.01)
     assert 1 <= len(calls) <= 6
@@ -407,7 +398,7 @@ def test_remark_identity_on_cone_curves(wavy_cone):
                          -0.196 * np.cos(0.7 * sig),
                          0.1372 * np.sin(0.7 * sig)])
 
-    raw = curve_from_chart(wavy_cone.base, ChartCurve.from_functions(t_jet, u_jet, (0.0, 4.0)))
+    raw = curve_from_chart(wavy_cone.base, ChartCurve(t_jet, u_jet, (0.0, 4.0)))
     cur = reparametrize_arclength(raw)
     s = np.linspace(*cur.domain, 64)
     chart = chart_curve(wavy_cone, cur, s=s)
@@ -449,7 +440,7 @@ def test_develop_rejects_nonpositive_radius():
         z = np.zeros_like(s)
         return np.stack([s - 0.5, np.ones_like(s), z, z])  # u crosses zero
 
-    chart = ChartCurve.from_functions(t_jet, u_jet, (0.0, 1.0))
+    chart = ChartCurve(t_jet, u_jet, (0.0, 1.0))
     with pytest.raises(NonpositiveRadialCoordinate):
         develop(chart)
 

@@ -25,7 +25,7 @@ from conegeo import (
     sample_grid,
     verify_geodesic,
 )
-from conegeo import curves as curves_module
+from conegeo import geodesics as geodesics_module
 from conegeo.classify import LABEL_RECTIFYING, classify_rectifying_or_spherical
 from conegeo.errors import (
     BaseDomainExceeded,
@@ -34,6 +34,7 @@ from conegeo.errors import (
     StepTooLarge,
     VertexApproach,
 )
+from helpers import count_vector_hermite_calls
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +98,10 @@ def test_circular_geodesic_is_slant_and_rectifying():
 def test_invalid_half_angle():
     with pytest.raises(InvalidHalfAngle):
         generate_circular_geodesic(RectifyingParams(1.0), 2.0)
+    for make in (CircularCone, circular_base, perturbed_circle_base):
+        for psi0 in (0.0, np.pi / 2, -0.3, float("nan")):
+            with pytest.raises(InvalidHalfAngle, match="must lie strictly between 0 and pi/2"):
+                make(psi0)
     with pytest.raises(ValueError):
         RectifyingParams(-1.0)
 
@@ -182,6 +187,16 @@ def test_integrate_step_too_large():
         integrate_geodesic(cone, ivp, h=0.05, drift_tol=1e-15)
 
 
+def test_integrate_step_count_ceiling(monkeypatch):
+    ivp = GeodesicIVP(t0=0.0, u0=1.0, dt0=0.9, du0=0.2, length=0.1)
+    with pytest.raises(ValueError, match="RK4 steps"):
+        integrate_geodesic(CircularCone(0.8), ivp, h=5e-324)  # length/h overflows to inf
+    monkeypatch.setattr(geodesics_module, "MAX_RK4_STEPS", 100)
+    assert integrate_geodesic(CircularCone(0.8), ivp, h=1e-3).samples[0].size == 101
+    with pytest.raises(ValueError, match="exceeds 100 RK4 steps"):
+        integrate_geodesic(CircularCone(0.8), ivp, h=0.999e-3)
+
+
 def test_integrate_nan_drift_fails_gate():
     ivp = GeodesicIVP(t0=0.0, u0=1.0, dt0=float("nan"), du0=0.2, length=0.1)
     with pytest.raises(StepTooLarge):
@@ -245,14 +260,7 @@ def test_verify_fd_curve_takes_one_stencil_pass(monkeypatch):
     closed_form = generate_rectifying(RectifyingParams(1.2, 0.5, -0.3), cone.base)
     nodes = np.linspace(*closed_form.domain, 2049)
     sampled = SpaceCurve.from_samples(nodes, closed_form.evaluate(nodes))
-    calls = []
-    plain = curves_module._HermiteInterpolant.__call__
-
-    def counted(self, q):
-        calls.append(q.size)
-        return plain(self, q)
-
-    monkeypatch.setattr(curves_module._HermiteInterpolant, "__call__", counted)
+    calls = count_vector_hermite_calls(monkeypatch)
     rep = verify_geodesic(cone, sampled)
     assert len(calls) <= 7
     assert rep.verdict == "geodesic"

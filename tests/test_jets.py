@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conegeo import jets as jt
 from conegeo.errors import InsufficientMargin
@@ -149,3 +152,103 @@ def test_fd_derivatives_evaluates_each_offset_once(scheme, orders, taps):
     jt.fd_derivatives(counted, np.array([0.4, 0.5]), orders, 1e-3, scheme)
     assert len(seen) == taps
     assert len(set(seen)) == taps
+
+
+# ----------------------------------------------------------------------
+# node_slopes + hermite: exact on the polynomials their orders promise
+
+_HYP = settings(max_examples=60, deadline=None, derandomize=True)
+_coeff = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+def _poly(coeffs, x):
+    """sum_j c_j x^j and its derivative; coeffs (degree+1, k)."""
+    c = np.asarray(coeffs)
+    p = sum(c[j] * x[:, None] ** j for j in range(len(c)))
+    dp = sum(j * c[j] * x[:, None] ** (j - 1) for j in range(1, len(c)))
+    return p, dp
+
+
+def _assert_reproduces(s, coeffs, q, scalar):
+    values, _ = _poly(coeffs, s)
+    exact, dexact = _poly(coeffs, q)
+    if scalar:
+        values, exact, dexact = values[:, 0], exact[:, 0], dexact[:, 0]
+    slopes = jt.node_slopes(s, values)
+    got = jt.hermite(s, values, slopes, q)
+    dgot = jt.hermite(s, values, slopes, q, derivative=True)
+    assert got.shape == exact.shape and dgot.shape == dexact.shape
+    assert np.max(np.abs(got - exact)) <= 1e-12 * max(1.0, np.max(np.abs(values)))
+    assert np.max(np.abs(dgot - dexact)) <= 1e-12 * max(1.0, np.max(np.abs(dexact)))
+
+
+@_HYP
+@given(s0=st.floats(-2.0, 2.0), h=st.floats(0.05, 0.5), n=st.integers(5, 30),
+       coeffs=st.lists(st.lists(_coeff, min_size=3, max_size=3), min_size=4, max_size=4),
+       frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       scalar=st.booleans())
+def test_hermite_reproduces_cubics_on_uniform_grids(s0, h, n, coeffs, frac, scalar):
+    s = s0 + h * np.arange(n)
+    q = s[0] + np.asarray(frac) * (s[-1] - s[0])
+    _assert_reproduces(s, coeffs, q, scalar)
+
+
+@_HYP
+@given(gaps=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=25),
+       coeffs=st.lists(st.lists(_coeff, min_size=3, max_size=3), min_size=3, max_size=3),
+       frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       scalar=st.booleans())
+def test_hermite_reproduces_quadratics_on_nonuniform_grids(gaps, coeffs, frac, scalar):
+    # the end slopes are first differences, so only the inner intervals are exact
+    s = np.concatenate([[-1.0], -1.0 + np.cumsum(gaps)])
+    q = s[1] + np.asarray(frac) * (s[-2] - s[1])
+    _assert_reproduces(s, coeffs, q, scalar)
+
+
+def test_hermite_at_nodes_returns_node_data_exactly():
+    s = np.array([0.0, 0.3, 0.5, 1.1, 1.2, 2.0])
+    values = np.cos(3 * s)[:, None] * np.array([1.0, -2.0, 0.5])
+    slopes = jt.node_slopes(s, values)
+    assert jt.hermite(s, values, slopes, s).tobytes() == values.tobytes()
+    assert jt.hermite(s, values, slopes, s, derivative=True).tobytes() == slopes.tobytes()
+
+
+# ----------------------------------------------------------------------
+# jet algebra against symbolic derivatives
+
+
+def _symbolic_jets(expr, x, points):
+    """Values and first three derivatives of a sympy expression (or list) at points."""
+    exprs = expr if isinstance(expr, list) else [expr]
+    table = [exprs]
+    for _ in range(3):
+        table.append([sympy.diff(e, x) for e in table[-1]])
+    values = sympy.lambdify(x, table, "numpy", cse=True)(points)
+    jets = np.stack([np.stack([np.broadcast_to(v, points.shape) for v in row], axis=-1)
+                     for row in values])
+    return jets if isinstance(expr, list) else jets[..., 0]
+
+
+def test_jet_algebra_matches_sympy():
+    rng = np.random.default_rng(20210325)
+    a = [sympy.Rational(int(v), 8) for v in rng.integers(1, 16, size=9)]
+    x = sympy.symbols("x")
+    y = [a[0] * sympy.sin(a[1] * x) + x**2, sympy.cos(a[2] * x) * x + a[3], 2 + a[4] * x**3]
+    u = 1 + a[5] * x**2 + sympy.sin(a[6] * x) / 4
+    t = a[7] * x + sympy.cos(a[8] * x) / 3
+    s = np.linspace(0.1, 1.4, 9)
+
+    y_jet, u_jet, t_jet = (_symbolic_jets(e, x, s) for e in (y, u, t))
+    got = jt.jet_product(u_jet, y_jet)
+    exact = _symbolic_jets([u * e for e in y], x, s)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    y_at_t = _symbolic_jets(y, x, _symbolic_jets(t, x, s)[0])
+    got = jt.jet_compose(y_at_t, t_jet)
+    exact = _symbolic_jets([e.subs(x, t) for e in y], x, s)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    norm = sympy.sqrt(sum(e**2 for e in y))
+    got = jt.jet_normalize(y_jet)
+    exact = _symbolic_jets([e / norm for e in y], x, s)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
