@@ -26,7 +26,7 @@ from .cones import (
     read_base_csv,
 )
 from .curves import SpaceCurve, read_curve_csv, reparametrize_arclength, table_text
-from .errors import ConeGeoError, DegenerateFit, InvalidConfig
+from .errors import DegenerateFit, InvalidConfig
 from .geodesics import (
     GeodesicIVP,
     RectifyingParams,
@@ -37,9 +37,6 @@ from .geodesics import (
     integrate_geodesic,
     verify_geodesic,
 )
-
-_COMMANDS = ("generate", "classify", "integrate", "develop", "verify", "crosscheck")
-
 
 @dataclass
 class RunConfig:
@@ -119,12 +116,9 @@ def _load_cone(path):
     if not isinstance(desc, dict):
         raise InvalidConfig(f"--cone: {path!r}: top level must be an object")
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
     try:
-        return cone_from_descriptor(desc, resolve_path=resolve)
+        # an absolute base_csv path replaces base_dir in the join
+        return cone_from_descriptor(desc, resolve_path=lambda p: os.path.join(base_dir, p))
     except OSError as exc:
         raise InvalidConfig(f"--cone: cannot read base curve: {exc}") from exc
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -255,13 +249,14 @@ def _cmd_crosscheck(p):
     return 0
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "classify": _cmd_classify,
-    "integrate": _cmd_integrate,
-    "develop": _cmd_develop,
-    "verify": _cmd_verify,
-    "crosscheck": _cmd_crosscheck,
+# command -> (handler, one-line help), in --help order
+_COMMANDS = {
+    "generate": (_cmd_generate, "emit closed-form geodesic samples as CSV"),
+    "classify": (_cmd_classify, "classification + slant-axis report (JSON)"),
+    "integrate": (_cmd_integrate, "integrate the geodesic equations (RK4)"),
+    "develop": (_cmd_develop, "unroll a curve on a cone into the plane"),
+    "verify": (_cmd_verify, "geodesy report for a curve on a cone"),
+    "crosscheck": (_cmd_crosscheck, "rectifying + slant + geodesic consistency"),
 }
 
 
@@ -282,130 +277,133 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfig(message)
 
 
-def _build_parser():
+# command -> {dest: type}; option --kg-tol has dest kg_tol.  Command-line
+# values and --config values are both read as these types.
+_OPTIONS = {
+    "generate": {"a": float, "b": float, "c": float, "psi0": float, "base": str,
+                 "smin": float, "smax": float, "samples": int, "out": str},
+    "classify": {"in": str, "samples": int, "tol": float, "report": str},
+    "integrate": {"cone": str, "ivp": str, "step": float, "out": str},
+    "develop": {"cone": str, "in": str, "out": str},
+    "verify": {"cone": str, "in": str, "samples": int, "kg_tol": float,
+               "clairaut_tol": float, "align_tol": float, "straight_tol": float,
+               "report": str},
+    "crosscheck": {"a": float, "b": float, "c": float, "psi0": float, "seed": int,
+                   "samples": int, "report": str},
+}
+
+_OPTION_HELP = {"psi0": "circular-cone half angle",
+                "base": "base curve CSV (t,x,y,z) for a general cone"}
+
+
+def _top_parser():
+    """Parser of everything before the command's own options."""
+    commands = "".join(f"  {name:<12}{text}\n" for name, (_, text) in _COMMANDS.items())
     parser = _Parser(
         prog="conegeo",
         description="Generate, classify, develop, and verify curves on cones.",
+        epilog="commands:\n" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", help="JSON file with per-command option defaults")
-    sub = parser.add_subparsers(dest="command")
-
-    g = sub.add_parser("generate", help="emit closed-form geodesic samples as CSV")
-    g.add_argument("--a", type=float)
-    g.add_argument("--b", type=float)
-    g.add_argument("--c", type=float)
-    g.add_argument("--psi0", type=float, help="circular-cone half angle")
-    g.add_argument("--base", help="base curve CSV (t,x,y,z) for a general cone")
-    g.add_argument("--smin", type=float)
-    g.add_argument("--smax", type=float)
-    g.add_argument("--samples", type=int)
-    g.add_argument("--out")
-
-    c = sub.add_parser("classify", help="classification + slant-axis report (JSON)")
-    c.add_argument("--in", dest="in")
-    c.add_argument("--samples", type=int)
-    c.add_argument("--tol", type=float)
-    c.add_argument("--report")
-
-    i = sub.add_parser("integrate", help="integrate the geodesic equations (RK4)")
-    i.add_argument("--cone")
-    i.add_argument("--ivp")
-    i.add_argument("--step", type=float)
-    i.add_argument("--out")
-
-    d = sub.add_parser("develop", help="unroll a curve on a cone into the plane")
-    d.add_argument("--cone")
-    d.add_argument("--in", dest="in")
-    d.add_argument("--out")
-
-    v = sub.add_parser("verify", help="geodesy report for a curve on a cone")
-    v.add_argument("--cone")
-    v.add_argument("--in", dest="in")
-    v.add_argument("--samples", type=int)
-    v.add_argument("--kg-tol", dest="kg_tol", type=float)
-    v.add_argument("--clairaut-tol", dest="clairaut_tol", type=float)
-    v.add_argument("--align-tol", dest="align_tol", type=float)
-    v.add_argument("--straight-tol", dest="straight_tol", type=float)
-    v.add_argument("--report")
-
-    x = sub.add_parser("crosscheck", help="rectifying + slant + geodesic consistency")
-    x.add_argument("--a", type=float)
-    x.add_argument("--b", type=float)
-    x.add_argument("--c", type=float)
-    x.add_argument("--psi0", type=float)
-    x.add_argument("--seed", type=int)
-    x.add_argument("--samples", type=int)
-    x.add_argument("--report")
+    parser.add_argument("command", nargs="?", choices=tuple(_COMMANDS),
+                        help="one of the commands listed below")
+    parser.add_argument("args", nargs=argparse.REMAINDER,
+                        help="the command's options; see conegeo COMMAND --help")
     return parser
 
 
-def build_config(argv):
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command not in _COMMANDS:
-        raise InvalidConfig("no command given; see --help")
-    params = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    if ns.config:
+def _command_parser(command):
+    parser = _Parser(prog=f"conegeo {command}", description=_COMMANDS[command][1])
+    for dest, kind in _OPTIONS[command].items():
+        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
+                            help=_OPTION_HELP.get(dest))
+    return parser
+
+
+def _coerce(key, kind, value):
+    # a --config JSON value as its option's type; null leaves the option unset,
+    # and booleans and strings are not numbers ("psi0": true is not 1.0)
+    if value is None or (kind is str and isinstance(value, str)):
+        return value
+    if kind is not str and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            with open(ns.config, "r", encoding="ascii") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise InvalidConfig(f"--config: cannot read {ns.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"--config: not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise InvalidConfig("--config: top level must be an object")
-        section = file_cfg.get(ns.command, {})
-        if not isinstance(section, dict):
-            raise InvalidConfig(f"--config: section {ns.command!r} must be an object")
-        sub = parser._subparsers._group_actions[0].choices[ns.command]
-        types = {a.dest: a.type for a in sub._actions}
-        for key, value in section.items():
-            key = key.replace("-", "_")
-            if key not in params:
-                raise InvalidConfig(f"--config: unknown option {key!r} for {ns.command}")
-            if params[key] is None:
-                coerce = types.get(key)
-                try:
-                    params[key] = coerce(value) if coerce and value is not None else value
-                except (TypeError, ValueError) as exc:
-                    raise InvalidConfig(f"--config: bad value for {key!r}: {exc}") from exc
+            if kind is float:
+                return float(value)
+            if float(value).is_integer():
+                return int(value)
+        except OverflowError:
+            pass
+    raise InvalidConfig(f"--config: bad value for {key!r}: expected {kind.__name__}, "
+                        f"got {value!r}")
+
+
+def _merge_config(params, path, command):
+    """Fill the options left unset on the command line from the command's section."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            file_cfg = json.load(fh)
+    except OSError as exc:
+        raise InvalidConfig(f"--config: cannot read {path!r}: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidConfig(f"--config: not valid JSON: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise InvalidConfig("--config: top level must be an object")
+    section = file_cfg.get(command, {})
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"--config: section {command!r} must be an object")
+    types = _OPTIONS[command]
+    for key, value in section.items():
+        key = key.replace("-", "_")
+        if key not in types:
+            raise InvalidConfig(f"--config: unknown option {key!r} for {command}")
+        value = _coerce(key, types[key], value)  # checked even where overridden
+        if params[key] is None:
+            params[key] = value
+
+
+def build_config(argv):
+    top = _top_parser().parse_args(argv)
+    if top.command is None:
+        raise InvalidConfig("no command given; see --help")
+    params = vars(_command_parser(top.command).parse_args(top.args))
+    if top.config:
+        _merge_config(params, top.config, top.command)
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(f"--{key.replace('_', '-')} must be finite, got {value!r}")
-    return RunConfig(command=ns.command, params=params)
+    return RunConfig(command=top.command, params=params)
 
 
 def run(config: RunConfig):
-    return _HANDLERS[config.command](config.params)
+    return _COMMANDS[config.command][0](config.params)
+
+
+def _print_error(name, exc):
+    # one line whatever the message holds, e.g. a newline in an echoed argument
+    print(f"error: {name}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
 
 
 def main(argv=None):
-    args = list(argv) if argv is not None else sys.argv[1:]
+    config = None
     try:
-        config = build_config(args)
-    except InvalidConfig as exc:
-        print(f"error: InvalidConfig: {exc}", file=sys.stderr)
-        return 1
-    try:
+        config = build_config(sys.argv[1:] if argv is None else list(argv))
         return run(config)
-    except InvalidConfig as exc:
-        print(f"error: InvalidConfig: {exc}", file=sys.stderr)
+    except (InvalidConfig, OSError) as exc:
+        _print_error("InvalidConfig" if isinstance(exc, InvalidConfig) else "IO", exc)
         return 1
-    except (ConeGeoError, ValueError) as exc:
+    except Exception as exc:
+        # numerical failures, and any other error a handler raises, exit 2
         name = type(exc).__name__
-        print(f"error: {name}: {exc}", file=sys.stderr)
-        report_path = config.params.get("report")
+        _print_error(name, exc)
+        report_path = config.params.get("report") if config else None
         if report_path:
             try:
                 _atomic_write(report_path,
                               report_json_text({"error": name, "message": str(exc)}))
-            except OSError:
+            except (OSError, ValueError):
                 pass
         return 2
-    except OSError as exc:
-        print(f"error: IO: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

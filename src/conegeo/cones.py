@@ -587,7 +587,10 @@ def cone_from_descriptor(desc, resolve_path=None):
     """Build a cone from its JSON descriptor (dict)."""
     kind = desc.get("kind")
     if kind == "circular":
-        psi0 = float(desc["psi0"])
+        psi0 = desc["psi0"]
+        if isinstance(psi0, (bool, str)):  # float() would read true as 1.0
+            raise TypeError(f"psi0 must be a number, got {psi0!r}")
+        psi0 = float(psi0)
         if not np.isfinite(psi0):
             raise ValueError(f"psi0 must be finite, got {psi0!r}")
         return CircularCone(psi0)

@@ -1,5 +1,8 @@
 """Shared curve factories for the test suite."""
 
+import json
+import math
+
 import numpy as np
 
 from conegeo import (
@@ -12,8 +15,16 @@ from conegeo import (
     spherical_curve,
 )
 from conegeo import jets
+from conegeo.cli import RunConfig, _Parser
 from conegeo.cones import ON_CONE_RTOL
-from conegeo.errors import NotOnCone, VertexPoint
+from conegeo.errors import (
+    BaseDomainExceeded,
+    InvalidConfig,
+    NotOnCone,
+    StepTooLarge,
+    VertexApproach,
+    VertexPoint,
+)
 
 
 def count_vector_hermite_calls(monkeypatch):
@@ -149,3 +160,145 @@ def sequential_chart_curve(cone, curve, s):
             )
         hint = t[i]
     return t, u
+
+
+def legacy_build_config(argv):
+    """The CLI parser as it was before the option table: one subparser per command.
+
+    Kept as the reference `cli.build_config` must agree with, value for value
+    and message for message.
+    """
+    parser = _Parser(prog="conegeo")
+    parser.add_argument("--config")
+    sub = parser.add_subparsers(dest="command")
+    g = sub.add_parser("generate")
+    for name in ("a", "b", "c", "psi0"):
+        g.add_argument(f"--{name}", type=float)
+    g.add_argument("--base")
+    g.add_argument("--smin", type=float)
+    g.add_argument("--smax", type=float)
+    g.add_argument("--samples", type=int)
+    g.add_argument("--out")
+    c = sub.add_parser("classify")
+    c.add_argument("--in", dest="in")
+    c.add_argument("--samples", type=int)
+    c.add_argument("--tol", type=float)
+    c.add_argument("--report")
+    i = sub.add_parser("integrate")
+    i.add_argument("--cone")
+    i.add_argument("--ivp")
+    i.add_argument("--step", type=float)
+    i.add_argument("--out")
+    d = sub.add_parser("develop")
+    d.add_argument("--cone")
+    d.add_argument("--in", dest="in")
+    d.add_argument("--out")
+    v = sub.add_parser("verify")
+    v.add_argument("--cone")
+    v.add_argument("--in", dest="in")
+    v.add_argument("--samples", type=int)
+    v.add_argument("--kg-tol", dest="kg_tol", type=float)
+    v.add_argument("--clairaut-tol", dest="clairaut_tol", type=float)
+    v.add_argument("--align-tol", dest="align_tol", type=float)
+    v.add_argument("--straight-tol", dest="straight_tol", type=float)
+    v.add_argument("--report")
+    x = sub.add_parser("crosscheck")
+    for name in ("a", "b", "c", "psi0"):
+        x.add_argument(f"--{name}", type=float)
+    x.add_argument("--seed", type=int)
+    x.add_argument("--samples", type=int)
+    x.add_argument("--report")
+
+    ns = parser.parse_args(argv)
+    if ns.command is None:
+        raise InvalidConfig("no command given; see --help")
+    params = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+    if ns.config:
+        try:
+            with open(ns.config, "r", encoding="ascii") as fh:
+                file_cfg = json.load(fh)
+        except OSError as exc:
+            raise InvalidConfig(f"--config: cannot read {ns.config!r}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"--config: not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise InvalidConfig("--config: top level must be an object")
+        section = file_cfg.get(ns.command, {})
+        if not isinstance(section, dict):
+            raise InvalidConfig(f"--config: section {ns.command!r} must be an object")
+        types = {a.dest: a.type for a in sub.choices[ns.command]._actions}
+        for key, value in section.items():
+            key = key.replace("-", "_")
+            if key not in params:
+                raise InvalidConfig(f"--config: unknown option {key!r} for {ns.command}")
+            if params[key] is None:
+                coerce = types.get(key)
+                try:
+                    params[key] = coerce(value) if coerce and value is not None else value
+                except (TypeError, ValueError) as exc:
+                    raise InvalidConfig(f"--config: bad value for {key!r}: {exc}") from exc
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"--{key.replace('_', '-')} must be finite, got {value!r}")
+    return RunConfig(command=ns.command, params=params)
+
+
+def reference_integrate(cone, ivp, h=1e-3, drift_tol=None):
+    """RK4 in its textbook form, as `integrate_geodesic` ran it before the unrolled step.
+
+    Returns (s, t, u, dt, du) after the same tail drop, and raises the same
+    errors with the same messages; `integrate_geodesic` must match it bitwise.
+    """
+    L = float(ivp.length)
+    if drift_tol is None:
+        drift_tol = 1e-9 * max(1.0, L)
+
+    def rhs(t, u, dt, du):
+        return dt, du, -2.0 * du * dt / u, u * dt * dt
+
+    n_full = int(np.floor(L / h + 1e-12))
+    tail = L - n_full * h
+    has_tail = tail > 1e-12 * max(1.0, L)
+    t, u, dt, du = float(ivp.t0), float(ivp.u0), float(ivp.dt0), float(ivp.du0)
+    s_out, t_out, u_out = [0.0], [t], [u]
+    dt_out, du_out = [dt], [du]
+    c0 = u * u * dt
+    c_lo = c_hi = c0
+    s_acc = 0.0
+    for i in range(n_full + has_tail):
+        hs = h if i < n_full else tail
+        k1 = rhs(t, u, dt, du)
+        k2 = rhs(t + 0.5 * hs * k1[0], u + 0.5 * hs * k1[1],
+                 dt + 0.5 * hs * k1[2], du + 0.5 * hs * k1[3])
+        k3 = rhs(t + 0.5 * hs * k2[0], u + 0.5 * hs * k2[1],
+                 dt + 0.5 * hs * k2[2], du + 0.5 * hs * k2[3])
+        k4 = rhs(t + hs * k3[0], u + hs * k3[1],
+                 dt + hs * k3[2], du + hs * k3[3])
+        t += hs / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        u += hs / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        dt += hs / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        du += hs / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        s_acc += hs
+        if u < cone.u_min:
+            raise VertexApproach(
+                f"u = {u:.3g} fell below u_min = {cone.u_min:.3g} at s = {s_acc:.4g}"
+            )
+        c = u * u * dt
+        c_lo, c_hi = min(c_lo, c), max(c_hi, c)
+        s_out.append(s_acc)
+        t_out.append(t)
+        u_out.append(u)
+        dt_out.append(dt)
+        du_out.append(du)
+
+    if not cone.base.periodic:
+        d0, d1 = cone.base.domain
+        if min(t_out) < d0 or max(t_out) > d1:
+            raise BaseDomainExceeded("integrated t left the base domain")
+    drift = (c_hi - c_lo) / max(abs(c0), 1e-14) if abs(c0) > 1e-14 else (c_hi - c_lo)
+    if not (drift <= drift_tol):
+        raise StepTooLarge(f"Clairaut drift {drift:.3g} exceeds {drift_tol:.3g}; reduce h")
+    out = [np.asarray(x) for x in (s_out, t_out, u_out, dt_out, du_out)]
+    if has_tail and n_full >= 1:
+        out = [x[:-1] for x in out]
+    return tuple(out)

@@ -13,7 +13,10 @@ from conegeo import (
     write_base_csv,
     write_curve_csv,
 )
+from conegeo import cli
 from conegeo.cli import main
+from conegeo.errors import InvalidConfig
+from helpers import legacy_build_config
 
 
 def run_cli(*args):
@@ -291,6 +294,8 @@ def test_cone_json_not_an_object_exits_1(tmp_path, capsys):
     '{"kind": "circular", "psi0": 1' + "0" * 400 + '}',
     '{"kind": "general", "base_csv": 5}',
     '{"kind": "general", "base_csv": null}',
+    '{"kind": "circular", "psi0": true}',
+    '{"kind": "circular", "psi0": "0.5"}',
 ])
 def test_cone_json_bad_field_exits_1(tmp_path, capsys, text):
     cone = tmp_path / "cone.json"
@@ -407,3 +412,171 @@ def test_one_row_curve_csv_exits_1(tmp_path, quarter_cone_json, capsys):
     assert run_cli("verify", "--cone", quarter_cone_json, "--in", csv,
                    "--report", rep) == 1
     assert "need at least two samples" in _assert_invalid_config(capsys, rep)
+
+
+# ----------------------------------------------------------------------
+# the option table against the per-command subparsers it replaced
+
+
+def _outcome(build, argv):
+    try:
+        return build(argv)
+    except InvalidConfig as exc:
+        return f"InvalidConfig: {exc}"
+
+
+_VALUES = {
+    float: ["0.25", "3", "-1E3", "-7.25e-05", "-.5", "1e400", "nan", "abc", ""],
+    int: ["64", "-3", "0", "-1E3", "7.0", "abc", ""],
+    str: ["curve.csv", "-x", "", "a b"],
+}
+
+
+def _option_argvs():
+    for command, options in cli._OPTIONS.items():
+        for dest, kind in options.items():
+            flag = "--" + dest.replace("_", "-")
+            for value in _VALUES[kind]:
+                yield [command, flag, value]
+                yield [command, f"{flag}={value}"]
+
+
+def test_build_config_matches_legacy_parser():
+    argvs = list(_option_argvs()) + [
+        [], ["frobnicate"], ["--config"], ["generate", "--config", "x.json"],
+        ["--conf", "missing.json", "generate"], ["--config=missing.json", "develop"],
+        ["generate", "stray"], ["generate", "--bogus", "1"], ["generate", "--samp", "9"],
+        ["generate", "--c", "1"], ["verify", "--kg", "1"], ["generate", "--a"],
+        ["generate", "--a", "1", "--a", "2"], ["generate", "-a", "1"],
+        ["generate", "--a", "--b", "1"],
+        ["generate", "--a", "1.5", "--b", "-1E3", "--c=-7.25e-05", "--psi0", "0.8",
+         "--smin=-1", "--smax", "2", "--samples", "64", "--out", "c.csv"],
+        ["verify", "--cone", "k.json", "--in=c.csv", "--samples", "99", "--kg-tol", "1e-3",
+         "--clairaut-tol=-2E-5", "--align-tol", "0.5", "--straight-tol", "1", "--report", "r"],
+    ]
+    for argv in argvs:
+        assert _outcome(cli.build_config, argv) == _outcome(legacy_build_config, argv), argv
+
+
+def test_build_config_config_merge_matches_legacy_parser(tmp_path):
+    typed = {float: -2.5, int: 64, str: "curve.csv"}
+    cfg = tmp_path / "cfg.json"
+    for command, options in cli._OPTIONS.items():
+        for dest, kind in options.items():
+            flag = "--" + dest.replace("_", "-")
+            for key in {dest, dest.replace("_", "-")}:
+                for value in (typed[kind], None) + ((7,) if kind is float else ()):
+                    cfg.write_text(json.dumps({command: {key: value}, "other": 1}))
+                    for argv in (["--config", str(cfg), command],
+                                 [f"--config={cfg}", command, flag, _VALUES[kind][0]]):
+                        assert (_outcome(cli.build_config, argv)
+                                == _outcome(legacy_build_config, argv)), (argv, value)
+    for text in ("[1]", "{", '{"generate": 3}', '{"generate": {"nope": 1}}',
+                 '{"generate": {"psi0": Infinity}}'):
+        cfg.write_text(text)
+        argv = ["--config", str(cfg), "generate"]
+        assert _outcome(cli.build_config, argv) == _outcome(legacy_build_config, argv), text
+    argv = ["--config", str(tmp_path / "missing.json"), "generate"]
+    assert _outcome(cli.build_config, argv) == _outcome(legacy_build_config, argv)
+
+
+def test_build_config_constructs_two_parsers(monkeypatch):
+    made = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    for command in cli._OPTIONS:
+        made.clear()
+        cli.build_config([command])
+        assert made == ["conegeo", f"conegeo {command}"]
+
+
+@pytest.mark.parametrize("text,bad", [
+    ('{"generate": {"psi0": true}}', "'psi0': expected float, got True"),
+    ('{"generate": {"psi0": "0.5"}}', "'psi0': expected float, got '0.5'"),
+    ('{"generate": {"samples": false}}', "'samples': expected int, got False"),
+    ('{"generate": {"samples": 64.5}}', "'samples': expected int, got 64.5"),
+    ('{"generate": {"samples": Infinity}}', "'samples': expected int, got inf"),
+    ('{"generate": {"samples": 1' + "0" * 400 + "}}", "'samples': expected int"),
+    ('{"generate": {"a": 1' + "0" * 400 + "}}", "'a': expected float"),
+    ('{"generate": {"out": 5}}', "'out': expected str, got 5"),
+    ('{"generate": {"base": ["b.csv"]}}', "'base': expected str"),
+])
+def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, text, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "c.csv"
+    for overrides in ((), ("--a", 1.0, "--psi0", 0.8, "--samples", 8, "--base", "b.csv")):
+        assert run_cli("--config", cfg, "generate", *overrides, "--out", out) == 1
+        assert f"--config: bad value for {bad}" in _assert_invalid_config(capsys, out)
+
+
+def test_config_integral_float_is_an_int(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"generate": {"samples": 64.0, "psi0": 1}}')
+    config = cli.build_config(["--config", str(cfg), "generate"])
+    assert config.params["samples"] == 64 and type(config.params["samples"]) is int
+    assert config.params["psi0"] == 1.0 and type(config.params["psi0"]) is float
+
+
+def test_config_after_command_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generate": {"psi0": 0.9}}))
+    out = tmp_path / "c.csv"
+    assert run_cli("generate", "--config", cfg, "--a", 1.0, "--out", out) == 1
+    assert "unrecognized arguments: --config" in _assert_invalid_config(capsys, out)
+
+
+def test_no_command_message(capsys):
+    assert run_cli("--config", "cfg.json") == 1
+    assert capsys.readouterr().err == "error: InvalidConfig: no command given; see --help\n"
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_top_level_help_lists_commands(capsys, flag):
+    with pytest.raises(SystemExit) as stop:
+        main([flag])
+    assert stop.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "--config" in out
+    for name, (_, text) in cli._COMMANDS.items():
+        assert f"  {name:<12}{text}" in out
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_command_help_lists_table_options(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main(["--config", "unread.json", command, "--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: conegeo {command} ")
+    for dest in cli._OPTIONS[command]:
+        assert f"--{dest.replace('_', '-')} " in out
+
+
+# ----------------------------------------------------------------------
+# errors nobody anticipated still end in a defined exit
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
+                                 TypeError("unsupported operand type(s)\nfor +")])
+def test_unexpected_handler_error_exits_2(tmp_path, monkeypatch, capsys, exc):
+    def broken(params):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "crosscheck", (broken, "broken"))
+    rep = tmp_path / "cc.json"
+    assert run_cli("crosscheck", "--a", 1, "--psi0", 0.7, "--report", rep) == 2
+    name = type(exc).__name__
+    err = capsys.readouterr().err
+    assert err == f"error: {name}: {' '.join(str(exc).splitlines())}\n"
+    assert json.loads(rep.read_text()) == {"error": name, "message": str(exc)}
+    monkeypatch.setitem(cli._COMMANDS, "develop", (broken, "broken"))
+    assert run_cli("develop", "--out", tmp_path / "d.csv") == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from conegeo.errors import (
     StepTooLarge,
     VertexApproach,
 )
-from helpers import count_vector_hermite_calls
+from helpers import count_vector_hermite_calls, reference_integrate
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +203,57 @@ def test_integrate_nan_drift_fails_gate():
     ivp = GeodesicIVP(t0=0.0, u0=1.0, dt0=float("nan"), du0=0.2, length=0.1)
     with pytest.raises(StepTooLarge):
         integrate_geodesic(CircularCone(0.8), ivp, h=0.01)
+
+
+def _captured_integrate(monkeypatch, cone, ivp, **kw):
+    """(s, t, u, dt, du) as integrate_geodesic hands them to the sampled chart."""
+    seen = []
+
+    def capture(s, t, u, dt=None, du=None):
+        seen.append((s, t, u, dt, du))
+
+    monkeypatch.setattr(geodesics_module.ChartCurve, "from_samples", staticmethod(capture))
+    integrate_geodesic(cone, ivp, **kw)
+    return seen[0]
+
+
+_IVP = dict(t0=0.3, u0=1.0, dt0=0.7, du0=0.7)
+
+
+@pytest.mark.parametrize("length,h", [
+    (2.0, 1e-3),      # whole steps
+    (2.0004, 1e-3),   # a tail step, integrated and then dropped
+    (0.0007, 1e-3),   # the tail step alone (too few samples for a chart)
+    (3.3, 0.011),     # inexact h: the running sum of steps sets s
+])
+@pytest.mark.parametrize("kind", ["circular", "wavy"])
+def test_integrate_bitwise_equals_textbook_rk4(monkeypatch, kind, length, h):
+    cone = (CircularCone(0.8) if kind == "circular"
+            else Cone(perturbed_circle_base(0.8, seed=12, amplitude=0.04)))
+    ivp = GeodesicIVP(length=length, **_IVP)
+    got = _captured_integrate(monkeypatch, cone, ivp, h=h)
+    want = reference_integrate(cone, ivp, h=h)
+    assert got[0].size == want[0].size >= 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_integrate_errors_match_textbook_rk4():
+    cases = [
+        (CircularCone(0.8), GeodesicIVP(t0=0.0, u0=0.5, dt0=0.0, du0=-1.0, length=2.0),
+         dict(h=1e-3)),
+        (CircularCone(0.8), GeodesicIVP(t0=0.0, u0=0.5, dt0=0.1, du0=-1.0, length=2.0),
+         dict(h=0.0123)),
+        (CircularCone(0.8), GeodesicIVP(t0=0.0, u0=1.0, dt0=0.9, du0=0.2, length=4.0),
+         dict(h=0.05, drift_tol=1e-15)),
+        (CircularCone(0.8), GeodesicIVP(t0=0.0, u0=1.0, dt0=float("nan"), du0=0.2,
+                                        length=0.1), dict(h=0.01)),
+    ]
+    for cone, ivp, kw in cases:
+        with pytest.raises((VertexApproach, StepTooLarge)) as want:
+            reference_integrate(cone, ivp, **kw)
+        with pytest.raises(want.type, match="^" + re.escape(str(want.value)) + "$"):
+            integrate_geodesic(cone, ivp, **kw)
 
 
 # ----------------------------------------------------------------------

@@ -252,3 +252,28 @@ def test_jet_algebra_matches_sympy():
     got = jt.jet_normalize(y_jet)
     exact = _symbolic_jets([e / norm for e in y], x, s)
     assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("family,seed", [("polynomial", 20210326), ("trig", 20210327)])
+def test_arclength_rate_jets_match_sympy(family, seed):
+    rng = np.random.default_rng(seed)
+    a = [sympy.Rational(int(v), 8) for v in rng.integers(1, 16, size=7)]
+    x = sympy.symbols("x")
+    if family == "polynomial":
+        y = [x + a[0] * x**2 + a[1] * x**3, a[2] * x - a[3] * x**2, a[4] + a[5] * x**3 + a[6] * x]
+    else:
+        y = [sympy.cos(a[0] * x) + 2 * x, a[1] * sympy.sin(a[2] * x),
+             a[3] * x + a[4] * sympy.sin(a[5] * x) / 4 + a[6]]
+    # sigma(s) inverts s(tau) = integral of |y'|: sigma' = 1/|y'| at tau = sigma(s),
+    # and each further s-derivative is the tau-derivative times sigma'
+    rate = 1 / sympy.sqrt(sum(sympy.diff(e, x) ** 2 for e in y))
+    exact = [rate]
+    for _ in range(2):
+        exact.append(sympy.diff(exact[-1], x) * rate)
+    tau = np.linspace(0.1, 1.4, 9)
+    want = np.stack([sympy.lambdify(x, e, "numpy")(tau) for e in exact])
+
+    got = jt.arclength_rate_jets(_symbolic_jets(y, x, tau))
+    assert got.shape == (4, tau.size) and not np.any(got[0])
+    for order in (1, 2, 3):
+        assert np.max(np.abs(got[order] - want[order - 1])) <= 1e-13 * np.max(np.abs(want[order - 1]))
