@@ -45,6 +45,7 @@ from .cones import (
 )
 from .curves import (
     KAPPA_FLOOR,
+    CurveSamples,
     DerivativeSettings,
     FrenetFrame,
     SpaceCurve,
@@ -55,6 +56,7 @@ from .curves import (
     line_curve,
     read_curve_csv,
     reparametrize_arclength,
+    sample_curve,
     sample_grid,
     write_curve_csv,
 )

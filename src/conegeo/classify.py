@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from . import jets as jt
-from .curves import KAPPA_FLOOR, frenet_apparatus, frenet_frame, sample_grid
 from .errors import (
     DegenerateFit,
     InsufficientSamples,
@@ -66,9 +65,6 @@ class ClassificationReport:
     label: str
     cross_magnitude_mean: float
     cross_magnitude_relvar: float
-    normal_component_max: float
-    s: np.ndarray
-    tangential_component: np.ndarray
     fitted_a: Optional[float]
     fitted_b: Optional[float]
 
@@ -96,9 +92,8 @@ class SlantAxisFit:
         }
 
 
-def classify_rectifying_or_spherical(curve, samples=256, tol=None,
-                                     kappa_floor=KAPPA_FLOOR):
-    """Classify a unit-speed curve by the constancy of |alpha x alpha'|.
+def classify_rectifying_or_spherical(cs, tol=None):
+    """Classify a sampled unit-speed curve by the constancy of |alpha x alpha'|.
 
     Constant nonzero magnitude splits into rectifying (<alpha,n> ~ 0 with
     <alpha,t> affine in s) versus spherical-centered (<alpha,t> ~ 0);
@@ -107,10 +102,8 @@ def classify_rectifying_or_spherical(curve, samples=256, tol=None,
     than guessed.
     """
     if tol is None:
-        tol = default_tolerance(curve)
-    s = sample_grid(curve, samples)
-    pts, d1, d2, d3 = curve.derivatives(s, (0, 1, 2, 3))
-    frames = frenet_frame(d1, d2, d3, kappa_floor=kappa_floor)
+        tol = default_tolerance(cs.curve)
+    s, pts, d1, frames = cs.s, cs.jet[0], cs.jet[1], cs.frames
     mag = np.linalg.norm(np.cross(pts, d1), axis=-1)
     scale = float(np.max(np.linalg.norm(pts, axis=-1)))
     tangential = np.sum(pts * frames.tangent, axis=-1)
@@ -119,7 +112,6 @@ def classify_rectifying_or_spherical(curve, samples=256, tol=None,
     spread = float(mag.max() - mag.min())
     relvar = spread / abs(mean) if mean != 0.0 else np.inf
     norm_comp = np.abs(np.sum(pts * frames.normal, axis=-1))
-    norm_comp_max = float(np.max(norm_comp))
 
     fitted_a = fitted_b = None
     if mean <= tol * max(scale, 1e-300) or relvar >= tol:
@@ -142,9 +134,6 @@ def classify_rectifying_or_spherical(curve, samples=256, tol=None,
         label=label,
         cross_magnitude_mean=mean,
         cross_magnitude_relvar=relvar,
-        normal_component_max=norm_comp_max,
-        s=s,
-        tangential_component=tangential,
         fitted_a=fitted_a,
         fitted_b=fitted_b,
     )
@@ -159,14 +148,13 @@ class TorsionRatioProfile:
     residual: float
 
 
-def torsion_ratio_profile(curve, samples=256, kappa_floor=KAPPA_FLOOR):
+def torsion_ratio_profile(cs):
     """tau/kappa samples with an affine least-squares fit.
 
     Rectifying curves have tau/kappa affine in arc length; the residual is
     the RMS deviation from the fit.
     """
-    s = sample_grid(curve, samples)
-    frames = frenet_apparatus(curve, s, kappa_floor=kappa_floor)
+    s, frames = cs.s, cs.frames
     ratio = frames.tau / frames.kappa
     A = np.stack([s, np.ones_like(s)], axis=-1)
     (slope, intercept), *_ = np.linalg.lstsq(A, ratio, rcond=None)
@@ -183,20 +171,18 @@ def _canonical_axis(u):
     return u
 
 
-def fit_slant_axis(curve, samples=256, kappa_floor=KAPPA_FLOOR):
+def fit_slant_axis(cs):
     """Axis minimizing the variance of <n(s), U> over unit vectors U.
 
     Var[<n,U>] = U^T Cov(n) U, so the axis is the smallest-eigenvalue
     eigenvector of the normal samples' covariance.  The sign is
     canonicalized to a nonnegative third component (lexicographic
     tie-break), and a non-isolated smallest eigenvalue raises
-    DegenerateFit.
+    DegenerateFit.  The floor reads the requested grid size, cs.samples.
     """
-    if samples < 16:
+    if cs.samples < 16:
         raise InsufficientSamples("axis fitting needs at least 16 frame samples")
-    s = sample_grid(curve, samples)
-    frames = frenet_apparatus(curve, s, kappa_floor=kappa_floor)
-    n = frames.normal
+    n = cs.frames.normal
     centered = n - n.mean(axis=0)
     cov = centered.T @ centered / n.shape[0]
     evals, evecs = np.linalg.eigh(cov)
@@ -214,17 +200,14 @@ def fit_slant_axis(curve, samples=256, kappa_floor=KAPPA_FLOOR):
     )
 
 
-def is_planar(curve, tol=None, samples=256, kappa_floor=KAPPA_FLOOR):
+def is_planar(cs, tol=None):
     """True when max |tau| stays below tol over the sample grid."""
     if tol is None:
-        tol = default_tolerance(curve)
-    s = sample_grid(curve, samples)
-    frames = frenet_apparatus(curve, s, kappa_floor=kappa_floor)
-    return bool(np.max(np.abs(frames.tau)) < tol)
+        tol = default_tolerance(cs.curve)
+    return bool(np.max(np.abs(cs.frames.tau)) < tol)
 
 
-def classification_identity_residual(curve, U, samples=256, report=None,
-                                     kappa_floor=KAPPA_FLOOR):
+def classification_identity_residual(cs, U, report=None):
     """Residual of the rectifying-curve identity for a fixed direction U.
 
     For a rectifying curve with constants (a, b),
@@ -236,28 +219,25 @@ def classification_identity_residual(curve, U, samples=256, report=None,
     Returns (s_inner, residual samples).
     """
     if report is None:
-        report = classify_rectifying_or_spherical(curve, samples=samples,
-                                                  kappa_floor=kappa_floor)
+        report = classify_rectifying_or_spherical(cs)
     if report.label != LABEL_RECTIFYING:
         raise NotRectifying(f"curve classified as {report.label!r}")
     a, b = report.fitted_a, report.fitted_b
     U = np.asarray(U, dtype=float)
     U = U / np.linalg.norm(U)
 
-    s = sample_grid(curve, samples)
+    s, pts = cs.s, cs.jet[0]
     dx = float(s[1] - s[0])
     if np.max(np.abs(np.diff(s) - dx)) > 1e-8 * dx:
         raise ValueError("identity residual needs a uniform sample grid")
-    pts, d1, d2, d3 = curve.derivatives(s, (0, 1, 2, 3))
-    frames = frenet_frame(d1, d2, d3, kappa_floor=kappa_floor)
     y = pts / np.linalg.norm(pts, axis=-1)[..., None]
 
     g = y @ U
-    h = frames.normal @ U
+    h = cs.frames.normal @ U
     dg, reach = jt.series_derivative(g, dx, 1)
     dh, _ = jt.series_derivative(h, dx, 1)
     s_in = s[reach: s.size - reach]
-    kappa_in = frames.kappa[reach: frames.kappa.size - reach]
+    kappa_in = cs.frames.kappa[reach: s.size - reach]
     w = a * s_in + b
     residual = (1.0 + w**2) ** 1.5 / a * dg + dh / kappa_in
     return s_in, residual

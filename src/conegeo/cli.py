@@ -23,9 +23,16 @@ from .cones import (
     chart_curve,
     cone_from_descriptor,
     develop,
+    json_float,
     read_base_csv,
 )
-from .curves import SpaceCurve, read_curve_csv, reparametrize_arclength, table_text
+from .curves import (
+    SpaceCurve,
+    read_curve_csv,
+    reparametrize_arclength,
+    sample_curve,
+    table_text,
+)
 from .errors import DegenerateFit, InvalidConfig
 from .geodesics import (
     GeodesicIVP,
@@ -129,14 +136,14 @@ def _load_ivp(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
-        fields = {k: float(data[k]) for k in ("t0", "u0", "dt0", "du0", "length")}
+        fields = {k: json_float(k, data[k]) for k in ("t0", "u0", "dt0", "du0", "length")}
         for key, value in fields.items():
             if not math.isfinite(value):
                 raise InvalidConfig(f"--ivp: {key} must be finite, got {value!r}")
         return GeodesicIVP(**fields)
     except OSError as exc:
         raise InvalidConfig(f"--ivp: cannot read {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"--ivp: bad initial data: {exc}") from exc
 
 
@@ -179,12 +186,12 @@ def _cmd_classify(p):
     _require(p, "in", "report")
     _positive(p, "samples", "tol")
     _check_writable(p["report"], "report")
-    curve = reparametrize_arclength(_load_curve(p["in"]))
-    n = int(p.get("samples") or 256)
-    report = classify_rectifying_or_spherical(curve, samples=n, tol=p.get("tol"))
+    cs = sample_curve(reparametrize_arclength(_load_curve(p["in"])),
+                      int(p.get("samples") or 256))
+    report = classify_rectifying_or_spherical(cs, tol=p.get("tol"))
     payload = report.to_dict()
     try:
-        slant = fit_slant_axis(curve, samples=n)
+        slant = fit_slant_axis(cs)
         payload.update(slant.to_dict())
     except DegenerateFit:
         payload.update({"axis": None, "cos_angle_mean": None, "residual": None,
@@ -223,7 +230,8 @@ def _cmd_verify(p):
     _positive(p, "samples", "kg_tol", "clairaut_tol", "align_tol", "straight_tol")
     _check_writable(p["report"], "report")
     cone = _load_cone(p["cone"])
-    curve = reparametrize_arclength(_load_curve(p["in"]))
+    cs = sample_curve(reparametrize_arclength(_load_curve(p["in"])),
+                      int(p.get("samples") or 256))
     defaults = VerifyThresholds()
     thresholds = VerifyThresholds(
         max_abs_kg=p.get("kg_tol") or defaults.max_abs_kg,
@@ -231,8 +239,7 @@ def _cmd_verify(p):
         normal_alignment=p.get("align_tol") or defaults.normal_alignment,
         straightness=p.get("straight_tol") or defaults.straightness,
     )
-    report = verify_geodesic(cone, curve, samples=int(p.get("samples") or 256),
-                             thresholds=thresholds)
+    report = verify_geodesic(cone, cs, thresholds=thresholds)
     _atomic_write(p["report"], report_json_text(report.to_dict()))
     return 0
 
@@ -326,14 +333,14 @@ def _coerce(key, kind, value):
     # and booleans and strings are not numbers ("psi0": true is not 1.0)
     if value is None or (kind is str and isinstance(value, str)):
         return value
-    if kind is not str and isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if kind is float:
-                return float(value)
-            if float(value).is_integer():
-                return int(value)
-        except OverflowError:
-            pass
+    try:
+        number = json_float(key, value)
+        if kind is float:
+            return number
+        if kind is int and number.is_integer():
+            return int(value)
+    except (TypeError, OverflowError):
+        pass
     raise InvalidConfig(f"--config: bad value for {key!r}: expected {kind.__name__}, "
                         f"got {value!r}")
 

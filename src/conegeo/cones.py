@@ -19,6 +19,7 @@ from .curves import (
 from .errors import (
     BaseDomainExceeded,
     DegenerateBase,
+    InsufficientSamples,
     InvalidHalfAngle,
     NonpositiveRadialCoordinate,
     NotOnCone,
@@ -330,36 +331,28 @@ def _check_on_cone(cone, pts, u, t):
 def chart_curve(cone, curve, s=None, samples=256, points=None):
     """Chart an ambient curve: s -> (t(s), u(s)) with t tracked continuously.
 
-    General cones chart every sample in one batched solve and unwrap t by
-    the base period, which assumes consecutive samples lie less than half
-    a period apart in t.  The first sample, in order, that sits at the
-    vertex or off the cone raises.  points, when given, is curve.evaluate(s)
-    already computed.
+    Circular cones take t = sin(psi0) * unwrap(atan2(y, x)); general cones
+    chart every sample in one batched solve and unwrap t by the base period,
+    which assumes consecutive samples lie less than half a period apart in
+    t.  The first sample, in order, that sits at the vertex or off the cone
+    raises.  points, when given, is curve.evaluate(s) already computed.
     """
     if s is None:
         s = sample_grid(curve, samples)
     s = np.asarray(s, dtype=float)
     pts = np.atleast_2d(curve.evaluate(s) if points is None else points)
     u = np.linalg.norm(pts, axis=-1)
+    vertex = np.flatnonzero(u < cone.u_min)
+    n = vertex[0] if vertex.size else u.size
     if isinstance(cone, CircularCone):
-        if np.any(u < cone.u_min):
-            raise VertexPoint("curve sample below u_min")
-        sp = np.sin(cone.psi0)
-        t = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0])) * sp
-        residual = np.linalg.norm(u[:, None] * cone.base.evaluate(t) - pts, axis=-1)
-        if np.any(residual > ON_CONE_RTOL * u):
-            raise NotOnCone(
-                f"chart residual {float(np.max(residual)):.3g} exceeds tolerance"
-            )
+        t = np.unwrap(np.arctan2(pts[:n, 1], pts[:n, 0])) * np.sin(cone.psi0)
     else:
-        vertex = np.flatnonzero(u < cone.u_min)
-        n = vertex[0] if vertex.size else u.size
         t = cone.chart_t(pts[:n] / u[:n, None])
-        _check_on_cone(cone, pts[:n], u[:n], t)
-        if vertex.size:
-            raise _vertex_error(cone, u[n])
         if cone.base.periodic:
             t = np.unwrap(t, period=cone.base.period)
+    _check_on_cone(cone, pts[:n], u[:n], t)
+    if vertex.size:
+        raise _vertex_error(cone, u[n])
     return ChartCurve.from_samples(s, t, u)
 
 
@@ -394,6 +387,12 @@ class ChartCurve:
     def from_samples(s, t, u, dt=None, du=None):
         """Sampled chart; derivatives default to stencils on the series."""
         s = np.asarray(s, dtype=float)
+        need = 2 * jt.stencil_reach(4, 3) + 1  # nodes of the order-3 series stencil
+        if s.size < need:
+            raise InsufficientSamples(
+                f"a sampled chart needs at least {need - 1} steps ({need} nodes), got "
+                f"{s.size - 1} steps of {(s[-1] - s[0]) / max(s.size - 1, 1):.6g} "
+                f"over length {s[-1] - s[0]:.6g}")
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
         dx = float(np.mean(np.diff(s)))
@@ -583,14 +582,18 @@ def latitude_circle(cone, u0, t_start=None, t_span=None):
 # JSON descriptors: {"kind":"circular","psi0":x} or {"kind":"general","base_csv":path}
 
 
+def json_float(key, value):
+    """A JSON number as a float; float() alone would read true as 1.0, "0.5" as 0.5."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def cone_from_descriptor(desc, resolve_path=None):
     """Build a cone from its JSON descriptor (dict)."""
     kind = desc.get("kind")
     if kind == "circular":
-        psi0 = desc["psi0"]
-        if isinstance(psi0, (bool, str)):  # float() would read true as 1.0
-            raise TypeError(f"psi0 must be a number, got {psi0!r}")
-        psi0 = float(psi0)
+        psi0 = json_float("psi0", desc["psi0"])
         if not np.isfinite(psi0):
             raise ValueError(f"psi0 must be finite, got {psi0!r}")
         return CircularCone(psi0)

@@ -5,6 +5,7 @@ function of its inputs, so concurrent evaluation is safe.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -294,6 +295,31 @@ def sample_grid(curve, n=256, max_order=3):
         stride = max(1, inner.size // n)
         return inner[::stride]
     return np.linspace(s0 + m, s1 - m, n)
+
+
+@dataclass(frozen=True)
+class CurveSamples:
+    """One evaluation of a curve on its sample grid, read by every analysis.
+
+    jet (4, n, 3) holds the points and first three derivatives at s; samples
+    is the grid size asked for.  Frames are built on first read: a ruling has none.
+    """
+
+    curve: SpaceCurve
+    samples: int
+    kappa_floor: float
+    s: np.ndarray
+    jet: np.ndarray
+
+    @cached_property
+    def frames(self):
+        return frenet_frame(*self.jet[1:], kappa_floor=self.kappa_floor)
+
+
+def sample_curve(curve, samples=256, kappa_floor=KAPPA_FLOOR):
+    """Evaluate the curve's jet once on sample_grid(curve, samples)."""
+    s = _readonly(sample_grid(curve, samples))
+    return CurveSamples(curve, samples, kappa_floor, s, _readonly(curve.jet(s)))
 
 
 def frenet_apparatus(curve, s, kappa_floor=KAPPA_FLOOR):

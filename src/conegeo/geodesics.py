@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import jets as jt
 from .classify import (
     LABEL_RECTIFYING,
     classification_identity_residual,
@@ -32,10 +31,9 @@ from .cones import (
     line_fit,
     unit_normal,
 )
-from .curves import KAPPA_FLOOR, SpaceCurve, frenet_frame, sample_grid
+from .curves import CurveSamples, SpaceCurve, sample_curve
 from .errors import (
     BaseDomainExceeded,
-    InsufficientSamples,
     StepTooLarge,
     VertexApproach,
 )
@@ -245,25 +243,20 @@ class GeodesyReport:
         }
 
 
-def verify_geodesic(cone: Cone, curve: SpaceCurve, samples=256,
-                    thresholds: Optional[VerifyThresholds] = None,
-                    kappa_floor=KAPPA_FLOOR) -> GeodesyReport:
-    """Check geodesy of a unit-speed curve lying on the cone.
+def verify_geodesic(cone: Cone, cs: CurveSamples,
+                    thresholds: Optional[VerifyThresholds] = None) -> GeodesyReport:
+    """Check geodesy of a sampled unit-speed curve lying on the cone.
 
     Four independent measurements: max |kappa_g|, relative variation of the
     Clairaut invariant u^2 t', minimum |<n, N>| alignment, and straightness
     of the developed image.  Curves with curvature below the floor
-    everywhere are rulings.
+    everywhere are rulings.  Grids under 7 points raise InsufficientSamples
+    from the sampled chart.
     """
     if thresholds is None:
         thresholds = VerifyThresholds()
-    s = sample_grid(curve, samples)
-    # the sampled chart differentiates t and u with the order-3 series stencil
-    need = 2 * jt.stencil_reach(4, 3) + 1
-    if s.size < need:
-        raise InsufficientSamples(f"verify needs at least {need} sample points, got {s.size}")
-    pts, d1, d2, d3 = curve.derivatives(s, (0, 1, 2, 3))
-    chart = chart_curve(cone, curve, s=s, points=pts)
+    pts, d1, d2 = cs.jet[:3]
+    chart = chart_curve(cone, cs.curve, s=cs.s, points=pts)
     t_arr, u_arr = chart.samples[1], chart.samples[2]
 
     y, y1 = cone.base.derivatives(t_arr, (0, 1))
@@ -279,14 +272,12 @@ def verify_geodesic(cone: Cone, curve: SpaceCurve, samples=256,
     relvar = spread / abs(mean_c) if abs(mean_c) > 1e-14 else spread
 
     dev = develop(chart)
-    _, _, _, straightness, _ = line_fit(dev.point(s))
+    _, _, _, straightness, _ = line_fit(dev.point(cs.s))
 
-    kappa = np.linalg.norm(d2, axis=-1)
-    if float(np.max(kappa)) < kappa_floor:
+    if float(np.max(np.linalg.norm(d2, axis=-1))) < cs.kappa_floor:
         return GeodesyReport(max_kg, relvar, None, straightness, "ruling")
 
-    frames = frenet_frame(d1, d2, d3, kappa_floor=kappa_floor)
-    align = float(np.min(np.abs(np.sum(frames.normal * N, axis=-1))))
+    align = float(np.min(np.abs(np.sum(cs.frames.normal * N, axis=-1))))
     ok = (
         max_kg < thresholds.max_abs_kg
         and relvar < thresholds.clairaut_relvar
@@ -350,21 +341,19 @@ def cross_check_circular_cone(a, b, c, psi0, seed=0, samples=256,
     Any disagreement is reported via the ok flags, never silently passed.
     """
     params = RectifyingParams(float(a), float(b), float(c))
-    curve = generate_circular_geodesic(params, psi0)
+    cs = sample_curve(generate_circular_geodesic(params, psi0), samples)
     cone = CircularCone(psi0)
 
-    report = classify_rectifying_or_spherical(curve, samples=samples)
-    slant = fit_slant_axis(curve, samples=samples)
-    geodesy = verify_geodesic(cone, curve, samples=samples)
+    report = classify_rectifying_or_spherical(cs)
+    slant = fit_slant_axis(cs)
+    geodesy = verify_geodesic(cone, cs)
 
     rng = np.random.default_rng(seed)
     random_u = rng.normal(size=3)
     random_u /= np.linalg.norm(random_u)
     e3 = np.array([0.0, 0.0, 1.0])
-    _, res_e3 = classification_identity_residual(curve, e3, samples=samples,
-                                                 report=report)
-    _, res_ru = classification_identity_residual(curve, random_u, samples=samples,
-                                                 report=report)
+    _, res_e3 = classification_identity_residual(cs, e3, report=report)
+    _, res_ru = classification_identity_residual(cs, random_u, report=report)
     max_e3 = float(np.max(np.abs(res_e3)))
     max_ru = float(np.max(np.abs(res_ru)))
 

@@ -45,6 +45,24 @@ def count_vector_hermite_calls(monkeypatch):
     return calls
 
 
+def count_curve_jet_passes(monkeypatch):
+    """Record the curve of every SpaceCurve.derivatives call that reaches order 3.
+
+    One such call is one evaluation of a curve's jet on a grid, the data
+    every classification and geodesy gate reads.
+    """
+    calls = []
+    plain = SpaceCurve.derivatives
+
+    def counted(self, s, orders):
+        if max(orders) == 3:
+            calls.append(self)
+        return plain(self, s, orders)
+
+    monkeypatch.setattr(SpaceCurve, "derivatives", counted)
+    return calls
+
+
 def trig_jet_curve(coeff_a, coeff_b, domain):
     """Closed-form trigonometric curve sum_k (A_k cos k t + B_k sin k t)."""
     A = np.asarray(coeff_a, dtype=float)

@@ -28,6 +28,7 @@ from conegeo import (
     perturbed_circle_base,
     rectifying_chart,
     ruling,
+    sample_curve,
     sample_grid,
     spherical_curve,
     torsion_ratio_profile,
@@ -107,7 +108,7 @@ def test_criterion_2_dichotomy_classification(corpus):
         cases.append((cur, "neither"))
     wrong = []
     for idx, (cur, expect) in enumerate(cases):
-        got = classify_rectifying_or_spherical(cur).label
+        got = classify_rectifying_or_spherical(sample_curve(cur)).label
         if got != expect:
             wrong.append((idx, expect, got))
     _report(2, "dichotomy labels on 30-curve corpus", not wrong,
@@ -117,7 +118,7 @@ def test_criterion_2_dichotomy_classification(corpus):
 def test_criterion_3_generated_curves_verify_as_geodesics(corpus):
     failures = []
     for i, (curve, _, cone) in enumerate(corpus):
-        rep = verify_geodesic(cone, curve)
+        rep = verify_geodesic(cone, sample_curve(curve))
         ok = (rep.verdict == "geodesic" and rep.max_abs_kg < 1e-4
               and rep.normal_alignment_min > 1 - 1e-5
               and rep.clairaut_relvar < 1e-5
@@ -135,7 +136,7 @@ def test_criterion_4_latitude_circle_obstruction():
     for cone in cones:
         for u0 in (0.5, 1.0, 2.0, 5.0):
             lat = latitude_circle(cone, u0)
-            rep = verify_geodesic(cone, lat)
+            rep = verify_geodesic(cone, sample_curve(lat))
             rel = abs(rep.max_abs_kg - 1.0 / u0) * u0
             worst = max(worst, rel)
             assert rep.verdict == "not-geodesic"
@@ -201,7 +202,7 @@ def test_criterion_7_rulings_and_nonplanarity(corpus):
         psi0 = rng.uniform(0.35, 1.2)
         cone = CircularCone(psi0)
         r = ruling(cone, rng.uniform(0.0, 2.0), (0.3, 3.0))
-        rep = verify_geodesic(cone, r)
+        rep = verify_geodesic(cone, sample_curve(r))
         s = sample_grid(r, 64)
         kappa_max = float(np.max(np.linalg.norm(r.derivative(s, 2), axis=-1)))
         ok_rulings &= (rep.verdict == "ruling" and kappa_max < 1e-9
@@ -210,8 +211,8 @@ def test_criterion_7_rulings_and_nonplanarity(corpus):
     # every geodesic-verdict curve with kappa above the floor is non-planar
     ok_torsion = True
     for curve, _, cone in corpus:
-        assert verify_geodesic(cone, curve).verdict == "geodesic"
-        ok_torsion &= not is_planar(curve)
+        assert verify_geodesic(cone, sample_curve(curve)).verdict == "geodesic"
+        ok_torsion &= not is_planar(sample_curve(curve))
     _report(7, "rulings are zero-curvature geodesics; curved geodesics twist",
             ok_rulings and ok_torsion,
             f"rulings ok: {ok_rulings}, torsion nonzero: {ok_torsion}")
@@ -220,7 +221,7 @@ def test_criterion_7_rulings_and_nonplanarity(corpus):
 def test_criterion_8_torsion_ratio_linearity(corpus):
     worst_coef, worst_resid = 0.0, 0.0
     for curve, params, _ in corpus:
-        prof = torsion_ratio_profile(curve)
+        prof = torsion_ratio_profile(sample_curve(curve))
         rel = max(abs(prof.slope - params.a) / params.a,
                   abs(prof.intercept - params.b) / abs(params.b))
         worst_coef = max(worst_coef, rel)

@@ -17,6 +17,7 @@ from conegeo import (
     generate_rectifying,
     helix_curve,
     is_planar,
+    sample_curve,
     sample_grid,
     torsion_ratio_profile,
 )
@@ -75,7 +76,7 @@ def test_constancy_errors():
 
 def test_classify_generated_rectifying():
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.0, 0.0), np.pi / 3)
-    rep = classify_rectifying_or_spherical(cur)
+    rep = classify_rectifying_or_spherical(sample_curve(cur))
     assert rep.label == LABEL_RECTIFYING
     assert abs(rep.fitted_a - 1.0) < 1e-9
     assert abs(rep.fitted_b) < 1e-9
@@ -83,7 +84,7 @@ def test_classify_generated_rectifying():
 
 def test_classify_great_circle():
     circ = circle_curve(3.0)
-    rep = classify_rectifying_or_spherical(circ)
+    rep = classify_rectifying_or_spherical(sample_curve(circ))
     assert rep.label == LABEL_SPHERICAL
     assert abs(rep.cross_magnitude_mean - 3.0) < 1e-10
     assert rep.fitted_a is None
@@ -95,7 +96,7 @@ def test_classify_offset_helix_neither():
     mags = cross_magnitude(hx, s)
     # direct evaluation confirms the spread is far above tolerance
     assert (mags.max() - mags.min()) / mags.mean() > 1e-2
-    rep = classify_rectifying_or_spherical(hx)
+    rep = classify_rectifying_or_spherical(sample_curve(hx))
     assert rep.label == LABEL_NEITHER
 
 
@@ -104,20 +105,20 @@ def test_classify_refuses_straight_line():
 
     line = line_curve([0.1, 0.0, 0.0], [1.0, 0.0, 0.0], 2.0)
     with pytest.raises(VanishingCurvature):
-        classify_rectifying_or_spherical(line)
+        classify_rectifying_or_spherical(sample_curve(line))
 
 
 def test_classify_corpus_property():
     rng = np.random.default_rng(23)
     for i in range(4):
         cur, params, _, _ = random_rectifying(rng, circular=bool(i % 2))
-        rep = classify_rectifying_or_spherical(cur)
+        rep = classify_rectifying_or_spherical(sample_curve(cur))
         assert rep.label == LABEL_RECTIFYING
         assert abs(rep.fitted_a - params.a) < 1e-6 * params.a
         assert abs(rep.fitted_b - params.b) < 1e-6 * max(1.0, abs(params.b))
     for _ in range(3):
         sph, r = random_spherical(rng)
-        rep = classify_rectifying_or_spherical(sph)
+        rep = classify_rectifying_or_spherical(sample_curve(sph))
         assert rep.label == LABEL_SPHERICAL
         assert abs(rep.cross_magnitude_mean - r) < 1e-8 * r
 
@@ -151,7 +152,7 @@ def test_classify_mixed_subinterval_curve_is_ambiguous():
     glued = SpaceCurve.from_function(glued_eval, (-3.0, 5.0), jet=glued_jet)
     mags = cross_magnitude(glued, sample_grid(glued, 256))
     assert (mags.max() - mags.min()) / mags.mean() < 1e-12
-    rep = classify_rectifying_or_spherical(glued)
+    rep = classify_rectifying_or_spherical(sample_curve(glued))
     assert rep.label == LABEL_AMBIGUOUS
 
 
@@ -177,7 +178,7 @@ def test_constant_cross_magnitude_implies_dichotomy():
 def test_eq1_vector_form_with_fitted_sign():
     rng = np.random.default_rng(41)
     cur, params, _, _ = random_rectifying(rng, circular=False)
-    rep = classify_rectifying_or_spherical(cur)
+    rep = classify_rectifying_or_spherical(sample_curve(cur))
     s = sample_grid(cur, 128)
     frames = frenet_apparatus(cur, s)
     cm = np.cross(cur.evaluate(s), cur.derivative(s, 1))
@@ -190,21 +191,21 @@ def test_eq1_vector_form_with_fitted_sign():
 
 def test_torsion_ratio_generated():
     cur = generate_circular_geodesic(RectifyingParams(1.0, 2.0, 0.0), 0.8)
-    prof = torsion_ratio_profile(cur)
+    prof = torsion_ratio_profile(sample_curve(cur))
     assert abs(prof.slope - 1.0) < 1e-8
     assert abs(prof.intercept - 2.0) < 1e-8
     assert prof.residual < 1e-5
 
 
 def test_torsion_ratio_circle_is_zero():
-    prof = torsion_ratio_profile(circle_curve(2.0))
+    prof = torsion_ratio_profile(sample_curve(circle_curve(2.0)))
     assert abs(prof.slope) < 1e-12 and abs(prof.intercept) < 1e-12
     assert np.max(np.abs(prof.ratio)) < 1e-12
 
 
 def test_torsion_ratio_helix_constant():
     hx = helix_curve(1.0, 0.7)  # tau/kappa = P/R = 0.7
-    prof = torsion_ratio_profile(hx)
+    prof = torsion_ratio_profile(sample_curve(hx))
     assert abs(prof.slope) < 1e-10
     assert abs(prof.intercept - 0.7) < 1e-10
 
@@ -216,14 +217,14 @@ def test_torsion_ratio_helix_constant():
 def test_slant_axis_circular_geodesic():
     psi0 = np.pi / 4
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.0, 0.0), psi0)
-    fit = fit_slant_axis(cur)
+    fit = fit_slant_axis(sample_curve(cur))
     assert np.linalg.norm(fit.axis - [0.0, 0.0, 1.0]) < 1e-6
     assert abs(abs(fit.cos_angle_mean) - np.sin(psi0)) < 1e-5
     assert fit.residual < 1e-5
 
 
 def test_slant_axis_planar_circle():
-    fit = fit_slant_axis(circle_curve(1.0))
+    fit = fit_slant_axis(sample_curve(circle_curve(1.0)))
     assert np.allclose(fit.axis, [0.0, 0.0, 1.0], atol=1e-12)
     assert abs(fit.cos_angle_mean) < 1e-12
     assert fit.residual < 1e-12
@@ -231,7 +232,7 @@ def test_slant_axis_planar_circle():
 
 def test_slant_axis_generic_curve_fails_threshold():
     cur = twisted_cubic_unit_speed()
-    fit = fit_slant_axis(cur)
+    fit = fit_slant_axis(sample_curve(cur))
     assert fit.residual > 1e-2
     # brute-force oracle: no direction on a dense sphere grid achieves
     # near-zero variance of <n, U>
@@ -255,16 +256,16 @@ def test_slant_axis_sign_canonical():
     # mirroring the curve through the xy-plane flips n3 but not the axis
     psi0 = 0.9
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.5, 0.0), psi0)
-    fit = fit_slant_axis(cur)
+    fit = fit_slant_axis(sample_curve(cur))
     assert fit.axis[2] >= 0.0
     assert np.linalg.norm(fit.axis - [0, 0, 1]) < 1e-6
 
 
 def test_slant_axis_errors():
     with pytest.raises(InsufficientSamples):
-        fit_slant_axis(circle_curve(1.0), samples=8)
+        fit_slant_axis(sample_curve(circle_curve(1.0), 8))
     with pytest.raises(DegenerateFit):
-        fit_slant_axis(circle_curve(1.0, turns=0.0005), samples=32)
+        fit_slant_axis(sample_curve(circle_curve(1.0, turns=0.0005), 32))
 
 
 # ----------------------------------------------------------------------
@@ -272,17 +273,17 @@ def test_slant_axis_errors():
 
 
 def test_is_planar_circle():
-    assert is_planar(circle_curve(2.0))
+    assert is_planar(sample_curve(circle_curve(2.0)))
 
 
 def test_is_planar_rejects_generated_rectifying():
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.0, 0.0), 0.7)
-    assert not is_planar(cur)
+    assert not is_planar(sample_curve(cur))
 
 
 def test_is_planar_rejects_helix():
     hx = helix_curve(0.8660254037844386, 0.5)  # tau = 0.5
-    assert not is_planar(hx)
+    assert not is_planar(sample_curve(hx))
 
 
 # ----------------------------------------------------------------------
@@ -292,31 +293,31 @@ def test_is_planar_rejects_helix():
 def test_identity_residual_axis_and_generic_direction():
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.0, 0.0), np.pi / 4)
     for U in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]):
-        _, res = classification_identity_residual(cur, U)
+        _, res = classification_identity_residual(sample_curve(cur), U)
         assert np.max(np.abs(res)) < 1e-4
 
 
 def test_identity_residual_detects_corrupted_constant():
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.5, 0.2), np.pi / 4)
-    rep = classify_rectifying_or_spherical(cur)
+    rep = classify_rectifying_or_spherical(sample_curve(cur))
     bad = dataclasses.replace(rep, fitted_a=2.0 * rep.fitted_a)
     U = [1.0, 0.0, 0.0]
-    _, res_ok = classification_identity_residual(cur, U, report=rep)
-    _, res_bad = classification_identity_residual(cur, U, report=bad)
+    _, res_ok = classification_identity_residual(sample_curve(cur), U, report=rep)
+    _, res_bad = classification_identity_residual(sample_curve(cur), U, report=bad)
     assert np.max(np.abs(res_ok)) < 1e-4
     assert np.max(np.abs(res_bad)) > 1.0
 
 
 def test_identity_residual_requires_rectifying():
     with pytest.raises(NotRectifying):
-        classification_identity_residual(circle_curve(2.0), [0.0, 0.0, 1.0])
+        classification_identity_residual(sample_curve(circle_curve(2.0)), [0.0, 0.0, 1.0])
 
 
 def test_identity_equivalence_for_fitted_axis():
     # d/ds <y,U> vanishes iff d/ds <n,U> vanishes, at the fitted axis
     psi0 = 0.65
     cur = generate_circular_geodesic(RectifyingParams(1.5, -0.4, 0.3), psi0)
-    fit = fit_slant_axis(cur)
+    fit = fit_slant_axis(sample_curve(cur))
     s = sample_grid(cur, 256)
     dx = float(s[1] - s[0])
     pts = cur.evaluate(s)

@@ -6,17 +6,20 @@ import pytest
 from conegeo import (
     CircularCone,
     RectifyingParams,
+    SpaceCurve,
     generate_circular_geodesic,
     latitude_circle,
     line_curve,
     perturbed_circle_base,
+    read_curve_csv,
+    sample_grid,
     write_base_csv,
     write_curve_csv,
 )
 from conegeo import cli
 from conegeo.cli import main
 from conegeo.errors import InvalidConfig
-from helpers import legacy_build_config
+from helpers import count_curve_jet_passes, legacy_build_config
 
 
 def run_cli(*args):
@@ -354,6 +357,65 @@ def _assert_invalid_config(capsys, *paths):
     for path in paths:
         assert not path.exists()
     return err
+
+
+@pytest.mark.parametrize("key,value", [("t0", True), ("u0", "1.0")])
+def test_integrate_mistyped_ivp_exits_1(tmp_path, quarter_cone_json, capsys, key, value):
+    data = {"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0, key: value}
+    ivp = tmp_path / "ivp.json"
+    ivp.write_text(json.dumps(data))
+    out = tmp_path / "ig.csv"
+    assert run_cli("integrate", "--cone", quarter_cone_json, "--ivp", ivp,
+                   "--out", out) == 1
+    err = _assert_invalid_config(capsys, out)
+    assert err.startswith(f"error: InvalidConfig: --ivp: bad initial data: {key} must "
+                          f"be a number, got {value!r}")
+
+
+@pytest.mark.parametrize("length,code", [(0.003, 2), (0.0055, 2), (0.0065, 0)])
+def test_integrate_fewer_than_six_steps_exits_2(tmp_path, quarter_cone_json, capsys,
+                                                length, code):
+    ivp = tmp_path / "ivp.json"
+    ivp.write_text(json.dumps({"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7,
+                               "length": length}))
+    out = tmp_path / "ig.csv"
+    assert run_cli("integrate", "--cone", quarter_cone_json, "--ivp", ivp,
+                   "--step", 1e-3, "--out", out) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: InsufficientSamples: a sampled chart needs at "
+                              "least 6 steps (7 nodes), got ")
+        assert "steps of 0.001 over length" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+    else:
+        assert err == "" and len(out.read_text().splitlines()) == 1 + 7
+
+
+@pytest.mark.parametrize("samples,code", [(8, 2), (15, 2), (16, 0)])
+def test_classify_slant_floor_reads_requested_samples(tmp_path, capsys, samples, code):
+    curve = tmp_path / "c.csv"
+    assert run_cli("generate", "--a", 1.2, "--b", 0.3, "--c", 0.1, "--psi0", 0.8,
+                   "--out", curve) == 0
+    nodes = read_curve_csv(curve)
+    assert nodes[0].size == 1024
+    # the floor reads --samples, not the grid, which a 1024-row file rounds up
+    assert sample_grid(SpaceCurve.from_samples(*nodes), 15).size >= 16
+    rep = tmp_path / "rep.json"
+    assert run_cli("classify", "--in", curve, f"--samples={samples}", "--report", rep) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: InsufficientSamples: axis fitting needs at least 16")
+    else:
+        assert json.loads(rep.read_text())["label"] == "rectifying"
+
+
+def test_classify_evaluates_the_curve_once(tmp_path, monkeypatch):
+    curve = tmp_path / "c.csv"
+    assert run_cli("generate", "--a", 1.2, "--b", 0.3, "--c", 0.1, "--psi0", 0.8,
+                   "--out", curve) == 0
+    passes = count_curve_jet_passes(monkeypatch)
+    assert run_cli("classify", "--in", curve, "--report", tmp_path / "rep.json") == 0
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -162,21 +162,22 @@ def test_chart_curve_matches_sequential_oracle(wavy_cone):
 
 
 @pytest.mark.parametrize("vertex_first", [True, False])
-def test_chart_curve_first_offending_sample_raises(wavy_cone, vertex_first):
-    base = wavy_cone.base
-    s = np.linspace(0.0, 3.0, 40)
-    pts = 2.0 * base.evaluate(s)
-    i_vertex, i_off = (10, 25) if vertex_first else (25, 10)
-    pts[i_vertex] *= 1e-6
-    pts[i_off] *= np.array([1.0, 1.0, 1.01])
-    curve = SpaceCurve.from_samples(s, pts)
-    with pytest.raises((VertexPoint, NotOnCone)) as ref:
-        sequential_chart_curve(wavy_cone, curve, s)
-    with pytest.raises((VertexPoint, NotOnCone)) as got:
-        chart_curve(wavy_cone, curve, s=s)
-    assert type(got.value) is type(ref.value)
-    assert type(got.value) is (VertexPoint if vertex_first else NotOnCone)
-    assert str(got.value) == str(ref.value)
+def test_chart_curve_first_offending_sample_raises(wavy_cone, quarter_cone, vertex_first):
+    # circular cones chart in closed form but share the first-offender rule
+    for cone in (wavy_cone, quarter_cone):
+        s = np.linspace(0.0, 3.0, 40)
+        pts = 2.0 * cone.base.evaluate(s)
+        i_vertex, i_off = (10, 25) if vertex_first else (25, 10)
+        pts[i_vertex] *= 1e-6
+        pts[i_off] *= np.array([1.0, 1.0, 1.01])
+        curve = SpaceCurve.from_samples(s, pts)
+        with pytest.raises((VertexPoint, NotOnCone)) as ref:
+            sequential_chart_curve(cone, curve, s)
+        with pytest.raises((VertexPoint, NotOnCone)) as got:
+            chart_curve(cone, curve, s=s)
+        assert type(got.value) is type(ref.value)
+        assert type(got.value) is (VertexPoint if vertex_first else NotOnCone)
+        assert str(got.value) == str(ref.value)
 
 
 def test_chart_t_scalar_and_batch(wavy_cone):

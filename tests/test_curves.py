@@ -15,6 +15,7 @@ from conegeo import (
     line_curve,
     read_curve_csv,
     reparametrize_arclength,
+    sample_curve,
     sample_grid,
     spherical_curve,
     perturbed_circle_base,
@@ -317,6 +318,40 @@ def test_frenet_refuses_straight_line():
     line = line_curve([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], 2.0)
     with pytest.raises(VanishingCurvature):
         frenet_apparatus(line, np.linspace(0.1, 1.9, 9))
+
+
+# ----------------------------------------------------------------------
+# sample_curve
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+def test_sample_curve_is_one_pass_of_the_per_order_data(mode):
+    cur = generate_circular_geodesic(RectifyingParams(1.1, 0.2, 0.3), 0.8)
+    if mode == "sampled":
+        s_nodes = np.linspace(*cur.domain, 1024)
+        cur = SpaceCurve.from_samples(s_nodes, cur.evaluate(s_nodes))
+    cs = sample_curve(cur, 100)
+    s = sample_grid(cur, 100)
+    assert cs.curve is cur and cs.samples == 100 and np.array_equal(cs.s, s)
+    assert cs.jet.shape == (4, s.size, 3)
+    for k, d in enumerate(cur.derivatives(s, (0, 1, 2, 3))):
+        assert np.array_equal(cs.jet[k], d)
+    fr = frenet_apparatus(cur, s)
+    for name in ("tangent", "normal", "binormal", "kappa", "tau"):
+        assert np.array_equal(getattr(cs.frames, name), getattr(fr, name))
+    assert cs.frames is cs.frames
+    assert not cs.jet.flags.writeable and not cs.s.flags.writeable
+
+
+def test_sample_curve_of_a_ruling_builds_frames_on_read():
+    line = line_curve([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], 2.0)
+    cs = sample_curve(line, 32)
+    assert np.max(np.linalg.norm(cs.jet[2], axis=-1)) == 0.0
+    with pytest.raises(VanishingCurvature):
+        cs.frames
+    cs_low = sample_curve(circle_curve(2.0), 32, kappa_floor=1.0)
+    with pytest.raises(VanishingCurvature):
+        cs_low.frames
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from conegeo import (
     perturbed_circle_base,
     rectifying_chart,
     ruling,
+    sample_curve,
     sample_grid,
     verify_geodesic,
 )
@@ -36,7 +37,7 @@ from conegeo.errors import (
     StepTooLarge,
     VertexApproach,
 )
-from helpers import count_vector_hermite_calls, reference_integrate
+from helpers import count_curve_jet_passes, count_vector_hermite_calls, reference_integrate
 
 
 # ----------------------------------------------------------------------
@@ -88,10 +89,10 @@ def test_circular_geodesic_start_point():
 def test_circular_geodesic_is_slant_and_rectifying():
     psi0 = 0.6
     cur = generate_circular_geodesic(RectifyingParams(1.7, -0.8, 0.2), psi0)
-    fit = fit_slant_axis(cur)
+    fit = fit_slant_axis(sample_curve(cur))
     assert abs(abs(fit.cos_angle_mean) - np.sin(psi0)) < 1e-5
     assert fit.residual < 1e-5
-    rep = classify_rectifying_or_spherical(cur)
+    rep = classify_rectifying_or_spherical(sample_curve(cur))
     assert rep.label == LABEL_RECTIFYING
     assert abs(rep.fitted_a - 1.7) < 1e-6
     assert abs(rep.fitted_b + 0.8) < 1e-6
@@ -263,7 +264,7 @@ def test_integrate_errors_match_textbook_rk4():
 def test_verify_generated_geodesic():
     cone = CircularCone(0.75)
     cur = generate_rectifying(RectifyingParams(1.2, 0.5, -0.3), cone.base)
-    rep = verify_geodesic(cone, cur)
+    rep = verify_geodesic(cone, sample_curve(cur))
     assert rep.verdict == "geodesic"
     assert rep.normal_alignment_min > 1.0 - 1e-6
     assert rep.max_abs_kg < 1e-4
@@ -274,7 +275,7 @@ def test_verify_generated_geodesic():
 def test_verify_latitude_circle_not_geodesic():
     cone = CircularCone(0.75)
     u0 = 2.0
-    rep = verify_geodesic(cone, latitude_circle(cone, u0))
+    rep = verify_geodesic(cone, sample_curve(latitude_circle(cone, u0)))
     assert rep.verdict == "not-geodesic"
     assert abs(rep.max_abs_kg - 1.0 / u0) < 1e-5 / u0
     # the curvature-based and development-based oracles agree
@@ -283,7 +284,7 @@ def test_verify_latitude_circle_not_geodesic():
 
 def test_verify_ruling():
     cone = CircularCone(0.75)
-    rep = verify_geodesic(cone, ruling(cone, 0.3, (0.5, 3.0)))
+    rep = verify_geodesic(cone, sample_curve(ruling(cone, 0.3, (0.5, 3.0))))
     assert rep.verdict == "ruling"
     assert rep.normal_alignment_min is None
     assert rep.max_abs_kg < 1e-9
@@ -294,14 +295,14 @@ def test_verify_rejects_off_cone_curve():
     cone = CircularCone(np.pi / 6)
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.0, 0.0), np.pi / 3)
     with pytest.raises(NotOnCone):
-        verify_geodesic(cone, cur)
+        verify_geodesic(cone, sample_curve(cur))
 
 
 def test_verify_on_general_cone():
     base = perturbed_circle_base(0.9, seed=77, amplitude=0.03)
     cone = Cone(base)
     cur = generate_rectifying(RectifyingParams(0.9, 0.2, 1.0), base)
-    rep = verify_geodesic(cone, cur)
+    rep = verify_geodesic(cone, sample_curve(cur))
     assert rep.verdict == "geodesic"
 
 
@@ -314,7 +315,7 @@ def test_verify_fd_curve_takes_one_stencil_pass(monkeypatch):
     nodes = np.linspace(*closed_form.domain, 2049)
     sampled = SpaceCurve.from_samples(nodes, closed_form.evaluate(nodes))
     calls = count_vector_hermite_calls(monkeypatch)
-    rep = verify_geodesic(cone, sampled)
+    rep = verify_geodesic(cone, sample_curve(sampled))
     assert len(calls) <= 7
     assert rep.verdict == "geodesic"
     kg = geodesic_curvature(cone, sampled, sample_grid(sampled, 256))
@@ -328,11 +329,11 @@ def test_verify_winding_geodesic_on_narrow_cone():
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.0, 0.0), psi0)
     windings = 2 * np.arctan(5.0) / (2 * np.pi * np.sin(psi0))
     assert windings > 4
-    rep = verify_geodesic(CircularCone(psi0), cur)
+    rep = verify_geodesic(CircularCone(psi0), sample_curve(cur))
     assert rep.verdict == "geodesic"
     base = perturbed_circle_base(0.3, seed=21, amplitude=0.01)
     cur2 = generate_rectifying(RectifyingParams(1.0, 0.0, 0.0), base)
-    rep2 = verify_geodesic(Cone(base), cur2)
+    rep2 = verify_geodesic(Cone(base), sample_curve(cur2))
     assert rep2.verdict == "geodesic"
 
 
@@ -346,6 +347,21 @@ def test_crosscheck_reference_params():
     assert rep.rectifying_ok and rep.slant_ok and rep.geodesic_ok and rep.identity_ok
     assert rep.eq_identity_residual_e3 < 1e-4
     assert rep.eq_identity_residual_random_u < 1e-4
+
+
+def test_crosscheck_evaluates_the_curve_once(monkeypatch):
+    made = []
+    plain = geodesics_module.generate_circular_geodesic
+
+    def generate(*args):
+        made.append(plain(*args))
+        return made[-1]
+
+    monkeypatch.setattr(geodesics_module, "generate_circular_geodesic", generate)
+    passes = count_curve_jet_passes(monkeypatch)
+    assert cross_check_circular_cone(1.3, 0.2, 0.1, 0.8).consistent
+    # the closed-form jet chains one jet of the base circle per pass
+    assert sum(c is made[0] for c in passes) == 1 and len(passes) == 2
 
 
 def test_crosscheck_randomized_params():
