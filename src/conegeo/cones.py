@@ -150,24 +150,31 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
     A = rng.normal(size=(modes, 3)) * amplitude / ks[:, None] ** 2
     B = rng.normal(size=(modes, 3)) * amplitude / ks[:, None] ** 2
 
+    def raw_point(t, cos, sin):
+        g0 = np.stack([sp * np.cos(t), sp * np.sin(t), np.full_like(t, cp)], axis=-1)
+        return g0 + cos @ A + sin @ B
+
     def raw_jet(t):
         t = np.atleast_1d(t)
         cos = np.cos(np.outer(t, ks))
         sin = np.sin(np.outer(t, ks))
         zero = np.zeros_like(t)
-        g0 = np.stack([sp * np.cos(t), sp * np.sin(t), np.full_like(t, cp)], axis=-1)
+        g0 = raw_point(t, cos, sin)
         g1 = np.stack([-sp * np.sin(t), sp * np.cos(t), zero], axis=-1)
         g2 = -np.stack([sp * np.cos(t), sp * np.sin(t), zero], axis=-1)
         g3 = np.stack([sp * np.sin(t), -sp * np.cos(t), zero], axis=-1)
-        g0 = g0 + cos @ A + sin @ B
         g1 = g1 + (-sin * ks) @ A + (cos * ks) @ B
         g2 = g2 + (-cos * ks**2) @ A + (-sin * ks**2) @ B
         g3 = g3 + (sin * ks**3) @ A + (-cos * ks**3) @ B
         return jt.jet_normalize(np.stack([g0, g1, g2, g3]))
 
-    curve = SpaceCurve.from_function(
-        lambda t: raw_jet(t)[0], (0.0, 2 * np.pi), jet=raw_jet
-    )
+    def point(t):
+        # raw_jet(t)[0] without the derivative slots, bit for bit
+        t = np.atleast_1d(t)
+        g0 = raw_point(t, np.cos(np.outer(t, ks)), np.sin(np.outer(t, ks)))
+        return (1.0 / np.sqrt(np.sum(g0 * g0, axis=-1)))[..., None] * g0
+
+    curve = SpaceCurve.from_function(point, (0.0, 2 * np.pi), jet=raw_jet)
     unit = reparametrize_arclength(curve)
     return SphericalBaseCurve(unit, periodic=True)
 
@@ -340,7 +347,13 @@ def chart_curve(cone, curve, s=None, samples=256, points=None):
     if s is None:
         s = sample_grid(curve, samples)
     s = np.asarray(s, dtype=float)
-    pts = np.atleast_2d(curve.evaluate(s) if points is None else points)
+    pts = curve.evaluate(s) if points is None else points
+    t, u = _chart_points(cone, np.atleast_2d(pts))
+    return ChartCurve.from_samples(s, t, u)
+
+
+def _chart_points(cone, pts):
+    """(t, u) of the (n, 3) points pts, in the order and with the checks of chart_curve."""
     u = np.linalg.norm(pts, axis=-1)
     vertex = np.flatnonzero(u < cone.u_min)
     n = vertex[0] if vertex.size else u.size
@@ -353,7 +366,7 @@ def chart_curve(cone, curve, s=None, samples=256, points=None):
     _check_on_cone(cone, pts[:n], u[:n], t)
     if vertex.size:
         raise _vertex_error(cone, u[n])
-    return ChartCurve.from_samples(s, t, u)
+    return t, u
 
 
 class ChartCurve:
@@ -437,8 +450,7 @@ def curve_from_chart(base: SphericalBaseCurve, chart: ChartCurve) -> SpaceCurve:
 
 def geodesic_curvature(cone, curve, s):
     """Signed geodesic curvature <alpha'', N x alpha'> along a unit-speed curve."""
-    chart = chart_curve(cone, curve, s=np.atleast_1d(np.asarray(s, dtype=float)))
-    t = chart.samples[1]
+    t, _ = _chart_points(cone, np.atleast_2d(curve.evaluate(s)))
     N = surface_normal(cone, t)
     d1, d2 = (np.atleast_2d(d) for d in curve.derivatives(s, (1, 2)))
     kg = np.sum(d2 * np.cross(N, d1), axis=-1)

@@ -361,38 +361,50 @@ def cross_magnitude(curve, s):
     return np.linalg.norm(np.cross(p, d1), axis=-1)
 
 
-def _adaptive_simpson_segments(f, nodes, tol):
+def _adaptive_simpson_segments(f, nodes, values, tol):
     """Per-interval integrals of f over consecutive nodes, adaptive Simpson.
 
-    Each interval is refined by panel doubling until the Simpson update is
-    below its share of tol, then Richardson-extrapolated.  An interval whose
-    update is not finite stops at once: refining cannot mend it.
+    values is f(nodes).  Each interval is refined by panel doubling until
+    the Simpson update is below its share of tol, then Richardson-
+    extrapolated.  Every level keeps its samples, so a doubling evaluates f
+    only at its new odd points; the first level evaluates the midpoints and
+    any end where a + (b - a) * frac misses the node bitwise.  An interval
+    whose update is not finite stops at once: refining cannot mend it.
     """
     a = nodes[:-1]
     b = nodes[1:]
     width = b - a
     tol_i = tol * width / (nodes[-1] - nodes[0])
 
-    def composite(aa, bb, panels):
-        x = aa[:, None] + (bb - aa)[:, None] * np.linspace(0.0, 1.0, 2 * panels + 1)
-        y = f(x.ravel()).reshape(x.shape)
-        h = (bb - aa) / (2 * panels)
+    def simpson(y, w):
+        h = w / (y.shape[1] - 1)
         odd = y[:, 1::2].sum(axis=1)
         even = y[:, 2:-1:2].sum(axis=1)
         return h / 3.0 * (y[:, 0] + y[:, -1] + 4 * odd + 2 * even)
 
-    prev = composite(a, b, 1)
+    x = a[:, None] + width[:, None] * np.linspace(0.0, 1.0, 3)
+    y = np.stack([values[:-1], values[:-1], values[1:]], axis=1)
+    fresh = x.view(np.int64) != np.stack([a, a, b], axis=1).view(np.int64)
+    fresh[:, 1] = True
+    y[fresh] = f(x[fresh])
+    prev = simpson(y, width)
     out = np.empty_like(prev)
     active = np.ones(a.size, dtype=bool)
     panels = 2
     for _ in range(14):
-        cur = composite(a[active], b[active], panels)
-        err = np.abs(cur - prev[active])
-        done = ~(err > 15.0 * np.maximum(tol_i[active], 1e-300))
         idx = np.flatnonzero(active)
-        out[idx[done]] = cur[done] + (cur[done] - prev[active][done]) / 15.0
+        frac = np.linspace(0.0, 1.0, 2 * panels + 1)[1::2]
+        x = a[idx, None] + width[idx, None] * frac
+        fine = np.empty((idx.size, 2 * panels + 1))
+        fine[:, ::2] = y
+        fine[:, 1::2] = f(x.ravel()).reshape(x.shape)
+        cur = simpson(fine, width[idx])
+        err = np.abs(cur - prev[idx])
+        done = ~(err > 15.0 * np.maximum(tol_i[idx], 1e-300))
+        out[idx[done]] = cur[done] + (cur[done] - prev[idx][done]) / 15.0
         prev[idx] = cur
         active[idx[done]] = False
+        y = fine[~done]
         if not active.any():
             break
         panels *= 2
@@ -401,13 +413,17 @@ def _adaptive_simpson_segments(f, nodes, tol):
     return out
 
 
-def reparametrize_arclength(curve, tol=1e-10, table_size=4097):
+def reparametrize_arclength(curve, tol=1e-10):
     """Arc-length reparametrization of a regular curve.
 
-    The cumulative length comes from adaptive Simpson quadrature of the
-    speed; the inverse map is a monotone Hermite table.  Analytic input
-    jets are chain-ruled so the result keeps analytic derivative quality.
-    Already unit-speed curves are returned unchanged.
+    The speed is scanned on 2049 points; an already unit-speed curve is
+    returned unchanged.  Otherwise the scan becomes the even nodes of a
+    4097-node speed table, whose odd nodes are evaluated once.  Adaptive
+    Simpson quadrature of the speed, seeded with that table, gives the
+    cumulative length, and the inverse map is a monotone Hermite table with
+    slopes 1/speed.  Analytic input jets are chain-ruled so the result keeps
+    analytic derivative quality.  A sampled curve's stencil step is scaled
+    to the arc length, capped at 1/100 of the new domain.
     """
     s0, s1 = curve.domain
 
@@ -430,13 +446,17 @@ def reparametrize_arclength(curve, tol=1e-10, table_size=4097):
     if float(np.max(np.abs(v - 1.0))) < unit_tol:
         return curve
 
-    tau_nodes = np.linspace(s0 + m, s1 - m, table_size)
-    seg = _adaptive_simpson_segments(speed, tau_nodes, tol)
+    # the scan is bitwise the even nodes of the 4097-node grid
+    tau_nodes = np.linspace(s0 + m, s1 - m, 4097)
+    table = np.empty(tau_nodes.size)
+    table[::2] = v
+    table[1::2] = speed(tau_nodes[1::2])
+    seg = _adaptive_simpson_segments(speed, tau_nodes, table, tol)
     # anchor arc length at the original start parameter so affine fits in s
     # remain comparable before and after reparametrization
     s_table = s0 + np.concatenate([[0.0], np.cumsum(seg)])
     total = float(s_table[-1] - s_table[0])
-    slopes = 1.0 / speed(tau_nodes)
+    slopes = 1.0 / table
 
     def inverse(q):
         return jt.hermite(s_table, tau_nodes, slopes, np.clip(q, s_table[0], s_table[-1]))
@@ -452,7 +472,10 @@ def reparametrize_arclength(curve, tol=1e-10, table_size=4097):
             return jt.jet_reparametrize(base_jet(inverse(q)))
 
     if curve.kind == "sampled":
-        h_new = curve.settings.h * total / (s1 - s0)
+        # SpaceCurve refuses a step above 1/100 of its domain, as a curve of
+        # under 101 rows can reach once its step is rescaled
+        cap = ((s0 + total) - s0) / 100.0
+        h_new = min(curve.settings.h * total / (s1 - s0), cap)
         settings = DerivativeSettings(h=h_new, scheme=curve.settings.scheme)
     else:
         settings = None

@@ -17,10 +17,12 @@ from conegeo import (
 from conegeo import jets
 from conegeo.cli import RunConfig, _Parser
 from conegeo.cones import ON_CONE_RTOL
+from conegeo.curves import DerivativeSettings
 from conegeo.errors import (
     BaseDomainExceeded,
     InvalidConfig,
     NotOnCone,
+    SingularSpeed,
     StepTooLarge,
     VertexApproach,
     VertexPoint,
@@ -61,6 +63,31 @@ def count_curve_jet_passes(monkeypatch):
 
     monkeypatch.setattr(SpaceCurve, "derivatives", counted)
     return calls
+
+
+def count_speed_points(monkeypatch):
+    """Record the number of parameters of every SpaceCurve.derivatives(s, (1,)) call.
+
+    reparametrize_arclength and SphericalBaseCurve read the speed through
+    such calls; their sum is the number of speed samples evaluated.
+    """
+    sizes = []
+    plain = SpaceCurve.derivatives
+
+    def counted(self, s, orders):
+        if tuple(orders) == (1,):
+            sizes.append(np.size(s))
+        return plain(self, s, orders)
+
+    monkeypatch.setattr(SpaceCurve, "derivatives", counted)
+    return sizes
+
+
+def assert_bitwise(actual, expected):
+    """Same shape and the same bits, NaN payloads included."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 def trig_jet_curve(coeff_a, coeff_b, domain):
@@ -320,3 +347,95 @@ def reference_integrate(cone, ivp, h=1e-3, drift_tol=None):
     if has_tail and n_full >= 1:
         out = [x[:-1] for x in out]
     return tuple(out)
+
+
+def reference_adaptive_simpson_segments(f, nodes, tol):
+    """Adaptive Simpson as it was before the nested levels: every level re-evaluates f.
+
+    Kept as the reference `_adaptive_simpson_segments` must match bitwise.
+    """
+    a = nodes[:-1]
+    b = nodes[1:]
+    width = b - a
+    tol_i = tol * width / (nodes[-1] - nodes[0])
+
+    def composite(aa, bb, panels):
+        x = aa[:, None] + (bb - aa)[:, None] * np.linspace(0.0, 1.0, 2 * panels + 1)
+        y = f(x.ravel()).reshape(x.shape)
+        h = (bb - aa) / (2 * panels)
+        odd = y[:, 1::2].sum(axis=1)
+        even = y[:, 2:-1:2].sum(axis=1)
+        return h / 3.0 * (y[:, 0] + y[:, -1] + 4 * odd + 2 * even)
+
+    prev = composite(a, b, 1)
+    out = np.empty_like(prev)
+    active = np.ones(a.size, dtype=bool)
+    panels = 2
+    for _ in range(14):
+        cur = composite(a[active], b[active], panels)
+        err = np.abs(cur - prev[active])
+        done = ~(err > 15.0 * np.maximum(tol_i[active], 1e-300))
+        idx = np.flatnonzero(active)
+        out[idx[done]] = cur[done] + (cur[done] - prev[active][done]) / 15.0
+        prev[idx] = cur
+        active[idx[done]] = False
+        if not active.any():
+            break
+        panels *= 2
+    else:
+        out[active] = prev[active]
+    return out
+
+
+def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
+    """reparametrize_arclength before the shared speed table and the step cap.
+
+    The speed is evaluated on the scan, again on every Simpson level and
+    again for the table slopes, and a sampled curve's rescaled step is not
+    capped, so curves of under 101 rows can raise ValueError.  Kept as the
+    reference the current version must match bitwise wherever this one returns.
+    """
+    s0, s1 = curve.domain
+
+    def speed(q):
+        return np.linalg.norm(curve.derivative(q, 1), axis=-1)
+
+    m = curve.fd_margin(1)
+    scan = np.linspace(s0 + m, s1 - m, 2049)
+    v = speed(scan)
+    if not np.all(np.isfinite(v)):
+        raise SingularSpeed("speed is not finite on the parameter domain")
+    vmax = float(np.max(v))
+    if float(np.min(v)) < 1e-12 * max(1.0, vmax):
+        raise SingularSpeed(
+            f"speed {float(np.min(v)):.3g} below regularity threshold"
+        )
+    unit_tol = 1e-12 if curve.derivative_mode == "analytic" else 1e-5
+    if float(np.max(np.abs(v - 1.0))) < unit_tol:
+        return curve
+
+    tau_nodes = np.linspace(s0 + m, s1 - m, table_size)
+    seg = reference_adaptive_simpson_segments(speed, tau_nodes, tol)
+    s_table = s0 + np.concatenate([[0.0], np.cumsum(seg)])
+    total = float(s_table[-1] - s_table[0])
+    slopes = 1.0 / speed(tau_nodes)
+
+    def inverse(q):
+        return jets.hermite(s_table, tau_nodes, slopes, np.clip(q, s_table[0], s_table[-1]))
+
+    def evaluator(q):
+        return curve.evaluate(inverse(q))
+
+    jet = None
+    if curve.derivative_mode == "analytic":
+        base_jet = curve.jet
+
+        def jet(q):
+            return jets.jet_reparametrize(base_jet(inverse(q)))
+
+    if curve.kind == "sampled":
+        h_new = curve.settings.h * total / (s1 - s0)
+        settings = DerivativeSettings(h=h_new, scheme=curve.settings.scheme)
+    else:
+        settings = None
+    return SpaceCurve(evaluator, (s0, s0 + total), jet=jet, settings=settings)

@@ -209,6 +209,27 @@ def test_classify_line_exits_2(tmp_path):
     assert json.loads(rep.read_text())["error"] == "VanishingCurvature"
 
 
+def test_curves_under_101_rows_keep_their_step_under_the_cap(tmp_path, capsys):
+    # a sampled curve's step is length/100; rescaled to the arc length it
+    # must stay at most 1/100 of the new domain, which 96 and 97 rows missed
+    cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
+    csv = tmp_path / "curve.csv"
+    rep = tmp_path / "rep.json"
+    for rows in range(90, 101):
+        s = np.linspace(*cur.domain, rows)
+        write_curve_csv(csv, s, cur.evaluate(s))
+        codes = [run_cli("classify", "--in", csv, "--report", rep)]
+        labels = [json.loads(rep.read_text()).get("label")]
+        codes.append(run_cli("verify", "--cone", cone, "--in", csv, "--report", rep))
+        labels.append(json.loads(rep.read_text()).get("error"))
+        assert "step h" not in capsys.readouterr().err
+        if rows == 96:
+            # verify's NotOnCone is the off-node sampling of the resampled curve
+            assert codes == [0, 2] and labels == ["rectifying", "NotOnCone"]
+
+
 def test_missing_required_flag_exits_1(tmp_path):
     assert run_cli("generate", "--a", 1.0, "--out", tmp_path / "x.csv") == 1
     assert not (tmp_path / "x.csv").exists()

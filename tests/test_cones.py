@@ -273,6 +273,18 @@ def test_ruling_curvature_zero(quarter_cone):
     assert np.max(np.abs(geodesic_curvature(quarter_cone, r, s))) < 1e-12
 
 
+def test_geodesic_curvature_of_a_scalar_and_of_few_points(quarter_cone, wavy_cone):
+    # the points are charted without a sampled chart, which needs 7 nodes
+    for cone in (quarter_cone, wavy_cone):
+        lat = latitude_circle(cone, 2.0)
+        s = 0.3 + 0.15 * np.arange(9)
+        kg = geodesic_curvature(cone, lat, s)
+        scalar = geodesic_curvature(cone, lat, 0.3)
+        assert isinstance(scalar, float)
+        assert abs(scalar - kg[0]) <= 1e-12
+        assert np.max(np.abs(geodesic_curvature(cone, lat, s[:5]) - kg[:5])) <= 1e-12
+
+
 def test_generated_geodesic_curvature_vanishes(wavy_cone):
     cur = generate_rectifying(RectifyingParams(1.5, -0.5, 0.2), wavy_cone.base)
     s = np.linspace(*cur.domain, 48)

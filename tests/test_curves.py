@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conegeo import (
     DerivativeSettings,
@@ -29,7 +31,15 @@ from conegeo.errors import (
     SingularSpeed,
     VanishingCurvature,
 )
-from helpers import random_unit_speed_curve
+from conegeo import cones as cones_module
+from helpers import (
+    assert_bitwise,
+    count_speed_points,
+    random_trig_curve,
+    random_unit_speed_curve,
+    reference_adaptive_simpson_segments,
+    reference_reparametrize_arclength,
+)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +246,8 @@ def test_simpson_stops_on_nonfinite_integrand():
         calls.append(x.size)
         return np.full_like(x, np.nan)
 
-    out = _adaptive_simpson_segments(f, np.array([0.0, 0.5, 1.0]), 1e-10)
+    nodes = np.array([0.0, 0.5, 1.0])
+    out = _adaptive_simpson_segments(f, nodes, np.full(3, np.nan), 1e-10)
     assert np.all(np.isnan(out))
     assert len(calls) == 2
 
@@ -247,6 +258,128 @@ def test_reparametrize_rejects_nonfinite_speed():
         (0.0, 1.0))
     with pytest.raises(SingularSpeed):
         reparametrize_arclength(nan_curve)
+
+
+# ----------------------------------------------------------------------
+# nested Simpson levels and the shared speed table, bitwise against the
+# reference that evaluates every level and the table slopes afresh
+
+_DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=12)
+
+_INTEGRANDS = {
+    # the kink at 0.3 keeps its interval refining past the first doubling
+    "kink": lambda x: 1.0 + np.abs(x - 0.3),
+    "nan": lambda x: np.where(x > 0.55, np.nan, np.cos(x)),
+    "sign": lambda x: np.copysign(2.0, x) + np.sqrt(np.abs(x)),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(nodes=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=2,
+                      max_size=6, unique=True).map(sorted),
+       kind=st.sampled_from(sorted(_INTEGRANDS)))
+@example(nodes=[1.0, 2.0**53 + 2], kind="sign")  # a + (b - a) is 2**53, not b
+@example(nodes=[-0.0, 0.3, 1.0], kind="sign")  # a + 0 * (b - a) is +0.0, not a
+@example(nodes=[0.0, 0.25, 0.5, 1.0], kind="kink")
+@example(nodes=[0.0, 0.5, 1.0], kind="nan")
+def test_simpson_matches_reference(nodes, kind):
+    f = _INTEGRANDS[kind]
+    nodes = np.array(nodes)
+    with np.errstate(invalid="ignore"):
+        out = _adaptive_simpson_segments(f, nodes, f(nodes), 1e-10)
+        ref = reference_adaptive_simpson_segments(f, nodes, 1e-10)
+    assert_bitwise(out, ref)
+
+
+def test_simpson_evaluates_only_new_points():
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return 1.0 + np.abs(x - 0.3)
+
+    nodes = np.array([0.0, 0.25, 0.5, 1.0, 2.0**53 + 2])
+    _adaptive_simpson_segments(f, nodes, f(nodes), 1e-10)
+    seen = np.concatenate(calls)
+    assert np.unique(seen).size == seen.size
+    assert len(calls) > 3  # the kink's interval refined past the first doubling
+    assert 2.0**53 in calls[1]  # 1e0 + (2**53 + 2 - 1e0) rounds off the last node
+
+
+def _assert_same_reparametrization(curve):
+    """reparametrize_arclength is the reference bit for bit wherever the reference returns."""
+    unit = reparametrize_arclength(curve)
+    try:
+        ref = reference_reparametrize_arclength(curve)
+    except ValueError:  # the reference's uncapped step of a curve under 101 rows
+        assert curve.kind == "sampled" and unit.settings.h == unit.length / 100.0
+        return
+    assert (unit is curve) == (ref is curve)
+    assert unit.domain == ref.domain and unit.settings == ref.settings
+    q = np.linspace(*unit.domain, 301)
+    assert_bitwise(unit.evaluate(q), ref.evaluate(q))
+    g = sample_grid(unit, 129)
+    assert_bitwise(unit.derivatives(g, (1, 2, 3)), ref.derivatives(g, (1, 2, 3)))
+
+
+@_DERANDOMIZED
+@given(rows=st.integers(20, 400), seed=st.integers(0, 2**31 - 1),
+       geodesic=st.booleans())
+@example(rows=64, seed=0, geodesic=True)
+@example(rows=96, seed=0, geodesic=True)
+def test_reparametrize_sampled_curve_matches_reference(rows, seed, geodesic):
+    if geodesic:
+        closed_form = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
+    else:
+        closed_form = random_trig_curve(np.random.default_rng(seed))
+    s = np.linspace(*closed_form.domain, rows)
+    _assert_same_reparametrization(SpaceCurve.from_samples(s, closed_form.evaluate(s)))
+
+
+def test_reparametrize_kinked_speed_matches_reference(monkeypatch):
+    # x' = 1 + |t - 0.3| has a kink, so Simpson refines past its first doubling
+    c = 0.3
+
+    def fn(t):
+        x = t + 0.5 * np.sign(t - c) * (t - c) ** 2
+        return np.stack([x, np.zeros_like(t), np.zeros_like(t)], axis=-1)
+
+    curve = SpaceCurve.from_function(fn, (0.0, 1.0))
+    sizes = count_speed_points(monkeypatch)
+    reparametrize_arclength(curve)
+    # the scan, the odd table nodes and two full Simpson levels are 16,385
+    assert sum(sizes) > 2049 + 2048 + 4096 + 8192
+    _assert_same_reparametrization(curve)
+
+
+@_DERANDOMIZED
+@given(psi0=st.floats(0.35, 1.2), seed=st.integers(0, 2**31 - 1),
+       amplitude=st.floats(0.01, 0.05))
+def test_perturbed_base_matches_reference(psi0, seed, amplitude):
+    base = perturbed_circle_base(psi0, seed=seed, amplitude=amplitude)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones_module, "reparametrize_arclength",
+                   reference_reparametrize_arclength)
+        ref = perturbed_circle_base(psi0, seed=seed, amplitude=amplitude)
+    assert base.domain == ref.domain
+    t = np.linspace(*base.domain, 301)
+    assert_bitwise(base.jet(t), ref.jet(t))
+    assert_bitwise(base.evaluate(t), ref.evaluate(t))
+
+
+def test_perturbed_base_point_evaluator_is_the_jet_value():
+    unit = perturbed_circle_base(0.9, seed=5, amplitude=0.03).curve
+    q = np.random.default_rng(3).uniform(*unit.domain, 2501)
+    assert_bitwise(unit.evaluate(q), unit.jet(q)[0])
+
+
+def test_perturbed_base_evaluates_each_speed_sample_once(monkeypatch):
+    # scan 2049 + odd table nodes 2048 + two Simpson levels 4096 + 8192, and
+    # the base's own 257-point unit-speed check; evaluating every level and
+    # the table slopes afresh passes 39,171
+    sizes = count_speed_points(monkeypatch)
+    perturbed_circle_base(0.9, seed=5, amplitude=0.03)
+    assert sum(sizes) <= 16642
 
 
 # ----------------------------------------------------------------------
