@@ -90,6 +90,7 @@ class SphericalBaseCurve:
     def derivatives(self, t, orders):
         """Derivatives of the given orders at t in one pass; order 0 is y(t)."""
         if self._wraps_stencil():
+            jt.top_order(orders)
             arr = np.asarray(t, dtype=float)
             st = self._curve.settings
             out = jt.fd_derivatives(self.evaluate, np.atleast_1d(arr), orders,
@@ -97,9 +98,9 @@ class SphericalBaseCurve:
             return [o[0] for o in out] if arr.ndim == 0 else out
         return self._curve.derivatives(self._wrap(t), orders)
 
-    def jet(self, t):
+    def jet(self, t, order=3):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.stack(self.derivatives(arr, (0, 1, 2, 3)))
+        return np.stack(self.derivatives(arr, range(order + 1)))
 
     def contains_range(self, t_lo, t_hi, margin=0.0):
         if self.periodic:
@@ -121,18 +122,19 @@ def circular_base(psi0):
     psi0 = _half_angle(psi0)
     sp, cp = np.sin(psi0), np.cos(psi0)
 
-    def jet(t):
+    def jet(t, order):
         ph = t / sp
         cos, sin = np.cos(ph), np.sin(ph)
         zero = np.zeros_like(ph)
-        y = np.stack([sp * cos, sp * sin, np.full_like(ph, cp)], axis=-1)
-        d1 = np.stack([-sin, cos, zero], axis=-1)
-        d2 = np.stack([-cos / sp, -sin / sp, zero], axis=-1)
-        d3 = np.stack([sin / sp**2, -cos / sp**2, zero], axis=-1)
-        return np.stack([y, d1, d2, d3])
+        return jt.stack_slots(
+            order,
+            lambda: np.stack([sp * cos, sp * sin, np.full_like(ph, cp)], axis=-1),
+            lambda: np.stack([-sin, cos, zero], axis=-1),
+            lambda: np.stack([-cos / sp, -sin / sp, zero], axis=-1),
+            lambda: np.stack([sin / sp**2, -cos / sp**2, zero], axis=-1))
 
     period = 2 * np.pi * sp
-    curve = SpaceCurve.from_function(lambda t: jet(t)[0], (0.0, period), jet=jet)
+    curve = SpaceCurve.from_function(lambda t: jet(t, 0)[0], (0.0, period), jet=jet)
     return SphericalBaseCurve(curve, periodic=True)
 
 
@@ -150,31 +152,23 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
     A = rng.normal(size=(modes, 3)) * amplitude / ks[:, None] ** 2
     B = rng.normal(size=(modes, 3)) * amplitude / ks[:, None] ** 2
 
-    def raw_point(t, cos, sin):
-        g0 = np.stack([sp * np.cos(t), sp * np.sin(t), np.full_like(t, cp)], axis=-1)
-        return g0 + cos @ A + sin @ B
-
-    def raw_jet(t):
+    def raw_jet(t, order):
         t = np.atleast_1d(t)
-        cos = np.cos(np.outer(t, ks))
-        sin = np.sin(np.outer(t, ks))
+        tk = np.outer(t, ks)
+        cos, sin = np.cos(tk), np.sin(tk)
         zero = np.zeros_like(t)
-        g0 = raw_point(t, cos, sin)
-        g1 = np.stack([-sp * np.sin(t), sp * np.cos(t), zero], axis=-1)
-        g2 = -np.stack([sp * np.cos(t), sp * np.sin(t), zero], axis=-1)
-        g3 = np.stack([sp * np.sin(t), -sp * np.cos(t), zero], axis=-1)
-        g1 = g1 + (-sin * ks) @ A + (cos * ks) @ B
-        g2 = g2 + (-cos * ks**2) @ A + (-sin * ks**2) @ B
-        g3 = g3 + (sin * ks**3) @ A + (-cos * ks**3) @ B
-        return jt.jet_normalize(np.stack([g0, g1, g2, g3]))
+        return jt.jet_normalize(jt.stack_slots(
+            order,
+            lambda: (np.stack([sp * np.cos(t), sp * np.sin(t), np.full_like(t, cp)], axis=-1)
+                     + cos @ A + sin @ B),
+            lambda: (np.stack([-sp * np.sin(t), sp * np.cos(t), zero], axis=-1)
+                     + (-sin * ks) @ A + (cos * ks) @ B),
+            lambda: (-np.stack([sp * np.cos(t), sp * np.sin(t), zero], axis=-1)
+                     + (-cos * ks**2) @ A + (-sin * ks**2) @ B),
+            lambda: (np.stack([sp * np.sin(t), -sp * np.cos(t), zero], axis=-1)
+                     + (sin * ks**3) @ A + (-cos * ks**3) @ B)))
 
-    def point(t):
-        # raw_jet(t)[0] without the derivative slots, bit for bit
-        t = np.atleast_1d(t)
-        g0 = raw_point(t, np.cos(np.outer(t, ks)), np.sin(np.outer(t, ks)))
-        return (1.0 / np.sqrt(np.sum(g0 * g0, axis=-1)))[..., None] * g0
-
-    curve = SpaceCurve.from_function(point, (0.0, 2 * np.pi), jet=raw_jet)
+    curve = SpaceCurve.from_function(lambda t: raw_jet(t, 0)[0], (0.0, 2 * np.pi), jet=raw_jet)
     unit = reparametrize_arclength(curve)
     return SphericalBaseCurve(unit, periodic=True)
 
@@ -370,7 +364,11 @@ def _chart_points(cone, pts):
 
 
 class ChartCurve:
-    """Curve in cone coordinates s -> (t(s), u(s)) with scalar jets."""
+    """Curve in cone coordinates s -> (t(s), u(s)) with scalar jets.
+
+    t_jet_fn and u_jet_fn are jet callables jet(s, order), returning at
+    least the slots 0..order.
+    """
 
     def __init__(self, t_jet_fn, u_jet_fn, domain, samples=None):
         self._t_jet = t_jet_fn
@@ -378,22 +376,22 @@ class ChartCurve:
         self.domain = (float(domain[0]), float(domain[1]))
         self.samples = samples  # optional (s, t, u) arrays for sampled charts
 
-    def t_jet(self, s):
-        return self._t_jet(np.atleast_1d(np.asarray(s, dtype=float)))
+    def t_jet(self, s, order=3):
+        return self._t_jet(np.atleast_1d(np.asarray(s, dtype=float)), order)
 
-    def u_jet(self, s):
-        return self._u_jet(np.atleast_1d(np.asarray(s, dtype=float)))
+    def u_jet(self, s, order=3):
+        return self._u_jet(np.atleast_1d(np.asarray(s, dtype=float)), order)
 
     def t(self, s):
-        return self.t_jet(s)[0]
+        return self.t_jet(s, 0)[0]
 
     def u(self, s):
-        return self.u_jet(s)[0]
+        return self.u_jet(s, 0)[0]
 
     def speed(self, s):
         """Chart speed sqrt(u'^2 + u^2 t'^2); 1 for unit-speed ambient curves."""
-        tj = self.t_jet(s)
-        uj = self.u_jet(s)
+        tj = self.t_jet(s, 1)
+        uj = self.u_jet(s, 1)
         return np.sqrt(uj[1] ** 2 + uj[0] ** 2 * tj[1] ** 2)
 
     @staticmethod
@@ -417,10 +415,10 @@ class ChartCurve:
             d3, r3 = jt.series_derivative(values, dx, 3)
             s2, s3 = s[r2:s.size - r2], s[r3:s.size - r3]
 
-            def jet(q):
-                return np.stack([jt.hermite(s, values, slopes, q),
-                                 jt.hermite(s, values, slopes, q, derivative=True),
-                                 np.interp(q, s2, d2), np.interp(q, s3, d3)])
+            def jet(q, order):
+                return jt.stack_slots(order, lambda: jt.hermite(s, values, slopes, q),
+                                      lambda: jt.hermite(s, values, slopes, q, derivative=True),
+                                      lambda: np.interp(q, s2, d2), lambda: np.interp(q, s3, d3))
 
             return jet
 
@@ -437,15 +435,19 @@ class ChartCurve:
 
 
 def curve_from_chart(base: SphericalBaseCurve, chart: ChartCurve) -> SpaceCurve:
-    """Ambient curve u(s) * y(t(s)) with jets chained through the chart."""
+    """Ambient curve u(s) * y(t(s)) with jets chained through the chart.
 
-    def jet(s):
-        tj = chart.t_jet(s)
-        uj = chart.u_jet(s)
-        yj = base.jet(tj[0])
-        return jt.jet_product(uj, jt.jet_compose(yj, tj))
+    A point, order 0, is u(s) times one base evaluation: no composition.
+    """
 
-    return SpaceCurve.from_function(lambda s: jet(s)[0], chart.domain, jet=jet)
+    def jet(s, order):
+        tj = chart.t_jet(s, order)
+        yj = base.jet(tj[0], order)
+        if order:
+            yj = jt.jet_compose(yj, tj)
+        return jt.jet_product(chart.u_jet(s, order), yj)
+
+    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], chart.domain, jet=jet)
 
 
 def geodesic_curvature(cone, curve, s):
@@ -461,8 +463,8 @@ def geodesic_curvature(cone, curve, s):
 
 def clairaut_invariant(cone, chart: ChartCurve, s):
     """u(s)^2 * dt/ds, constant along geodesics of the cone metric."""
-    tj = chart.t_jet(s)
-    uj = chart.u_jet(s)
+    tj = chart.t_jet(s, 1)
+    uj = chart.u_jet(s, 0)
     out = uj[0] ** 2 * tj[1]
     if np.ndim(s) == 0:
         return float(out[0])
@@ -484,8 +486,8 @@ class DevelopedCurve:
         return np.stack([u * np.cos(t), u * np.sin(t)], axis=-1)
 
     def velocity(self, s):
-        tj = self.chart.t_jet(s)
-        uj = self.chart.u_jet(s)
+        tj = self.chart.t_jet(s, 1)
+        uj = self.chart.u_jet(s, 1)
         u, du = uj[0], uj[1]
         t, dt = tj[0], tj[1]
         return np.stack(
@@ -531,13 +533,12 @@ def ruling(cone, t0, u_range):
         raise ParameterOutOfDomain(f"t0 = {t0!r} outside base domain")
     y0 = base.evaluate(float(t0))
 
-    def jet(s):
+    def jet(s, order):
         pos = (u_lo + s)[..., None] * y0
-        d1 = np.broadcast_to(y0, pos.shape).copy()
-        zero = np.zeros_like(pos)
-        return np.stack([pos, d1, zero, np.zeros_like(pos)])
+        return jt.stack_slots(order, lambda: pos, lambda: np.broadcast_to(y0, pos.shape),
+                              lambda: np.zeros_like(pos), lambda: np.zeros_like(pos))
 
-    return SpaceCurve.from_function(lambda s: jet(s)[0], (0.0, u_hi - u_lo), jet=jet)
+    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, u_hi - u_lo), jet=jet)
 
 
 def spherical_curve(base: SphericalBaseCurve, radius):
@@ -550,18 +551,15 @@ def spherical_curve(base: SphericalBaseCurve, radius):
         raise ValueError("radius must be positive")
     d0, d1 = base.domain
 
-    def jet(s):
-        yj = base.jet(d0 + s / r)
-        lin = np.stack(
-            [d0 + s / r, np.full_like(s, 1.0 / r), np.zeros_like(s), np.zeros_like(s)]
-        )
-        rad = np.stack(
-            [np.full_like(s, r), np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)]
-        )
+    def jet(s, order):
+        yj = base.jet(d0 + s / r, order)
+        zero = np.zeros_like(s)
+        lin = [d0 + s / r, np.full_like(s, 1.0 / r), zero, zero][:order + 1]
+        rad = [np.full_like(s, r), zero, zero, zero][:order + 1]
         return jt.jet_product(rad, jt.jet_compose(yj, lin))
 
     span = base.period if base.periodic else (d1 - d0)
-    return SpaceCurve.from_function(lambda s: jet(s)[0], (0.0, r * span), jet=jet)
+    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, r * span), jet=jet)
 
 
 def latitude_circle(cone, u0, t_start=None, t_span=None):
@@ -578,13 +576,13 @@ def latitude_circle(cone, u0, t_start=None, t_span=None):
     if not base.contains_range(t_start, t_start + t_span):
         raise BaseDomainExceeded("latitude span leaves the base domain")
 
-    def t_jet(s):
-        one = np.full_like(s, 1.0 / u0)
-        return np.stack([t_start + s / u0, one, np.zeros_like(s), np.zeros_like(s)])
-
-    def u_jet(s):
+    def t_jet(s, order):
         z = np.zeros_like(s)
-        return np.stack([np.full_like(s, u0), z, z, z])
+        return np.stack([t_start + s / u0, np.full_like(s, 1.0 / u0), z, z][:order + 1])
+
+    def u_jet(s, order):
+        z = np.zeros_like(s)
+        return np.stack([np.full_like(s, u0), z, z, z][:order + 1])
 
     chart = ChartCurve(t_jet, u_jet, (0.0, u0 * t_span))
     return curve_from_chart(base, chart)

@@ -128,8 +128,8 @@ class SpaceCurve:
             )
 
     def fd_margin(self, order=3):
-        """Domain shrink needed by the finite-difference stencil."""
-        if self._jet is not None:
+        """Domain shrink needed by the finite-difference stencil; none for order 0."""
+        if self._jet is not None or order == 0:
             return 0.0
         reach = jt.stencil_reach(self._settings.scheme, order)
         return reach * self._settings.h * (1.0 + 1e-9)
@@ -152,18 +152,19 @@ class SpaceCurve:
     def derivatives(self, s, orders):
         """Derivatives of the given orders at s in one pass; order 0 is the point.
 
-        Analytic curves make one jet call.  Finite-difference curves check
-        the margin of the highest order, then evaluate each stencil offset
-        once.  Returns a list in `orders` order.
+        orders is a non-empty collection of 0..3 (ValueError otherwise).
+        Analytic curves make one jet call to the highest order.
+        Finite-difference curves check the margin of the highest order, then
+        evaluate each stencil offset once.  Returns a list in `orders` order.
         """
+        top = jt.top_order(orders)
         arr = np.asarray(s, dtype=float)
         self._check_domain(arr)
         q = np.atleast_1d(arr)
         if self._jet is not None:
-            jet = np.asarray(self._jet(q))
+            jet = np.asarray(self._jet(q, top))
             out = [jet[k] for k in orders]
         else:
-            top = max(orders)
             margin = self.fd_margin(top) * (1.0 - 2e-9)
             s0, s1 = self._domain
             if top and (np.any(arr < s0 + margin) or np.any(arr > s1 - margin)):
@@ -177,10 +178,10 @@ class SpaceCurve:
             return [o[0] for o in out]
         return out
 
-    def jet(self, s):
-        """Value plus first three derivatives, shape (4, n, 3)."""
+    def jet(self, s, order=3):
+        """Value plus the first `order` derivatives, shape (order + 1, n, 3)."""
         arr = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.stack(self.derivatives(arr, (0, 1, 2, 3)))
+        return np.stack(self.derivatives(arr, range(order + 1)))
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -219,21 +220,19 @@ def circle_curve(radius=1.0, center=(0.0, 0.0, 0.0), turns=1.0):
         raise ValueError("radius must be positive")
     c = np.asarray(center, dtype=float)
 
-    def fn(s):
-        th = s / r
-        return c + np.stack([r * np.cos(th), r * np.sin(th), np.zeros_like(th)], axis=-1)
-
-    def jet(s):
+    def jet(s, order):
         th = s / r
         cos, sin = np.cos(th), np.sin(th)
         zero = np.zeros_like(th)
-        p = c + np.stack([r * cos, r * sin, zero], axis=-1)
-        d1 = np.stack([-sin, cos, zero], axis=-1)
-        d2 = np.stack([-cos / r, -sin / r, zero], axis=-1)
-        d3 = np.stack([sin / r**2, -cos / r**2, zero], axis=-1)
-        return np.stack([p, d1, d2, d3])
+        return jt.stack_slots(
+            order,
+            lambda: c + np.stack([r * cos, r * sin, zero], axis=-1),
+            lambda: np.stack([-sin, cos, zero], axis=-1),
+            lambda: np.stack([-cos / r, -sin / r, zero], axis=-1),
+            lambda: np.stack([sin / r**2, -cos / r**2, zero], axis=-1))
 
-    return SpaceCurve.from_function(fn, (0.0, 2 * np.pi * r * turns), jet=jet)
+    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, 2 * np.pi * r * turns),
+                                    jet=jet)
 
 
 def helix_curve(radius, pitch, center=(0.0, 0.0, 0.0), turns=2.0):
@@ -244,16 +243,18 @@ def helix_curve(radius, pitch, center=(0.0, 0.0, 0.0), turns=2.0):
     c = float(np.hypot(R, P))
     cen = np.asarray(center, dtype=float)
 
-    def jet(s):
+    def jet(s, order):
         th = s / c
         cos, sin = np.cos(th), np.sin(th)
-        p = cen + np.stack([R * cos, R * sin, P * th], axis=-1)
-        d1 = np.stack([-R * sin / c, R * cos / c, np.full_like(th, P / c)], axis=-1)
-        d2 = np.stack([-R * cos / c**2, -R * sin / c**2, np.zeros_like(th)], axis=-1)
-        d3 = np.stack([R * sin / c**3, -R * cos / c**3, np.zeros_like(th)], axis=-1)
-        return np.stack([p, d1, d2, d3])
+        return jt.stack_slots(
+            order,
+            lambda: cen + np.stack([R * cos, R * sin, P * th], axis=-1),
+            lambda: np.stack([-R * sin / c, R * cos / c, np.full_like(th, P / c)], axis=-1),
+            lambda: np.stack([-R * cos / c**2, -R * sin / c**2, np.zeros_like(th)], axis=-1),
+            lambda: np.stack([R * sin / c**3, -R * cos / c**3, np.zeros_like(th)], axis=-1))
 
-    return SpaceCurve.from_function(lambda s: jet(s)[0], (0.0, 2 * np.pi * c * turns), jet=jet)
+    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, 2 * np.pi * c * turns),
+                                    jet=jet)
 
 
 def line_curve(point, direction, length=1.0):
@@ -265,13 +266,12 @@ def line_curve(point, direction, length=1.0):
         raise ValueError("direction must be nonzero")
     d = d / nrm
 
-    def jet(s):
+    def jet(s, order):
         pos = p + s[..., None] * d
-        d1 = np.broadcast_to(d, pos.shape).copy()
-        zero = np.zeros_like(pos)
-        return np.stack([pos, d1, zero, np.zeros_like(pos)])
+        return jt.stack_slots(order, lambda: pos, lambda: np.broadcast_to(d, pos.shape),
+                              lambda: np.zeros_like(pos), lambda: np.zeros_like(pos))
 
-    return SpaceCurve.from_function(lambda s: jet(s)[0], (0.0, float(length)), jet=jet)
+    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, float(length)), jet=jet)
 
 
 # ----------------------------------------------------------------------
@@ -468,8 +468,8 @@ def reparametrize_arclength(curve, tol=1e-10):
     if curve.derivative_mode == "analytic":
         base_jet = curve.jet
 
-        def jet(q):
-            return jt.jet_reparametrize(base_jet(inverse(q)))
+        def jet(q, order):
+            return jt.jet_reparametrize(base_jet(inverse(q), order))
 
     if curve.kind == "sampled":
         # SpaceCurve refuses a step above 1/100 of its domain, as a curve of

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import jets as jt
 from .classify import (
     LABEL_RECTIFYING,
     classification_identity_residual,
@@ -68,25 +69,18 @@ def rectifying_chart(params: RectifyingParams, s_domain=None) -> ChartCurve:
     if s_domain is None:
         s_domain = default_s_domain(params)
 
-    def t_jet(s):
+    def t_jet(s, order):
         w = a * s + b
         q = 1.0 + w * w
-        return np.stack(
-            [
-                c + np.arctan(w),
-                a / q,
-                -2.0 * a**2 * w / q**2,
-                -2.0 * a**3 * (1.0 - 3.0 * w * w) / q**3,
-            ]
-        )
+        return jt.stack_slots(order, lambda: c + np.arctan(w), lambda: a / q,
+                              lambda: -2.0 * a**2 * w / q**2,
+                              lambda: -2.0 * a**3 * (1.0 - 3.0 * w * w) / q**3)
 
-    def u_jet(s):
+    def u_jet(s, order):
         w = a * s + b
-        q = 1.0 + w * w
-        r = np.sqrt(q)
-        return np.stack(
-            [r / a, w / r, a / r**3, -3.0 * a**2 * w / r**5]
-        )
+        r = np.sqrt(1.0 + w * w)
+        return jt.stack_slots(order, lambda: r / a, lambda: w / r, lambda: a / r**3,
+                              lambda: -3.0 * a**2 * w / r**5)
 
     return ChartCurve(t_jet, u_jet, s_domain)
 

@@ -1,10 +1,13 @@
 """Derivative jets and finite-difference stencils.
 
-A "jet" packs a function value together with its first three derivatives:
-scalar jets have shape (4,) + batch, vector jets (4,) + batch + (3,).
-The algebra below (product, composition, normalization, arc-length
-reparametrization) is exact given exact input jets, so curves built from
-closed-form pieces keep analytic-quality derivatives.
+A "jet" packs a function value together with its first derivatives, up to
+the third: a jet callable jet(s, order) returns at least the slots
+0..order, scalar jets with shape (slots,) + batch and vector jets
+(slots,) + batch + (3,).  The algebra below (product, composition,
+normalization, arc-length reparametrization) works on as many slots as it
+is given, slot k reading only slots up to k, and is exact given exact input
+jets, so curves built from closed-form pieces keep analytic-quality
+derivatives.
 """
 
 import numpy as np
@@ -165,71 +168,93 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
 
+# binomial coefficients C(k, j) of the Leibniz rule, rows k = 0..3
+_BINOMIAL = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
+
+
+def top_order(orders):
+    """Highest of `orders`, which must be a non-empty collection of 0, 1, 2 and 3."""
+    orders = tuple(orders)
+    if not orders or not all(isinstance(k, (int, np.integer)) and 0 <= k <= 3
+                             for k in orders):
+        raise ValueError(f"derivative orders must be a non-empty subset of 0..3, "
+                         f"got {orders!r}")
+    return max(orders)
+
+
+def stack_slots(order, *slots):
+    """Stack the first order + 1 slots, each a thunk evaluated only when stacked."""
+    return np.stack([f() for f in slots[:order + 1]])
+
+
 def jet_product(scalar_jet, vector_jet):
-    """Jets of u(s) * y(s) from scalar jets of u and vector jets of y."""
-    u0, u1, u2, u3 = scalar_jet
-    y0, y1, y2, y3 = vector_jet
-    u0 = u0[..., None]
-    u1 = u1[..., None]
-    u2 = u2[..., None]
-    u3 = u3[..., None]
-    return np.stack(
-        [
-            u0 * y0,
-            u1 * y0 + u0 * y1,
-            u2 * y0 + 2.0 * u1 * y1 + u0 * y2,
-            u3 * y0 + 3.0 * u2 * y1 + 3.0 * u1 * y2 + u0 * y3,
-        ]
-    )
+    """Jets of u(s) * y(s) from scalar jets of u and vector jets of y.
+
+    Slot k is the Leibniz sum of C(k, j) u_j y_(k-j), j from k down to 0, for
+    as many slots as both jets have.
+    """
+    u = [x[..., None] for x in scalar_jet[:len(vector_jet)]]
+    out = []
+    for k, row in enumerate(_BINOMIAL[:len(u)]):
+        acc = u[k] * vector_jet[0]
+        for j in range(k - 1, -1, -1):
+            acc = acc + (u[j] if row[j] == 1 else row[j] * u[j]) * vector_jet[k - j]
+        out.append(acc)
+    return np.stack(out)
 
 
 def jet_compose(vector_jet_at_t, t_jet):
-    """Jets of s -> y(t(s)), given jets of y in t (evaluated at t(s)) and of t in s."""
-    y0, y1, y2, y3 = vector_jet_at_t
-    _, t1, t2, t3 = t_jet
-    t1 = t1[..., None]
-    t2 = t2[..., None]
-    t3 = t3[..., None]
-    return np.stack(
-        [
-            y0,
-            t1 * y1,
-            t2 * y1 + t1**2 * y2,
-            t3 * y1 + 3.0 * t1 * t2 * y2 + t1**3 * y3,
-        ]
-    )
+    """Jets of s -> y(t(s)), given jets of y in t (evaluated at t(s)) and of t in s.
+
+    Slot k reads slots up to k of both, for as many slots as both jets have.
+    """
+    y = vector_jet_at_t
+    n = min(len(y), len(t_jet))
+    t = [None] + [x[..., None] for x in t_jet[1:n]]
+    slots = (lambda: y[0],
+             lambda: t[1] * y[1],
+             lambda: t[2] * y[1] + t[1]**2 * y[2],
+             lambda: t[3] * y[1] + 3.0 * t[1] * t[2] * y[2] + t[1]**3 * y[3])
+    return stack_slots(n - 1, *slots)
 
 
 def jet_normalize(vector_jet):
-    """Jets of y/|y| from jets of y (y nowhere zero)."""
-    g0, g1, g2, g3 = vector_jet
-    r0 = np.sqrt(_dot(g0, g0))
-    r1 = _dot(g0, g1) / r0
-    r2 = (_dot(g1, g1) + _dot(g0, g2) - r1**2) / r0
-    r3 = (3.0 * _dot(g1, g2) + _dot(g0, g3) - 3.0 * r1 * r2) / r0
-    # jets of 1/r
-    h0 = 1.0 / r0
-    h1 = -r1 / r0**2
-    h2 = -r2 / r0**2 + 2.0 * r1**2 / r0**3
-    h3 = -r3 / r0**2 + 6.0 * r1 * r2 / r0**3 - 6.0 * r1**3 / r0**4
-    return jet_product(np.stack([h0, h1, h2, h3]), vector_jet)
+    """Jets of y/|y| from jets of y (y nowhere zero), as many slots as given."""
+    g = vector_jet
+    n = len(g)
+    r0 = np.sqrt(_dot(g[0], g[0]))
+    h = [1.0 / r0]  # jets of 1/r
+    if n > 1:
+        r1 = _dot(g[0], g[1]) / r0
+        h.append(-r1 / r0**2)
+    if n > 2:
+        r2 = (_dot(g[1], g[1]) + _dot(g[0], g[2]) - r1**2) / r0
+        h.append(-r2 / r0**2 + 2.0 * r1**2 / r0**3)
+    if n > 3:
+        r3 = (3.0 * _dot(g[1], g[2]) + _dot(g[0], g[3]) - 3.0 * r1 * r2) / r0
+        h.append(-r3 / r0**2 + 6.0 * r1 * r2 / r0**3 - 6.0 * r1**3 / r0**4)
+    return jet_product(h, g)
 
 
 def arclength_rate_jets(vector_jet_at_tau):
-    """Jets of the inverse arc-length map sigma(s), up to third order.
+    """Jets of the inverse arc-length map sigma(s), as many slots as given.
 
     Input: jets of the original curve in its own parameter tau, evaluated at
     tau = sigma(s).  The zeroth slot of the result is left as zero; only the
     derivative slots are meaningful.
     """
-    _, d1, d2, d3 = vector_jet_at_tau
-    v = np.sqrt(_dot(d1, d1))
-    a = _dot(d1, d2)
-    b = _dot(d2, d2) + _dot(d1, d3)
-    s1 = 1.0 / v
-    s2 = -a / v**4
-    s3 = -b / v**5 + 4.0 * a**2 / v**7
-    return np.stack([np.zeros_like(v), s1, s2, s3])
+    d = vector_jet_at_tau
+    out = [np.zeros(d[0].shape[:-1])]
+    if len(d) > 1:
+        v = np.sqrt(_dot(d[1], d[1]))
+        out.append(1.0 / v)
+    if len(d) > 2:
+        a = _dot(d[1], d[2])
+        out.append(-a / v**4)
+    if len(d) > 3:
+        b = _dot(d[2], d[2]) + _dot(d[1], d[3])
+        out.append(-b / v**5 + 4.0 * a**2 / v**7)
+    return np.stack(out)
 
 
 def jet_reparametrize(vector_jet_at_tau):

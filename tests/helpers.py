@@ -96,7 +96,7 @@ def trig_jet_curve(coeff_a, coeff_b, domain):
     B = np.asarray(coeff_b, dtype=float)
     ks = np.arange(1, A.shape[0] + 1)
 
-    def jet(t):
+    def jet(t, order=3):
         t = np.atleast_1d(t)
         cos = np.cos(np.outer(t, ks))
         sin = np.sin(np.outer(t, ks))
@@ -144,7 +144,7 @@ def random_spherical(rng, radius=None):
 
 
 def twisted_cubic_unit_speed():
-    def jet(t):
+    def jet(t, order=3):
         one = np.ones_like(t)
         zero = np.zeros_like(t)
         p = np.stack([t, t**2, t**3], axis=-1)
@@ -430,7 +430,7 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
     if curve.derivative_mode == "analytic":
         base_jet = curve.jet
 
-        def jet(q):
+        def jet(q, order=3):
             return jets.jet_reparametrize(base_jet(inverse(q)))
 
     if curve.kind == "sampled":
@@ -439,3 +439,55 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
     else:
         settings = None
     return SpaceCurve(evaluator, (s0, s0 + total), jet=jet, settings=settings)
+
+
+def _reference_dot(a, b):
+    return np.sum(a * b, axis=-1)
+
+
+def reference_jet_product(scalar_jet, vector_jet):
+    """jets.jet_product as it was before the jet(s, order) protocol: 4 slots, written out.
+
+    Kept, with the three below, as the reference the slot-count-agnostic
+    algebra must match bitwise, slot for slot.
+    """
+    u0, u1, u2, u3 = (x[..., None] for x in scalar_jet)
+    y0, y1, y2, y3 = vector_jet
+    return np.stack([
+        u0 * y0,
+        u1 * y0 + u0 * y1,
+        u2 * y0 + 2.0 * u1 * y1 + u0 * y2,
+        u3 * y0 + 3.0 * u2 * y1 + 3.0 * u1 * y2 + u0 * y3,
+    ])
+
+
+def reference_jet_compose(vector_jet_at_t, t_jet):
+    y0, y1, y2, y3 = vector_jet_at_t
+    t1, t2, t3 = (x[..., None] for x in t_jet[1:])
+    return np.stack([
+        y0,
+        t1 * y1,
+        t2 * y1 + t1**2 * y2,
+        t3 * y1 + 3.0 * t1 * t2 * y2 + t1**3 * y3,
+    ])
+
+
+def reference_jet_normalize(vector_jet):
+    g0, g1, g2, g3 = vector_jet
+    r0 = np.sqrt(_reference_dot(g0, g0))
+    r1 = _reference_dot(g0, g1) / r0
+    r2 = (_reference_dot(g1, g1) + _reference_dot(g0, g2) - r1**2) / r0
+    r3 = (3.0 * _reference_dot(g1, g2) + _reference_dot(g0, g3) - 3.0 * r1 * r2) / r0
+    h0 = 1.0 / r0
+    h1 = -r1 / r0**2
+    h2 = -r2 / r0**2 + 2.0 * r1**2 / r0**3
+    h3 = -r3 / r0**2 + 6.0 * r1 * r2 / r0**3 - 6.0 * r1**3 / r0**4
+    return reference_jet_product(np.stack([h0, h1, h2, h3]), vector_jet)
+
+
+def reference_arclength_rate_jets(vector_jet_at_tau):
+    _, d1, d2, d3 = vector_jet_at_tau
+    v = np.sqrt(_reference_dot(d1, d1))
+    a = _reference_dot(d1, d2)
+    b = _reference_dot(d2, d2) + _reference_dot(d1, d3)
+    return np.stack([np.zeros_like(v), 1.0 / v, -a / v**4, -b / v**5 + 4.0 * a**2 / v**7])

@@ -142,7 +142,7 @@ def test_classify_mixed_subinterval_curve_is_ambiguous():
         one = np.stack([np.ones_like(s)] + [np.zeros_like(s)] * 3)
         return jt.jet_product(one, jt.jet_compose(yj, lin))
 
-    def glued_jet(s):
+    def glued_jet(s, order=3):
         out = np.where(s[None, :, None] < 0.0, lat_jet(s), rect.jet(np.maximum(s, 0.0)))
         return out
 

@@ -430,6 +430,31 @@ def test_classify_slant_floor_reads_requested_samples(tmp_path, capsys, samples,
         assert json.loads(rep.read_text())["label"] == "rectifying"
 
 
+def test_generate_composes_no_jets(tmp_path, monkeypatch):
+    # a generated point is u(s) * y(t(s)): one base evaluation, no chain rule
+    from conegeo import jets
+
+    calls = []
+    plain = jets.jet_compose
+
+    def counted(*args):
+        calls.append(1)
+        return plain(*args)
+
+    base = perturbed_circle_base(0.95, seed=8, amplitude=0.03)
+    t = np.linspace(0.0, base.period, 2049)
+    base_csv = tmp_path / "base.csv"
+    write_base_csv(base_csv, t, base.evaluate(t))
+    monkeypatch.setattr(jets, "jet_compose", counted)
+    abc = ("--a", 1.3, "--b", 0.2, "--c", 0.1)
+    assert run_cli("generate", *abc, "--psi0", 0.8, "--out", tmp_path / "c.csv") == 0
+    assert run_cli("generate", *abc, "--base", base_csv, "--samples", 256,
+                   "--out", tmp_path / "g.csv") == 0
+    assert calls == []
+    assert len(read_curve_csv(tmp_path / "c.csv")[0]) == 1024
+    assert len(read_curve_csv(tmp_path / "g.csv")[0]) == 256
+
+
 def test_classify_evaluates_the_curve_once(tmp_path, monkeypatch):
     curve = tmp_path / "c.csv"
     assert run_cli("generate", "--a", 1.2, "--b", 0.3, "--c", 0.1, "--psi0", 0.8,

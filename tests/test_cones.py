@@ -401,11 +401,11 @@ def test_ruling_is_geodesic(quarter_cone):
 
 def test_remark_identity_on_cone_curves(wavy_cone):
     # |alpha x alpha' + u^2 t' N| ~ 0 for any unit-speed curve on the cone
-    def t_jet(sig):
+    def t_jet(sig, order=3):
         return np.stack([sig + 0.3 * np.sin(sig), 1 + 0.3 * np.cos(sig),
                          -0.3 * np.sin(sig), -0.3 * np.cos(sig)])
 
-    def u_jet(sig):
+    def u_jet(sig, order=3):
         return np.stack([1.5 + 0.4 * np.cos(0.7 * sig),
                          -0.28 * np.sin(0.7 * sig),
                          -0.196 * np.cos(0.7 * sig),
@@ -446,10 +446,10 @@ def test_base_from_samples_rejects_off_sphere():
 
 
 def test_develop_rejects_nonpositive_radius():
-    def t_jet(s):
+    def t_jet(s, order=3):
         return np.stack([s, np.ones_like(s), np.zeros_like(s), np.zeros_like(s)])
 
-    def u_jet(s):
+    def u_jet(s, order=3):
         z = np.zeros_like(s)
         return np.stack([s - 0.5, np.ones_like(s), z, z])  # u crosses zero
 

@@ -181,7 +181,7 @@ def test_reparametrize_unit_speed_is_identity():
 
 
 def test_reparametrize_circle_by_angle():
-    def jet(t):
+    def jet(t, order=3):
         zero = np.zeros_like(t)
         p = np.stack([2 * np.cos(t), 2 * np.sin(t), zero], axis=-1)
         d1 = np.stack([-2 * np.sin(t), 2 * np.cos(t), zero], axis=-1)
@@ -198,7 +198,7 @@ def test_reparametrize_circle_by_angle():
 
 
 def test_reparametrize_cubic_against_quadrature_oracle():
-    def jet(t):
+    def jet(t, order=3):
         zero = np.zeros_like(t)
         p = np.stack([t**3 + t, zero, zero], axis=-1)
         d1 = np.stack([3 * t**2 + 1, zero, zero], axis=-1)
@@ -210,7 +210,8 @@ def test_reparametrize_cubic_against_quadrature_oracle():
     unit = reparametrize_arclength(raw)
     # oracle: dense trapezoid quadrature of the speed 3 t^2 + 1
     t = np.linspace(0.0, 1.0, 200001)
-    oracle = np.trapezoid(3 * t**2 + 1, t)
+    f = 3 * t**2 + 1
+    oracle = np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(t))
     assert abs(oracle - 2.0) < 1e-9  # analytic arc length
     assert abs(unit.length - oracle) < 1e-8
 
@@ -225,7 +226,7 @@ def test_reparametrize_idempotent_property():
 
 
 def test_reparametrize_singular_speed():
-    def jet(t):
+    def jet(t, order=3):
         zero = np.zeros_like(t)
         p = np.stack([t**2, zero, zero], axis=-1)
         d1 = np.stack([2 * t, zero, zero], axis=-1)
