@@ -218,9 +218,8 @@ def _cmd_develop(p):
     _check_writable(p["out"], "out")
     cone = _load_cone(p["cone"])
     curve = _load_curve(p["in"])
-    s = curve.nodes[0]
-    chart = chart_curve(cone, curve, s=s)
-    planar = develop(chart).point(s)
+    s, points = curve.nodes
+    planar = develop(chart_curve(cone, curve, s=s, points=points)).sample_points()
     _atomic_write(p["out"], development_csv_text(s, planar))
     return 0
 

@@ -6,6 +6,8 @@ u^2 dt^2 + du^2 for every base curve, which is the plane in polar
 coordinates; develop() realizes that isometry.
 """
 
+from functools import cache
+
 import numpy as np
 
 from . import jets as jt
@@ -411,14 +413,16 @@ class ChartCurve:
             raise ValueError("sampled charts need a uniform parameter grid")
 
         def scalar_jet_fn(values, slopes):
-            d2, r2 = jt.series_derivative(values, dx, 2)
-            d3, r3 = jt.series_derivative(values, dx, 3)
-            s2, s3 = s[r2:s.size - r2], s[r3:s.size - r3]
+            @cache
+            def series(order):  # (abscissae, derivative) on first read of the slot
+                d, r = jt.series_derivative(values, dx, order)
+                return s[r:s.size - r], d
 
             def jet(q, order):
                 return jt.stack_slots(order, lambda: jt.hermite(s, values, slopes, q),
                                       lambda: jt.hermite(s, values, slopes, q, derivative=True),
-                                      lambda: np.interp(q, s2, d2), lambda: np.interp(q, s3, d3))
+                                      lambda: np.interp(q, *series(2)),
+                                      lambda: np.interp(q, *series(3)))
 
             return jet
 
@@ -479,11 +483,11 @@ class DevelopedCurve:
         self.domain = chart.domain
 
     def point(self, s):
-        u = self.chart.u(s)
-        if np.any(u <= 0.0):
-            raise NonpositiveRadialCoordinate("development needs u > 0")
-        t = self.chart.t(s)
-        return np.stack([u * np.cos(t), u * np.sin(t)], axis=-1)
+        return _polar(self.chart.u(s), self.chart.t(s))
+
+    def sample_points(self):
+        """point(s) at the nodes s of a sampled chart, from its (s, t, u) samples."""
+        return _polar(self.chart.samples[2], self.chart.samples[1])
 
     def velocity(self, s):
         tj = self.chart.t_jet(s, 1)
@@ -494,6 +498,12 @@ class DevelopedCurve:
             [du * np.cos(t) - u * dt * np.sin(t), du * np.sin(t) + u * dt * np.cos(t)],
             axis=-1,
         )
+
+
+def _polar(u, t):
+    if np.any(u <= 0.0):
+        raise NonpositiveRadialCoordinate("development needs u > 0")
+    return np.stack([u * np.cos(t), u * np.sin(t)], axis=-1)
 
 
 def develop(chart: ChartCurve) -> DevelopedCurve:

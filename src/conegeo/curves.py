@@ -155,7 +155,8 @@ class SpaceCurve:
         orders is a non-empty collection of 0..3 (ValueError otherwise).
         Analytic curves make one jet call to the highest order.
         Finite-difference curves check the margin of the highest order, then
-        evaluate each stencil offset once.  Returns a list in `orders` order.
+        make one evaluator call for all stencil offsets.  Returns a list in
+        `orders` order.
         """
         top = jt.top_order(orders)
         arr = np.asarray(s, dtype=float)

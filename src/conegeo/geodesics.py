@@ -265,8 +265,7 @@ def verify_geodesic(cone: Cone, cs: CurveSamples,
     spread = float(np.max(C) - np.min(C))
     relvar = spread / abs(mean_c) if abs(mean_c) > 1e-14 else spread
 
-    dev = develop(chart)
-    _, _, _, straightness, _ = line_fit(dev.point(cs.s))
+    _, _, _, straightness, _ = line_fit(develop(chart).sample_points())
 
     if float(np.max(np.linalg.norm(d2, axis=-1))) < cs.kappa_floor:
         return GeodesyReport(max_kg, relvar, None, straightness, "ruling")

@@ -57,35 +57,29 @@ def fd_derivative(evaluate, s, order, h, scheme=4):
 
 
 def fd_derivatives(evaluate, s, orders, h, scheme=4):
-    """Central differences of several orders from one set of stencil taps.
+    """Central differences of several orders from one evaluator call.
 
-    Each distinct offset is evaluated once (7 taps for orders 1-3 at
-    scheme 4); order 0 is the tap at offset 0, the value itself.  Each
-    order sums its terms in stencil order, so the result is bitwise that
-    of a separate single-order stencil.  Returns a list in `orders` order.
+    `evaluate` must work elementwise: it gets, concatenated, the parameters
+    of each distinct offset with a nonzero weight (7 for orders 1-3 at
+    scheme 4) and of offset 0 for order 0, the value.  Each order sums its
+    terms in stencil order, bitwise as a single-order stencil would.
+    Returns a list in `orders` order.
     """
     s = np.asarray(s, dtype=float)
-    taps = {}
-
-    def tap(k):
-        if k not in taps:
-            taps[k] = np.asarray(evaluate(s + k * h), dtype=float)
-        return taps[k]
-
-    out = []
+    stencils = {order: stencil(scheme, order) for order in orders if order}
+    offsets = []
     for order in orders:
-        if order == 0:
-            out.append(tap(0.0))
-            continue
-        offsets, coeffs = stencil(scheme, order)
-        acc = None
-        for k, c in zip(offsets, coeffs):
-            if c == 0.0:
-                continue
-            term = c * tap(k)
-            acc = term if acc is None else acc + term
-        out.append(acc / h**order)
-    return out
+        used = zip(*stencils[order]) if order else ((0.0, 1.0),)
+        offsets += [k for k, c in used if c != 0.0 and k not in offsets]
+    values = np.asarray(evaluate(np.concatenate([np.ravel(s + k * h) for k in offsets])),
+                        dtype=float)
+    taps = dict(zip(offsets, values.reshape((len(offsets),) + s.shape + values.shape[1:])))
+
+    def derivative(order):
+        terms = (c * taps[k] for k, c in zip(*stencils[order]) if c != 0.0)
+        return sum(terms, next(terms)) / h**order
+
+    return [derivative(order) if order else taps[0.0] for order in orders]
 
 
 def series_derivative(values, dx, order=1, scheme=4):
@@ -146,22 +140,31 @@ def hermite(s, values, slopes, q, derivative=False):
     values and slopes are (n,) or (n, k); the basis weights broadcast over
     the trailing axis.  Returns the interpolant at q, or its first
     derivative with derivative=True.  q outside [s[0], s[-1]] extrapolates
-    the end cubic.
+    the end cubic.  At a node it is the node's value (-0.0 may become +0.0).
     """
-    idx = np.clip(np.searchsorted(s, q, side="right") - 1, 0, s.size - 2)
-    h = s[idx + 1] - s[idx]
-    th = (q - s[idx]) / h
+    idx = np.asarray(np.searchsorted(s, q, side="right") - 1)
+    np.clip(idx, 0, s.size - 2, out=idx)
+    idx1 = idx + 1
+    w = _hermite_weights(s, idx, idx1, q, values.ndim - 1, derivative)
+    # w00 v0 + w10 m0 + w01 v1 + w11 m1, summed left to right into one array
+    out = w[0] * values.take(idx, axis=0)
+    for wk, table, i in zip(w[1:], (slopes, values, slopes), (idx, idx1, idx1)):
+        out += wk * table.take(i, axis=0)
+    return out
+
+
+def _hermite_weights(s, idx, idx1, q, trailing, derivative):
+    """hermite's basis weights at q, in a frame of their own so no temporary outlives them."""
+    s0 = s.take(idx)
+    h, th = (x.reshape(np.shape(x) + (1,) * trailing) for x in (s.take(idx1) - s0, q - s0))
+    th /= h
     t2 = th * th
     if derivative:
-        w = ((6 * t2 - 6 * th) / h, 3 * t2 - 4 * th + 1,
-             (6 * th - 6 * t2) / h, 3 * t2 - 2 * th)
-    else:
-        t3 = t2 * th
-        w = (2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * h, -2 * t3 + 3 * t2, (t3 - t2) * h)
-    tail = (1,) * (values.ndim - 1)
-    w00, w10, w01, w11 = (x.reshape(x.shape + tail) for x in w)
-    return (w00 * values[idx] + w10 * slopes[idx]
-            + w01 * values[idx + 1] + w11 * slopes[idx + 1])
+        a, b, c = 6 * t2, 6 * th, 3 * t2
+        return (a - b) / h, c - 4 * th + 1, (b - a) / h, c - 2 * th
+    t3 = t2 * th
+    a, b = 2 * t3, 3 * t2
+    return a - b + 1, (t3 - 2 * t2 + th) * h, b - a, (t3 - t2) * h
 
 
 def _dot(a, b):

@@ -491,3 +491,51 @@ def reference_arclength_rate_jets(vector_jet_at_tau):
     a = _reference_dot(d1, d2)
     b = _reference_dot(d2, d2) + _reference_dot(d1, d3)
     return np.stack([np.zeros_like(v), 1.0 / v, -a / v**4, -b / v**5 + 4.0 * a**2 / v**7])
+
+
+def reference_hermite(s, values, slopes, q, derivative=False):
+    """jets.hermite as it was before the in-place kernel: one numpy pass per term.
+
+    Kept, with reference_fd_derivatives below, as the reference the lean
+    kernel must match bitwise.
+    """
+    idx = np.clip(np.searchsorted(s, q, side="right") - 1, 0, s.size - 2)
+    h = s[idx + 1] - s[idx]
+    th = (q - s[idx]) / h
+    t2 = th * th
+    if derivative:
+        w = ((6 * t2 - 6 * th) / h, 3 * t2 - 4 * th + 1,
+             (6 * th - 6 * t2) / h, 3 * t2 - 2 * th)
+    else:
+        t3 = t2 * th
+        w = (2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * h, -2 * t3 + 3 * t2, (t3 - t2) * h)
+    tail = (1,) * (values.ndim - 1)
+    w00, w10, w01, w11 = (x.reshape(x.shape + tail) for x in w)
+    return (w00 * values[idx] + w10 * slopes[idx]
+            + w01 * values[idx + 1] + w11 * slopes[idx + 1])
+
+
+def reference_fd_derivatives(evaluate, s, orders, h, scheme=4):
+    """jets.fd_derivatives as it was before the one-call pass: one evaluator call per offset."""
+    s = np.asarray(s, dtype=float)
+    taps = {}
+
+    def tap(k):
+        if k not in taps:
+            taps[k] = np.asarray(evaluate(s + k * h), dtype=float)
+        return taps[k]
+
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(tap(0.0))
+            continue
+        offsets, coeffs = jets.stencil(scheme, order)
+        acc = None
+        for k, c in zip(offsets, coeffs):
+            if c == 0.0:
+                continue
+            term = c * tap(k)
+            acc = term if acc is None else acc + term
+        out.append(acc / h**order)
+    return out

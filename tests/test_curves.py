@@ -122,7 +122,7 @@ def _counting_fd_helix():
     calls = []
 
     def evaluator(q):
-        calls.append(q.size)
+        calls.append(np.array(q))
         return hx.evaluate(q)
 
     return SpaceCurve.from_function(evaluator, hx.domain), calls
@@ -144,14 +144,15 @@ def test_derivatives_bitwise_equal_to_single_orders(scalar):
 
 
 def test_fd_frames_and_jet_evaluate_each_offset_once():
-    # one evaluator call per distinct stencil offset -3..3, not one per term
+    # one evaluator call holding the parameters of each distinct offset -3..3 once
     fd, calls = _counting_fd_helix()
     s = np.linspace(1.0, 5.0, 11)
-    frenet_apparatus(fd, s)
-    assert len(calls) == 7
-    calls.clear()
-    fd.jet(s)
-    assert len(calls) == 7
+    for pass_ in (lambda: frenet_apparatus(fd, s), lambda: fd.jet(s)):
+        calls.clear()
+        pass_()
+        assert len(calls) == 1 and calls[0].shape == (7 * s.size,)
+        starts = np.round((calls[0][::s.size] - s[0]) / fd.settings.h)
+        assert sorted(starts) == [-3, -2, -1, 0, 1, 2, 3]
 
 
 def test_derivatives_margin_of_highest_order():

@@ -143,15 +143,21 @@ def test_fd_derivatives_bitwise_equal_to_single_orders(scheme):
     (4, (1,), 4), (4, (2,), 5), (4, (3,), 6), (2, (0, 1, 2, 3), 5), (2, (1, 2), 3),
 ])
 def test_fd_derivatives_evaluates_each_offset_once(scheme, orders, taps):
+    # one evaluator call, holding the parameters s + k h of each distinct offset k once
+    s, h = np.array([0.4, 0.5]), 1e-3
     seen = []
 
     def counted(q):
-        seen.append(float(q[0]))
+        seen.append(np.array(q))
         return _trig(q)
 
-    jt.fd_derivatives(counted, np.array([0.4, 0.5]), orders, 1e-3, scheme)
-    assert len(seen) == taps
-    assert len(set(seen)) == taps
+    jt.fd_derivatives(counted, s, orders, h, scheme)
+    assert len(seen) == 1 and seen[0].shape == (taps * s.size,)
+    blocks = seen[0].reshape(taps, s.size)
+    offsets = np.round((blocks[:, 0] - s[0]) / h)
+    assert len(set(offsets)) == taps
+    for k, block in zip(offsets, blocks):
+        assert block.tobytes() == (s + k * h).tobytes()
 
 
 # ----------------------------------------------------------------------
