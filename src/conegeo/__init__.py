@@ -61,11 +61,11 @@ from .curves import (
     write_curve_csv,
 )
 from .geodesics import (
+    GATES,
     CrossCheckReport,
     GeodesicIVP,
     GeodesyReport,
     RectifyingParams,
-    VerifyThresholds,
     cross_check_circular_cone,
     default_s_domain,
     generate_circular_geodesic,

@@ -7,12 +7,13 @@ plane) or traced on a sphere centered at the origin; the two branches are
 told apart by <alpha, n> vanishing versus <alpha, t> vanishing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import jets as jt
+from .curves import position_cross
 from .errors import (
     DegenerateFit,
     InsufficientSamples,
@@ -60,36 +61,38 @@ def constancy(values, tol, absolute=False):
     return ConstancyStats(relvar < tol, mean, vmin, vmax, relvar)
 
 
+class Report:
+    """Base of the report records: to_dict is a record's JSON payload, its
+    fields in declaration order, an array as a list of floats and a nested
+    report merged in place."""
+
+    def to_dict(self):
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Report):
+                out.update(value.to_dict())
+            elif isinstance(value, np.ndarray):
+                out[f.name] = [float(x) for x in value]
+            else:
+                out[f.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Report):
     label: str
     cross_magnitude_mean: float
     cross_magnitude_relvar: float
     fitted_a: Optional[float]
     fitted_b: Optional[float]
 
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "cross_magnitude_mean": self.cross_magnitude_mean,
-            "cross_magnitude_relvar": self.cross_magnitude_relvar,
-            "fitted_a": self.fitted_a,
-            "fitted_b": self.fitted_b,
-        }
-
 
 @dataclass(frozen=True)
-class SlantAxisFit:
+class SlantAxisFit(Report):
     axis: np.ndarray
     cos_angle_mean: float
     residual: float
-
-    def to_dict(self):
-        return {
-            "axis": [float(x) for x in self.axis],
-            "cos_angle_mean": self.cos_angle_mean,
-            "residual": self.residual,
-        }
 
 
 def classify_rectifying_or_spherical(cs, tol=None):
@@ -104,7 +107,7 @@ def classify_rectifying_or_spherical(cs, tol=None):
     if tol is None:
         tol = default_tolerance(cs.curve)
     s, pts, d1, frames = cs.s, cs.jet[0], cs.jet[1], cs.frames
-    mag = np.linalg.norm(np.cross(pts, d1), axis=-1)
+    cross, mag = position_cross(pts, d1)
     scale = float(np.max(np.linalg.norm(pts, axis=-1)))
     tangential = np.sum(pts * frames.tangent, axis=-1)
 
@@ -122,7 +125,7 @@ def classify_rectifying_or_spherical(cs, tol=None):
         spher_ok = float(np.max(np.abs(tangential)) / scale) < tol
         if rect_ok and not spher_ok:
             label = LABEL_RECTIFYING
-            sign = 1.0 if float(np.mean(np.sum(np.cross(pts, d1) * frames.normal, axis=-1))) >= 0 else -1.0
+            sign = 1.0 if float(np.mean(np.sum(cross * frames.normal, axis=-1))) >= 0 else -1.0
             fitted_a = sign / mean
             fitted_b = fitted_a * float(np.mean(tangential - s))
         elif spher_ok and not rect_ok:

@@ -13,11 +13,11 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classify import classify_rectifying_or_spherical, fit_slant_axis
+from .classify import SlantAxisFit, classify_rectifying_or_spherical, fit_slant_axis
 from .cones import (
     base_from_samples,
     chart_curve,
@@ -35,9 +35,9 @@ from .curves import (
 )
 from .errors import DegenerateFit, InvalidConfig
 from .geodesics import (
+    GATES,
     GeodesicIVP,
     RectifyingParams,
-    VerifyThresholds,
     cross_check_circular_cone,
     generate_circular_geodesic,
     generate_rectifying,
@@ -103,25 +103,45 @@ def _positive(params, *keys):
 # input loaders; any parse or IO failure here is a validation error
 
 
-def _load_curve(path):
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _read_json(path, option):
+    """The JSON object in the file given to --option: ASCII, without duplicate keys."""
     try:
-        return SpaceCurve.from_samples(*read_curve_csv(path))
+        with open(path, "r", encoding="ascii") as fh:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise InvalidConfig(f"--in: cannot read {path!r}: {exc}") from exc
+        raise InvalidConfig(f"--{option}: cannot read {path!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise InvalidConfig(f"--{option}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"--{option}: top level must be an object")
+    return data
+
+
+def _load_table(path, option, read, build):
+    """build(*read(path)) for the CSV file given to --option."""
+    try:
+        return build(*read(path))
+    except OSError as exc:
+        raise InvalidConfig(f"--{option}: cannot read {path!r}: {exc}") from exc
     except ValueError as exc:
-        raise InvalidConfig(f"--in: {exc}") from exc
+        raise InvalidConfig(f"--{option}: {exc}") from exc
+
+
+def _load_curve(path):
+    return _load_table(path, "in", read_curve_csv, SpaceCurve.from_samples)
 
 
 def _load_cone(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            desc = json.load(fh)
-    except OSError as exc:
-        raise InvalidConfig(f"--cone: cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"--cone: {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(desc, dict):
-        raise InvalidConfig(f"--cone: {path!r}: top level must be an object")
+    desc = _read_json(path, "cone")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         # an absolute base_csv path replaces base_dir in the join
@@ -133,17 +153,14 @@ def _load_cone(path):
 
 
 def _load_ivp(path):
+    data = _read_json(path, "ivp")
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-        fields = {k: json_float(k, data[k]) for k in ("t0", "u0", "dt0", "du0", "length")}
-        for key, value in fields.items():
+        values = {k: json_float(k, data[k]) for k in ("t0", "u0", "dt0", "du0", "length")}
+        for key, value in values.items():
             if not math.isfinite(value):
                 raise InvalidConfig(f"--ivp: {key} must be finite, got {value!r}")
-        return GeodesicIVP(**fields)
-    except OSError as exc:
-        raise InvalidConfig(f"--ivp: cannot read {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        return GeodesicIVP(**values)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"--ivp: bad initial data: {exc}") from exc
 
 
@@ -169,12 +186,7 @@ def _cmd_generate(p):
     if p.get("psi0") is not None:
         curve = generate_circular_geodesic(params, p["psi0"], s_domain)
     else:
-        try:
-            base = base_from_samples(*read_base_csv(p["base"]))
-        except OSError as exc:
-            raise InvalidConfig(f"--base: cannot read {p['base']!r}: {exc}") from exc
-        except ValueError as exc:
-            raise InvalidConfig(f"--base: {exc}") from exc
+        base = _load_table(p["base"], "base", read_base_csv, base_from_samples)
         curve = generate_rectifying(params, base, s_domain)
     n = int(p.get("samples") or 1024)
     s = np.linspace(*curve.domain, n)
@@ -191,11 +203,10 @@ def _cmd_classify(p):
     report = classify_rectifying_or_spherical(cs, tol=p.get("tol"))
     payload = report.to_dict()
     try:
-        slant = fit_slant_axis(cs)
-        payload.update(slant.to_dict())
+        payload.update(fit_slant_axis(cs).to_dict())
     except DegenerateFit:
-        payload.update({"axis": None, "cos_angle_mean": None, "residual": None,
-                        "slant_fit_error": "DegenerateFit"})
+        payload.update(dict.fromkeys(f.name for f in fields(SlantAxisFit)),
+                       slant_fit_error="DegenerateFit")
     _atomic_write(p["report"], report_json_text(payload))
     return 0
 
@@ -226,19 +237,14 @@ def _cmd_develop(p):
 
 def _cmd_verify(p):
     _require(p, "cone", "in", "report")
-    _positive(p, "samples", "kg_tol", "clairaut_tol", "align_tol", "straight_tol")
+    _positive(p, "samples", *(option for option, _ in GATES.values()))
     _check_writable(p["report"], "report")
     cone = _load_cone(p["cone"])
     cs = sample_curve(reparametrize_arclength(_load_curve(p["in"])),
                       int(p.get("samples") or 256))
-    defaults = VerifyThresholds()
-    thresholds = VerifyThresholds(
-        max_abs_kg=p.get("kg_tol") or defaults.max_abs_kg,
-        clairaut_relvar=p.get("clairaut_tol") or defaults.clairaut_relvar,
-        normal_alignment=p.get("align_tol") or defaults.normal_alignment,
-        straightness=p.get("straight_tol") or defaults.straightness,
-    )
-    report = verify_geodesic(cone, cs, thresholds=thresholds)
+    limits = {name: p[option] for name, (option, _) in GATES.items()
+              if p.get(option) is not None}
+    report = verify_geodesic(cone, cs, limits)
     _atomic_write(p["report"], report_json_text(report.to_dict()))
     return 0
 
@@ -291,9 +297,8 @@ _OPTIONS = {
     "classify": {"in": str, "samples": int, "tol": float, "report": str},
     "integrate": {"cone": str, "ivp": str, "step": float, "out": str},
     "develop": {"cone": str, "in": str, "out": str},
-    "verify": {"cone": str, "in": str, "samples": int, "kg_tol": float,
-               "clairaut_tol": float, "align_tol": float, "straight_tol": float,
-               "report": str},
+    "verify": {"cone": str, "in": str, "samples": int,
+               **{option: float for option, _ in GATES.values()}, "report": str},
     "crosscheck": {"a": float, "b": float, "c": float, "psi0": float, "seed": int,
                    "samples": int, "report": str},
 }
@@ -346,16 +351,7 @@ def _coerce(key, kind, value):
 
 def _merge_config(params, path, command):
     """Fill the options left unset on the command line from the command's section."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            file_cfg = json.load(fh)
-    except OSError as exc:
-        raise InvalidConfig(f"--config: cannot read {path!r}: {exc}") from exc
-    except ValueError as exc:
-        raise InvalidConfig(f"--config: not valid JSON: {exc}") from exc
-    if not isinstance(file_cfg, dict):
-        raise InvalidConfig("--config: top level must be an object")
-    section = file_cfg.get(command, {})
+    section = _read_json(path, "config").get(command, {})
     if not isinstance(section, dict):
         raise InvalidConfig(f"--config: section {command!r} must be an object")
     types = _OPTIONS[command]

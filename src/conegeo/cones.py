@@ -34,6 +34,9 @@ _CHART_GRID = 1024
 _NEWTON_CAP = 16
 _NEWTON_TOL = 1e-12
 _SEED_BLOCK = 256  # directions per seed block: a 2 MB score matrix
+# chart range of u; the cone is singular at its vertex u = 0
+U_MAX = 1e6
+U_MIN = 1e-9 * U_MAX
 
 
 class SphericalBaseCurve:
@@ -188,26 +191,20 @@ def base_from_samples(t, points):
 
 
 class Cone:
-    """Cone over a spherical base curve, vertex at the origin, u in (0, u_max]."""
+    """Cone over a spherical base curve, vertex at the origin, u in [U_MIN, U_MAX]."""
 
-    def __init__(self, base: SphericalBaseCurve, u_max=1e6):
-        if u_max <= 0.0:
-            raise ValueError("u_max must be positive")
+    u_min = U_MIN
+
+    def __init__(self, base: SphericalBaseCurve):
         self.base = base
-        self.u_max = float(u_max)
-
-    @property
-    def u_min(self):
-        # vertex exclusion: the cone is singular at u = 0
-        return 1e-9 * self.u_max
 
     def _check_u(self, u):
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0.0):
             raise NonpositiveRadialCoordinate("u must be strictly positive")
-        if np.any(u < self.u_min) or np.any(u > self.u_max):
+        if np.any(u < U_MIN) or np.any(u > U_MAX):
             raise VertexPoint(
-                f"u outside the chart range [{self.u_min:.3g}, {self.u_max:.3g}]"
+                f"u outside the chart range [{U_MIN:.3g}, {U_MAX:.3g}]"
             )
 
     def chart_t(self, direction, t_hint=None):
@@ -257,9 +254,9 @@ class Cone:
 class CircularCone(Cone):
     """Right circular cone with half angle psi0; closed-form chart."""
 
-    def __init__(self, psi0, u_max=1e6):
+    def __init__(self, psi0):
         self.psi0 = _half_angle(psi0)
-        super().__init__(circular_base(self.psi0), u_max=u_max)
+        super().__init__(circular_base(self.psi0))
 
     def chart_t(self, direction, t_hint=None):
         sp = np.sin(self.psi0)
@@ -455,14 +452,18 @@ def curve_from_chart(base: SphericalBaseCurve, chart: ChartCurve) -> SpaceCurve:
 
 
 def geodesic_curvature(cone, curve, s):
-    """Signed geodesic curvature <alpha'', N x alpha'> along a unit-speed curve."""
+    """Signed geodesic curvature along a unit-speed curve."""
     t, _ = _chart_points(cone, np.atleast_2d(curve.evaluate(s)))
-    N = surface_normal(cone, t)
     d1, d2 = (np.atleast_2d(d) for d in curve.derivatives(s, (1, 2)))
-    kg = np.sum(d2 * np.cross(N, d1), axis=-1)
+    kg = geodesic_curvature_of(surface_normal(cone, t), d1, d2)
     if np.ndim(s) == 0:
         return float(kg[0])
     return kg
+
+
+def geodesic_curvature_of(N, d1, d2):
+    """<alpha'', N x alpha'> from cone normals and the curve's first two derivatives."""
+    return np.sum(d2 * np.cross(N, d1), axis=-1)
 
 
 def clairaut_invariant(cone, chart: ChartCurve, s):

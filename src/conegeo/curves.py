@@ -18,6 +18,8 @@ from .errors import (
 )
 
 KAPPA_FLOOR = 1e-9
+# sample_curve holds the jet to this order; sample_grid keeps clear of its stencils
+SAMPLE_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -279,14 +281,14 @@ def line_curve(point, direction, length=1.0):
 # operations
 
 
-def sample_grid(curve, n=256, max_order=3):
-    """Uniform parameter grid avoiding finite-difference margins.
+def sample_grid(curve, n=256):
+    """Uniform parameter grid avoiding the margins of the order-3 stencils.
 
     Sampled curves are sampled on their own (interior) nodes so stencil
     points land on exact data.
     """
     s0, s1 = curve.domain
-    m = curve.fd_margin(max_order)
+    m = curve.fd_margin(SAMPLE_ORDER)
     if curve.kind == "sampled" and curve.nodes is not None:
         s_nodes = curve.nodes[0]
         reach = int(np.ceil(m / curve.settings.h - 1e-9)) if m > 0 else 0
@@ -320,7 +322,8 @@ class CurveSamples:
 def sample_curve(curve, samples=256, kappa_floor=KAPPA_FLOOR):
     """Evaluate the curve's jet once on sample_grid(curve, samples)."""
     s = _readonly(sample_grid(curve, samples))
-    return CurveSamples(curve, samples, kappa_floor, s, _readonly(curve.jet(s)))
+    return CurveSamples(curve, samples, kappa_floor, s,
+                        _readonly(curve.jet(s, SAMPLE_ORDER)))
 
 
 def frenet_apparatus(curve, s, kappa_floor=KAPPA_FLOOR):
@@ -356,10 +359,15 @@ def frenet_frame(d1, d2, d3, kappa_floor=KAPPA_FLOOR):
     )
 
 
+def position_cross(p, d1):
+    """alpha x alpha' and its magnitude, from points and first derivatives."""
+    cross = np.cross(p, d1)
+    return cross, np.linalg.norm(cross, axis=-1)
+
+
 def cross_magnitude(curve, s):
     """|alpha(s) x alpha'(s)|."""
-    p, d1 = curve.derivatives(s, (0, 1))
-    return np.linalg.norm(np.cross(p, d1), axis=-1)
+    return position_cross(*curve.derivatives(s, (0, 1)))[1]
 
 
 def _adaptive_simpson_segments(f, nodes, values, tol):

@@ -17,6 +17,7 @@ import numpy as np
 from . import jets as jt
 from .classify import (
     LABEL_RECTIFYING,
+    Report,
     classification_identity_residual,
     classify_rectifying_or_spherical,
     fit_slant_axis,
@@ -29,6 +30,7 @@ from .cones import (
     chart_curve,
     curve_from_chart,
     develop,
+    geodesic_curvature_of,
     line_fit,
     unit_normal,
 )
@@ -43,6 +45,19 @@ from .errors import (
 # lists and the s grid, then the chart arrays), so this ceiling caps one run
 # near 225 MB, about 2 s on a 2-vCPU Xeon
 MAX_RK4_STEPS = 10**6
+
+# verify's gates: report field -> (CLI option, default limit), in report
+# order.  normal_alignment_min passes above 1 - limit, the others below it.
+GATES = {
+    "max_abs_kg": ("kg_tol", 1e-4),
+    "clairaut_relvar": ("clairaut_tol", 1e-5),
+    "normal_alignment_min": ("align_tol", 1e-5),
+    "development_straightness_residual": ("straight_tol", 1e-6),
+}
+
+# crosscheck's limits on the slant-axis residual and the identity residuals
+SLANT_TOL = 1e-5
+IDENTITY_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -212,51 +227,35 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
 
 
 @dataclass(frozen=True)
-class VerifyThresholds:
-    max_abs_kg: float = 1e-4
-    clairaut_relvar: float = 1e-5
-    normal_alignment: float = 1e-5  # verdict needs min |<n,N>| > 1 - this
-    straightness: float = 1e-6
-
-
-@dataclass(frozen=True)
-class GeodesyReport:
+class GeodesyReport(Report):
     max_abs_kg: float
     clairaut_relvar: float
     normal_alignment_min: Optional[float]
     development_straightness_residual: float
     verdict: str
 
-    def to_dict(self):
-        return {
-            "max_abs_kg": self.max_abs_kg,
-            "clairaut_relvar": self.clairaut_relvar,
-            "normal_alignment_min": self.normal_alignment_min,
-            "development_straightness_residual": self.development_straightness_residual,
-            "verdict": self.verdict,
-        }
 
-
-def verify_geodesic(cone: Cone, cs: CurveSamples,
-                    thresholds: Optional[VerifyThresholds] = None) -> GeodesyReport:
+def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
     """Check geodesy of a sampled unit-speed curve lying on the cone.
 
     Four independent measurements: max |kappa_g|, relative variation of the
     Clairaut invariant u^2 t', minimum |<n, N>| alignment, and straightness
-    of the developed image.  Curves with curvature below the floor
-    everywhere are rulings.  Grids under 7 points raise InsufficientSamples
-    from the sampled chart.
+    of the developed image, each held to its GATES limit; limits, keyed by
+    gate name, overrides some of them.  Curves with curvature below the
+    floor everywhere are rulings.  Grids under 7 points raise
+    InsufficientSamples from the sampled chart.
     """
-    if thresholds is None:
-        thresholds = VerifyThresholds()
+    limits = limits or {}
+    if not limits.keys() <= GATES.keys():
+        raise ValueError(f"unknown gates {sorted(limits.keys() - GATES.keys())}")
+    limit = {name: limits.get(name, default) for name, (_, default) in GATES.items()}
     pts, d1, d2 = cs.jet[:3]
     chart = chart_curve(cone, cs.curve, s=cs.s, points=pts)
     t_arr, u_arr = chart.samples[1], chart.samples[2]
 
     y, y1 = cone.base.derivatives(t_arr, (0, 1))
     N = unit_normal(y, y1)
-    kg = np.sum(d2 * np.cross(N, d1), axis=-1)
-    max_kg = float(np.max(np.abs(kg)))
+    max_kg = float(np.max(np.abs(geodesic_curvature_of(N, d1, d2))))
 
     # u^2 t' via the chart velocity decomposition t' = <alpha', y'(t)> / u,
     # exact pointwise, so the constancy test is not limited by series stencils
@@ -272,23 +271,23 @@ def verify_geodesic(cone: Cone, cs: CurveSamples,
 
     align = float(np.min(np.abs(np.sum(cs.frames.normal * N, axis=-1))))
     ok = (
-        max_kg < thresholds.max_abs_kg
-        and relvar < thresholds.clairaut_relvar
-        and align > 1.0 - thresholds.normal_alignment
-        and straightness < thresholds.straightness
+        max_kg < limit["max_abs_kg"]
+        and relvar < limit["clairaut_relvar"]
+        and align > 1.0 - limit["normal_alignment_min"]
+        and straightness < limit["development_straightness_residual"]
     )
     return GeodesyReport(max_kg, relvar, align, straightness,
                          "geodesic" if ok else "not-geodesic")
 
 
 @dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Report):
     label: str
     fitted_a: Optional[float]
     fitted_b: Optional[float]
     axis: np.ndarray
     cos_angle_mean: float
-    slant_residual: float
+    residual: float
     geodesy: GeodesyReport
     eq_identity_residual_e3: float
     eq_identity_residual_random_u: float
@@ -299,33 +298,8 @@ class CrossCheckReport:
     identity_ok: bool
     consistent: bool
 
-    def to_dict(self):
-        out = {
-            "label": self.label,
-            "fitted_a": self.fitted_a,
-            "fitted_b": self.fitted_b,
-            "axis": [float(x) for x in self.axis],
-            "cos_angle_mean": self.cos_angle_mean,
-            "residual": self.slant_residual,
-        }
-        out.update(self.geodesy.to_dict())
-        out.update(
-            {
-                "eq_identity_residual_e3": self.eq_identity_residual_e3,
-                "eq_identity_residual_random_u": self.eq_identity_residual_random_u,
-                "random_u": [float(x) for x in self.random_u],
-                "rectifying_ok": self.rectifying_ok,
-                "slant_ok": self.slant_ok,
-                "geodesic_ok": self.geodesic_ok,
-                "identity_ok": self.identity_ok,
-                "consistent": self.consistent,
-            }
-        )
-        return out
 
-
-def cross_check_circular_cone(a, b, c, psi0, seed=0, samples=256,
-                         slant_tol=1e-5, identity_tol=1e-4) -> CrossCheckReport:
+def cross_check_circular_cone(a, b, c, psi0, seed=0, samples=256) -> CrossCheckReport:
     """Consistency check on a circular cone: rectifying + slant helix + geodesic.
 
     Generates the closed-form curve for (a, b, c, psi0), classifies it,
@@ -351,16 +325,16 @@ def cross_check_circular_cone(a, b, c, psi0, seed=0, samples=256,
     max_ru = float(np.max(np.abs(res_ru)))
 
     rectifying_ok = report.label == LABEL_RECTIFYING
-    slant_ok = slant.residual < slant_tol
+    slant_ok = slant.residual < SLANT_TOL
     geodesic_ok = geodesy.verdict == "geodesic"
-    identity_ok = max_e3 < identity_tol and max_ru < identity_tol
+    identity_ok = max_e3 < IDENTITY_TOL and max_ru < IDENTITY_TOL
     return CrossCheckReport(
         label=report.label,
         fitted_a=report.fitted_a,
         fitted_b=report.fitted_b,
         axis=slant.axis,
         cos_angle_mean=slant.cos_angle_mean,
-        slant_residual=slant.residual,
+        residual=slant.residual,
         geodesy=geodesy,
         eq_identity_residual_e3=max_e3,
         eq_identity_residual_random_u=max_ru,

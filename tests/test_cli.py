@@ -16,9 +16,9 @@ from conegeo import (
     write_base_csv,
     write_curve_csv,
 )
-from conegeo import cli
+from conegeo import GATES, cli
 from conegeo.cli import main
-from conegeo.errors import InvalidConfig
+from conegeo.errors import DegenerateFit, InvalidConfig
 from helpers import count_curve_jet_passes, legacy_build_config
 
 
@@ -126,6 +126,54 @@ def test_verify_threshold_overrides(tmp_path):
                    "--kg-tol", 10, "--clairaut-tol", 10,
                    "--align-tol", 0.9, "--straight-tol", 10) == 0
     assert json.loads(rep.read_text())["verdict"] == "geodesic"
+
+
+@pytest.fixture(scope="module")
+def geodesic_verify(tmp_path_factory):
+    """A generated geodesic's curve CSV, cone JSON and default verify report."""
+    work = tmp_path_factory.mktemp("gates")
+    curve, cone, rep = work / "c.csv", work / "cone.json", work / "v.json"
+    assert run_cli("generate", "--a", 1.3, "--b", 0.2, "--c", 0.1, "--psi0", 0.8,
+                   "--out", curve) == 0
+    cone.write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
+    assert run_cli("verify", "--cone", cone, "--in", curve, "--report", rep) == 0
+    return curve, cone, json.loads(rep.read_text())
+
+
+def test_verify_options_come_from_the_gate_table():
+    assert list(GATES.items()) == [
+        ("max_abs_kg", ("kg_tol", 1e-4)),
+        ("clairaut_relvar", ("clairaut_tol", 1e-5)),
+        ("normal_alignment_min", ("align_tol", 1e-5)),
+        ("development_straightness_residual", ("straight_tol", 1e-6))]
+    assert cli._OPTIONS["verify"] == {
+        "cone": str, "in": str, "samples": int, "kg_tol": float, "clairaut_tol": float,
+        "align_tol": float, "straight_tol": float, "report": str}
+    assert list(cli._OPTIONS["verify"])[3:7] == [option for option, _ in GATES.values()]
+
+
+@pytest.mark.parametrize("via", ["option", "config"])
+@pytest.mark.parametrize("gate", list(GATES))
+def test_verify_one_tight_gate_flips_the_verdict(tmp_path, geodesic_verify, gate, via):
+    # half the measured value fails the gate; twice it passes, and fails any
+    # other gate the option might reach, as their values are far apart
+    curve, cone, report = geodesic_verify
+    assert report["verdict"] == "geodesic"
+    option, _ = GATES[gate]
+    value = report[gate]
+    excess = 1.0 - value if gate == "normal_alignment_min" else value
+    assert excess > 0.0
+    rep = tmp_path / "v.json"
+    for limit, verdict in ((excess / 2, "not-geodesic"), (excess * 2, "geodesic")):
+        args = ["verify", "--cone", cone, "--in", curve, "--report", rep]
+        if via == "option":
+            args += [f"--{option.replace('_', '-')}={limit!r}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"verify": {option: limit}}))
+            args = ["--config", cfg] + args
+        assert run_cli(*args) == 0
+        assert json.loads(rep.read_text()) == {**report, "verdict": verdict}
 
 
 def test_generate_custom_window(tmp_path):
@@ -359,6 +407,42 @@ def test_verify_samples_below_chart_stencil_exit_2(tmp_path, capsys, samples, co
         assert report["verdict"] == "geodesic"
 
 
+# the three JSON inputs of integrate, valid, and a duplicate-key form of each
+_JSON_INPUTS = {
+    "cone": ('{"kind": "circular", "psi0": 0.8}',
+             '{"kind": "circular", "psi0": 0.8, "psi0": 0.9}', "'psi0'"),
+    "ivp": ('{"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}',
+            '{"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0, "length": 3.0}',
+            "'length'"),
+    "config": ('{"integrate": {"step": 0.001}}',
+               '{"integrate": {"step": 0.001, "step": 0.002}}', "'step'"),
+}
+
+
+@pytest.mark.parametrize("case", ["deep", "bom", "non-ascii", "duplicate"])
+@pytest.mark.parametrize("option", list(_JSON_INPUTS))
+def test_malformed_json_input_exits_1(tmp_path, capsys, option, case):
+    paths = {name: tmp_path / f"{name}.json" for name in _JSON_INPUTS}
+    for name, (valid, _, _) in _JSON_INPUTS.items():
+        paths[name].write_text(valid)
+    argv = ["--config", paths["config"], "integrate", "--cone", paths["cone"],
+            "--ivp", paths["ivp"], "--out", tmp_path / "ig.csv"]
+    assert run_cli(*argv) == 0
+    valid, duplicate, key = _JSON_INPUTS[option]
+    paths[option].write_bytes({
+        "deep": b"[" * 200_000 + b"]" * 200_000,
+        "bom": b"\xef\xbb\xbf" + valid.encode(),
+        "non-ascii": valid[:-1].encode() + ', "note": "caf\u00e9"}'.encode("utf-8"),
+        "duplicate": duplicate.encode(),
+    }[case])
+    out = tmp_path / "ig2.csv"
+    assert run_cli(*argv[:-1], out) == 1
+    err = _assert_invalid_config(capsys, out)
+    assert err.startswith(f"error: InvalidConfig: --{option}: not valid JSON: ")
+    if case == "duplicate":
+        assert err.endswith(f"not valid JSON: duplicate key {key}\n")
+
+
 @pytest.mark.parametrize("key", ["dt0", "length"])
 def test_integrate_nonfinite_ivp_exits_1(tmp_path, quarter_cone_json, capsys, key):
     data = {"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}
@@ -453,6 +537,27 @@ def test_generate_composes_no_jets(tmp_path, monkeypatch):
     assert calls == []
     assert len(read_curve_csv(tmp_path / "c.csv")[0]) == 1024
     assert len(read_curve_csv(tmp_path / "g.csv")[0]) == 256
+
+
+def test_classify_report_keys_with_and_without_slant_fit(tmp_path, monkeypatch):
+    curve, rep = tmp_path / "c.csv", tmp_path / "rep.json"
+    assert run_cli("generate", "--a", 1.2, "--b", 0.3, "--c", 0.1, "--psi0", 0.8,
+                   "--out", curve) == 0
+    assert run_cli("classify", "--in", curve, "--report", rep) == 0
+    keys = ["label", "cross_magnitude_mean", "cross_magnitude_relvar", "fitted_a",
+            "fitted_b", "axis", "cos_angle_mean", "residual"]
+    fitted = json.loads(rep.read_text())
+    assert list(fitted) == keys
+
+    def degenerate(cs):
+        raise DegenerateFit("smallest eigenvalue not isolated")
+
+    monkeypatch.setattr(cli, "fit_slant_axis", degenerate)
+    assert run_cli("classify", "--in", curve, "--report", rep) == 0
+    data = json.loads(rep.read_text())
+    assert list(data) == keys + ["slant_fit_error"]
+    assert data == {**fitted, "axis": None, "cos_angle_mean": None, "residual": None,
+                    "slant_fit_error": "DegenerateFit"}
 
 
 def test_classify_evaluates_the_curve_once(tmp_path, monkeypatch):

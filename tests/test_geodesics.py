@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conegeo import (
+    GATES,
     CircularCone,
     Cone,
     GeodesicIVP,
@@ -322,6 +323,23 @@ def test_verify_fd_curve_takes_one_stencil_pass(monkeypatch):
     assert rep.max_abs_kg == float(np.max(np.abs(kg)))
 
 
+def test_verify_limits_override_one_gate_each():
+    cone = CircularCone(0.75)
+    cs = sample_curve(generate_rectifying(RectifyingParams(1.2, 0.5, -0.3), cone.base))
+    rep = verify_geodesic(cone, cs)
+    assert rep.verdict == "geodesic"
+    assert list(GATES) == list(rep.to_dict())[:4]
+    for name in GATES:
+        value = getattr(rep, name)
+        excess = 1.0 - value if name == "normal_alignment_min" else value
+        tight = verify_geodesic(cone, cs, {name: excess / 2})
+        assert tight.verdict == "not-geodesic", name
+        assert tight.to_dict() == {**rep.to_dict(), "verdict": "not-geodesic"}
+        assert verify_geodesic(cone, cs, {name: GATES[name][1]}) == rep
+    with pytest.raises(ValueError, match="unknown gates \\['kg_tol'\\]"):
+        verify_geodesic(cone, cs, {"kg_tol": 1.0})
+
+
 def test_verify_winding_geodesic_on_narrow_cone():
     # the angular range 2*arctan(5) spans several base periods, so chart
     # extraction must unwrap t continuously across the seam
@@ -372,11 +390,28 @@ def test_crosscheck_randomized_params():
 def test_crosscheck_report_fields_flatten():
     rep = cross_check_circular_cone(1.0, 0.0, 0.0, 0.7)
     d = rep.to_dict()
-    for key in ("label", "fitted_a", "fitted_b", "axis", "cos_angle_mean",
-                "residual", "max_abs_kg", "clairaut_relvar",
-                "normal_alignment_min", "development_straightness_residual",
-                "verdict", "consistent"):
-        assert key in d
+    assert list(d) == [
+        "label", "fitted_a", "fitted_b", "axis", "cos_angle_mean", "residual",
+        "max_abs_kg", "clairaut_relvar", "normal_alignment_min",
+        "development_straightness_residual", "verdict",
+        "eq_identity_residual_e3", "eq_identity_residual_random_u", "random_u",
+        "rectifying_ok", "slant_ok", "geodesic_ok", "identity_ok", "consistent"]
+    assert d["axis"] == [float(x) for x in rep.axis] and type(d["axis"][0]) is float
+    assert d["random_u"] == [float(x) for x in rep.random_u]
+    assert d["residual"] == rep.residual and d["verdict"] == rep.geodesy.verdict
+
+
+def test_report_to_dict_key_order():
+    cone = CircularCone(0.8)
+    cs = sample_curve(generate_rectifying(RectifyingParams(1.3, 0.2, 0.1), cone.base))
+    assert list(classify_rectifying_or_spherical(cs).to_dict()) == [
+        "label", "cross_magnitude_mean", "cross_magnitude_relvar", "fitted_a", "fitted_b"]
+    slant = fit_slant_axis(cs).to_dict()
+    assert list(slant) == ["axis", "cos_angle_mean", "residual"]
+    assert all(type(x) is float for x in slant["axis"])
+    assert list(verify_geodesic(cone, cs).to_dict()) == [
+        "max_abs_kg", "clairaut_relvar", "normal_alignment_min",
+        "development_straightness_residual", "verdict"]
 
 
 # ----------------------------------------------------------------------
