@@ -46,7 +46,6 @@ from .cones import (
 from .curves import (
     KAPPA_FLOOR,
     CurveSamples,
-    DerivativeSettings,
     FrenetFrame,
     SpaceCurve,
     circle_curve,

@@ -24,6 +24,7 @@ from .cones import (
     cone_from_descriptor,
     develop,
     json_float,
+    json_keys,
     read_base_csv,
 )
 from .curves import (
@@ -154,8 +155,10 @@ def _load_cone(path):
 
 def _load_ivp(path):
     data = _read_json(path, "ivp")
+    keys = ("t0", "u0", "dt0", "du0", "length")
     try:
-        values = {k: json_float(k, data[k]) for k in ("t0", "u0", "dt0", "du0", "length")}
+        json_keys(data, keys, "an IVP")
+        values = {k: json_float(k, data[k]) for k in keys}
         for key, value in values.items():
             if not math.isfinite(value):
                 raise InvalidConfig(f"--ivp: {key} must be finite, got {value!r}")

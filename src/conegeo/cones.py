@@ -97,9 +97,7 @@ class SphericalBaseCurve:
         if self._wraps_stencil():
             jt.top_order(orders)
             arr = np.asarray(t, dtype=float)
-            st = self._curve.settings
-            out = jt.fd_derivatives(self.evaluate, np.atleast_1d(arr), orders,
-                                    st.h, st.scheme)
+            out = jt.fd_derivatives(self.evaluate, np.atleast_1d(arr), orders, self._curve.h)
             return [o[0] for o in out] if arr.ndim == 0 else out
         return self._curve.derivatives(self._wrap(t), orders)
 
@@ -147,8 +145,9 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
     """Smooth non-circular closed spherical base near the psi0 circle.
 
     A trigonometric perturbation of the circle is projected back onto the
-    sphere and reparametrized to unit speed; small amplitudes keep the
-    spherical bending positive, matching the circular case's orientation.
+    sphere; SphericalBaseCurve reparametrizes it to unit speed.  Small
+    amplitudes keep the spherical bending positive, matching the circular
+    case's orientation.
     """
     psi0 = _half_angle(psi0)
     rng = np.random.default_rng(seed)
@@ -174,8 +173,7 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
                      + (sin * ks**3) @ A + (-cos * ks**3) @ B)))
 
     curve = SpaceCurve.from_function(lambda t: raw_jet(t, 0)[0], (0.0, 2 * np.pi), jet=raw_jet)
-    unit = reparametrize_arclength(curve)
-    return SphericalBaseCurve(unit, periodic=True)
+    return SphericalBaseCurve(curve, periodic=True)
 
 
 def base_from_samples(t, points):
@@ -397,7 +395,7 @@ class ChartCurve:
     def from_samples(s, t, u, dt=None, du=None):
         """Sampled chart; derivatives default to stencils on the series."""
         s = np.asarray(s, dtype=float)
-        need = 2 * jt.stencil_reach(4, 3) + 1  # nodes of the order-3 series stencil
+        need = 2 * jt.stencil_reach(3) + 1  # nodes of the order-3 series stencil
         if s.size < need:
             raise InsufficientSamples(
                 f"a sampled chart needs at least {need - 1} steps ({need} nodes), got "
@@ -610,15 +608,24 @@ def json_float(key, value):
     return float(value)
 
 
+def json_keys(data, known, what):
+    """Refuse keys of a JSON object outside `known`: a mistyped key would be lost silently."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown!r}; {what} takes {list(known)!r}")
+
+
 def cone_from_descriptor(desc, resolve_path=None):
     """Build a cone from its JSON descriptor (dict)."""
     kind = desc.get("kind")
     if kind == "circular":
+        json_keys(desc, ("kind", "psi0"), "a circular cone")
         psi0 = json_float("psi0", desc["psi0"])
         if not np.isfinite(psi0):
             raise ValueError(f"psi0 must be finite, got {psi0!r}")
         return CircularCone(psi0)
     if kind == "general":
+        json_keys(desc, ("kind", "base_csv"), "a general cone")
         path = desc["base_csv"]
         if resolve_path is not None:
             path = resolve_path(path)

@@ -23,20 +23,6 @@ SAMPLE_ORDER = 3
 
 
 @dataclass(frozen=True)
-class DerivativeSettings:
-    """Step and central-difference order used when no analytic jets exist."""
-
-    h: float
-    scheme: int = 4
-
-    def __post_init__(self):
-        if not (self.h > 0.0):
-            raise ValueError("finite-difference step h must be positive")
-        if self.scheme not in (2, 4):
-            raise ValueError("scheme must be 2 or 4")
-
-
-@dataclass(frozen=True)
 class FrenetFrame:
     """Frenet data at one parameter (or a batch of parameters).
 
@@ -60,34 +46,32 @@ def _readonly(a):
 class SpaceCurve:
     """An evaluable curve in R^3 over a closed parameter interval.
 
-    kind is "closed-form" (backed by a callable) or "sampled" (backed by
-    nodes with cubic Hermite interpolation); derivative_mode is "analytic"
-    when third-order jets are available and "finite-difference" otherwise.
+    kind is "sampled" when the curve is backed by nodes with cubic Hermite
+    interpolation and "closed-form" otherwise; derivative_mode is
+    "analytic" when third-order jets are available and "finite-difference"
+    otherwise.  h is the step of the order-4 central stencils that give
+    finite-difference derivatives.
     """
 
-    def __init__(self, evaluator, domain, *, jet=None, kind="closed-form",
-                 settings=None, nodes=None):
+    def __init__(self, evaluator, domain, *, jet=None, h=None, nodes=None):
         s_min, s_max = float(domain[0]), float(domain[1])
         if not (np.isfinite(s_min) and np.isfinite(s_max) and s_min < s_max):
             raise ValueError(f"degenerate domain [{s_min}, {s_max}]")
-        if kind not in ("closed-form", "sampled"):
-            raise ValueError(f"unknown curve kind {kind!r}")
         length = s_max - s_min
-        if settings is None:
+        if h is None:
             if nodes is not None:
                 # stencil step = node spacing so stencils land on exact data;
                 # capped for coarse polylines to keep h small vs the domain
                 h = min(float(np.mean(np.diff(nodes[0]))), length / 100.0)
             else:
                 h = 1e-4 * length
-            settings = DerivativeSettings(h=h, scheme=4)
-        if settings.h > length / 100.0:
-            raise ValueError("step h must be at most 1/100 of the domain length")
+        if not 0.0 < h <= length / 100.0:
+            raise ValueError(f"step h must be positive and at most 1/100 of the domain "
+                             f"length, got {h!r}")
         self._evaluator = evaluator
         self._jet = jet
         self._domain = (s_min, s_max)
-        self._kind = kind
-        self._settings = settings
+        self._h = h
         self._nodes = None
         if nodes is not None:
             self._nodes = (_readonly(nodes[0]), _readonly(nodes[1]))
@@ -103,15 +87,16 @@ class SpaceCurve:
 
     @property
     def kind(self):
-        return self._kind
+        return "closed-form" if self._nodes is None else "sampled"
 
     @property
     def derivative_mode(self):
         return "analytic" if self._jet is not None else "finite-difference"
 
     @property
-    def settings(self):
-        return self._settings
+    def h(self):
+        """Finite-difference step."""
+        return self._h
 
     @property
     def nodes(self):
@@ -133,8 +118,7 @@ class SpaceCurve:
         """Domain shrink needed by the finite-difference stencil; none for order 0."""
         if self._jet is not None or order == 0:
             return 0.0
-        reach = jt.stencil_reach(self._settings.scheme, order)
-        return reach * self._settings.h * (1.0 + 1e-9)
+        return jt.stencil_reach(order) * self._h * (1.0 + 1e-9)
 
     def evaluate(self, s):
         """Point alpha(s); accepts a scalar or an array of parameters."""
@@ -175,8 +159,7 @@ class SpaceCurve:
                     f"order-{top} stencil needs {margin:.3g} of margin inside "
                     f"[{s0}, {s1}]"
                 )
-            out = jt.fd_derivatives(self._evaluator, q, orders,
-                                    self._settings.h, self._settings.scheme)
+            out = jt.fd_derivatives(self._evaluator, q, orders, self._h)
         if arr.ndim == 0:
             return [o[0] for o in out]
         return out
@@ -188,11 +171,11 @@ class SpaceCurve:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def from_function(fn, domain, jet=None, settings=None):
-        return SpaceCurve(fn, domain, jet=jet, kind="closed-form", settings=settings)
+    def from_function(fn, domain, jet=None, h=None):
+        return SpaceCurve(fn, domain, jet=jet, h=h)
 
     @staticmethod
-    def from_samples(s, points, settings=None):
+    def from_samples(s, points):
         """Sampled curve with cubic Hermite interpolation between nodes."""
         s = np.asarray(s, dtype=float)
         points = np.asarray(points, dtype=float)
@@ -206,8 +189,6 @@ class SpaceCurve:
         return SpaceCurve(
             lambda q: jt.hermite(s, points, slopes, q),
             (s[0], s[-1]),
-            kind="sampled",
-            settings=settings,
             nodes=(s, points),
         )
 
@@ -289,9 +270,9 @@ def sample_grid(curve, n=256):
     """
     s0, s1 = curve.domain
     m = curve.fd_margin(SAMPLE_ORDER)
-    if curve.kind == "sampled" and curve.nodes is not None:
+    if curve.nodes is not None:
         s_nodes = curve.nodes[0]
-        reach = int(np.ceil(m / curve.settings.h - 1e-9)) if m > 0 else 0
+        reach = int(np.ceil(m / curve.h - 1e-9)) if m > 0 else 0
         inner = s_nodes[reach: s_nodes.size - reach] if reach else s_nodes
         if inner.size < 2:
             raise InsufficientMargin("sampled curve too short for derivative stencils")
@@ -480,15 +461,13 @@ def reparametrize_arclength(curve, tol=1e-10):
         def jet(q, order):
             return jt.jet_reparametrize(base_jet(inverse(q), order))
 
+    h = None
     if curve.kind == "sampled":
         # SpaceCurve refuses a step above 1/100 of its domain, as a curve of
         # under 101 rows can reach once its step is rescaled
         cap = ((s0 + total) - s0) / 100.0
-        h_new = min(curve.settings.h * total / (s1 - s0), cap)
-        settings = DerivativeSettings(h=h_new, scheme=curve.settings.scheme)
-    else:
-        settings = None
-    return SpaceCurve(evaluator, (s0, s0 + total), jet=jet, settings=settings)
+        h = min(curve.h * total / (s1 - s0), cap)
+    return SpaceCurve(evaluator, (s0, s0 + total), jet=jet, h=h)
 
 
 # ----------------------------------------------------------------------

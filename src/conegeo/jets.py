@@ -14,18 +14,11 @@ import numpy as np
 
 from .errors import InsufficientMargin
 
-# central stencils per scheme order: {derivative order: (offsets, coefficients)}
+# order-4 central stencils: {derivative order: (offsets, coefficients)}
 _CENTRAL = {
-    2: {
-        1: ((-1, 0, 1), (-0.5, 0.0, 0.5)),
-        2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-        3: ((-2, -1, 0, 1, 2), (-0.5, 1.0, 0.0, -1.0, 0.5)),
-    },
-    4: {
-        1: ((-2, -1, 0, 1, 2), (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)),
-        2: ((-2, -1, 0, 1, 2), (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)),
-        3: ((-3, -2, -1, 0, 1, 2, 3), (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8)),
-    },
+    1: ((-2, -1, 0, 1, 2), (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)),
+    2: ((-2, -1, 0, 1, 2), (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)),
+    3: ((-3, -2, -1, 0, 1, 2, 3), (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8)),
 }
 
 # one-sided order-4 first-derivative weights of the first two nodes of a
@@ -36,37 +29,34 @@ _EDGE_D1 = (
 )
 
 
-def stencil(scheme, order):
-    if scheme not in _CENTRAL:
-        raise ValueError(f"unsupported scheme {scheme!r}; choose 2 or 4")
-    if order not in (1, 2, 3):
+def stencil(order):
+    if order not in _CENTRAL:
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
-    offsets, coeffs = _CENTRAL[scheme][order]
+    offsets, coeffs = _CENTRAL[order]
     return np.asarray(offsets, dtype=float), np.asarray(coeffs, dtype=float)
 
 
-def stencil_reach(scheme, order):
+def stencil_reach(order):
     """Largest stencil offset, in units of the step h."""
-    offsets, _ = _CENTRAL[scheme][order]
-    return max(abs(k) for k in offsets)
+    return _CENTRAL[order][0][-1]
 
 
-def fd_derivative(evaluate, s, order, h, scheme=4):
+def fd_derivative(evaluate, s, order, h):
     """Central finite difference of a vectorized evaluator at parameters s."""
-    return fd_derivatives(evaluate, s, (order,), h, scheme)[0]
+    return fd_derivatives(evaluate, s, (order,), h)[0]
 
 
-def fd_derivatives(evaluate, s, orders, h, scheme=4):
+def fd_derivatives(evaluate, s, orders, h):
     """Central differences of several orders from one evaluator call.
 
     `evaluate` must work elementwise: it gets, concatenated, the parameters
-    of each distinct offset with a nonzero weight (7 for orders 1-3 at
-    scheme 4) and of offset 0 for order 0, the value.  Each order sums its
-    terms in stencil order, bitwise as a single-order stencil would.
-    Returns a list in `orders` order.
+    of each distinct offset with a nonzero weight (7 for orders 1-3) and of
+    offset 0 for order 0, the value.  Each order sums its terms in stencil
+    order, bitwise as a single-order stencil would.  Returns a list in
+    `orders` order.
     """
     s = np.asarray(s, dtype=float)
-    stencils = {order: stencil(scheme, order) for order in orders if order}
+    stencils = {order: stencil(order) for order in orders if order}
     offsets = []
     for order in orders:
         used = zip(*stencils[order]) if order else ((0.0, 1.0),)
@@ -82,15 +72,15 @@ def fd_derivatives(evaluate, s, orders, h, scheme=4):
     return [derivative(order) if order else taps[0.0] for order in orders]
 
 
-def series_derivative(values, dx, order=1, scheme=4):
+def series_derivative(values, dx, order=1):
     """Differentiate a uniformly spaced series.
 
     Returns (derivative, reach): the derivative is only available on the
     interior values[reach:len-reach]; callers trim their abscissae to match.
     """
     values = np.asarray(values, dtype=float)
-    offsets, coeffs = stencil(scheme, order)
-    reach = int(max(abs(k) for k in offsets))
+    offsets, coeffs = stencil(order)
+    reach = stencil_reach(order)
     n = values.shape[0]
     if n < 2 * reach + 1:
         raise InsufficientMargin(

@@ -1,9 +1,11 @@
 """Shared curve factories for the test suite."""
 
+import functools
 import json
 import math
 
 import numpy as np
+import sympy
 
 from conegeo import (
     RectifyingParams,
@@ -17,7 +19,6 @@ from conegeo import (
 from conegeo import jets
 from conegeo.cli import RunConfig, _Parser
 from conegeo.cones import ON_CONE_RTOL
-from conegeo.curves import DerivativeSettings
 from conegeo.errors import (
     BaseDomainExceeded,
     InvalidConfig,
@@ -433,12 +434,8 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
         def jet(q, order=3):
             return jets.jet_reparametrize(base_jet(inverse(q)))
 
-    if curve.kind == "sampled":
-        h_new = curve.settings.h * total / (s1 - s0)
-        settings = DerivativeSettings(h=h_new, scheme=curve.settings.scheme)
-    else:
-        settings = None
-    return SpaceCurve(evaluator, (s0, s0 + total), jet=jet, settings=settings)
+    h = curve.h * total / (s1 - s0) if curve.kind == "sampled" else None
+    return SpaceCurve(evaluator, (s0, s0 + total), jet=jet, h=h)
 
 
 def _reference_dot(a, b):
@@ -515,8 +512,28 @@ def reference_hermite(s, values, slopes, q, derivative=False):
             + w01 * values[idx + 1] + w11 * slopes[idx + 1])
 
 
-def reference_fd_derivatives(evaluate, s, orders, h, scheme=4):
-    """jets.fd_derivatives as it was before the one-call pass: one evaluator call per offset."""
+@functools.cache
+def sympy_weights(order, offsets, at=0):
+    """Exact finite-difference weights of sympy.finite_diff_weights, rounded once to floats."""
+    return tuple(float(w) for w in sympy.finite_diff_weights(order, list(offsets), at)[order][-1])
+
+
+def sympy_central(order):
+    """Order-4 central stencil of a derivative order, from sympy: (offsets, weights).
+
+    The fewest symmetric points that give fourth-order accuracy: 5 for
+    orders 1 and 2, 7 for order 3.
+    """
+    reach = (order + 3) // 2
+    offsets = tuple(range(-reach, reach + 1))
+    return offsets, sympy_weights(order, offsets)
+
+
+def reference_fd_derivatives(evaluate, s, orders, h):
+    """jets.fd_derivatives as it was before the one-call pass: one evaluator call per offset.
+
+    The weights come from sympy, not from the jets table under test.
+    """
     s = np.asarray(s, dtype=float)
     taps = {}
 
@@ -530,7 +547,7 @@ def reference_fd_derivatives(evaluate, s, orders, h, scheme=4):
         if order == 0:
             out.append(tap(0.0))
             continue
-        offsets, coeffs = jets.stencil(scheme, order)
+        offsets, coeffs = sympy_central(order)
         acc = None
         for k, c in zip(offsets, coeffs):
             if c == 0.0:

@@ -464,6 +464,37 @@ def _assert_invalid_config(capsys, *paths):
     return err
 
 
+# a valid cone or IVP JSON, and one key that nothing reads
+_UNKNOWN_KEY = {
+    "circular": ("cone", {"kind": "circular", "psi0": 0.8}, "psi",
+                 "--cone: bad descriptor: unknown keys ['psi']; "
+                 "a circular cone takes ['kind', 'psi0']"),
+    "general": ("cone", {"kind": "general", "base_csv": "base.csv"}, "psi0",
+                "--cone: bad descriptor: unknown keys ['psi0']; "
+                "a general cone takes ['kind', 'base_csv']"),
+    "ivp": ("ivp", {"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}, "step",
+            "--ivp: bad initial data: unknown keys ['step']; "
+            "an IVP takes ['t0', 'u0', 'dt0', 'du0', 'length']"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNKNOWN_KEY))
+def test_unknown_json_key_exits_1(tmp_path, capsys, case):
+    t = np.linspace(0.0, 2 * np.pi * np.sin(0.8), 257)
+    write_base_csv(tmp_path / "base.csv", t, CircularCone(0.8).base.evaluate(t))
+    option, data, key, message = _UNKNOWN_KEY[case]
+    paths = {"cone": tmp_path / "cone.json", "ivp": tmp_path / "ivp.json"}
+    paths["cone"].write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
+    paths["ivp"].write_text(json.dumps(_UNKNOWN_KEY["ivp"][1]))
+    paths[option].write_text(json.dumps(data))
+    argv = ["integrate", "--cone", paths["cone"], "--ivp", paths["ivp"], "--out"]
+    assert run_cli(*argv, tmp_path / "ig.csv") == 0
+    paths[option].write_text(json.dumps({**data, key: 0.9}))
+    out = tmp_path / "ig2.csv"
+    assert run_cli(*argv, out) == 1
+    assert _assert_invalid_config(capsys, out) == f"error: InvalidConfig: {message}\n"
+
+
 @pytest.mark.parametrize("key,value", [("t0", True), ("u0", "1.0")])
 def test_integrate_mistyped_ivp_exits_1(tmp_path, quarter_cone_json, capsys, key, value):
     data = {"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0, key: value}

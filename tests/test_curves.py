@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conegeo import (
-    DerivativeSettings,
     RectifyingParams,
     SpaceCurve,
     circle_curve,
@@ -97,21 +96,37 @@ def test_derivative_unit_circle():
     assert np.allclose(circ.derivative(0.0, 1), [0.0, 1.0, 0.0])
 
 
-def test_derivative_fd_order2_matches_analytic():
+def test_derivative_fd_matches_analytic():
     hx = helix_curve(0.6, 0.8)
-    fd_twin = SpaceCurve.from_function(
-        lambda s: hx.evaluate(s), hx.domain,
-        settings=DerivativeSettings(h=1e-4, scheme=2),
-    )
+    fd_twin = SpaceCurve.from_function(lambda s: hx.evaluate(s), hx.domain, h=1e-4)
     s = np.linspace(1.0, 5.0, 11)
-    assert np.max(np.abs(fd_twin.derivative(s, 1) - hx.derivative(s, 1))) < 1e-6
+    assert np.max(np.abs(fd_twin.derivative(s, 1) - hx.derivative(s, 1))) < 1e-9
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), 0.0101])
+def test_step_outside_its_range_is_refused(h):
+    with pytest.raises(ValueError, match="step h must be positive and at most 1/100"):
+        SpaceCurve.from_function(np.sin, (0.0, 1.0), h=h)
+
+
+def test_step_and_kind_follow_the_constructor():
+    assert SpaceCurve.from_function(np.sin, (0.0, 2.0), h=0.02).h == 0.02
+    s = np.linspace(0.0, 1.0, 201)
+    sampled = SpaceCurve.from_samples(s, np.stack([s, s * s, s**3], axis=-1))
+    closed = SpaceCurve.from_function(np.sin, (0.0, 2.0))
+    assert (sampled.kind, sampled.h) == ("sampled", float(np.mean(np.diff(s))))
+    assert (closed.kind, closed.h) == ("closed-form", 2e-4)
+    # a reparametrized sampled curve has no nodes; its step is rescaled, not reset
+    unit = reparametrize_arclength(sampled)
+    assert unit.nodes is None and unit.kind == "closed-form"
+    assert unit.h == sampled.h * unit.length / sampled.length
 
 
 def test_derivative_constant_curve_is_zero():
     # h large enough that round-off amplification 1/h^3 stays negligible
     const = SpaceCurve.from_function(
         lambda s: np.broadcast_to([1.0, 2.0, 3.0], s.shape + (3,)).copy(), (0.0, 1.0),
-        settings=DerivativeSettings(h=0.005),
+        h=0.005,
     )
     for order in (1, 2, 3):
         assert np.allclose(const.derivative(0.5, order), 0.0, atol=1e-8)
@@ -151,7 +166,7 @@ def test_fd_frames_and_jet_evaluate_each_offset_once():
         calls.clear()
         pass_()
         assert len(calls) == 1 and calls[0].shape == (7 * s.size,)
-        starts = np.round((calls[0][::s.size] - s[0]) / fd.settings.h)
+        starts = np.round((calls[0][::s.size] - s[0]) / fd.h)
         assert sorted(starts) == [-3, -2, -1, 0, 1, 2, 3]
 
 
@@ -314,10 +329,10 @@ def _assert_same_reparametrization(curve):
     try:
         ref = reference_reparametrize_arclength(curve)
     except ValueError:  # the reference's uncapped step of a curve under 101 rows
-        assert curve.kind == "sampled" and unit.settings.h == unit.length / 100.0
+        assert curve.kind == "sampled" and unit.h == unit.length / 100.0
         return
     assert (unit is curve) == (ref is curve)
-    assert unit.domain == ref.domain and unit.settings == ref.settings
+    assert unit.domain == ref.domain and unit.h == ref.h
     q = np.linspace(*unit.domain, 301)
     assert_bitwise(unit.evaluate(q), ref.evaluate(q))
     g = sample_grid(unit, 129)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conegeo import jets as jt
 from conegeo.errors import InsufficientMargin
+from helpers import sympy_central, sympy_weights
 
 
 def poly_curve(t):
@@ -21,9 +22,20 @@ def test_stencils_exact_on_polynomials():
     assert np.allclose(jt.fd_derivative(poly_curve, s, 1, 0.01), [[0.75, 0.0, 2.0]])
     assert np.allclose(jt.fd_derivative(poly_curve, s, 2, 0.01), [[3.0, 2.0, 0.0]])
     assert np.allclose(jt.fd_derivative(poly_curve, s, 3, 0.01), [[6.0, 0.0, 0.0]])
-    for order, expect in ((1, [0.75, 0.0, 2.0]), (2, [3.0, 2.0, 0.0]), (3, [6.0, 0.0, 0.0])):
-        got = jt.fd_derivative(poly_curve, s, order, 1e-3, scheme=2)
-        assert np.allclose(got, [expect], atol=1e-6)
+
+
+def test_stencils_equal_sympy_weights():
+    # an oracle outside the table: exact weights rounded once, bitwise
+    for order in (1, 2, 3):
+        offsets, coeffs = jt.stencil(order)
+        want_offsets, want = sympy_central(order)
+        assert offsets.tolist() == list(want_offsets)
+        assert coeffs.tobytes() == np.array(want).tobytes()
+        assert jt.stencil_reach(order) == want_offsets[-1]
+    for node, row in enumerate(jt._EDGE_D1):
+        assert np.array(row).tobytes() == np.array(sympy_weights(1, range(5), node)).tobytes()
+    with pytest.raises(ValueError, match="derivative order"):
+        jt.stencil(4)
 
 
 def test_fd_matches_trig_derivatives():
@@ -49,7 +61,7 @@ def test_series_derivative():
 
 
 def _fd_check(fn, t, order, h=1e-3):
-    offsets, coeffs = jt.stencil(4, order)
+    offsets, coeffs = jt.stencil(order)
     acc = 0.0
     for k, c in zip(offsets, coeffs):
         acc = acc + c * fn(t + k * h)
@@ -123,26 +135,25 @@ def _trig(t):
     return np.stack([np.sin(3 * t), np.cos(t) * t, np.exp(0.3 * t)], axis=-1)
 
 
-@pytest.mark.parametrize("scheme", [2, 4])
-def test_fd_derivatives_bitwise_equal_to_single_orders(scheme):
+def test_fd_derivatives_bitwise_equal_to_single_orders():
     s = np.linspace(-0.7, 1.3, 23)
     h = 1e-3
     single = {0: _trig(s)}
     for order in (1, 2, 3):
-        single[order] = jt.fd_derivative(_trig, s, order, h, scheme)
+        single[order] = jt.fd_derivative(_trig, s, order, h)
     for size in (1, 2, 3, 4):
         for orders in itertools.permutations((0, 1, 2, 3), size):
-            got = jt.fd_derivatives(_trig, s, orders, h, scheme)
+            got = jt.fd_derivatives(_trig, s, orders, h)
             assert len(got) == len(orders)
             for order, value in zip(orders, got):
                 assert value.tobytes() == single[order].tobytes(), (orders, order)
 
 
-@pytest.mark.parametrize("scheme,orders,taps", [
-    (4, (1, 2, 3), 7), (4, (0, 1, 2, 3), 7), (4, (1, 2), 5), (4, (0, 1), 5),
-    (4, (1,), 4), (4, (2,), 5), (4, (3,), 6), (2, (0, 1, 2, 3), 5), (2, (1, 2), 3),
+@pytest.mark.parametrize("orders,taps", [
+    ((1, 2, 3), 7), ((0, 1, 2, 3), 7), ((1, 2), 5), ((0, 1), 5),
+    ((1,), 4), ((2,), 5), ((3,), 6),
 ])
-def test_fd_derivatives_evaluates_each_offset_once(scheme, orders, taps):
+def test_fd_derivatives_evaluates_each_offset_once(orders, taps):
     # one evaluator call, holding the parameters s + k h of each distinct offset k once
     s, h = np.array([0.4, 0.5]), 1e-3
     seen = []
@@ -151,7 +162,7 @@ def test_fd_derivatives_evaluates_each_offset_once(scheme, orders, taps):
         seen.append(np.array(q))
         return _trig(q)
 
-    jt.fd_derivatives(counted, s, orders, h, scheme)
+    jt.fd_derivatives(counted, s, orders, h)
     assert len(seen) == 1 and seen[0].shape == (taps * s.size,)
     blocks = seen[0].reshape(taps, s.size)
     offsets = np.round((blocks[:, 0] - s[0]) / h)

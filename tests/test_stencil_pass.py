@@ -3,7 +3,8 @@
 `jets.fd_derivatives` evaluates all its stencil offsets in one call and
 `jets.hermite` accumulates its four terms into one array.  Both must be
 bitwise equal to the forms they replaced, kept in helpers as
-reference_fd_derivatives (one call per offset) and reference_hermite.
+reference_fd_derivatives (one call per offset, with sympy's exact weights
+rounded once, not the jets table) and reference_hermite.
 """
 
 import itertools
@@ -84,18 +85,17 @@ def test_fd_derivatives_match_reference_bitwise(n, seed, scalar, h):
     s = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     if scalar:
         s = s[0] if n else np.float64(0.25)
-    for scheme, orders in itertools.product((2, 4), ORDER_SETS):
-        got = jets.fd_derivatives(_poly, s, orders, h, scheme)
-        want = reference_fd_derivatives(_poly, s, orders, h, scheme)
+    for orders in ORDER_SETS:
+        got = jets.fd_derivatives(_poly, s, orders, h)
+        want = reference_fd_derivatives(_poly, s, orders, h)
         assert len(got) == len(orders)
         for g, w in zip(got, want):
             assert_bitwise(g, w)
 
 
-def _check_pass(derivatives, oracle, q, h, scheme):
+def _check_pass(derivatives, oracle, q, h):
     for orders in SUBSETS:
-        for g, w in zip(derivatives(q, orders), reference_fd_derivatives(oracle, q, orders,
-                                                                         h, scheme)):
+        for g, w in zip(derivatives(q, orders), reference_fd_derivatives(oracle, q, orders, h)):
             assert_bitwise(g, w)
 
 
@@ -110,8 +110,7 @@ def test_sampled_curve_derivatives_match_reference(gaps, uniform, seed, where):
     slopes = jets.node_slopes(s, pts)
     m = curve.fd_margin(3)
     q = s[0] + m + (s[-1] - s[0] - 2 * m) * np.asarray(where)
-    _check_pass(curve.derivatives, lambda x: reference_hermite(s, pts, slopes, x), q,
-                curve.settings.h, curve.settings.scheme)
+    _check_pass(curve.derivatives, lambda x: reference_hermite(s, pts, slopes, x), q, curve.h)
 
 
 _CLOSED_T = np.linspace(0.0, circular_base(0.8).period, 1025)
@@ -131,7 +130,7 @@ def test_periodic_sampled_base_across_its_seam(where, turns):
                                  t_nodes[0] + np.mod(x - t_nodes[0], base.period))
 
     q = base.period * (turns + np.asarray(where))
-    _check_pass(base.derivatives, wrapped, q, base.curve.settings.h, base.curve.settings.scheme)
+    _check_pass(base.derivatives, wrapped, q, base.curve.h)
 
 
 _S = np.linspace(0.0, 3.0, 301)
@@ -147,7 +146,7 @@ def test_reparametrized_sampled_curve(where):
     assert rep.derivative_mode == "finite-difference" and rep.nodes is None
     m = rep.fd_margin(3)
     q = rep.domain[0] + m + (rep.length - 2 * m) * np.asarray(where)
-    _check_pass(rep.derivatives, rep.evaluate, q, rep.settings.h, rep.settings.scheme)
+    _check_pass(rep.derivatives, rep.evaluate, q, rep.h)
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +190,9 @@ def test_sampled_chart_builds_series_stencils_on_first_read(monkeypatch):
     orders = []
     plain = jets.series_derivative
 
-    def counted(values, dx, order=1, scheme=4):
+    def counted(values, dx, order=1):
         orders.append(order)
-        return plain(values, dx, order, scheme)
+        return plain(values, dx, order)
 
     monkeypatch.setattr(jets, "series_derivative", counted)
     chart = chart_curve(cone, curve, s=s)
