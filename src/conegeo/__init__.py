@@ -55,6 +55,7 @@ from .curves import (
     line_curve,
     read_curve_csv,
     reparametrize_arclength,
+    sample_arclength,
     sample_curve,
     sample_grid,
     write_curve_csv,

@@ -30,8 +30,7 @@ from .cones import (
 from .curves import (
     SpaceCurve,
     read_curve_csv,
-    reparametrize_arclength,
-    sample_curve,
+    sample_arclength,
     table_text,
 )
 from .errors import DegenerateFit, InvalidConfig
@@ -201,8 +200,7 @@ def _cmd_classify(p):
     _require(p, "in", "report")
     _positive(p, "samples", "tol")
     _check_writable(p["report"], "report")
-    cs = sample_curve(reparametrize_arclength(_load_curve(p["in"])),
-                      int(p.get("samples") or 256))
+    cs = sample_arclength(_load_curve(p["in"]), int(p.get("samples") or 256))
     report = classify_rectifying_or_spherical(cs, tol=p.get("tol"))
     payload = report.to_dict()
     try:
@@ -243,8 +241,7 @@ def _cmd_verify(p):
     _positive(p, "samples", *(option for option, _ in GATES.values()))
     _check_writable(p["report"], "report")
     cone = _load_cone(p["cone"])
-    cs = sample_curve(reparametrize_arclength(_load_curve(p["in"])),
-                      int(p.get("samples") or 256))
+    cs = sample_arclength(_load_curve(p["in"]), int(p.get("samples") or 256))
     limits = {name: p[option] for name, (option, _) in GATES.items()
               if p.get(option) is not None}
     report = verify_geodesic(cone, cs, limits)

@@ -18,6 +18,8 @@ from .errors import (
 )
 
 KAPPA_FLOOR = 1e-9
+# |speed - 1| below this reads as unit speed: the derivative noise of each mode
+UNIT_TOL = {"analytic": 1e-12, "finite-difference": 1e-5}
 # sample_curve holds the jet to this order; sample_grid keeps clear of its stencils
 SAMPLE_ORDER = 3
 
@@ -275,7 +277,9 @@ def sample_grid(curve, n=256):
         reach = int(np.ceil(m / curve.h - 1e-9)) if m > 0 else 0
         inner = s_nodes[reach: s_nodes.size - reach] if reach else s_nodes
         if inner.size < 2:
-            raise InsufficientMargin("sampled curve too short for derivative stencils")
+            raise InsufficientMargin(
+                f"sampled curve of {s_nodes.size} rows too short for derivative "
+                f"stencils: needs at least {2 * reach + 2}")
         stride = max(1, inner.size // n)
         return inner[::stride]
     return np.linspace(s0 + m, s1 - m, n)
@@ -305,6 +309,22 @@ def sample_curve(curve, samples=256, kappa_floor=KAPPA_FLOOR):
     s = _readonly(sample_grid(curve, samples))
     return CurveSamples(curve, samples, kappa_floor, s,
                         _readonly(curve.jet(s, SAMPLE_ORDER)))
+
+
+def sample_arclength(curve, samples=256):
+    """sample_curve of the curve at unit speed.
+
+    The speeds the samples already hold decide, at the points every gate
+    reads: when each |alpha'| on the grid is within UNIT_TOL of 1 for the
+    curve's derivative mode, the samples are returned, and a sampled curve
+    keeps its nodes.  Otherwise the curve is sampled again after
+    reparametrize_arclength.
+    """
+    cs = sample_curve(curve, samples)
+    speed = np.linalg.norm(cs.jet[1], axis=-1)
+    if float(np.max(np.abs(speed - 1.0))) < UNIT_TOL[curve.derivative_mode]:
+        return cs
+    return sample_curve(reparametrize_arclength(curve), samples)
 
 
 def frenet_apparatus(curve, s, kappa_floor=KAPPA_FLOOR):
@@ -432,8 +452,7 @@ def reparametrize_arclength(curve, tol=1e-10):
         )
     # already unit speed up to the derivative noise of the mode: keep the
     # curve (and, for sampled curves, its node grid and parameter labels)
-    unit_tol = 1e-12 if curve.derivative_mode == "analytic" else 1e-5
-    if float(np.max(np.abs(v - 1.0))) < unit_tol:
+    if float(np.max(np.abs(v - 1.0))) < UNIT_TOL[curve.derivative_mode]:
         return curve
 
     # the scan is bitwise the even nodes of the 4097-node grid

@@ -278,6 +278,103 @@ def test_curves_under_101_rows_keep_their_step_under_the_cap(tmp_path, capsys):
             assert codes == [0, 2] and labels == ["rectifying", "NotOnCone"]
 
 
+def _generated_on_cone(tmp_path, psi0, *args):
+    csv, cone = tmp_path / "curve.csv", tmp_path / "cone.json"
+    assert run_cli("generate", f"--psi0={psi0}", *args, "--out", csv) == 0
+    cone.write_text(json.dumps({"kind": "circular", "psi0": psi0}))
+    return csv, cone
+
+
+@pytest.mark.parametrize("psi0,rows,gate", [(1.2, 64, "max_abs_kg"),
+                                            (1.1, 96, "clairaut_relvar")])
+def test_coarse_csv_with_unit_node_speeds_is_read_on_its_nodes(tmp_path, psi0, rows, gate):
+    # the speeds at the sampled nodes are within 1e-5 of 1 (5.6e-6, 9.4e-6),
+    # where the 2049-point scan read 1.3e-5 and 1.2e-5 and resampled the
+    # curve off its nodes (NotOnCone); kept on its nodes, the curve stays on
+    # the cone and verify names the gate that its resolution misses
+    csv, cone = _generated_on_cone(tmp_path, psi0, "--a=1", "--samples", rows)
+    rep = tmp_path / "rep.json"
+    assert run_cli("verify", "--cone", cone, "--in", csv, "--report", rep) == 0
+    data = json.loads(rep.read_text())
+    assert data["verdict"] == "not-geodesic"
+    assert [name for name in ("max_abs_kg", "clairaut_relvar")
+            if data[name] >= GATES[name][1]] == [gate]
+    assert run_cli("classify", "--in", csv, "--report", rep) == 0
+    if psi0 == 1.1:
+        data = json.loads(rep.read_text())
+        assert data["label"] == "rectifying"
+        assert abs(data["fitted_a"] - 1.0) < 5e-8
+
+
+def test_readme_coarse_csv_sweep(tmp_path):
+    # README "Known limitation: coarse curve CSVs": the node speeds and the
+    # former scan agree on each of these curves (resampled below 192 rows)
+    expect = {32: ("neither", "NotOnCone"), 48: ("neither", "NotOnCone"),
+              64: ("ambiguous", "NotOnCone"), 96: ("rectifying", "NotOnCone"),
+              128: ("rectifying", "NotOnCone"), 192: ("rectifying", "geodesic"),
+              256: ("rectifying", "geodesic")}
+    rep = tmp_path / "rep.json"
+    for rows, (label, outcome) in expect.items():
+        csv, cone = _generated_on_cone(tmp_path, 0.8, "--a=1.3", "--b=0.2", "--c=0.1",
+                                       "--samples", rows)
+        assert run_cli("classify", "--in", csv, "--report", rep) == 0
+        assert json.loads(rep.read_text())["label"] == label, rows
+        code = run_cli("verify", "--cone", cone, "--in", csv, "--report", rep)
+        data = json.loads(rep.read_text())
+        assert (code, data.get("verdict", data.get("error"))) == (
+            (0, outcome) if outcome == "geodesic" else (2, outcome)), rows
+
+
+@pytest.mark.parametrize("rows", range(2, 11))
+def test_curve_csv_too_short_for_node_stencils_exits_2(tmp_path, quarter_cone_json,
+                                                      capsys, rows):
+    cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), np.pi / 4)
+    s = np.linspace(*cur.domain, rows)
+    csv = tmp_path / "curve.csv"
+    write_curve_csv(csv, s, cur.evaluate(s))
+    rep = tmp_path / "rep.json"
+    code = run_cli("classify", "--in", csv, "--report", rep)
+    if rows == 10:
+        assert code == 0 and "label" in json.loads(rep.read_text())
+        return
+    message = (f"error: InsufficientMargin: sampled curve of {rows} rows too short "
+               f"for derivative stencils: needs at least 10\n")
+    assert code == 2 and capsys.readouterr().err == message
+    assert run_cli("verify", "--cone", quarter_cone_json, "--in", csv,
+                   "--report", rep) == 2
+    assert capsys.readouterr().err == message
+    assert json.loads(rep.read_text())["error"] == "InsufficientMargin"
+
+
+def test_verify_reads_unit_speed_off_its_one_stencil_pass(tmp_path, monkeypatch):
+    # one Hermite pass over the node table, 7 stencil taps per grid point,
+    # and no arc-length scan
+    from conegeo import curves, jets
+
+    csv, cone = _generated_on_cone(tmp_path, 0.8, "--a=1.2", "--b=0.3", "--c=0.1")
+    nodes = read_curve_csv(csv)
+    assert nodes[0].size == 1024
+    grid = sample_grid(SpaceCurve.from_samples(*nodes), 256)
+    calls = []
+    plain = jets.hermite
+
+    def counted(s, values, slopes, q, derivative=False):
+        if np.array_equal(s, nodes[0]):
+            calls.append(np.size(q))
+        return plain(s, values, slopes, q, derivative)
+
+    def refused(curve, tol=1e-10):
+        raise AssertionError("reparametrize_arclength called on a unit-speed curve")
+
+    monkeypatch.setattr(jets, "hermite", counted)
+    monkeypatch.setattr(curves, "reparametrize_arclength", refused)
+    monkeypatch.setattr(cli, "reparametrize_arclength", refused, raising=False)
+    rep = tmp_path / "rep.json"
+    assert run_cli("verify", "--cone", cone, "--in", csv, "--report", rep) == 0
+    assert json.loads(rep.read_text())["verdict"] == "geodesic"
+    assert calls == [7 * grid.size]
+
+
 def test_missing_required_flag_exits_1(tmp_path):
     assert run_cli("generate", "--a", 1.0, "--out", tmp_path / "x.csv") == 1
     assert not (tmp_path / "x.csv").exists()

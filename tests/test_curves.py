@@ -16,6 +16,7 @@ from conegeo import (
     line_curve,
     read_curve_csv,
     reparametrize_arclength,
+    sample_arclength,
     sample_curve,
     sample_grid,
     spherical_curve,
@@ -491,6 +492,35 @@ def test_sample_curve_is_one_pass_of_the_per_order_data(mode):
         assert np.array_equal(getattr(cs.frames, name), getattr(fr, name))
     assert cs.frames is cs.frames
     assert not cs.jet.flags.writeable and not cs.s.flags.writeable
+
+
+def _assert_same_samples(cs, ref):
+    assert (cs.samples, cs.kappa_floor) == (ref.samples, ref.kappa_floor)
+    assert_bitwise(cs.s, ref.s)
+    assert_bitwise(cs.jet, ref.jet)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_sample_arclength_is_the_samples_of_the_unit_speed_curve(scale):
+    # the s column scaled by 2 halves the speed; unit speed keeps the nodes
+    cur = generate_circular_geodesic(RectifyingParams(1.1, 0.2, 0.3), 0.8)
+    s_nodes = np.linspace(*cur.domain, 1024)
+    sampled = SpaceCurve.from_samples(scale * s_nodes, cur.evaluate(s_nodes))
+    cs = sample_arclength(sampled, 200)
+    if scale == 1.0:
+        assert cs.curve is sampled
+        _assert_same_samples(cs, sample_curve(sampled, 200))
+    else:
+        assert cs.curve.nodes is None
+        _assert_same_samples(cs, sample_curve(reparametrize_arclength(sampled), 200))
+    assert np.max(np.abs(np.linalg.norm(cs.jet[1], axis=-1) - 1.0)) < 1e-5
+
+
+def test_sample_arclength_keeps_an_analytic_unit_speed_curve():
+    circ = circle_curve(3.0)
+    cs = sample_arclength(circ, 64)
+    assert cs.curve is circ
+    _assert_same_samples(cs, sample_curve(circ, 64))
 
 
 def test_sample_curve_of_a_ruling_builds_frames_on_read():
