@@ -27,12 +27,14 @@ from .cones import (
     base_from_samples,
     chart_coordinates,
     chart_curve,
+    chart_points,
     circular_base,
     clairaut_invariant,
     cone_from_descriptor,
     cone_point,
     curve_from_chart,
     develop,
+    develop_points,
     geodesic_curvature,
     latitude_circle,
     line_fit,

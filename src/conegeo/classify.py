@@ -181,10 +181,11 @@ def fit_slant_axis(cs):
     eigenvector of the normal samples' covariance.  The sign is
     canonicalized to a nonnegative third component (lexicographic
     tie-break), and a non-isolated smallest eigenvalue raises
-    DegenerateFit.  The floor reads the requested grid size, cs.samples.
+    DegenerateFit.  The floor reads the smaller of cs.samples and the grid size.
     """
-    if cs.samples < 16:
-        raise InsufficientSamples("axis fitting needs at least 16 frame samples")
+    frames = min(cs.samples, cs.s.size)
+    if frames < 16:
+        raise InsufficientSamples(f"axis fitting needs at least 16 frame samples, got {frames}")
     n = cs.frames.normal
     centered = n - n.mean(axis=0)
     cov = centered.T @ centered / n.shape[0]

@@ -20,9 +20,9 @@ import numpy as np
 from .classify import SlantAxisFit, classify_rectifying_or_spherical, fit_slant_axis
 from .cones import (
     base_from_samples,
-    chart_curve,
+    chart_points,
     cone_from_descriptor,
-    develop,
+    develop_points,
     json_float,
     json_keys,
     read_base_csv,
@@ -126,7 +126,7 @@ def _read_json(path, option):
     return data
 
 
-def _load_table(path, option, read, build):
+def _load_table(path, option, read, build=lambda *cols: cols):
     """build(*read(path)) for the CSV file given to --option."""
     try:
         return build(*read(path))
@@ -229,9 +229,8 @@ def _cmd_develop(p):
     _require(p, "cone", "in", "out")
     _check_writable(p["out"], "out")
     cone = _load_cone(p["cone"])
-    curve = _load_curve(p["in"])
-    s, points = curve.nodes
-    planar = develop(chart_curve(cone, curve, s=s, points=points)).sample_points()
+    s, points = _load_table(p["in"], "in", read_curve_csv)
+    planar = develop_points(*chart_points(cone, points))
     _atomic_write(p["out"], development_csv_text(s, planar))
     return 0
 

@@ -13,6 +13,8 @@ import numpy as np
 from . import jets as jt
 from .curves import (
     SpaceCurve,
+    circle_curve,
+    line_curve,
     read_table,
     reparametrize_arclength,
     sample_grid,
@@ -123,22 +125,8 @@ def _half_angle(psi0):
 def circular_base(psi0):
     """Circle of spherical radius psi0 around the north pole, unit speed."""
     psi0 = _half_angle(psi0)
-    sp, cp = np.sin(psi0), np.cos(psi0)
-
-    def jet(t, order):
-        ph = t / sp
-        cos, sin = np.cos(ph), np.sin(ph)
-        zero = np.zeros_like(ph)
-        return jt.stack_slots(
-            order,
-            lambda: np.stack([sp * cos, sp * sin, np.full_like(ph, cp)], axis=-1),
-            lambda: np.stack([-sin, cos, zero], axis=-1),
-            lambda: np.stack([-cos / sp, -sin / sp, zero], axis=-1),
-            lambda: np.stack([sin / sp**2, -cos / sp**2, zero], axis=-1))
-
-    period = 2 * np.pi * sp
-    curve = SpaceCurve.from_function(lambda t: jet(t, 0)[0], (0.0, period), jet=jet)
-    return SphericalBaseCurve(curve, periodic=True)
+    return SphericalBaseCurve(circle_curve(np.sin(psi0), center=(0.0, 0.0, np.cos(psi0))),
+                              periodic=True)
 
 
 def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
@@ -326,25 +314,24 @@ def _check_on_cone(cone, pts, u, t):
         )
 
 
-def chart_curve(cone, curve, s=None, samples=256, points=None):
+def chart_curve(cone, curve, s=None, samples=256):
     """Chart an ambient curve: s -> (t(s), u(s)) with t tracked continuously.
 
     Circular cones take t = sin(psi0) * unwrap(atan2(y, x)); general cones
     chart every sample in one batched solve and unwrap t by the base period,
     which assumes consecutive samples lie less than half a period apart in
     t.  The first sample, in order, that sits at the vertex or off the cone
-    raises.  points, when given, is curve.evaluate(s) already computed.
+    raises.
     """
     if s is None:
         s = sample_grid(curve, samples)
     s = np.asarray(s, dtype=float)
-    pts = curve.evaluate(s) if points is None else points
-    t, u = _chart_points(cone, np.atleast_2d(pts))
-    return ChartCurve.from_samples(s, t, u)
+    return ChartCurve.from_samples(s, *chart_points(cone, curve.evaluate(s)))
 
 
-def _chart_points(cone, pts):
-    """(t, u) of the (n, 3) points pts, in the order and with the checks of chart_curve."""
+def chart_points(cone, points):
+    """(t, u) of the (n, 3) points, charted as chart_curve charts its samples."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     u = np.linalg.norm(pts, axis=-1)
     vertex = np.flatnonzero(u < cone.u_min)
     n = vertex[0] if vertex.size else u.size
@@ -451,7 +438,7 @@ def curve_from_chart(base: SphericalBaseCurve, chart: ChartCurve) -> SpaceCurve:
 
 def geodesic_curvature(cone, curve, s):
     """Signed geodesic curvature along a unit-speed curve."""
-    t, _ = _chart_points(cone, np.atleast_2d(curve.evaluate(s)))
+    t, _ = chart_points(cone, curve.evaluate(s))
     d1, d2 = (np.atleast_2d(d) for d in curve.derivatives(s, (1, 2)))
     kg = geodesic_curvature_of(surface_normal(cone, t), d1, d2)
     if np.ndim(s) == 0:
@@ -482,11 +469,7 @@ class DevelopedCurve:
         self.domain = chart.domain
 
     def point(self, s):
-        return _polar(self.chart.u(s), self.chart.t(s))
-
-    def sample_points(self):
-        """point(s) at the nodes s of a sampled chart, from its (s, t, u) samples."""
-        return _polar(self.chart.samples[2], self.chart.samples[1])
+        return develop_points(self.chart.t(s), self.chart.u(s))
 
     def velocity(self, s):
         tj = self.chart.t_jet(s, 1)
@@ -499,7 +482,8 @@ class DevelopedCurve:
         )
 
 
-def _polar(u, t):
+def develop_points(t, u):
+    """Planar points (u cos t, u sin t) of chart coordinates: the development."""
     if np.any(u <= 0.0):
         raise NonpositiveRadialCoordinate("development needs u > 0")
     return np.stack([u * np.cos(t), u * np.sin(t)], axis=-1)
@@ -541,13 +525,7 @@ def ruling(cone, t0, u_range):
     if not base.contains_range(t0, t0):
         raise ParameterOutOfDomain(f"t0 = {t0!r} outside base domain")
     y0 = base.evaluate(float(t0))
-
-    def jet(s, order):
-        pos = (u_lo + s)[..., None] * y0
-        return jt.stack_slots(order, lambda: pos, lambda: np.broadcast_to(y0, pos.shape),
-                              lambda: np.zeros_like(pos), lambda: np.zeros_like(pos))
-
-    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, u_hi - u_lo), jet=jet)
+    return line_curve(u_lo * y0, y0, u_hi - u_lo)
 
 
 def spherical_curve(base: SphericalBaseCurve, radius):
@@ -559,16 +537,7 @@ def spherical_curve(base: SphericalBaseCurve, radius):
     if r <= 0.0:
         raise ValueError("radius must be positive")
     d0, d1 = base.domain
-
-    def jet(s, order):
-        yj = base.jet(d0 + s / r, order)
-        zero = np.zeros_like(s)
-        lin = [d0 + s / r, np.full_like(s, 1.0 / r), zero, zero][:order + 1]
-        rad = [np.full_like(s, r), zero, zero, zero][:order + 1]
-        return jt.jet_product(rad, jt.jet_compose(yj, lin))
-
-    span = base.period if base.periodic else (d1 - d0)
-    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, r * span), jet=jet)
+    return _latitude(base, r, d0, base.period if base.periodic else (d1 - d0))
 
 
 def latitude_circle(cone, u0, t_start=None, t_span=None):
@@ -584,6 +553,11 @@ def latitude_circle(cone, u0, t_start=None, t_span=None):
         t_span = (d1 - d0) - 2 * margin
     if not base.contains_range(t_start, t_start + t_span):
         raise BaseDomainExceeded("latitude span leaves the base domain")
+    return _latitude(base, u0, t_start, t_span)
+
+
+def _latitude(base, u0, t_start, t_span):
+    """u0 * y(t_start + s/u0) for s in [0, u0 * t_span], through a constant-u chart."""
 
     def t_jet(s, order):
         z = np.zeros_like(s)

@@ -295,20 +295,18 @@ class CurveSamples:
 
     curve: SpaceCurve
     samples: int
-    kappa_floor: float
     s: np.ndarray
     jet: np.ndarray
 
     @cached_property
     def frames(self):
-        return frenet_frame(*self.jet[1:], kappa_floor=self.kappa_floor)
+        return frenet_frame(*self.jet[1:])
 
 
-def sample_curve(curve, samples=256, kappa_floor=KAPPA_FLOOR):
+def sample_curve(curve, samples=256):
     """Evaluate the curve's jet once on sample_grid(curve, samples)."""
     s = _readonly(sample_grid(curve, samples))
-    return CurveSamples(curve, samples, kappa_floor, s,
-                        _readonly(curve.jet(s, SAMPLE_ORDER)))
+    return CurveSamples(curve, samples, s, _readonly(curve.jet(s, SAMPLE_ORDER)))
 
 
 def sample_arclength(curve, samples=256):
@@ -327,25 +325,25 @@ def sample_arclength(curve, samples=256):
     return sample_curve(reparametrize_arclength(curve), samples)
 
 
-def frenet_apparatus(curve, s, kappa_floor=KAPPA_FLOOR):
+def frenet_apparatus(curve, s):
     """Frenet frame(s) at s, from one pass over the first three derivatives."""
-    return frenet_frame(*curve.derivatives(s, (1, 2, 3)), kappa_floor=kappa_floor)
+    return frenet_frame(*curve.derivatives(s, (1, 2, 3)))
 
 
-def frenet_frame(d1, d2, d3, kappa_floor=KAPPA_FLOOR):
+def frenet_frame(d1, d2, d3):
     """Frenet frame from the first three derivatives of a unit-speed curve.
 
     kappa = |alpha''| and tau = <alpha' x alpha'', alpha'''> / kappa^2;
-    raises VanishingCurvature below the floor.
+    raises VanishingCurvature at or below KAPPA_FLOOR.
     """
     speed = np.linalg.norm(d1, axis=-1)
     if np.any(speed < 1e-12):
         raise SingularSpeed("zero tangent; cannot build a frame")
     tangent = d1 / speed[..., None]
     kappa = np.linalg.norm(d2, axis=-1)
-    if np.any(kappa <= kappa_floor):
+    if np.any(kappa <= KAPPA_FLOOR):
         raise VanishingCurvature(
-            f"curvature {float(np.min(kappa)):.3g} at or below floor {kappa_floor:.3g}"
+            f"curvature {float(np.min(kappa)):.3g} at or below floor {KAPPA_FLOOR:.3g}"
         )
     normal = d2 / kappa[..., None]
     binormal = np.cross(tangent, normal)

@@ -27,16 +27,17 @@ from .cones import (
     Cone,
     CircularCone,
     SphericalBaseCurve,
-    chart_curve,
+    chart_points,
     curve_from_chart,
-    develop,
+    develop_points,
     geodesic_curvature_of,
     line_fit,
     unit_normal,
 )
-from .curves import CurveSamples, SpaceCurve, sample_curve
+from .curves import KAPPA_FLOOR, CurveSamples, SpaceCurve, sample_curve
 from .errors import (
     BaseDomainExceeded,
+    InsufficientSamples,
     StepTooLarge,
     VertexApproach,
 )
@@ -54,6 +55,10 @@ GATES = {
     "normal_alignment_min": ("align_tol", 1e-5),
     "development_straightness_residual": ("straight_tol", 1e-6),
 }
+
+# the least data verify judges: on 2 or 3 points the straightness residual
+# and the Clairaut spread are near 0 whatever the curve
+VERIFY_MIN_SAMPLES = 7
 
 # crosscheck's limits on the slant-axis residual and the identity residuals
 SLANT_TOL = 1e-5
@@ -242,16 +247,22 @@ def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
     Clairaut invariant u^2 t', minimum |<n, N>| alignment, and straightness
     of the developed image, each held to its GATES limit; limits, keyed by
     gate name, overrides some of them.  Curves with curvature below the
-    floor everywhere are rulings.  Grids under 7 points raise
-    InsufficientSamples from the sampled chart.
+    floor everywhere are rulings.  Once charted, grids under
+    VERIFY_MIN_SAMPLES points raise InsufficientSamples, and non-uniform
+    grids, whose stencil taps miss the nodes, raise ValueError.
     """
     limits = limits or {}
     if not limits.keys() <= GATES.keys():
         raise ValueError(f"unknown gates {sorted(limits.keys() - GATES.keys())}")
     limit = {name: limits.get(name, default) for name, (_, default) in GATES.items()}
     pts, d1, d2 = cs.jet[:3]
-    chart = chart_curve(cone, cs.curve, s=cs.s, points=pts)
-    t_arr, u_arr = chart.samples[1], chart.samples[2]
+    t_arr, u_arr = chart_points(cone, pts)
+    if cs.s.size < VERIFY_MIN_SAMPLES:
+        raise InsufficientSamples(
+            f"verify needs a grid of at least {VERIFY_MIN_SAMPLES} points, got {cs.s.size}")
+    step = np.diff(cs.s)
+    if np.max(np.abs(step - np.mean(step))) > 1e-8 * abs(np.mean(step)):
+        raise ValueError("verify needs a uniform sample grid")
 
     y, y1 = cone.base.derivatives(t_arr, (0, 1))
     N = unit_normal(y, y1)
@@ -264,9 +275,9 @@ def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
     spread = float(np.max(C) - np.min(C))
     relvar = spread / abs(mean_c) if abs(mean_c) > 1e-14 else spread
 
-    _, _, _, straightness, _ = line_fit(develop(chart).sample_points())
+    _, _, _, straightness, _ = line_fit(develop_points(t_arr, u_arr))
 
-    if float(np.max(np.linalg.norm(d2, axis=-1))) < cs.kappa_floor:
+    if float(np.max(np.linalg.norm(d2, axis=-1))) < KAPPA_FLOOR:
         return GeodesyReport(max_kg, relvar, None, straightness, "ruling")
 
     align = float(np.min(np.abs(np.sum(cs.frames.normal * N, axis=-1))))

@@ -10,6 +10,7 @@ import sympy
 from conegeo import (
     RectifyingParams,
     SpaceCurve,
+    SphericalBaseCurve,
     circular_base,
     generate_rectifying,
     perturbed_circle_base,
@@ -142,6 +143,44 @@ def random_spherical(rng, radius=None):
     base = perturbed_circle_base(rng.uniform(0.4, 1.2),
                                  seed=int(rng.integers(1 << 31)), amplitude=0.05)
     return spherical_curve(base, r), r
+
+
+def reference_circular_base(psi0):
+    """circular_base with its circle jets written out by hand: the oracle of its
+    circle_curve form."""
+    sp, cp = np.sin(psi0), np.cos(psi0)
+
+    def jet(t, order):
+        ph = t / sp
+        cos, sin = np.cos(ph), np.sin(ph)
+        zero = np.zeros_like(ph)
+        return jets.stack_slots(
+            order,
+            lambda: np.stack([sp * cos, sp * sin, np.full_like(ph, cp)], axis=-1),
+            lambda: np.stack([-sin, cos, zero], axis=-1),
+            lambda: np.stack([-cos / sp, -sin / sp, zero], axis=-1),
+            lambda: np.stack([sin / sp**2, -cos / sp**2, zero], axis=-1))
+
+    period = 2 * np.pi * sp
+    curve = SpaceCurve.from_function(lambda t: jet(t, 0)[0], (0.0, period), jet=jet)
+    return SphericalBaseCurve(curve, periodic=True)
+
+
+def reference_spherical_curve(base, radius):
+    """spherical_curve with the constant-radius chart chained by hand: the
+    oracle of its constant-u chart form."""
+    r = float(radius)
+    d0, d1 = base.domain
+
+    def jet(s, order):
+        yj = base.jet(d0 + s / r, order)
+        zero = np.zeros_like(s)
+        lin = [d0 + s / r, np.full_like(s, 1.0 / r), zero, zero][:order + 1]
+        rad = [np.full_like(s, r), zero, zero, zero][:order + 1]
+        return jets.jet_product(rad, jets.jet_compose(yj, lin))
+
+    span = base.period if base.periodic else (d1 - d0)
+    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, r * span), jet=jet)
 
 
 def twisted_cubic_unit_speed():

@@ -12,6 +12,7 @@ from conegeo import (
     line_curve,
     perturbed_circle_base,
     read_curve_csv,
+    sample_arclength,
     sample_grid,
     write_base_csv,
     write_curve_csv,
@@ -504,6 +505,22 @@ def test_verify_samples_below_chart_stencil_exit_2(tmp_path, capsys, samples, co
         assert report["verdict"] == "geodesic"
 
 
+@pytest.mark.parametrize("samples", [6, 7])
+def test_verify_refuses_a_nonuniform_grid(tmp_path, capsys, samples):
+    # a true geodesic with every third row dropped is read on its nodes at
+    # these --samples; the stencil taps of the mean step miss those nodes
+    csv, cone = _generated_on_cone(tmp_path, 0.8, "--a=1.2", "--b=0.3", "--c=0.1",
+                                   "--samples=256")
+    s, pts = read_curve_csv(csv)
+    keep = np.arange(s.size) % 3 != 2
+    write_curve_csv(csv, s[keep], pts[keep])
+    rep = tmp_path / "rep.json"
+    assert run_cli("verify", "--cone", cone, "--in", csv, f"--samples={samples}",
+                   "--report", rep) == 2
+    assert capsys.readouterr().err == "error: ValueError: verify needs a uniform sample grid\n"
+    assert json.loads(rep.read_text())["error"] == "ValueError"
+
+
 # the three JSON inputs of integrate, valid, and a duplicate-key form of each
 _JSON_INPUTS = {
     "cone": ('{"kind": "circular", "psi0": 0.8}',
@@ -640,6 +657,28 @@ def test_classify_slant_floor_reads_requested_samples(tmp_path, capsys, samples,
         assert err.startswith("error: InsufficientSamples: axis fitting needs at least 16")
     else:
         assert json.loads(rep.read_text())["label"] == "rectifying"
+
+
+@pytest.mark.parametrize("rows,code", [(10, 2), (12, 2), (20, 2), (24, 0)])
+def test_classify_slant_floor_reads_the_grid(tmp_path, capsys, rows, code):
+    # rows 0.01 apart are unit speed at their nodes, so classify reads them on
+    # their own nodes: a grid of rows - 8, inside the order-3 stencil reach
+    cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), np.pi / 4)
+    s = 0.01 * np.arange(rows)
+    curve = tmp_path / "c.csv"
+    write_curve_csv(curve, s, cur.evaluate(s))
+    assert sample_arclength(SpaceCurve.from_samples(*read_curve_csv(curve)), 256).s.size \
+        == rows - 8
+    rep = tmp_path / "rep.json"
+    assert run_cli("classify", "--in", curve, "--report", rep) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err == (f"error: InsufficientSamples: axis fitting needs at least 16 frame "
+                       f"samples, got {rows - 8}\n")
+        assert json.loads(rep.read_text())["error"] == "InsufficientSamples"
+    else:
+        report = json.loads(rep.read_text())
+        assert report["label"] == "rectifying" and len(report["axis"]) == 3
 
 
 def test_generate_composes_no_jets(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from conegeo import (
     base_from_samples,
     chart_coordinates,
     chart_curve,
+    circular_base,
     clairaut_invariant,
     cone_from_descriptor,
     cone_point,
@@ -24,6 +25,7 @@ from conegeo import (
     rectifying_chart,
     reparametrize_arclength,
     ruling,
+    spherical_curve,
     surface_normal,
     write_base_csv,
 )
@@ -33,7 +35,13 @@ from conegeo.errors import (
     VertexPoint,
 )
 from conegeo import cones as cones_module
-from helpers import count_vector_hermite_calls, sequential_chart_curve
+from helpers import (
+    assert_bitwise,
+    count_vector_hermite_calls,
+    reference_circular_base,
+    reference_spherical_curve,
+    sequential_chart_curve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +378,45 @@ def test_develop_preserves_speed(quarter_cone):
 
 
 # ----------------------------------------------------------------------
+# closed forms built from the shared curves, against their hand-written forms
+
+
+@pytest.mark.parametrize("psi0", [0.05, 0.4, np.pi / 4, 1.2, 1.55])
+def test_circular_base_is_the_hand_written_circle_bitwise(psi0):
+    base, ref = circular_base(psi0), reference_circular_base(psi0)
+    assert (base.domain, base.period, base.periodic) == (ref.domain, ref.period, True)
+    # across the seam and several turns, both signs, and the period itself
+    t = np.concatenate([np.linspace(-2.5, 3.5, 997) * ref.period, [0.0, ref.period]])
+    for order in range(4):
+        assert_bitwise(base.jet(t, order), ref.jet(t, order))
+    assert_bitwise(base.evaluate(t), ref.evaluate(t))
+    assert_bitwise(base.evaluate(0.7), ref.evaluate(0.7))
+
+
+def _open_sampled_base():
+    full = perturbed_circle_base(0.8, seed=5, amplitude=0.03)
+    t = np.linspace(0.0, 0.6 * full.period, 1201)
+    return base_from_samples(t, full.evaluate(t))
+
+
+@pytest.mark.parametrize("make", [lambda: circular_base(0.8),
+                                  lambda: perturbed_circle_base(1.1, seed=3),
+                                  _open_sampled_base],
+                         ids=["circular", "perturbed", "open-sampled"])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 2.7])
+def test_spherical_curve_is_the_hand_chained_chart_bitwise(make, radius):
+    base = make()
+    sph, ref = spherical_curve(base, radius), reference_spherical_curve(base, radius)
+    assert sph.domain == ref.domain and sph.derivative_mode == ref.derivative_mode
+    # inside the order-3 stencil margin of an open finite-difference base
+    m = radius * base.curve.fd_margin(3) * 1.01
+    s = np.linspace(sph.domain[0] + m, sph.domain[1] - m, 301)
+    for order in range(4):
+        assert_bitwise(sph.jet(s, order), ref.jet(s, order))
+    assert_bitwise(sph.evaluate(s), ref.evaluate(s))
+
+
+# ----------------------------------------------------------------------
 # ruling
 
 
@@ -384,6 +431,19 @@ def test_ruling_straight(quarter_cone):
     r = ruling(quarter_cone, 1.1, (0.25, 2.0))
     s = np.linspace(0.0, r.length, 16)
     assert np.max(np.linalg.norm(r.derivative(s, 2), axis=-1)) == 0.0
+
+
+@pytest.mark.parametrize("cone_kind", ["circular", "wavy"])
+def test_ruling_is_u_times_the_base_point(quarter_cone, wavy_cone, cone_kind):
+    cone = quarter_cone if cone_kind == "circular" else wavy_cone
+    y0 = cone.base.evaluate(0.9)
+    r = ruling(cone, 0.9, (0.4, 2.9))
+    assert r.domain == (0.0, 2.5) and r.derivative_mode == "analytic"
+    s = np.linspace(0.0, 2.5, 41)
+    p, d1, d2, d3 = r.jet(s)
+    assert np.max(np.abs(p - (0.4 + s)[:, None] * y0)) < 1e-15
+    assert np.max(np.abs(d1 - y0)) < 1e-15
+    assert not d2.any() and not d3.any()
 
 
 def test_ruling_is_geodesic(quarter_cone):

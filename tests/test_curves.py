@@ -495,7 +495,7 @@ def test_sample_curve_is_one_pass_of_the_per_order_data(mode):
 
 
 def _assert_same_samples(cs, ref):
-    assert (cs.samples, cs.kappa_floor) == (ref.samples, ref.kappa_floor)
+    assert cs.samples == ref.samples
     assert_bitwise(cs.s, ref.s)
     assert_bitwise(cs.jet, ref.jet)
 
@@ -529,9 +529,6 @@ def test_sample_curve_of_a_ruling_builds_frames_on_read():
     assert np.max(np.linalg.norm(cs.jet[2], axis=-1)) == 0.0
     with pytest.raises(VanishingCurvature):
         cs.frames
-    cs_low = sample_curve(circle_curve(2.0), 32, kappa_floor=1.0)
-    with pytest.raises(VanishingCurvature):
-        cs_low.frames
 
 
 # ----------------------------------------------------------------------

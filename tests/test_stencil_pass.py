@@ -11,23 +11,27 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conegeo import (
+    ChartCurve,
     CircularCone,
     Cone,
     SpaceCurve,
     base_from_samples,
     chart_curve,
+    chart_points,
     circular_base,
     develop,
+    develop_points,
     perturbed_circle_base,
     reparametrize_arclength,
     sample_grid,
 )
 from conegeo import jets
 from conegeo.cli import main
-from conegeo.curves import write_curve_csv
+from conegeo.curves import read_curve_csv, write_curve_csv
 from helpers import (
     assert_bitwise,
     count_vector_hermite_calls,
@@ -197,7 +201,8 @@ def test_sampled_chart_builds_series_stencils_on_first_read(monkeypatch):
     monkeypatch.setattr(jets, "series_derivative", counted)
     chart = chart_curve(cone, curve, s=s)
     q = np.linspace(0.1, 1.4, 9)
-    chart.t_jet(q, 1), chart.u_jet(q, 1), chart.speed(q), develop(chart).sample_points()
+    chart.t_jet(q, 1), chart.u_jet(q, 1), chart.speed(q), develop(chart).point(q)
+    develop_points(*chart.samples[1:])
     assert orders == []
     full = [chart.t_jet(q), chart.t_jet(q), chart.u_jet(q)]
     assert orders == [2, 3, 2, 3]
@@ -224,11 +229,10 @@ def _minus_zero_curve():
 
 def test_development_at_the_nodes_reads_the_chart_samples():
     cone, s, pts = _minus_zero_curve()
-    chart = chart_curve(cone, SpaceCurve.from_samples(s, pts), s=s, points=pts)
-    _, t, u = chart.samples
+    t, u = chart_points(cone, pts)
     assert np.signbit(t[0]) and t[0] == 0.0
-    dev = develop(chart)
-    nodes = dev.sample_points()
+    dev = develop(ChartCurve.from_samples(s, t, u))
+    nodes = develop_points(t, u)
     assert_bitwise(nodes, np.stack([u * np.cos(t), u * np.sin(t)], axis=-1))
     assert np.signbit(nodes[0, 1])
     # Hermite passes return the node data bitwise, except this -0.0 sample
@@ -246,6 +250,70 @@ def test_develop_command_writes_the_developed_samples(tmp_path):
                  "--in", str(tmp_path / "curve.csv"), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert rows[1].split(",")[2] == "-0.0"
-    chart = chart_curve(cone, SpaceCurve.from_samples(s, pts), s=s, points=pts)
-    planar = develop(chart).sample_points()
+    planar = develop_points(*chart_points(cone, pts))
     assert_bitwise(np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:], planar)
+
+
+def _generated(tmp_path):
+    """A 256-row generate output on the psi0 = 0.8 circular cone, and that cone."""
+    curve, cone = tmp_path / "g.csv", tmp_path / "cone.json"
+    cone.write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
+    assert main(["generate", "--a=1.2", "--b=0.3", "--c=0.1", "--psi0=0.8",
+                 "--samples=256", "--out", str(curve)]) == 0
+    return curve, cone
+
+
+def _assert_develops_its_rows(tmp_path, cone, s, pts):
+    # the rows as read back, each developed from its own chart point
+    curve, out = tmp_path / "in.csv", tmp_path / "dev.csv"
+    write_curve_csv(curve, s, pts)
+    assert main(["develop", "--cone", str(cone), "--in", str(curve), "--out", str(out)]) == 0
+    s, pts = read_curve_csv(curve)
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert_bitwise(rows[:, 0], s)
+    assert_bitwise(rows[:, 1:], develop_points(*chart_points(CircularCone(0.8), pts)))
+
+
+def test_develop_command_takes_a_nonuniform_grid(tmp_path):
+    # every third row dropped; a sampled chart of these rows would need a uniform grid
+    curve, cone = _generated(tmp_path)
+    s, pts = read_curve_csv(curve)
+    keep = np.arange(s.size) % 3 != 2
+    _assert_develops_its_rows(tmp_path, cone, s[keep], pts[keep])
+
+
+@pytest.mark.parametrize("rows", range(1, 7))
+def test_develop_command_takes_fewer_rows_than_a_chart_stencil(tmp_path, rows):
+    curve, cone = _generated(tmp_path)
+    s, pts = read_curve_csv(curve)
+    _assert_develops_its_rows(tmp_path, cone, s[:rows], pts[:rows])
+
+
+def _count(monkeypatch, name):
+    calls = []
+    plain = getattr(jets, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(jets, name, counted)
+    return calls
+
+
+def test_develop_builds_no_interpolant(tmp_path, monkeypatch):
+    curve, cone = _generated(tmp_path)
+    slopes, hermite = _count(monkeypatch, "node_slopes"), _count(monkeypatch, "hermite")
+    out = tmp_path / "dev.csv"
+    assert main(["develop", "--cone", str(cone), "--in", str(curve), "--out", str(out)]) == 0
+    assert slopes == [] and hermite == []
+
+
+def test_verify_builds_one_interpolant(tmp_path, monkeypatch):
+    # the curve's node slopes and its one stencil pass; the chart is point arrays
+    curve, cone = _generated(tmp_path)
+    slopes, hermite = _count(monkeypatch, "node_slopes"), _count(monkeypatch, "hermite")
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--cone", str(cone), "--in", str(curve), "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["verdict"] == "geodesic"
+    assert len(slopes) == 1 and len(hermite) == 1
