@@ -8,33 +8,29 @@ development).
 
 from .classify import (
     ClassificationReport,
-    ConstancyStats,
     SlantAxisFit,
     TorsionRatioProfile,
     classification_identity_residual,
     classify_rectifying_or_spherical,
-    constancy,
     fit_slant_axis,
     is_planar,
+    relative_spread,
     torsion_ratio_profile,
 )
 from .cones import (
     ChartCurve,
     CircularCone,
     Cone,
-    DevelopedCurve,
     SphericalBaseCurve,
     base_from_samples,
     chart_coordinates,
     chart_curve,
     chart_points,
     circular_base,
-    clairaut_invariant,
     cone_from_descriptor,
     cone_point,
     curve_from_chart,
     develop,
-    develop_points,
     geodesic_curvature,
     latitude_circle,
     line_fit,

@@ -14,17 +14,17 @@ import numpy as np
 
 from . import jets as jt
 from .curves import position_cross
-from .errors import (
-    DegenerateFit,
-    InsufficientSamples,
-    NotRectifying,
-    ZeroMean,
-)
+from .errors import DegenerateFit, InsufficientSamples, NotRectifying
 
 LABEL_RECTIFYING = "rectifying"
 LABEL_SPHERICAL = "spherical-centered"
 LABEL_AMBIGUOUS = "ambiguous"
 LABEL_NEITHER = "neither"
+
+# the least grid that classify and verify judge: on 2 or 3 points the
+# spreads they test, and verify's straightness residual, are near 0 whatever
+# the curve
+MIN_SAMPLES = 7
 
 
 def default_tolerance(curve):
@@ -32,33 +32,11 @@ def default_tolerance(curve):
     return 1e-6 if curve.derivative_mode == "analytic" else 1e-4
 
 
-@dataclass(frozen=True)
-class ConstancyStats:
-    passed: bool
-    mean: float
-    min: float
-    max: float
-    relvar: float
-
-
-def constancy(values, tol, absolute=False):
-    """Is a scalar series constant to tolerance?
-
-    Relative mode tests (max-min)/|mean| < tol and refuses near-zero means;
-    absolute mode tests max-min < tol.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size < 8:
-        raise InsufficientSamples(f"need at least 8 samples, got {v.size}")
-    vmin, vmax, mean = float(v.min()), float(v.max()), float(v.mean())
-    spread = vmax - vmin
-    if absolute:
-        relvar = spread / abs(mean) if mean != 0.0 else np.inf
-        return ConstancyStats(spread < tol, mean, vmin, vmax, relvar)
-    if abs(mean) < 1e-12 * max(abs(vmin), abs(vmax), 1e-300):
-        raise ZeroMean("relative constancy is meaningless for a near-zero series")
-    relvar = spread / abs(mean)
-    return ConstancyStats(relvar < tol, mean, vmin, vmax, relvar)
+def relative_spread(values, ref):
+    """(max - min) / |ref| of a series, or the bare spread when ref is too near 0 to divide by."""
+    spread = float(np.max(values) - np.min(values))
+    ref = abs(float(ref))
+    return spread / ref if ref > 1e-14 else spread
 
 
 class Report:
@@ -102,8 +80,11 @@ def classify_rectifying_or_spherical(cs, tol=None):
     <alpha,t> affine in s) versus spherical-centered (<alpha,t> ~ 0);
     non-constant or vanishing magnitude yields "neither", and a constant
     magnitude with both residuals large is surfaced as "ambiguous" rather
-    than guessed.
+    than guessed.  Grids under MIN_SAMPLES points raise InsufficientSamples.
     """
+    if cs.s.size < MIN_SAMPLES:
+        raise InsufficientSamples(
+            f"classify needs a grid of at least {MIN_SAMPLES} points, got {cs.s.size}")
     if tol is None:
         tol = default_tolerance(cs.curve)
     s, pts, d1, frames = cs.s, cs.jet[0], cs.jet[1], cs.frames
@@ -112,8 +93,7 @@ def classify_rectifying_or_spherical(cs, tol=None):
     tangential = np.sum(pts * frames.tangent, axis=-1)
 
     mean = float(mag.mean())
-    spread = float(mag.max() - mag.min())
-    relvar = spread / abs(mean) if mean != 0.0 else np.inf
+    relvar = relative_spread(mag, mean)
     norm_comp = np.abs(np.sum(pts * frames.normal, axis=-1))
 
     fitted_a = fitted_b = None
@@ -231,9 +211,9 @@ def classification_identity_residual(cs, U, report=None):
     U = U / np.linalg.norm(U)
 
     s, pts = cs.s, cs.jet[0]
-    dx = float(s[1] - s[0])
-    if np.max(np.abs(np.diff(s) - dx)) > 1e-8 * dx:
+    if jt.uniform_step(s) is None:
         raise ValueError("identity residual needs a uniform sample grid")
+    dx = float(s[1] - s[0])
     y = pts / np.linalg.norm(pts, axis=-1)[..., None]
 
     g = y @ U

@@ -22,7 +22,7 @@ from .cones import (
     base_from_samples,
     chart_points,
     cone_from_descriptor,
-    develop_points,
+    develop,
     json_float,
     json_keys,
     read_base_csv,
@@ -230,7 +230,7 @@ def _cmd_develop(p):
     _check_writable(p["out"], "out")
     cone = _load_cone(p["cone"])
     s, points = _load_table(p["in"], "in", read_curve_csv)
-    planar = develop_points(*chart_points(cone, points))
+    planar = develop(*chart_points(cone, points))
     _atomic_write(p["out"], development_csv_text(s, planar))
     return 0
 
@@ -389,7 +389,10 @@ def main(argv=None):
     config = None
     try:
         config = build_config(sys.argv[1:] if argv is None else list(argv))
-        return run(config)
+        # an overflow or a NaN is a numerical failure: one error line, not
+        # numpy's warning lines and an artifact that holds inf
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return run(config)
     except (InvalidConfig, OSError) as exc:
         _print_error("InvalidConfig" if isinstance(exc, InvalidConfig) else "IO", exc)
         return 1

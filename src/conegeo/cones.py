@@ -50,12 +50,7 @@ class SphericalBaseCurve:
     """
 
     def __init__(self, curve: SpaceCurve, periodic=False):
-        pts = curve.evaluate(np.linspace(*curve.domain, 257))
-        radii = np.linalg.norm(pts, axis=-1)
-        if np.max(np.abs(radii - 1.0)) > 1e-10:
-            raise DegenerateBase(
-                f"base curve leaves the unit sphere by {np.max(np.abs(radii - 1.0)):.3g}"
-            )
+        _check_on_sphere(curve.evaluate(np.linspace(*curve.domain, 257)))
         m = curve.fd_margin(1)
         scan = np.linspace(curve.domain[0] + m, curve.domain[1] - m, 257)
         speeds = np.linalg.norm(curve.derivative(scan, 1), axis=-1)
@@ -114,6 +109,18 @@ class SphericalBaseCurve:
         return t_lo >= d0 + margin and t_hi <= d1 - margin
 
 
+def _check_on_sphere(points):
+    """Raise DegenerateBase unless every point is within 1e-10 of the unit sphere.
+
+    The radii are hypot chains, which stay finite wherever the radius itself
+    is below the largest float, and a NaN radius fails the test.
+    """
+    x, y, z = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    dev = float(np.max(np.abs(np.hypot(np.hypot(x, y), z) - 1.0)))
+    if not dev <= 1e-10:
+        raise DegenerateBase(f"base curve leaves the unit sphere by {dev:.3g}")
+
+
 def _half_angle(psi0):
     """psi0 as a float; raises InvalidHalfAngle outside (0, pi/2)."""
     psi0 = float(psi0)
@@ -168,9 +175,11 @@ def base_from_samples(t, points):
     """Base curve from `t,x,y,z` samples; points must sit on the unit sphere.
 
     A base whose first and last points coincide is treated as closed, so
-    charts and generated curves may wind past the seam.
+    charts and generated curves may wind past the seam.  The nodes are
+    checked before the interpolant is built from them.
     """
     pts = np.asarray(points, dtype=float)
+    _check_on_sphere(pts)
     curve = SpaceCurve.from_samples(t, pts)
     closed = bool(np.linalg.norm(pts[0] - pts[-1]) < 1e-9)
     return SphericalBaseCurve(curve, periodic=closed)
@@ -366,18 +375,6 @@ class ChartCurve:
     def u_jet(self, s, order=3):
         return self._u_jet(np.atleast_1d(np.asarray(s, dtype=float)), order)
 
-    def t(self, s):
-        return self.t_jet(s, 0)[0]
-
-    def u(self, s):
-        return self.u_jet(s, 0)[0]
-
-    def speed(self, s):
-        """Chart speed sqrt(u'^2 + u^2 t'^2); 1 for unit-speed ambient curves."""
-        tj = self.t_jet(s, 1)
-        uj = self.u_jet(s, 1)
-        return np.sqrt(uj[1] ** 2 + uj[0] ** 2 * tj[1] ** 2)
-
     @staticmethod
     def from_samples(s, t, u, dt=None, du=None):
         """Sampled chart; derivatives default to stencils on the series."""
@@ -390,8 +387,8 @@ class ChartCurve:
                 f"over length {s[-1] - s[0]:.6g}")
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
-        dx = float(np.mean(np.diff(s)))
-        if np.max(np.abs(np.diff(s) - dx)) > 1e-8 * abs(dx):
+        dx = jt.uniform_step(s)
+        if dx is None:
             raise ValueError("sampled charts need a uniform parameter grid")
 
         def scalar_jet_fn(values, slopes):
@@ -451,50 +448,11 @@ def geodesic_curvature_of(N, d1, d2):
     return np.sum(d2 * np.cross(N, d1), axis=-1)
 
 
-def clairaut_invariant(cone, chart: ChartCurve, s):
-    """u(s)^2 * dt/ds, constant along geodesics of the cone metric."""
-    tj = chart.t_jet(s, 1)
-    uj = chart.u_jet(s, 0)
-    out = uj[0] ** 2 * tj[1]
-    if np.ndim(s) == 0:
-        return float(out[0])
-    return out
-
-
-class DevelopedCurve:
-    """Planar image of a chart under the polar-coordinate development."""
-
-    def __init__(self, chart: ChartCurve):
-        self.chart = chart
-        self.domain = chart.domain
-
-    def point(self, s):
-        return develop_points(self.chart.t(s), self.chart.u(s))
-
-    def velocity(self, s):
-        tj = self.chart.t_jet(s, 1)
-        uj = self.chart.u_jet(s, 1)
-        u, du = uj[0], uj[1]
-        t, dt = tj[0], tj[1]
-        return np.stack(
-            [du * np.cos(t) - u * dt * np.sin(t), du * np.sin(t) + u * dt * np.cos(t)],
-            axis=-1,
-        )
-
-
-def develop_points(t, u):
+def develop(t, u):
     """Planar points (u cos t, u sin t) of chart coordinates: the development."""
     if np.any(u <= 0.0):
         raise NonpositiveRadialCoordinate("development needs u > 0")
     return np.stack([u * np.cos(t), u * np.sin(t)], axis=-1)
-
-
-def develop(chart: ChartCurve) -> DevelopedCurve:
-    """Isometric development of a chart curve into the plane."""
-    u_probe = chart.u(np.linspace(*chart.domain, 16))
-    if np.any(u_probe <= 0.0):
-        raise NonpositiveRadialCoordinate("development needs u > 0 on the domain")
-    return DevelopedCurve(chart)
 
 
 def line_fit(points):

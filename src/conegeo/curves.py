@@ -435,12 +435,12 @@ def reparametrize_arclength(curve, tol=1e-10):
     """
     s0, s1 = curve.domain
 
-    def speed(q):
+    def speeds(q):
         return np.linalg.norm(curve.derivative(q, 1), axis=-1)
 
     m = curve.fd_margin(1)
     scan = np.linspace(s0 + m, s1 - m, 2049)
-    v = speed(scan)
+    v = speeds(scan)
     if not np.all(np.isfinite(v)):
         raise SingularSpeed("speed is not finite on the parameter domain")
     vmax = float(np.max(v))
@@ -457,8 +457,8 @@ def reparametrize_arclength(curve, tol=1e-10):
     tau_nodes = np.linspace(s0 + m, s1 - m, 4097)
     table = np.empty(tau_nodes.size)
     table[::2] = v
-    table[1::2] = speed(tau_nodes[1::2])
-    seg = _adaptive_simpson_segments(speed, tau_nodes, table, tol)
+    table[1::2] = speeds(tau_nodes[1::2])
+    seg = _adaptive_simpson_segments(speeds, tau_nodes, table, tol)
     # anchor arc length at the original start parameter so affine fits in s
     # remain comparable before and after reparametrization
     s_table = s0 + np.concatenate([[0.0], np.cumsum(seg)])

@@ -25,10 +25,6 @@ class InsufficientSamples(ConeGeoError):
     """Too few samples for a statistically meaningful operation."""
 
 
-class ZeroMean(ConeGeoError):
-    """Relative constancy test is meaningless for a near-zero series."""
-
-
 class DegenerateFit(ConeGeoError):
     """Axis fit has no isolated minimizer; the axis is not unique."""
 

@@ -17,10 +17,12 @@ import numpy as np
 from . import jets as jt
 from .classify import (
     LABEL_RECTIFYING,
+    MIN_SAMPLES,
     Report,
     classification_identity_residual,
     classify_rectifying_or_spherical,
     fit_slant_axis,
+    relative_spread,
 )
 from .cones import (
     ChartCurve,
@@ -29,7 +31,7 @@ from .cones import (
     SphericalBaseCurve,
     chart_points,
     curve_from_chart,
-    develop_points,
+    develop,
     geodesic_curvature_of,
     line_fit,
     unit_normal,
@@ -55,10 +57,6 @@ GATES = {
     "normal_alignment_min": ("align_tol", 1e-5),
     "development_straightness_residual": ("straight_tol", 1e-6),
 }
-
-# the least data verify judges: on 2 or 3 points the straightness residual
-# and the Clairaut spread are near 0 whatever the curve
-VERIFY_MIN_SAMPLES = 7
 
 # crosscheck's limits on the slant-axis residual and the identity residuals
 SLANT_TOL = 1e-5
@@ -219,8 +217,7 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
         if np.min(t) < d0 or np.max(t) > d1:
             raise BaseDomainExceeded("integrated t left the base domain")
     c = u * u * dt
-    c0, spread = c[0], np.max(c) - np.min(c)
-    drift = spread / max(abs(c0), 1e-14) if abs(c0) > 1e-14 else spread
+    drift = relative_spread(c, c[0])
     if not (drift <= drift_tol):
         raise StepTooLarge(
             f"Clairaut drift {drift:.3g} exceeds {drift_tol:.3g}; reduce h"
@@ -248,7 +245,7 @@ def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
     of the developed image, each held to its GATES limit; limits, keyed by
     gate name, overrides some of them.  Curves with curvature below the
     floor everywhere are rulings.  Once charted, grids under
-    VERIFY_MIN_SAMPLES points raise InsufficientSamples, and non-uniform
+    MIN_SAMPLES points raise InsufficientSamples, and non-uniform
     grids, whose stencil taps miss the nodes, raise ValueError.
     """
     limits = limits or {}
@@ -257,11 +254,10 @@ def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
     limit = {name: limits.get(name, default) for name, (_, default) in GATES.items()}
     pts, d1, d2 = cs.jet[:3]
     t_arr, u_arr = chart_points(cone, pts)
-    if cs.s.size < VERIFY_MIN_SAMPLES:
+    if cs.s.size < MIN_SAMPLES:
         raise InsufficientSamples(
-            f"verify needs a grid of at least {VERIFY_MIN_SAMPLES} points, got {cs.s.size}")
-    step = np.diff(cs.s)
-    if np.max(np.abs(step - np.mean(step))) > 1e-8 * abs(np.mean(step)):
+            f"verify needs a grid of at least {MIN_SAMPLES} points, got {cs.s.size}")
+    if jt.uniform_step(cs.s) is None:
         raise ValueError("verify needs a uniform sample grid")
 
     y, y1 = cone.base.derivatives(t_arr, (0, 1))
@@ -271,11 +267,9 @@ def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
     # u^2 t' via the chart velocity decomposition t' = <alpha', y'(t)> / u,
     # exact pointwise, so the constancy test is not limited by series stencils
     C = u_arr * np.sum(d1 * y1, axis=-1)
-    mean_c = float(np.mean(C))
-    spread = float(np.max(C) - np.min(C))
-    relvar = spread / abs(mean_c) if abs(mean_c) > 1e-14 else spread
+    relvar = relative_spread(C, np.mean(C))
 
-    _, _, _, straightness, _ = line_fit(develop_points(t_arr, u_arr))
+    _, _, _, straightness, _ = line_fit(develop(t_arr, u_arr))
 
     if float(np.max(np.linalg.norm(d2, axis=-1))) < KAPPA_FLOOR:
         return GeodesyReport(max_kg, relvar, None, straightness, "ruling")

@@ -95,6 +95,13 @@ def series_derivative(values, dx, order=1):
     return acc / dx**order, reach
 
 
+def uniform_step(s):
+    """The mean step of the grid s when every step is within a relative 1e-8 of it, else None."""
+    d = np.diff(s)
+    h = float(np.mean(d))
+    return h if np.max(np.abs(d - h)) <= 1e-8 * abs(h) else None
+
+
 def node_slopes(s, values):
     """First derivatives at the nodes of a sampled function, values (n,) or (n, k).
 
@@ -105,16 +112,15 @@ def node_slopes(s, values):
     s = np.asarray(s, dtype=float)
     v = np.asarray(values, dtype=float)
     n = s.size
-    d = np.diff(s)
     m = np.empty_like(v)
-    if n >= 5 and np.max(np.abs(d - d.mean())) < 1e-8 * d.mean():
-        h = d.mean()
+    h = uniform_step(s) if n >= 5 else None
+    if h is not None:
         m[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
         for i, c in enumerate(_EDGE_D1):
             m[i] = sum(ck * v[k] for k, ck in enumerate(c)) / h
             m[n - 1 - i] = -sum(ck * v[n - 1 - k] for k, ck in enumerate(c)) / h
         return m
-    d = d.reshape(d.shape + (1,) * (v.ndim - 1))
+    d = np.diff(s).reshape((n - 1,) + (1,) * (v.ndim - 1))
     m[0] = (v[1] - v[0]) / d[0]
     m[-1] = (v[-1] - v[-2]) / d[-1]
     if n > 2:

@@ -5,11 +5,11 @@ import pytest
 
 from conegeo import (
     RectifyingParams,
+    SpaceCurve,
     circle_curve,
     circular_base,
     classification_identity_residual,
     classify_rectifying_or_spherical,
-    constancy,
     cross_magnitude,
     fit_slant_axis,
     frenet_apparatus,
@@ -17,9 +17,13 @@ from conegeo import (
     generate_rectifying,
     helix_curve,
     is_planar,
+    read_curve_csv,
+    relative_spread,
+    sample_arclength,
     sample_curve,
     sample_grid,
     torsion_ratio_profile,
+    write_curve_csv,
 )
 from conegeo import jets as jt
 from conegeo.classify import (
@@ -33,41 +37,26 @@ from conegeo.errors import (
     InsufficientSamples,
     NotRectifying,
     VanishingCurvature,
-    ZeroMean,
 )
 from helpers import random_rectifying, random_spherical, random_unit_speed_curve, twisted_cubic_unit_speed
 
 
 # ----------------------------------------------------------------------
-# constancy
+# relative_spread
 
 
-def test_constancy_constant_series():
-    stats = constancy(np.full(16, 0.5), 1e-6)
-    assert stats.passed and stats.mean == 0.5 and stats.relvar == 0.0
+@pytest.mark.parametrize("ref,want", [(2e-14, 1.25 / 2e-14), (-2e-14, 1.25 / 2e-14),
+                                      (1e-14, 1.25), (-1e-14, 1.25), (5e-15, 1.25),
+                                      (0.0, 1.25)])
+def test_relative_spread_divides_only_above_the_zero_reference(ref, want):
+    got = relative_spread(np.array([0.25, -0.5, 0.75]), ref)
+    assert type(got) is float and got == want
 
 
-def test_constancy_ten_percent_spread():
-    series = np.array([1.0, 1.1] * 4)
-    stats = constancy(series, 1e-3)
-    assert not stats.passed
-    assert abs(stats.relvar - 0.1 / 1.05) < 1e-12
-
-
-def test_constancy_on_generated_cross_magnitude():
+def test_relative_spread_of_generated_cross_magnitude():
     cur = generate_circular_geodesic(RectifyingParams(2.0, 0.0, 0.0), 0.9)
-    s = sample_grid(cur, 64)
-    stats = constancy(cross_magnitude(cur, s), 1e-6)
-    assert stats.passed and abs(stats.mean - 0.5) < 1e-12
-
-
-def test_constancy_errors():
-    with pytest.raises(InsufficientSamples):
-        constancy([1.0, 1.1], 1e-3)
-    with pytest.raises(ZeroMean):
-        constancy(np.linspace(-1, 1, 16), 1e-3)
-    stats = constancy(np.linspace(-1e-9, 1e-9, 16), 1e-6, absolute=True)
-    assert stats.passed
+    mags = cross_magnitude(cur, sample_grid(cur, 64))
+    assert relative_spread(mags, mags.mean()) < 1e-6 and abs(mags.mean() - 0.5) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +87,23 @@ def test_classify_offset_helix_neither():
     assert (mags.max() - mags.min()) / mags.mean() > 1e-2
     rep = classify_rectifying_or_spherical(sample_curve(hx))
     assert rep.label == LABEL_NEITHER
+
+
+@pytest.mark.parametrize("rows,grid", [(10, 2), (14, 6), (15, 7)])
+def test_classify_refuses_a_grid_under_seven_points(tmp_path, rows, grid):
+    # rows 0.01 apart are unit speed at their nodes, so they are read on a
+    # grid of their own nodes less the stencil reach
+    cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), np.pi / 4)
+    s = 0.01 * np.arange(rows)
+    write_curve_csv(tmp_path / "c.csv", s, cur.evaluate(s))
+    cs = sample_arclength(SpaceCurve.from_samples(*read_curve_csv(tmp_path / "c.csv")), 256)
+    assert cs.s.size == grid
+    if grid < 7:
+        with pytest.raises(InsufficientSamples,
+                           match=f"^classify needs a grid of at least 7 points, got {grid}$"):
+            classify_rectifying_or_spherical(cs)
+    else:
+        assert classify_rectifying_or_spherical(cs).label == LABEL_RECTIFYING
 
 
 def test_classify_refuses_straight_line():
@@ -165,8 +171,7 @@ def test_constant_cross_magnitude_implies_dichotomy():
     for cur in corpus:
         s = sample_grid(cur, 256)
         mags = cross_magnitude(cur, s)
-        stats = constancy(mags, 1e-8) if abs(mags.mean()) > 1e-12 else None
-        if stats is None or not stats.passed:
+        if not relative_spread(mags, mags.mean()) < 1e-8:
             continue
         pts = cur.evaluate(s)
         frames = frenet_apparatus(cur, s)

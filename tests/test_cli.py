@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,6 +613,29 @@ def test_unknown_json_key_exits_1(tmp_path, capsys, case):
     assert _assert_invalid_config(capsys, out) == f"error: InvalidConfig: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "develop"])
+def test_a_huge_base_value_is_refused_in_one_line(tmp_path, command):
+    # 1e308 is finite, so the CSV reader takes it; the base's node radii
+    # refuse it before its interpolant overflows.  A fresh interpreter shows
+    # stderr as a user sees it: here numpy's warnings are not errors.
+    t = np.linspace(0.0, 2 * np.pi * np.sin(0.8), 257)
+    pts = CircularCone(0.8).base.evaluate(t)
+    pts[-1] = pts[0]
+    pts[100, 0] = 1e308
+    write_base_csv(tmp_path / "base.csv", t, pts)
+    (tmp_path / "cone.json").write_text(json.dumps({"kind": "general", "base_csv": "base.csv"}))
+    s = np.linspace(0.0, 1.0, 64)
+    write_curve_csv(tmp_path / "curve.csv", s, 2.0 * CircularCone(0.8).base.evaluate(s))
+    args = {"generate": ["--a=1.3", "--base=base.csv", "--out=out.csv"],
+            "develop": ["--cone=cone.json", "--in=curve.csv", "--out=out.csv"]}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "conegeo.cli", command, *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "error: DegenerateBase: base curve leaves the unit sphere by 1e+308\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("key,value", [("t0", True), ("u0", "1.0")])
 def test_integrate_mistyped_ivp_exits_1(tmp_path, quarter_cone_json, capsys, key, value):
     data = {"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0, key: value}
@@ -672,9 +699,11 @@ def test_classify_slant_floor_reads_the_grid(tmp_path, capsys, rows, code):
     rep = tmp_path / "rep.json"
     assert run_cli("classify", "--in", curve, "--report", rep) == code
     if code:
+        # grids under 7 points stop at classify's floor, before the slant fit
+        floor = "classify needs a grid of at least 7 points" if rows - 8 < 7 else \
+            "axis fitting needs at least 16 frame samples"
         err = capsys.readouterr().err
-        assert err == (f"error: InsufficientSamples: axis fitting needs at least 16 frame "
-                       f"samples, got {rows - 8}\n")
+        assert err == f"error: InsufficientSamples: {floor}, got {rows - 8}\n"
         assert json.loads(rep.read_text())["error"] == "InsufficientSamples"
     else:
         report = json.loads(rep.read_text())

@@ -1,16 +1,20 @@
-"""Fuzzed command lines through `main`: every run ends in a defined exit.
+"""Fuzzed command lines and input files through `main`: every run ends in a defined exit.
 
 Argument vectors are built from the option table, in spaced and `=` forms,
 with well-formed, non-finite, empty and garbage values.  Sample counts stay
 at or below 512 and RK4 steps at or above 1e-3, so no run allocates much.
+Input files are well-formed curve, base, cone and IVP files with their
+bytes mutated.
 """
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conegeo import RectifyingParams, circular_base, generate_circular_geodesic
@@ -130,3 +134,92 @@ def test_main_fuzz_ends_in_defined_exit(inputs, capsys, argv):
         for name in ("out.csv", "rep.json"):
             if (work / name).exists():
                 _finite_artifact(work / name)
+
+
+# ----------------------------------------------------------------------
+# the bytes of the input files
+
+def _command(name, cone="cone.json"):
+    """A command line that reads the fixture's files and writes out.csv or rep.json."""
+    return {
+        "classify": ("classify", "--in", "curve.csv", "--report", "rep.json"),
+        "verify": ("verify", "--cone", cone, "--in", "curve.csv", "--report", "rep.json"),
+        "develop": ("develop", "--cone", cone, "--in", "curve.csv", "--out", "out.csv"),
+        "integrate": ("integrate", "--cone", cone, "--ivp", "ivp.json", "--out", "out.csv"),
+        "generate": ("generate", "--a=1.3", "--b=0.2", "--base", "base.csv", "--samples=64",
+                     "--out", "out.csv"),
+    }[name]
+
+
+# (mutated file, command line reading it)
+_FILE_RUNS = [
+    ("curve.csv", _command("classify")),
+    ("curve.csv", _command("verify")),
+    ("curve.csv", _command("develop")),
+    ("base.csv", _command("generate")),
+    ("base.csv", _command("develop", "general.json")),
+    ("base.csv", _command("integrate", "general.json")),
+    ("cone.json", _command("develop")),
+    ("cone.json", _command("verify")),
+    ("cone.json", _command("integrate")),
+    ("general.json", _command("integrate", "general.json")),
+    ("ivp.json", _command("integrate")),
+]
+_NUMBER = re.compile(rb"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+# stand-ins for a number token, and bytes to splice in anywhere
+_SPLICES = [b"1e308", b"-1e308", b"5e-324", b"0", b"-0.0", b"1e400", b"nan", b"NaN",
+            b"Infinity", b"0x10", b"", b"true", b'"0.5"', b"\xef\xbb\xbf", b"\x00", b"\r",
+            b",", b"\n", b" ", b"-", b"{", b"]", b"\xff"]
+_MUTATION = st.tuples(st.sampled_from(["number", "number", "truncate", "insert", "replace",
+                                       "duplicate"]),
+                      st.integers(0, 10**5), st.sampled_from(_SPLICES))
+
+
+def _mutate(data, how, at, splice):
+    """data with one edit at position `at`, read modulo the file's length."""
+    if how == "number":  # the at-th number token replaced
+        tokens = list(_NUMBER.finditer(data))
+        if tokens:
+            token = tokens[at % len(tokens)]
+            return data[:token.start()] + splice + data[token.end():]
+    at %= len(data) + 1
+    if how == "truncate":
+        return data[:at]
+    if how == "duplicate":  # the line around `at` written twice
+        start = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at) + 1 or len(data)
+        return data[:end] + data[start:end] + data[end:]
+    return data[:at] + splice + data[at + (how == "replace"):]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=st.sampled_from(_FILE_RUNS), mutations=st.lists(_MUTATION, min_size=1, max_size=2))
+# x of base row 100 and of curve row 20 set to 1e308: finite, so the readers take them
+@example(run=_FILE_RUNS[3], mutations=[("number", 4 * 100 + 1, b"1e308")])
+@example(run=_FILE_RUNS[4], mutations=[("number", 4 * 100 + 1, b"1e308")])
+@example(run=_FILE_RUNS[0], mutations=[("number", 4 * 20 + 1, b"1e308")])
+@example(run=_FILE_RUNS[2], mutations=[("number", 4 * 20 + 1, b"1e308")])
+def test_main_on_mutated_input_files_ends_in_defined_exit(inputs, capsys, run, mutations):
+    work = inputs()
+    name, argv = run
+    data = (work / name).read_bytes()
+    for mutation in mutations:
+        data = _mutate(data, *mutation)
+    (work / name).write_bytes(data)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, data)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+    else:
+        assert err == "", argv
+        for out in ("out.csv", "rep.json"):
+            if (work / out).exists():
+                _finite_artifact(work / out)

@@ -12,7 +12,6 @@ from conegeo import (
     chart_coordinates,
     chart_curve,
     circular_base,
-    clairaut_invariant,
     cone_from_descriptor,
     cone_point,
     curve_from_chart,
@@ -300,13 +299,17 @@ def test_generated_geodesic_curvature_vanishes(wavy_cone):
 
 
 # ----------------------------------------------------------------------
-# clairaut_invariant
+# the Clairaut invariant u^2 t', read off the chart jets
+
+
+def _clairaut(chart, s):
+    return chart.u_jet(s, 0)[0] ** 2 * chart.t_jet(s, 1)[1]
 
 
 def test_clairaut_generated_chart():
     chart = rectifying_chart(RectifyingParams(2.0, 0.3, 0.1))
     s = np.linspace(*chart.domain, 33)
-    inv = clairaut_invariant(CircularCone(0.5), chart, s)
+    inv = _clairaut(chart, s)
     assert np.max(np.abs(np.abs(inv) - 0.5)) < 1e-14
 
 
@@ -315,14 +318,14 @@ def test_clairaut_latitude(quarter_cone):
     lat = latitude_circle(quarter_cone, u0)
     chart = chart_curve(quarter_cone, lat, samples=64)
     s = chart.samples[0]
-    inv = clairaut_invariant(quarter_cone, chart, s)
+    inv = _clairaut(chart, s)
     assert np.max(np.abs(inv - u0)) < 1e-6
 
 
 def test_clairaut_ruling(quarter_cone):
     r = ruling(quarter_cone, 0.4, (0.5, 2.5))
     chart = chart_curve(quarter_cone, r, samples=64)
-    inv = clairaut_invariant(quarter_cone, chart, chart.samples[0])
+    inv = _clairaut(chart, chart.samples[0])
     assert np.max(np.abs(inv)) < 1e-9
 
 
@@ -333,7 +336,7 @@ def test_clairaut_ruling(quarter_cone):
 def test_develop_generated_chart_is_line():
     chart = rectifying_chart(RectifyingParams(1.0, 0.0, 0.0))
     s = np.linspace(*chart.domain, 65)
-    pts = develop(chart).point(s)
+    pts = develop(chart.t_jet(s, 0)[0], chart.u_jet(s, 0)[0])
     # closed-form image: (1, s) for a=1, b=0, c=0
     assert np.max(np.abs(pts[:, 0] - 1.0)) < 1e-12
     assert np.max(np.abs(pts[:, 1] - s)) < 1e-12
@@ -345,7 +348,7 @@ def test_develop_generated_chart_is_line():
 def test_develop_ruling_is_radial(quarter_cone):
     r = ruling(quarter_cone, 0.8, (0.5, 3.0))
     chart = chart_curve(quarter_cone, r, samples=48)
-    pts = develop(chart).point(chart.samples[0])
+    pts = develop(*chart.samples[1:])
     _, _, _, residual, distance = line_fit(pts)
     assert residual < 1e-9
     assert distance < 1e-9  # radial lines pass through the origin
@@ -357,24 +360,11 @@ def test_develop_latitude_is_arc(quarter_cone):
     u0 = 1.5
     lat = latitude_circle(quarter_cone, u0)
     chart = chart_curve(quarter_cone, lat, samples=128)
-    pts = develop(chart).point(chart.samples[0])
+    pts = develop(*chart.samples[1:])
     radii = np.linalg.norm(pts, axis=-1)
     assert np.max(np.abs(radii - u0)) < 1e-9
     _, _, _, residual, _ = line_fit(pts)
     assert residual > 0.1  # an arc, not a line
-
-
-def test_develop_preserves_speed(quarter_cone):
-    # analytic chart: exact jets
-    chart = rectifying_chart(RectifyingParams(1.3, 0.7, -0.2))
-    s = np.linspace(*chart.domain, 97)
-    v = np.linalg.norm(develop(chart).velocity(s), axis=-1)
-    assert np.max(np.abs(v - 1.0)) < 1e-8
-    # sampled chart: series stencils, finite-difference tolerance
-    cur = generate_rectifying(RectifyingParams(1.3, 0.7, -0.2), quarter_cone.base)
-    sampled = chart_curve(quarter_cone, cur, samples=512)
-    v2 = np.linalg.norm(develop(sampled).velocity(sampled.samples[0]), axis=-1)
-    assert np.max(np.abs(v2 - 1.0)) < 1e-5
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +441,7 @@ def test_ruling_is_geodesic(quarter_cone):
     s = np.linspace(0.0, r.length, 32)
     assert np.max(np.abs(geodesic_curvature(quarter_cone, r, s))) < 1e-12
     chart = chart_curve(quarter_cone, r, s=s)
-    _, _, _, residual, _ = line_fit(develop(chart).point(s))
+    _, _, _, residual, _ = line_fit(develop(*chart.samples[1:]))
     assert residual < 1e-9
 
 
@@ -487,7 +477,9 @@ def test_remark_identity_on_cone_curves(wavy_cone):
 def test_metric_compatibility(wavy_cone):
     cur = generate_rectifying(RectifyingParams(0.8, 0.3, 0.5), wavy_cone.base)
     chart = chart_curve(wavy_cone, cur, samples=512)
-    speed = chart.speed(chart.samples[0][4:-4])
+    q = chart.samples[0][4:-4]
+    tj, uj = chart.t_jet(q, 1), chart.u_jet(q, 1)
+    speed = np.hypot(uj[1], uj[0] * tj[1])
     assert np.max(np.abs(speed - 1.0)) < 1e-5
 
 
@@ -506,16 +498,9 @@ def test_base_from_samples_rejects_off_sphere():
 
 
 def test_develop_rejects_nonpositive_radius():
-    def t_jet(s, order=3):
-        return np.stack([s, np.ones_like(s), np.zeros_like(s), np.zeros_like(s)])
-
-    def u_jet(s, order=3):
-        z = np.zeros_like(s)
-        return np.stack([s - 0.5, np.ones_like(s), z, z])  # u crosses zero
-
-    chart = ChartCurve(t_jet, u_jet, (0.0, 1.0))
+    s = np.linspace(0.0, 1.0, 16)
     with pytest.raises(NonpositiveRadialCoordinate):
-        develop(chart)
+        develop(s, s - 0.5)  # u crosses zero
 
 
 def test_cone_descriptor_roundtrip(tmp_path):

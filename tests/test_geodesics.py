@@ -133,8 +133,8 @@ def test_integrate_matches_closed_form():
     params = RectifyingParams(1.0, 0.0, 0.0)
     chart0 = rectifying_chart(params, (0.0, 5.0))
     ivp = GeodesicIVP(
-        t0=float(chart0.t(0.0)[0]),
-        u0=float(chart0.u(0.0)[0]),
+        t0=float(chart0.t_jet(0.0, 0)[0][0]),
+        u0=float(chart0.u_jet(0.0, 0)[0][0]),
         dt0=float(chart0.t_jet(0.0)[1][0]),
         du0=float(chart0.u_jet(0.0)[1][0]),
         length=5.0,
@@ -142,8 +142,8 @@ def test_integrate_matches_closed_form():
     cone = CircularCone(np.pi / 4)
     chart = integrate_geodesic(cone, ivp, h=1e-3)
     s = chart.samples[0]
-    assert np.max(np.abs(chart.samples[1] - chart0.t(s))) < 1e-6
-    assert np.max(np.abs(chart.samples[2] - chart0.u(s))) < 1e-6
+    assert np.max(np.abs(chart.samples[1] - chart0.t_jet(s, 0)[0])) < 1e-6
+    assert np.max(np.abs(chart.samples[2] - chart0.u_jet(s, 0)[0])) < 1e-6
 
 
 def test_integrate_clairaut_conservation():
@@ -154,15 +154,16 @@ def test_integrate_clairaut_conservation():
     dt = chart.t_jet(s)[1]
     C = u**2 * dt
     assert (C.max() - C.min()) / abs(C.mean()) < 1e-9 * max(1.0, 4.0)
-    # chart speed stays unit
-    assert np.max(np.abs(chart.speed(s[4:-4]) - 1.0)) < 1e-9
+    # chart speed hypot(u', u t') stays unit
+    tj, uj = chart.t_jet(s[4:-4], 1), chart.u_jet(s[4:-4], 1)
+    assert np.max(np.abs(np.hypot(uj[1], uj[0] * tj[1]) - 1.0)) < 1e-9
 
 
 def test_integrate_develops_straight():
     cone = CircularCone(0.9)
     ivp = GeodesicIVP(t0=0.2, u0=2.0, dt0=0.3, du0=-0.6, length=3.0)
     chart = integrate_geodesic(cone, ivp)
-    pts = develop(chart).point(chart.samples[0])
+    pts = develop(*chart.samples[1:])
     _, _, _, residual, _ = line_fit(pts)
     assert residual < 1e-7
 
@@ -426,10 +427,10 @@ def test_development_distance_matches_minimum_norm():
         params = RectifyingParams(a, b, rng.uniform(-0.5, 0.5))
         chart = rectifying_chart(params)
         s = np.linspace(*chart.domain, 257)
-        _, _, _, residual, distance = line_fit(develop(chart).point(s))
+        u = chart.u_jet(s, 0)[0]
+        _, _, _, residual, distance = line_fit(develop(chart.t_jet(s, 0)[0], u))
         assert residual < 1e-9
         assert abs(distance - 1.0 / a) < 1e-9
-        u = chart.u(s)
         assert abs(u.min() - 1.0 / a) < 1e-6
         assert abs(s[np.argmin(u)] - (-b / a)) <= (s[1] - s[0])
 

@@ -150,16 +150,16 @@ def test_chart_jets_are_slots_of_the_full_jet(name):
         assert full.shape == (4, s.size)
         for order in range(4):
             assert_bitwise(jet(s, order), full[:order + 1])
-    assert_bitwise(chart.t(s), chart.t_jet(s)[0])
-    assert_bitwise(chart.u(s), chart.u_jet(s)[0])
+    assert_bitwise(chart.t_jet(s, 0)[0], chart.t_jet(s)[0])
+    assert_bitwise(chart.u_jet(s, 0)[0], chart.u_jet(s)[0])
 
 
 @pytest.mark.parametrize("name", ["sampled", "integrated"])
 def test_sampled_chart_returns_its_samples_at_the_nodes(name):
     chart = CHARTS[name]()
     s, t, u = chart.samples
-    assert_bitwise(chart.t(s), t)
-    assert_bitwise(chart.u(s), u)
+    assert_bitwise(chart.t_jet(s, 0)[0], t)
+    assert_bitwise(chart.u_jet(s, 0)[0], u)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -241,9 +241,8 @@ def test_chart_jets_evaluate_only_the_slots_asked_for(monkeypatch):
     chart = _sampled_chart()
     monkeypatch.setattr(np, "interp", counted)
     s = np.linspace(*chart.domain, 11)
-    chart.t(s)
-    chart.u(s)
-    chart.speed(s)
+    chart.t_jet(s, 1)
+    chart.u_jet(s, 1)
     assert interp_calls == []
     chart.t_jet(s)
     assert len(interp_calls) == 2

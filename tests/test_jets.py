@@ -68,6 +68,19 @@ def _fd_check(fn, t, order, h=1e-3):
     return acc / h**order
 
 
+@pytest.mark.parametrize("stretch,uniform", [(0.0, True), (5e-9, True), (2e-8, False)])
+def test_uniform_step_allows_a_relative_1e_8(stretch, uniform):
+    # ten steps of 0.1, the seventh stretched by `stretch` of a step
+    s = np.concatenate([[0.0], np.cumsum(np.full(10, 0.1))])
+    s[7:] += 0.1 * stretch
+    want = float(np.mean(np.diff(s))) if uniform else None
+    assert jt.uniform_step(s) == want
+
+
+def test_uniform_step_of_two_points_is_their_step():
+    assert jt.uniform_step(np.array([0.3, 0.55])) == 0.55 - 0.3
+
+
 def test_jet_product_and_compose_against_fd():
     u_fn = lambda t: 1.5 + 0.3 * np.sin(t)
     y_fn = lambda t: np.stack([np.cos(t), np.sin(2 * t), t**2], axis=-1)

@@ -24,7 +24,6 @@ from conegeo import (
     chart_points,
     circular_base,
     develop,
-    develop_points,
     perturbed_circle_base,
     reparametrize_arclength,
     sample_grid,
@@ -201,8 +200,8 @@ def test_sampled_chart_builds_series_stencils_on_first_read(monkeypatch):
     monkeypatch.setattr(jets, "series_derivative", counted)
     chart = chart_curve(cone, curve, s=s)
     q = np.linspace(0.1, 1.4, 9)
-    chart.t_jet(q, 1), chart.u_jet(q, 1), chart.speed(q), develop(chart).point(q)
-    develop_points(*chart.samples[1:])
+    chart.t_jet(q, 1), chart.u_jet(q, 1), develop(chart.t_jet(q, 0)[0], chart.u_jet(q, 0)[0])
+    develop(*chart.samples[1:])
     assert orders == []
     full = [chart.t_jet(q), chart.t_jet(q), chart.u_jet(q)]
     assert orders == [2, 3, 2, 3]
@@ -231,12 +230,12 @@ def test_development_at_the_nodes_reads_the_chart_samples():
     cone, s, pts = _minus_zero_curve()
     t, u = chart_points(cone, pts)
     assert np.signbit(t[0]) and t[0] == 0.0
-    dev = develop(ChartCurve.from_samples(s, t, u))
-    nodes = develop_points(t, u)
+    chart = ChartCurve.from_samples(s, t, u)
+    nodes = develop(t, u)
     assert_bitwise(nodes, np.stack([u * np.cos(t), u * np.sin(t)], axis=-1))
     assert np.signbit(nodes[0, 1])
     # Hermite passes return the node data bitwise, except this -0.0 sample
-    hermite = dev.point(s)
+    hermite = develop(chart.t_jet(s, 0)[0], chart.u_jet(s, 0)[0])
     assert_bitwise(hermite[1:], nodes[1:])
     assert hermite[0, 1] == 0.0 and not np.signbit(hermite[0, 1])
 
@@ -250,7 +249,7 @@ def test_develop_command_writes_the_developed_samples(tmp_path):
                  "--in", str(tmp_path / "curve.csv"), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert rows[1].split(",")[2] == "-0.0"
-    planar = develop_points(*chart_points(cone, pts))
+    planar = develop(*chart_points(cone, pts))
     assert_bitwise(np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:], planar)
 
 
@@ -271,7 +270,7 @@ def _assert_develops_its_rows(tmp_path, cone, s, pts):
     s, pts = read_curve_csv(curve)
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert_bitwise(rows[:, 0], s)
-    assert_bitwise(rows[:, 1:], develop_points(*chart_points(CircularCone(0.8), pts)))
+    assert_bitwise(rows[:, 1:], develop(*chart_points(CircularCone(0.8), pts)))
 
 
 def test_develop_command_takes_a_nonuniform_grid(tmp_path):
