@@ -31,7 +31,7 @@ from .curves import (
     SpaceCurve,
     read_curve_csv,
     sample_arclength,
-    table_text,
+    table_chunks,
 )
 from .errors import DegenerateFit, InvalidConfig
 from .geodesics import (
@@ -56,23 +56,26 @@ class RunConfig:
 
 
 def curve_csv_text(s, points):
-    return table_text("s,x,y,z", s, points)
+    """The curve CSV as an iterator of text chunks (curves.table_chunks)."""
+    return table_chunks("s,x,y,z", s, points)
 
 
 def development_csv_text(s, planar):
-    return table_text("s,px,py", s, planar)
+    """The development CSV as an iterator of text chunks (curves.table_chunks)."""
+    return table_chunks("s,px,py", s, planar)
 
 
 def report_json_text(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write the text chunks to a temp file beside path, then replace path with it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".conegeo-")
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -208,7 +211,7 @@ def _cmd_classify(p):
     except DegenerateFit:
         payload.update(dict.fromkeys(f.name for f in fields(SlantAxisFit)),
                        slant_fit_error="DegenerateFit")
-    _atomic_write(p["report"], report_json_text(payload))
+    _atomic_write(p["report"], [report_json_text(payload)])
     return 0
 
 
@@ -244,7 +247,7 @@ def _cmd_verify(p):
     limits = {name: p[option] for name, (option, _) in GATES.items()
               if p.get(option) is not None}
     report = verify_geodesic(cone, cs, limits)
-    _atomic_write(p["report"], report_json_text(report.to_dict()))
+    _atomic_write(p["report"], [report_json_text(report.to_dict())])
     return 0
 
 
@@ -256,7 +259,7 @@ def _cmd_crosscheck(p):
         p["a"], p.get("b") or 0.0, p.get("c") or 0.0, p["psi0"],
         seed=int(p.get("seed") or 0), samples=int(p.get("samples") or 256),
     )
-    _atomic_write(p["report"], report_json_text(report.to_dict()))
+    _atomic_write(p["report"], [report_json_text(report.to_dict())])
     return 0
 
 
@@ -404,7 +407,7 @@ def main(argv=None):
         if report_path:
             try:
                 _atomic_write(report_path,
-                              report_json_text({"error": name, "message": str(exc)}))
+                              [report_json_text({"error": name, "message": str(exc)})])
             except (OSError, ValueError):
                 pass
         return 2

@@ -197,10 +197,10 @@ class Cone:
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0.0):
             raise NonpositiveRadialCoordinate("u must be strictly positive")
-        if np.any(u < U_MIN) or np.any(u > U_MAX):
-            raise VertexPoint(
-                f"u outside the chart range [{U_MIN:.3g}, {U_MAX:.3g}]"
-            )
+        bad = (u < U_MIN) | (u > U_MAX)
+        if np.any(bad):
+            raise VertexPoint(f"u = {float(u[bad].flat[0]):.3g} outside the chart range "
+                              f"[{U_MIN:.3g}, {U_MAX:.3g}]")
 
     def chart_t(self, direction, t_hint=None):
         """Base parameter of unit direction(s) on the cone (grid + Newton).
@@ -295,20 +295,21 @@ def unit_normal(y, y1):
 def chart_coordinates(cone, point, t_hint=None):
     """Invert the cone parametrization: point -> (t, u).
 
-    Raises VertexPoint near the vertex and NotOnCone when the best chart
-    residual exceeds the on-cone tolerance.
+    Raises VertexPoint near the vertex or above U_MAX, and NotOnCone when
+    the best chart residual exceeds the on-cone tolerance.
     """
     p = np.asarray(point, dtype=float)
     u = float(np.linalg.norm(p))
-    if u < cone.u_min:
-        raise _vertex_error(cone, u)
+    if not cone.u_min <= u <= U_MAX:
+        raise _range_error(cone, u)
     t = cone.chart_t(p / u, t_hint=t_hint)
     _check_on_cone(cone, p, u, t)
     return t, u
 
 
-def _vertex_error(cone, u):
-    return VertexPoint(f"|point| = {u:.3g} is below u_min = {cone.u_min:.3g}")
+def _range_error(cone, u):
+    return VertexPoint(f"|point| = {u:.3g} outside the chart range "
+                       f"[{cone.u_min:.3g}, {U_MAX:.3g}]")
 
 
 def _check_on_cone(cone, pts, u, t):
@@ -329,8 +330,8 @@ def chart_curve(cone, curve, s=None, samples=256):
     Circular cones take t = sin(psi0) * unwrap(atan2(y, x)); general cones
     chart every sample in one batched solve and unwrap t by the base period,
     which assumes consecutive samples lie less than half a period apart in
-    t.  The first sample, in order, that sits at the vertex or off the cone
-    raises.
+    t.  The first sample, in order, that sits at the vertex, above U_MAX or
+    off the cone raises.
     """
     if s is None:
         s = sample_grid(curve, samples)
@@ -342,8 +343,8 @@ def chart_points(cone, points):
     """(t, u) of the (n, 3) points, charted as chart_curve charts its samples."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     u = np.linalg.norm(pts, axis=-1)
-    vertex = np.flatnonzero(u < cone.u_min)
-    n = vertex[0] if vertex.size else u.size
+    outside = np.flatnonzero((u < cone.u_min) | (u > U_MAX))
+    n = outside[0] if outside.size else u.size
     if isinstance(cone, CircularCone):
         t = np.unwrap(np.arctan2(pts[:n, 1], pts[:n, 0])) * np.sin(cone.psi0)
     else:
@@ -351,8 +352,8 @@ def chart_points(cone, points):
         if cone.base.periodic:
             t = np.unwrap(t, period=cone.base.period)
     _check_on_cone(cone, pts[:n], u[:n], t)
-    if vertex.size:
-        raise _vertex_error(cone, u[n])
+    if outside.size:
+        raise _range_error(cone, u[n])
     return t, u
 
 

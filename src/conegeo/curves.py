@@ -491,16 +491,33 @@ def reparametrize_arclength(curve, tol=1e-10):
 # CSV interchange: one header line, then rows of shortest round-trip decimals
 
 
-def table_text(header, *columns):
-    """CSV text of 1-D columns and (n, k) column blocks, repr-formatted."""
+# rows per block of CSV text: the most rows a write holds as Python objects
+TABLE_BLOCK_ROWS = 512
+
+
+def table_chunks(header, *columns):
+    """CSV text of 1-D columns and (n, k) column blocks, repr-formatted.
+
+    Yields the header line, then blocks of at most TABLE_BLOCK_ROWS rows,
+    each formatted by one `%` over the block's values.  The text is made
+    as the chunks are read, so a writer holds one block at a time.
+    """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = ",".join(["%r"] * table.shape[1])
-    return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
+    yield header + "\n"
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], TABLE_BLOCK_ROWS):
+        block = table[start:start + TABLE_BLOCK_ROWS]
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def table_text(header, *columns):
+    """The text of table_chunks(header, *columns) as one string."""
+    return "".join(table_chunks(header, *columns))
 
 
 def write_table(path, header, *columns):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(table_text(header, *columns))
+        fh.writelines(table_chunks(header, *columns))
 
 
 def read_table(path, header):

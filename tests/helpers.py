@@ -19,7 +19,7 @@ from conegeo import (
 )
 from conegeo import jets
 from conegeo.cli import RunConfig, _Parser
-from conegeo.cones import ON_CONE_RTOL
+from conegeo.cones import ON_CONE_RTOL, U_MAX
 from conegeo.errors import (
     BaseDomainExceeded,
     InvalidConfig,
@@ -235,8 +235,9 @@ def sequential_chart_curve(cone, curve, s):
     hint = None
     for i, p in enumerate(pts):
         u[i] = np.linalg.norm(p)
-        if u[i] < cone.u_min:
-            raise VertexPoint(f"|point| = {u[i]:.3g} is below u_min = {cone.u_min:.3g}")
+        if not cone.u_min <= u[i] <= U_MAX:
+            raise VertexPoint(f"|point| = {u[i]:.3g} outside the chart range "
+                              f"[{cone.u_min:.3g}, {U_MAX:.3g}]")
         t[i] = sequential_chart_t(cone, p / u[i], t_hint=hint)
         residual = float(np.linalg.norm(u[i] * cone.base.evaluate(t[i]) - p))
         if residual > ON_CONE_RTOL * u[i]:

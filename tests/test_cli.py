@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,64 @@ def test_integrate_vertex_approach_exits_2(tmp_path, quarter_cone_json):
     assert run_cli("integrate", "--cone", quarter_cone_json, "--ivp", ivp,
                    "--out", out) == 2
     assert not out.exists()
+
+
+_RANGE = "outside the chart range [0.001, 1e+06]"
+
+
+@pytest.mark.parametrize("u0,du0,message", [
+    (1e10, 0.7, "u = 1e+10"),  # the initial u0
+    (1e-4, 0.7, "u = 0.0001"),
+    (999995.0, 1.0, "u = 1e+06"),  # the trajectory crosses U_MAX halfway
+])
+def test_integrate_outside_the_chart_range_exits_2(tmp_path, quarter_cone_json, capsys,
+                                                    u0, du0, message):
+    ivp = tmp_path / "ivp.json"
+    ivp.write_text(json.dumps({"t0": 0.0, "u0": u0, "dt0": 0.0, "du0": du0, "length": 10.0}))
+    out = tmp_path / "ig.csv"
+    assert run_cli("integrate", "--cone", quarter_cone_json, "--ivp", ivp,
+                   "--out", out) == 2
+    assert capsys.readouterr().err == f"error: VertexPoint: {message} {_RANGE}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["circular", "general"])
+def test_develop_rows_above_the_chart_range_exit_2(tmp_path, capsys, kind):
+    curve_csv = tmp_path / "curve.csv"
+    assert run_cli("generate", "--a", 1.3, "--psi0", 0.8, "--samples", 64,
+                   "--out", curve_csv) == 0
+    s, points = read_curve_csv(curve_csv)
+    write_curve_csv(curve_csv, s, points * 1e100)
+    t = np.linspace(0.0, 2 * np.pi * np.sin(0.8), 257)
+    write_base_csv(tmp_path / "base.csv", t, CircularCone(0.8).base.evaluate(t))
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"kind": "circular", "psi0": 0.8} if kind == "circular"
+                               else {"kind": "general", "base_csv": "base.csv"}))
+    out = tmp_path / "dev.csv"
+    assert run_cli("develop", "--cone", cone, "--in", curve_csv, "--out", out) == 2
+    u = float(np.linalg.norm(points[0])) * 1e100
+    assert capsys.readouterr().err == f"error: VertexPoint: |point| = {u:.3g} {_RANGE}\n"
+    assert not out.exists()
+
+
+def test_integrate_and_develop_hold_one_text_block(tmp_path, quarter_cone_json):
+    # the CSV text is written in blocks of curves.TABLE_BLOCK_ROWS rows and
+    # the RK4 samples are kept as doubles, so a 20,001-row run peaks near
+    # 2.7 MiB of Python allocations
+    ivp = tmp_path / "ivp.json"
+    ivp.write_text(json.dumps({"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 5.0}))
+    traj, dev = tmp_path / "ig.csv", tmp_path / "dev.csv"
+    for argv in (["integrate", "--cone", quarter_cone_json, "--ivp", ivp,
+                  "--step", 2.5e-4, "--out", traj],
+                 ["develop", "--cone", quarter_cone_json, "--in", traj, "--out", dev]):
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{argv[0]} peaked at {peak / 2**20:.2f} MiB"
+    assert len(dev.read_text().splitlines()) == 1 + 20001
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conegeo import RectifyingParams, circular_base, generate_circular_geodesic
-from conegeo.cli import _OPTIONS, curve_csv_text, main
+from conegeo.cli import _OPTIONS, main
 from conegeo.curves import table_text
 
 _ODD = ["-1E3", "-7.25e-05", "nan", "inf", "-inf", "1e400", "", "abc", "0x10", "1.5.2",
@@ -84,7 +84,7 @@ def inputs(tmp_path, monkeypatch):
     t = np.linspace(0.0, 2 * np.pi, 257)
     base = circular_base(0.8).evaluate(t)
     files = {
-        "curve.csv": curve_csv_text(s, curve.evaluate(s)),
+        "curve.csv": table_text("s,x,y,z", s, curve.evaluate(s)),
         "base.csv": table_text("t,x,y,z", t, base),
         "cone.json": json.dumps({"kind": "circular", "psi0": 0.8}),
         "general.json": json.dumps({"kind": "general", "base_csv": "base.csv"}),

@@ -1,3 +1,4 @@
+import itertools
 
 import numpy as np
 import pytest
@@ -170,12 +171,13 @@ def test_chart_curve_matches_sequential_oracle(wavy_cone):
 
 @pytest.mark.parametrize("vertex_first", [True, False])
 def test_chart_curve_first_offending_sample_raises(wavy_cone, quarter_cone, vertex_first):
-    # circular cones chart in closed form but share the first-offender rule
-    for cone in (wavy_cone, quarter_cone):
+    # circular cones chart in closed form but share the first-offender rule;
+    # a sample past U_MAX is outside the chart range as the vertex is
+    for cone, scale in itertools.product((wavy_cone, quarter_cone), (1e-6, 1e7)):
         s = np.linspace(0.0, 3.0, 40)
         pts = 2.0 * cone.base.evaluate(s)
         i_vertex, i_off = (10, 25) if vertex_first else (25, 10)
-        pts[i_vertex] *= 1e-6
+        pts[i_vertex] *= scale
         pts[i_off] *= np.array([1.0, 1.0, 1.01])
         curve = SpaceCurve.from_samples(s, pts)
         with pytest.raises((VertexPoint, NotOnCone)) as ref:

@@ -24,7 +24,13 @@ from conegeo import (
     write_curve_csv,
 )
 from conegeo import jets as jt
-from conegeo.curves import _adaptive_simpson_segments, read_table, table_text
+from conegeo.curves import (
+    TABLE_BLOCK_ROWS,
+    _adaptive_simpson_segments,
+    read_table,
+    table_chunks,
+    table_text,
+)
 from conegeo.errors import (
     InsufficientMargin,
     ParameterOutOfDomain,
@@ -608,6 +614,15 @@ def test_table_text_matches_row_emitter_on_awkward_values():
     assert table_text("s,x,y,z", s[fits], p32) == _old_curve_csv_text(s[fits], p32)
     si = np.arange(vals.size)
     assert table_text("s,x,y,z", si, points) == _old_curve_csv_text(si, points)
+    # rows on both sides of every block edge, and no rows at all
+    B = TABLE_BLOCK_ROWS
+    many = np.resize(points, (2 * B + 1, 3))
+    many_s = np.arange(2 * B + 1, dtype=float) / 7.0
+    for n in (0, 1, B - 1, B, B + 1, 2 * B + 1):
+        assert table_text("s,x,y,z", many_s[:n], many[:n]) == \
+            _old_curve_csv_text(many_s[:n], many[:n])
+    chunks = list(table_chunks("s,x,y,z", many_s, many))
+    assert [c.count("\n") for c in chunks] == [1, B, B, 1]
 
 
 def test_read_table_parses_like_float(tmp_path):
