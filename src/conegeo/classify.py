@@ -7,13 +7,10 @@ plane) or traced on a sphere centered at the origin; the two branches are
 told apart by <alpha, n> vanishing versus <alpha, t> vanishing.
 """
 
-from dataclasses import dataclass, fields
-from typing import Optional
-
 import numpy as np
 
 from . import jets as jt
-from .curves import position_cross
+from .curves import Record, position_cross
 from .errors import DegenerateFit, InsufficientSamples, NotRectifying
 
 LABEL_RECTIFYING = "rectifying"
@@ -39,38 +36,30 @@ def relative_spread(values, ref):
     return spread / ref if ref > 1e-14 else spread
 
 
-class Report:
+class Report(Record):
     """Base of the report records: to_dict is a record's JSON payload, its
     fields in declaration order, an array as a list of floats and a nested
     report merged in place."""
 
     def to_dict(self):
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self.fields, self._values()):
             if isinstance(value, Report):
                 out.update(value.to_dict())
             elif isinstance(value, np.ndarray):
-                out[f.name] = [float(x) for x in value]
+                out[name] = [float(x) for x in value]
             else:
-                out[f.name] = value
+                out[name] = value
         return out
 
 
-@dataclass(frozen=True)
 class ClassificationReport(Report):
-    label: str
-    cross_magnitude_mean: float
-    cross_magnitude_relvar: float
-    fitted_a: Optional[float]
-    fitted_b: Optional[float]
+    fields = ("label", "cross_magnitude_mean", "cross_magnitude_relvar", "fitted_a",
+              "fitted_b")
 
 
-@dataclass(frozen=True)
 class SlantAxisFit(Report):
-    axis: np.ndarray
-    cos_angle_mean: float
-    residual: float
+    fields = ("axis", "cos_angle_mean", "residual")
 
 
 def classify_rectifying_or_spherical(cs, tol=None):
@@ -122,13 +111,8 @@ def classify_rectifying_or_spherical(cs, tol=None):
     )
 
 
-@dataclass(frozen=True)
-class TorsionRatioProfile:
-    s: np.ndarray
-    ratio: np.ndarray
-    slope: float
-    intercept: float
-    residual: float
+class TorsionRatioProfile(Record):
+    fields = ("s", "ratio", "slope", "intercept", "residual")
 
 
 def torsion_ratio_profile(cs):

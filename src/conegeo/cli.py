@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .cones import (
     read_base_csv,
 )
 from .curves import (
+    Record,
     SpaceCurve,
     read_curve_csv,
     sample_arclength,
@@ -45,10 +45,9 @@ from .geodesics import (
     verify_geodesic,
 )
 
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
+
+class RunConfig(Record):
+    fields = ("command", "params")
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +208,7 @@ def _cmd_classify(p):
     try:
         payload.update(fit_slant_axis(cs).to_dict())
     except DegenerateFit:
-        payload.update(dict.fromkeys(f.name for f in fields(SlantAxisFit)),
+        payload.update(dict.fromkeys(SlantAxisFit.fields),
                        slant_fit_error="DegenerateFit")
     _atomic_write(p["report"], [report_json_text(payload)])
     return 0

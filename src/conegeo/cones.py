@@ -36,6 +36,7 @@ _CHART_GRID = 1024
 _NEWTON_CAP = 16
 _NEWTON_TOL = 1e-12
 _SEED_BLOCK = 256  # directions per seed block: a 2 MB score matrix
+_CHECK_BLOCK = 16384  # points per on-cone residual block
 # chart range of u; the cone is singular at its vertex u = 0
 U_MAX = 1e6
 U_MIN = 1e-9 * U_MAX
@@ -313,15 +314,22 @@ def _range_error(cone, u):
 
 
 def _check_on_cone(cone, pts, u, t):
-    """Raise NotOnCone for the first point farther than ON_CONE_RTOL * u from u * y(t)."""
-    u = np.asarray(u)
-    residual = np.linalg.norm(u[..., None] * cone.base.evaluate(t) - pts, axis=-1)
-    bad = np.flatnonzero(residual > ON_CONE_RTOL * u)
-    if bad.size:
-        raise NotOnCone(
-            f"chart residual {float(residual.flat[bad[0]]):.3g} exceeds "
-            f"{ON_CONE_RTOL:.0e} * u"
-        )
+    """Raise NotOnCone for the first point farther than ON_CONE_RTOL * u from u * y(t).
+
+    The residual is taken _CHECK_BLOCK points at a time, so its (n, 3)
+    temporaries stay bounded however long the curve.
+    """
+    pts, u, t = np.atleast_2d(pts), np.atleast_1d(u), np.atleast_1d(t)
+    for start in range(0, u.size, _CHECK_BLOCK):
+        block = slice(start, start + _CHECK_BLOCK)
+        residual = np.linalg.norm(u[block, None] * cone.base.evaluate(t[block]) - pts[block],
+                                  axis=-1)
+        bad = np.flatnonzero(residual > ON_CONE_RTOL * u[block])
+        if bad.size:
+            raise NotOnCone(
+                f"chart residual {float(residual[bad[0]]):.3g} exceeds "
+                f"{ON_CONE_RTOL:.0e} * u"
+            )
 
 
 def chart_curve(cone, curve, s=None, samples=256):

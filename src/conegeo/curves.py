@@ -4,7 +4,6 @@ Curves are immutable after construction and every operation is a pure
 function of its inputs, so concurrent evaluation is safe.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,19 +23,55 @@ UNIT_TOL = {"analytic": 1e-12, "finite-difference": 1e-5}
 SAMPLE_ORDER = 3
 
 
-@dataclass(frozen=True)
-class FrenetFrame:
+class Record:
+    """Immutable record: a subclass names its fields once, in order, in `fields`.
+
+    Values live in the instance __dict__, so a cached_property still caches.
+    Records of one type compare and hash by their field tuples.
+    """
+
+    fields = ()
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self.fields, args))
+        for key, value in kwargs.items():
+            if key not in self.fields or key in values:
+                raise TypeError(f"{type(self).__name__}: unexpected or repeated field {key!r}")
+            values[key] = value
+        if len(args) > len(self.fields) or len(values) < len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.fields}")
+        self.__dict__.update(values)
+
+    def _values(self):
+        return tuple(self.__dict__[key] for key in self.fields)
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{key}={value!r}" for key, value in zip(self.fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+
+class FrenetFrame(Record):
     """Frenet data at one parameter (or a batch of parameters).
 
     tangent/normal/binormal have shape (..., 3); kappa and tau shape (...).
     Frames are only produced where kappa exceeds the curvature floor.
     """
 
-    tangent: np.ndarray
-    normal: np.ndarray
-    binormal: np.ndarray
-    kappa: np.ndarray
-    tau: np.ndarray
+    fields = ("tangent", "normal", "binormal", "kappa", "tau")
 
 
 def _readonly(a):
@@ -285,18 +320,14 @@ def sample_grid(curve, n=256):
     return np.linspace(s0 + m, s1 - m, n)
 
 
-@dataclass(frozen=True)
-class CurveSamples:
+class CurveSamples(Record):
     """One evaluation of a curve on its sample grid, read by every analysis.
 
     jet (4, n, 3) holds the points and first three derivatives at s; samples
     is the grid size asked for.  Frames are built on first read: a ruling has none.
     """
 
-    curve: SpaceCurve
-    samples: int
-    s: np.ndarray
-    jet: np.ndarray
+    fields = ("curve", "samples", "s", "jet")
 
     @cached_property
     def frames(self):
@@ -444,9 +475,11 @@ def reparametrize_arclength(curve, tol=1e-10):
     if not np.all(np.isfinite(v)):
         raise SingularSpeed("speed is not finite on the parameter domain")
     vmax = float(np.max(v))
-    if float(np.min(v)) < 1e-12 * max(1.0, vmax):
+    floor = 1e-12 * max(1.0, vmax)
+    if float(np.min(v)) < floor:
         raise SingularSpeed(
-            f"speed {float(np.min(v)):.3g} below regularity threshold"
+            f"speed {float(np.min(v)):.3g} below regularity threshold {floor:.3g} "
+            f"(1e-12 times the largest speed, {vmax:.3g})"
         )
     # already unit speed up to the derivative noise of the mode: keep the
     # curve (and, for sampled curves, its node grid and parameter labels)
@@ -493,6 +526,9 @@ def reparametrize_arclength(curve, tol=1e-10):
 
 # rows per block of CSV text: the most rows a write holds as Python objects
 TABLE_BLOCK_ROWS = 512
+# largest |value| of a curve CSV: one row of 1e153 in a 256-row curve
+# already overflows a stencil product, and 1e155 overflows |point|
+CURVE_VALUE_MAX = 1e150
 
 
 def table_chunks(header, *columns):
@@ -542,14 +578,18 @@ def read_table(path, header):
     if data.shape[1] != width:
         words = {3: "three", 4: "four"}
         raise ValueError(f"{path}: expected {words.get(width, width)} columns per row")
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ValueError(f"{path}: non-finite value {float(data[row, col])} "
-                         f"in data row {row + 1}, column {col + 1}")
+    _check_values(path, data, np.isfinite(data), "non-finite value")
     if np.any(np.diff(data[:, 0]) <= 0.0):
         raise ValueError(f"{path}: parameter column must be strictly increasing")
     return data
+
+
+def _check_values(path, data, ok, what, tail=""):
+    """Raise ValueError naming the first value, in row order, where ok is False."""
+    if not ok.all():
+        row, col = np.argwhere(~ok)[0]
+        raise ValueError(f"{path}: {what} {float(data[row, col])} in data row {row + 1}, "
+                         f"column {col + 1}{tail}")
 
 
 def write_curve_csv(path, s, points):
@@ -557,5 +597,8 @@ def write_curve_csv(path, s, points):
 
 
 def read_curve_csv(path):
+    """(s, points) of a curve CSV; read_table's rules, and no value above CURVE_VALUE_MAX."""
     data = read_table(path, "s,x,y,z")
+    _check_values(path, data, np.abs(data) <= CURVE_VALUE_MAX, "value",
+                  f" exceeds {CURVE_VALUE_MAX:g} in magnitude")
     return data[:, 0], data[:, 1:]

@@ -10,8 +10,6 @@ whose Clairaut invariant u^2 t' is conserved and monitored.
 """
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +35,7 @@ from .cones import (
     line_fit,
     unit_normal,
 )
-from .curves import KAPPA_FLOOR, CurveSamples, SpaceCurve, sample_curve
+from .curves import KAPPA_FLOOR, CurveSamples, Record, SpaceCurve, sample_curve
 from .errors import (
     BaseDomainExceeded,
     InsufficientSamples,
@@ -64,17 +62,15 @@ SLANT_TOL = 1e-5
 IDENTITY_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class RectifyingParams:
+class RectifyingParams(Record):
     """Constants (a, b) of the closed form plus the angular offset c."""
 
-    a: float
-    b: float = 0.0
-    c: float = 0.0
+    fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        if not (self.a > 0.0):
+    def __init__(self, a, b=0.0, c=0.0):
+        if not (a > 0.0):
             raise ValueError("a must be positive")
+        super().__init__(a, b, c)
 
 
 def default_s_domain(params: RectifyingParams):
@@ -127,32 +123,24 @@ def generate_circular_geodesic(params: RectifyingParams, psi0,
     return generate_rectifying(params, cone.base, s_domain)
 
 
-@dataclass(frozen=True)
-class GeodesicIVP:
+class GeodesicIVP(Record):
     """Unit-speed initial data for the chart-space geodesic equations.
 
     Inputs are renormalized so that u0^2 dt0^2 + du0^2 = 1; the applied
     factor is kept in `normalization` rather than silently discarded.
     """
 
-    t0: float
-    u0: float
-    dt0: float
-    du0: float
-    length: float
-    normalization: float = field(init=False)
+    fields = ("t0", "u0", "dt0", "du0", "length", "normalization")
 
-    def __post_init__(self):
-        if not (self.u0 > 0.0):
+    def __init__(self, t0, u0, dt0, du0, length):
+        if not (u0 > 0.0):
             raise ValueError("u0 must be positive")
-        if not (self.length > 0.0):
+        if not (length > 0.0):
             raise ValueError("length must be positive")
-        norm = float(np.hypot(self.u0 * self.dt0, self.du0))
+        norm = float(np.hypot(u0 * dt0, du0))
         if norm == 0.0:
             raise ValueError("initial velocity must be nonzero")
-        object.__setattr__(self, "dt0", self.dt0 / norm)
-        object.__setattr__(self, "du0", self.du0 / norm)
-        object.__setattr__(self, "normalization", norm)
+        super().__init__(t0, u0, dt0 / norm, du0 / norm, length, norm)
 
 
 def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
@@ -233,13 +221,9 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
     return ChartCurve.from_samples(s[keep], t[keep], u[keep], dt=dt[keep], du=du[keep])
 
 
-@dataclass(frozen=True)
 class GeodesyReport(Report):
-    max_abs_kg: float
-    clairaut_relvar: float
-    normal_alignment_min: Optional[float]
-    development_straightness_residual: float
-    verdict: str
+    fields = ("max_abs_kg", "clairaut_relvar", "normal_alignment_min",
+              "development_straightness_residual", "verdict")
 
 
 def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
@@ -290,23 +274,11 @@ def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
                          "geodesic" if ok else "not-geodesic")
 
 
-@dataclass(frozen=True)
 class CrossCheckReport(Report):
-    label: str
-    fitted_a: Optional[float]
-    fitted_b: Optional[float]
-    axis: np.ndarray
-    cos_angle_mean: float
-    residual: float
-    geodesy: GeodesyReport
-    eq_identity_residual_e3: float
-    eq_identity_residual_random_u: float
-    random_u: np.ndarray
-    rectifying_ok: bool
-    slant_ok: bool
-    geodesic_ok: bool
-    identity_ok: bool
-    consistent: bool
+    fields = ("label", "fitted_a", "fitted_b", "axis", "cos_angle_mean", "residual",
+              "geodesy", "eq_identity_residual_e3", "eq_identity_residual_random_u",
+              "random_u", "rectifying_ok", "slant_ok", "geodesic_ok", "identity_ok",
+              "consistent")
 
 
 def cross_check_circular_cone(a, b, c, psi0, seed=0, samples=256) -> CrossCheckReport:

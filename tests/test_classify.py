@@ -1,9 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from conegeo import (
+    ClassificationReport,
     RectifyingParams,
     SpaceCurve,
     circle_curve,
@@ -305,7 +304,7 @@ def test_identity_residual_axis_and_generic_direction():
 def test_identity_residual_detects_corrupted_constant():
     cur = generate_circular_geodesic(RectifyingParams(1.0, 0.5, 0.2), np.pi / 4)
     rep = classify_rectifying_or_spherical(sample_curve(cur))
-    bad = dataclasses.replace(rep, fitted_a=2.0 * rep.fitted_a)
+    bad = ClassificationReport(**{**rep.to_dict(), "fitted_a": 2.0 * rep.fitted_a})
     U = [1.0, 0.0, 0.0]
     _, res_ok = classification_identity_residual(sample_curve(cur), U, report=rep)
     _, res_bad = classification_identity_residual(sample_curve(cur), U, report=bad)

@@ -844,6 +844,63 @@ def test_nonfinite_csv_value_exits_1(tmp_path, quarter_cone_json, capsys, bad):
     assert "non-finite value" in _assert_invalid_config(capsys, out)
 
 
+@pytest.fixture(scope="module")
+def spiked_csv(tmp_path_factory):
+    """A 256-row geodesic CSV and a writer that sets x of its data row 21 to a value."""
+    root = tmp_path_factory.mktemp("spiked")
+    curve = root / "curve.csv"
+    assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--b=0.2", "--c=0.1",
+                   "--samples=256", "--out", curve) == 0
+    (root / "cone.json").write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
+    rows = curve.read_text().splitlines()
+
+    def write(value):
+        spiked = rows.copy()
+        cells = spiked[21].split(",")
+        spiked[21] = ",".join([cells[0], value, *cells[2:]])
+        (root / "bad.csv").write_text("\n".join(spiked) + "\n")
+        return root
+
+    return write
+
+
+_SPIKED_ARGV = {
+    "classify": ["--in=bad.csv", "--report=out"],
+    "verify": ["--cone=cone.json", "--in=bad.csv", "--report=out"],
+    "develop": ["--cone=cone.json", "--in=bad.csv", "--out=out"],
+}
+
+
+@pytest.mark.parametrize("value", ["1e308", "1e200", "-1e200"])
+@pytest.mark.parametrize("command", list(_SPIKED_ARGV))
+def test_huge_curve_csv_value_exits_1_naming_its_row(spiked_csv, monkeypatch, capsys,
+                                                      command, value):
+    root = spiked_csv(value)
+    monkeypatch.chdir(root)
+    (root / "out").unlink(missing_ok=True)
+    assert run_cli(command, *_SPIKED_ARGV[command]) == 1
+    assert _assert_invalid_config(capsys, root / "out") == (
+        f"error: InvalidConfig: --in: bad.csv: value {float(value)} in data row 21, "
+        f"column 2 exceeds 1e+150 in magnitude\n")
+
+
+@pytest.mark.parametrize("command,message", [
+    ("classify", "SingularSpeed: speed 1 below regularity threshold 2.22e+139 "
+                 "(1e-12 times the largest speed, 2.22e+151)"),
+    ("verify", "SingularSpeed: speed 1 below regularity threshold 2.22e+139 "
+               "(1e-12 times the largest speed, 2.22e+151)"),
+    ("develop", "VertexPoint: |point| = 1e+150 " + _RANGE),
+])
+def test_curve_csv_value_at_the_bound_reaches_the_numerics(spiked_csv, monkeypatch, capsys,
+                                                          command, message):
+    # CURVE_VALUE_MAX is the largest value read: the stages that run after
+    # the reader name what is wrong with it
+    root = spiked_csv("1e150")
+    monkeypatch.chdir(root)
+    assert run_cli(command, *_SPIKED_ARGV[command]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [
     ("--a=inf", "--psi0=0.5"),
     ("--a=nan", "--psi0=0.5"),
@@ -989,6 +1046,14 @@ def test_config_integral_float_is_an_int(tmp_path):
     config = cli.build_config(["--config", str(cfg), "generate"])
     assert config.params["samples"] == 64 and type(config.params["samples"]) is int
     assert config.params["psi0"] == 1.0 and type(config.params["psi0"]) is float
+
+
+def test_run_config_is_frozen():
+    config = cli.build_config(["generate", "--a", "1.0"])
+    for name in ("command", "params"):
+        with pytest.raises(AttributeError):
+            setattr(config, name, None)
+    assert config == cli.RunConfig("generate", dict(config.params))
 
 
 def test_config_after_command_is_rejected(tmp_path, capsys):

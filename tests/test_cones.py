@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conegeo import (
     base_from_samples,
     chart_coordinates,
     chart_curve,
+    chart_points,
     circular_base,
     cone_from_descriptor,
     cone_point,
@@ -187,6 +189,39 @@ def test_chart_curve_first_offending_sample_raises(wavy_cone, quarter_cone, vert
         assert type(got.value) is type(ref.value)
         assert type(got.value) is (VertexPoint if vertex_first else NotOnCone)
         assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("block", [1, 8, 16384])
+def test_chart_points_first_off_cone_point_raises_past_the_first_block(
+        wavy_cone, quarter_cone, monkeypatch, block):
+    # the residual is checked block by block: the first off-cone point, in
+    # order, raises even where a worse one follows it in a later block
+    monkeypatch.setattr(cones_module, "_CHECK_BLOCK", block)
+    for cone in (wavy_cone, quarter_cone):
+        s = np.linspace(0.0, 3.0, 40)
+        pts = 2.0 * cone.base.evaluate(s)
+        pts[10] *= np.array([1.0, 1.0, 1.01])
+        pts[25] *= np.array([1.0, 1.0, 1.5])
+        with pytest.raises(NotOnCone) as ref:
+            sequential_chart_curve(cone, SpaceCurve.from_samples(s, pts), s)
+        with pytest.raises(NotOnCone) as got:
+            chart_points(cone, pts)
+        assert str(got.value) == str(ref.value)
+
+
+def test_chart_points_peak_memory_is_bounded(quarter_cone):
+    # the on-cone residual's (n, 3) temporaries are built one block at a
+    # time: 56 bytes per point here, against 104 with one whole-curve pass
+    n = 200_000
+    pts = 2.0 * quarter_cone.base.evaluate(np.linspace(0.0, 20.0, n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chart_points(quarter_cone, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / n <= 64
 
 
 def test_chart_t_scalar_and_batch(wavy_cone):

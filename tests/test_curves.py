@@ -257,7 +257,9 @@ def test_reparametrize_singular_speed():
         return np.stack([p, d1, d2, np.zeros_like(p)])
 
     cusp = SpaceCurve.from_function(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
-    with pytest.raises(SingularSpeed):
+    message = (r"^speed 0 below regularity threshold 2e-12 "
+               r"\(1e-12 times the largest speed, 2\)$")
+    with pytest.raises(SingularSpeed, match=message):
         reparametrize_arclength(cusp)
 
 
