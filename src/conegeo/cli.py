@@ -242,10 +242,19 @@ def _cmd_verify(p):
     _positive(p, "samples", *(option for option, _ in GATES.values()))
     _check_writable(p["report"], "report")
     cone = _load_cone(p["cone"])
-    cs = sample_arclength(_load_curve(p["in"]), int(p.get("samples") or 256))
+    curve = _load_curve(p["in"])
+    cs = sample_arclength(curve, int(p.get("samples") or 256))
+    # every row is charted, so a row between the sampled ones is read too;
+    # the gates read the sampled rows' (t, u) from that one chart
+    s_rows, rows = curve.nodes
+    t, u = chart_points(cone, rows)
+    chart = None
+    if cs.curve is curve:  # sampled on its own rows, not reparametrized
+        sampled = np.searchsorted(s_rows, cs.s)
+        chart = (t[sampled], u[sampled])
     limits = {name: p[option] for name, (option, _) in GATES.items()
               if p.get(option) is not None}
-    report = verify_geodesic(cone, cs, limits)
+    report = verify_geodesic(cone, cs, limits, chart)
     _atomic_write(p["report"], [report_json_text(report.to_dict())])
     return 0
 

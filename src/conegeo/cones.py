@@ -35,8 +35,8 @@ ON_CONE_RTOL = 1e-8
 _CHART_GRID = 1024
 _NEWTON_CAP = 16
 _NEWTON_TOL = 1e-12
-_SEED_BLOCK = 256  # directions per seed block: a 2 MB score matrix
-_CHECK_BLOCK = 16384  # points per on-cone residual block
+_SEED_BLOCK = 32  # directions per seed block: a 256 KB score matrix
+_CHECK_BLOCK = 2048  # points per on-cone residual block
 # chart range of u; the cone is singular at its vertex u = 0
 U_MAX = 1e6
 U_MIN = 1e-9 * U_MAX
@@ -322,8 +322,9 @@ def _check_on_cone(cone, pts, u, t):
     pts, u, t = np.atleast_2d(pts), np.atleast_1d(u), np.atleast_1d(t)
     for start in range(0, u.size, _CHECK_BLOCK):
         block = slice(start, start + _CHECK_BLOCK)
-        residual = np.linalg.norm(u[block, None] * cone.base.evaluate(t[block]) - pts[block],
-                                  axis=-1)
+        offset = cone.base.evaluate(t[block]) * u[block, None]
+        offset -= pts[block]
+        residual = np.linalg.norm(offset, axis=-1)
         bad = np.flatnonzero(residual > ON_CONE_RTOL * u[block])
         if bad.size:
             raise NotOnCone(

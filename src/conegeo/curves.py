@@ -21,6 +21,8 @@ KAPPA_FLOOR = 1e-9
 UNIT_TOL = {"analytic": 1e-12, "finite-difference": 1e-5}
 # sample_curve holds the jet to this order; sample_grid keeps clear of its stencils
 SAMPLE_ORDER = 3
+# most points per integrand call of the adaptive Simpson quadrature
+_SIMPSON_BLOCK = 1024
 
 
 class Record:
@@ -223,6 +225,8 @@ class SpaceCurve:
         if np.any(np.diff(s) <= 0.0):
             raise ValueError("sample parameters must be strictly increasing")
         slopes = jt.node_slopes(s, points)
+        # the interpolant and the nodes share one contiguous copy of each input
+        s, points = _readonly(s), _readonly(points)
         return SpaceCurve(
             lambda q: jt.hermite(s, points, slopes, q),
             (s[0], s[-1]),
@@ -404,16 +408,18 @@ def _adaptive_simpson_segments(f, nodes, values, tol):
     """Per-interval integrals of f over consecutive nodes, adaptive Simpson.
 
     values is f(nodes).  Each interval is refined by panel doubling until
-    the Simpson update is below its share of tol, then Richardson-
-    extrapolated.  Every level keeps its samples, so a doubling evaluates f
-    only at its new odd points; the first level evaluates the midpoints and
-    any end where a + (b - a) * frac misses the node bitwise.  An interval
-    whose update is not finite stops at once: refining cannot mend it.
+    the Simpson update is below its share of tol, or below eight rounding
+    units of its own integral, then Richardson-extrapolated.  Every level
+    keeps its samples, so a doubling evaluates f only at its new odd points;
+    the first level evaluates the midpoints and any end where
+    a + (b - a) * frac misses the node bitwise.  f sees at most
+    _SIMPSON_BLOCK points per call.  An interval whose update is not finite
+    stops at once: refining cannot mend it.
     """
     a = nodes[:-1]
     b = nodes[1:]
     width = b - a
-    tol_i = tol * width / (nodes[-1] - nodes[0])
+    tol_i = np.maximum(tol * width / (nodes[-1] - nodes[0]), 1e-300)
 
     def simpson(y, w):
         h = w / (y.shape[1] - 1)
@@ -425,7 +431,7 @@ def _adaptive_simpson_segments(f, nodes, values, tol):
     y = np.stack([values[:-1], values[:-1], values[1:]], axis=1)
     fresh = x.view(np.int64) != np.stack([a, a, b], axis=1).view(np.int64)
     fresh[:, 1] = True
-    y[fresh] = f(x[fresh])
+    y[fresh] = _blocked(f, x[fresh])
     prev = simpson(y, width)
     out = np.empty_like(prev)
     active = np.ones(a.size, dtype=bool)
@@ -436,10 +442,13 @@ def _adaptive_simpson_segments(f, nodes, values, tol):
         x = a[idx, None] + width[idx, None] * frac
         fine = np.empty((idx.size, 2 * panels + 1))
         fine[:, ::2] = y
-        fine[:, 1::2] = f(x.ravel()).reshape(x.shape)
+        fine[:, 1::2] = _blocked(f, x.ravel()).reshape(x.shape)
         cur = simpson(fine, width[idx])
         err = np.abs(cur - prev[idx])
-        done = ~(err > 15.0 * np.maximum(tol_i[idx], 1e-300))
+        # no interval is asked for less than its own rounding: an absolute
+        # tol alone would refine a large-scale integrand through every level
+        floor = 8.0 * np.finfo(float).eps * np.abs(cur)
+        done = ~(err > 15.0 * np.maximum(tol_i[idx], floor))
         out[idx[done]] = cur[done] + (cur[done] - prev[idx][done]) / 15.0
         prev[idx] = cur
         active[idx[done]] = False
@@ -449,6 +458,14 @@ def _adaptive_simpson_segments(f, nodes, values, tol):
         panels *= 2
     else:
         out[active] = prev[active]
+    return out
+
+
+def _blocked(f, x):
+    """f(x) of 1-D x, called on at most _SIMPSON_BLOCK points at a time."""
+    out = np.empty(x.size)
+    for start in range(0, x.size, _SIMPSON_BLOCK):
+        out[start:start + _SIMPSON_BLOCK] = f(x[start:start + _SIMPSON_BLOCK])
     return out
 
 

@@ -226,23 +226,24 @@ class GeodesyReport(Report):
               "development_straightness_residual", "verdict")
 
 
-def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None) -> GeodesyReport:
+def verify_geodesic(cone: Cone, cs: CurveSamples, limits=None, chart=None) -> GeodesyReport:
     """Check geodesy of a sampled unit-speed curve lying on the cone.
 
     Four independent measurements: max |kappa_g|, relative variation of the
     Clairaut invariant u^2 t', minimum |<n, N>| alignment, and straightness
     of the developed image, each held to its GATES limit; limits, keyed by
-    gate name, overrides some of them.  Curves with curvature below the
-    floor everywhere are rulings.  Once charted, grids under
-    MIN_SAMPLES points raise InsufficientSamples, and non-uniform
-    grids, whose stencil taps miss the nodes, raise ValueError.
+    gate name, overrides some of them.  chart is the (t, u) of the sample
+    points when the caller has charted them already; else they are charted
+    here.  Curves with curvature below the floor everywhere are rulings.
+    Once charted, grids under MIN_SAMPLES points raise InsufficientSamples,
+    and non-uniform grids, whose stencil taps miss the nodes, raise ValueError.
     """
     limits = limits or {}
     if not limits.keys() <= GATES.keys():
         raise ValueError(f"unknown gates {sorted(limits.keys() - GATES.keys())}")
     limit = {name: limits.get(name, default) for name, (_, default) in GATES.items()}
     pts, d1, d2 = cs.jet[:3]
-    t_arr, u_arr = chart_points(cone, pts)
+    t_arr, u_arr = chart_points(cone, pts) if chart is None else chart
     if cs.s.size < MIN_SAMPLES:
         raise InsufficientSamples(
             f"verify needs a grid of at least {MIN_SAMPLES} points, got {cs.s.size}")

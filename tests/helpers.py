@@ -67,11 +67,13 @@ def count_curve_jet_passes(monkeypatch):
     return calls
 
 
-def count_speed_points(monkeypatch):
+def count_speed_points(monkeypatch, limit=None):
     """Record the number of parameters of every SpaceCurve.derivatives(s, (1,)) call.
 
     reparametrize_arclength and SphericalBaseCurve read the speed through
-    such calls; their sum is the number of speed samples evaluated.
+    such calls; their sum is the number of speed samples evaluated.  Past
+    `limit` samples the next call raises RuntimeError, so a runaway
+    quadrature stops before it fills memory.
     """
     sizes = []
     plain = SpaceCurve.derivatives
@@ -79,6 +81,8 @@ def count_speed_points(monkeypatch):
     def counted(self, s, orders):
         if tuple(orders) == (1,):
             sizes.append(np.size(s))
+            if limit is not None and sum(sizes) > limit:
+                raise RuntimeError(f"more than {limit} speed samples")
         return plain(self, s, orders)
 
     monkeypatch.setattr(SpaceCurve, "derivatives", counted)

@@ -25,7 +25,7 @@ from conegeo import (
 from conegeo import GATES, cli
 from conegeo.cli import main
 from conegeo.errors import DegenerateFit, InvalidConfig
-from helpers import count_curve_jet_passes, legacy_build_config
+from helpers import count_curve_jet_passes, count_speed_points, legacy_build_config
 
 
 def run_cli(*args):
@@ -437,6 +437,81 @@ def test_verify_reads_unit_speed_off_its_one_stencil_pass(tmp_path, monkeypatch)
     assert run_cli("verify", "--cone", cone, "--in", csv, "--report", rep) == 0
     assert json.loads(rep.read_text())["verdict"] == "geodesic"
     assert calls == [7 * grid.size]
+
+
+def _spiked_rows(tmp_path, rows, data_row, value):
+    """A rows-row geodesic CSV on the psi0 = 0.8 cone, x of data_row set to value."""
+    csv = tmp_path / "curve.csv"
+    assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--b=0.2", "--c=0.1",
+                   f"--samples={rows}", "--out", csv) == 0
+    lines = csv.read_text().splitlines()
+    cells = lines[data_row].split(",")
+    lines[data_row] = ",".join([cells[0], value, *cells[2:]])
+    csv.write_text("\n".join(lines) + "\n")
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
+    return csv, cone
+
+
+@pytest.mark.parametrize("rows,data_row", [(256, 1), (5001, 21)])
+def test_verify_reads_every_row(tmp_path, capsys, rows, data_row):
+    # the gates read every k-th row, and at 256 rows the first and last rows
+    # sit outside the grid: an off-cone row there made no gate move
+    csv, cone = _spiked_rows(tmp_path, rows, data_row, "1000.0")
+    rep, out = tmp_path / "rep.json", tmp_path / "dev.csv"
+    message = "error: NotOnCone: chart residual 749 exceeds 1e-08 * u\n"
+    assert run_cli("verify", "--cone", cone, "--in", csv, "--report", rep) == 2
+    assert capsys.readouterr().err == message
+    assert json.loads(rep.read_text())["error"] == "NotOnCone"
+    assert run_cli("develop", "--cone", cone, "--in", csv, "--out", out) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("kind", ["circular", "general"])
+def test_verify_charts_each_row_once(tmp_path, monkeypatch, kind):
+    # the gates read the sampled rows' (t, u) off the one chart of every row
+    from conegeo import cones, geodesics
+
+    if kind == "circular":
+        csv, cone = _generated_on_cone(tmp_path, 0.8, "--a=1.2", "--b=0.3", "--c=0.1")
+    else:
+        base = perturbed_circle_base(1.1, seed=5, amplitude=0.03)
+        t = np.linspace(0.0, base.period, 2049)
+        write_base_csv(tmp_path / "base.csv", t, base.evaluate(t))
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"kind": "general", "base_csv": "base.csv"}))
+        csv = tmp_path / "curve.csv"
+        assert run_cli("generate", "--a=1.2", "--b=0.3", "--c=0.1", "--base",
+                       tmp_path / "base.csv", "--samples=256", "--out", csv) == 0
+    charted = []
+    plain = cones.chart_points
+
+    def counted(cone, points):
+        charted.append(len(points))
+        return plain(cone, points)
+
+    monkeypatch.setattr(cli, "chart_points", counted)
+    monkeypatch.setattr(geodesics, "chart_points", counted)
+    rep = tmp_path / "rep.json"
+    assert run_cli("verify", "--cone", cone, "--in", csv, "--report", rep) == 0
+    assert json.loads(rep.read_text())["verdict"] == "geodesic"
+    assert charted == [read_curve_csv(csv)[0].size]
+
+
+def test_large_scale_curve_classifies_in_bounded_work(tmp_path, monkeypatch, capsys):
+    # an absolute quadrature tolerance alone refined every interval of a
+    # 1e80-scale curve through all 14 doublings: past 200,000 speed samples
+    # by the fifth, where 15,732 now suffice
+    csv = tmp_path / "curve.csv"
+    assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--b=0.2", "--c=0.1",
+                   "--samples=256", "--out", csv) == 0
+    s, pts = read_curve_csv(csv)
+    write_curve_csv(csv, s, 1e80 * pts)
+    sizes = count_speed_points(monkeypatch, limit=40_000)
+    assert run_cli("classify", "--in", csv, "--report", tmp_path / "rep.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: VanishingCurvature: curvature ") and err.count("\n") == 1
+    assert sum(sizes) > 4097  # the speed was integrated, not only scanned
 
 
 def test_missing_required_flag_exits_1(tmp_path):

@@ -43,6 +43,7 @@ from helpers import (
     reference_circular_base,
     reference_spherical_curve,
     sequential_chart_curve,
+    sequential_chart_t,
 )
 
 
@@ -209,19 +210,59 @@ def test_chart_points_first_off_cone_point_raises_past_the_first_block(
         assert str(got.value) == str(ref.value)
 
 
+def _peak_above(fn):
+    """Peak traced bytes of fn() above what was held when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_chart_points_peak_memory_is_bounded(quarter_cone):
     # the on-cone residual's (n, 3) temporaries are built one block at a
     # time: 56 bytes per point here, against 104 with one whole-curve pass
     n = 200_000
     pts = 2.0 * quarter_cone.base.evaluate(np.linspace(0.0, 20.0, n))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        chart_points(quarter_cone, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / n <= 64
+    assert _peak_above(lambda: chart_points(quarter_cone, pts)) / n <= 64
+
+
+def test_chart_points_peak_memory_on_a_bench_sized_curve(quarter_cone):
+    # 5,001 points, an RK4 trajectory of the bench, fit in three residual
+    # blocks: 76 bytes per point, against 118 in one 16,384-point block
+    n = 5_001
+    pts = 2.0 * quarter_cone.base.evaluate(np.linspace(0.0, 20.0, n))
+    chart_points(quarter_cone, pts[:4])
+    assert _peak_above(lambda: chart_points(quarter_cone, pts)) / n <= 96
+
+
+def test_chart_points_seed_scores_are_blocked():
+    # 256 directions against the 1024-point base grid were one 2 MiB score
+    # matrix; in seed blocks the whole chart stays under 1 MiB
+    cone = _sampled_closed_cone()
+    pts = 2.0 * cone.base.evaluate(np.linspace(0.1, 3.0, 256))
+    chart_points(cone, pts[:4])
+    assert _peak_above(lambda: chart_points(cone, pts)) <= 2**20
+
+
+def test_perturbed_circle_base_peak_is_bounded():
+    # its arc-length quadrature evaluates the speed in blocks (2.7 MiB at
+    # one call per Simpson level)
+    perturbed_circle_base(0.5, seed=1)
+    assert _peak_above(lambda: perturbed_circle_base(0.93, seed=77, amplitude=0.03)) \
+        <= 1.5 * 2**20
+
+
+def test_chart_t_over_seed_blocks_matches_sequential():
+    cone = _sampled_closed_cone()
+    rng = np.random.default_rng(3)
+    dirs = cone.base.evaluate(rng.uniform(0.0, cone.base.period, 100))
+    dirs += 1e-3 * rng.normal(size=dirs.shape)
+    dirs /= np.linalg.norm(dirs, axis=-1)[:, None]
+    assert dirs.shape[0] > 3 * cones_module._SEED_BLOCK
+    assert_bitwise(cone.chart_t(dirs), [sequential_chart_t(cone, d) for d in dirs])
 
 
 def test_chart_t_scalar_and_batch(wavy_cone):

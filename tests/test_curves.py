@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from conegeo.errors import (
     VanishingCurvature,
 )
 from conegeo import cones as cones_module
+from conegeo import curves as curves_module
 from helpers import (
     assert_bitwise,
     count_speed_points,
@@ -62,6 +64,26 @@ def test_evaluate_circular_cone_geodesic_start():
     expect = [np.sin(np.pi / 4), 0.0, np.cos(np.pi / 4)]
     assert np.allclose(cur.evaluate(0.0), expect, atol=1e-12)
     assert np.allclose(cur.evaluate(0.0), [0.70711, 0.0, 0.70711], atol=5e-6)
+
+
+def test_sampled_curve_keeps_one_copy_of_its_table():
+    # the interpolant reads the nodes' own contiguous copies, so a curve
+    # built from the column views of a CSV table frees the table: 56 bytes
+    # a row (nodes and slopes) are held, not 88
+    n = 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = np.empty((n, 4))
+        table[:, 0] = np.linspace(0.0, 1.0, n)
+        table[:, 1:] = np.stack([np.cos(table[:, 0]), np.sin(table[:, 0]), table[:, 0]], -1)
+        curve = SpaceCurve.from_samples(table[:, 0], table[:, 1:])
+        del table
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert curve.nodes[0].flags.c_contiguous and curve.nodes[1].flags.c_contiguous
+    assert held / n <= 64
 
 
 def test_evaluate_sampled_between_nodes_matches_hermite_oracle():
@@ -330,6 +352,39 @@ def test_simpson_evaluates_only_new_points():
     assert np.unique(seen).size == seen.size
     assert len(calls) > 3  # the kink's interval refined past the first doubling
     assert 2.0**53 in calls[1]  # 1e0 + (2**53 + 2 - 1e0) rounds off the last node
+
+
+def test_simpson_blocks_match_reference_and_bound_each_call():
+    # 3000 midpoints at the first level and 6000 points at the doubling each
+    # span several blocks; blocking changes no bit of the integrals
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return 2.0 + np.sin(9.0 * x) + np.abs(x - 0.3)
+
+    nodes = np.linspace(0.0, 2.0, 3001)
+    values = f(nodes)
+    calls.clear()
+    out = _adaptive_simpson_segments(f, nodes, values, 1e-10)
+    assert max(calls) <= curves_module._SIMPSON_BLOCK and sum(calls) == 3 * 3000
+    assert_bitwise(out, reference_adaptive_simpson_segments(f, nodes, 1e-10))
+
+
+def test_simpson_tolerance_floor_is_the_integral_rounding():
+    # at a scale of 1e80 the absolute tol is below every interval's rounding;
+    # without the floor each interval ran all 14 doublings (370,076 points)
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return 1e80 * (2.0 + np.sin(9.0 * x))
+
+    nodes = np.linspace(0.0, 2.0, 101)
+    out = _adaptive_simpson_segments(f, nodes, f(nodes), 1e-10)
+    exact = 1e80 * (2.0 * np.diff(nodes) - np.diff(np.cos(9.0 * nodes)) / 9.0)
+    assert sum(calls[1:]) < 30_000
+    assert np.max(np.abs(out - exact) / exact) < 1e-13
 
 
 def _assert_same_reparametrization(curve):
