@@ -69,10 +69,17 @@ def report_json_text(payload):
 
 
 def _atomic_write(path, chunks):
-    """Write the text chunks to a temp file beside path, then replace path with it."""
+    """Write the text chunks to a temp file beside path, then replace path with it.
+
+    The file gets the mode a plain open would give it, 0o666 less the umask,
+    not mkstemp's owner-only 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".conegeo-")
     try:
+        umask = os.umask(0o022)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -262,6 +269,8 @@ def _cmd_verify(p):
 def _cmd_crosscheck(p):
     _require(p, "a", "psi0", "report")
     _positive(p, "a", "samples")
+    if p.get("seed") is not None and p["seed"] < 0:
+        raise InvalidConfig(f"--seed must be non-negative, got {p['seed']!r}")
     _check_writable(p["report"], "report")
     report = cross_check_circular_cone(
         p["a"], p.get("b") or 0.0, p.get("c") or 0.0, p["psi0"],
@@ -286,12 +295,16 @@ _COMMANDS = {
 # argument parsing and config merging
 
 
+# a dash-led token that is a value, not an option name.  argparse's own
+# pattern misses exponent forms, so it would read a value such as -7.25e-05
+# as an unknown option name.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern misses exponent forms, so it would read a
-        # value such as -7.25e-05 as an unknown option name
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     # argparse exits with status 2 on bad usage; route through InvalidConfig
     # so validation errors consistently exit 1
@@ -374,17 +387,63 @@ def _merge_config(params, path, command):
             params[key] = value
 
 
-def build_config(argv):
+def _is_value(token):
+    # what argparse reads as an option's value rather than as an option name
+    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token)
+
+
+def _read_plain(argv):
+    """(config, command, params) read from the option table, or None.
+
+    Reads `[--config PATH | --config=PATH] COMMAND` and then exact `--name
+    value` or `--name=value` tokens, each value converted by its option's
+    type, which argparse reads to the same result.  Any other argv is None:
+    a help flag, an abbreviated or unknown option, a missing or dash-led
+    value, a value its type refuses, a stray token or `--`.
+    """
+    config, rest = None, list(argv)
+    if rest and rest[0].partition("=")[0] == "--config":
+        _, eq, config = rest.pop(0).partition("=")
+        if not eq:
+            if not rest or not _is_value(rest[0]):
+                return None
+            config = rest.pop(0)
+    if not rest or rest[0] not in _OPTIONS:
+        return None
+    command, types = rest[0], _OPTIONS[rest[0]]
+    flags = {"--" + dest.replace("_", "-"): dest for dest in types}
+    params = dict.fromkeys(types)
+    tokens = iter(rest[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+        dest = flags.get(flag)
+        if dest is None or value is None or not _is_value(value):
+            return None
+        try:
+            params[dest] = types[dest](value)
+        except ValueError:
+            return None
+    return config, command, params
+
+
+def _parse(argv):
+    """(config, command, params) by argparse, the one writer of help and messages."""
     top = _top_parser().parse_args(argv)
     if top.command is None:
         raise InvalidConfig("no command given; see --help")
-    params = vars(_command_parser(top.command).parse_args(top.args))
-    if top.config:
-        _merge_config(params, top.config, top.command)
+    return top.config, top.command, vars(_command_parser(top.command).parse_args(top.args))
+
+
+def build_config(argv):
+    config, command, params = _read_plain(argv) or _parse(argv)
+    if config:
+        _merge_config(params, config, command)
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(f"--{key.replace('_', '-')} must be finite, got {value!r}")
-    return RunConfig(command=top.command, params=params)
+    return RunConfig(command=command, params=params)
 
 
 def run(config: RunConfig):

@@ -66,8 +66,13 @@ def fd_derivatives(evaluate, s, orders, h):
     taps = dict(zip(offsets, values.reshape((len(offsets),) + s.shape + values.shape[1:])))
 
     def derivative(order):
+        try:
+            scale = h**order
+        except OverflowError:
+            raise OverflowError(f"order-{order} stencil step h = {h:.3g}: "
+                                f"h**{order} overflows") from None
         terms = (c * taps[k] for k, c in zip(*stencils[order]) if c != 0.0)
-        return sum(terms, next(terms)) / h**order
+        return sum(terms, next(terms)) / scale
 
     return [derivative(order) if order else taps[0.0] for order in orders]
 

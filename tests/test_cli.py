@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conegeo import (
     CircularCone,
@@ -514,6 +516,22 @@ def test_large_scale_curve_classifies_in_bounded_work(tmp_path, monkeypatch, cap
     assert sum(sizes) > 4097  # the speed was integrated, not only scanned
 
 
+@pytest.mark.parametrize("scale", [1e105, 1e140])
+def test_stencil_step_overflow_is_named(tmp_path, capsys, scale):
+    # the rescaled stencil step passes 5.6e102, where h**3 overflows a float
+    csv = tmp_path / "curve.csv"
+    assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--b=0.2", "--c=0.1",
+                   "--samples=1024", "--out", csv) == 0
+    s, pts = read_curve_csv(csv)
+    write_curve_csv(csv, s, scale * pts)
+    rep = tmp_path / "rep.json"
+    assert run_cli("classify", "--in", csv, "--report", rep) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: order-3 stencil step h = ")
+    assert err.endswith(": h**3 overflows\n") and err.count("\n") == 1
+    assert json.loads(rep.read_text())["error"] == "OverflowError"
+
+
 def test_missing_required_flag_exits_1(tmp_path):
     assert run_cli("generate", "--a", 1.0, "--out", tmp_path / "x.csv") == 1
     assert not (tmp_path / "x.csv").exists()
@@ -1014,6 +1032,37 @@ def test_one_row_curve_csv_exits_1(tmp_path, quarter_cone_json, capsys):
     assert "need at least two samples" in _assert_invalid_config(capsys, rep)
 
 
+def test_negative_seed_exits_1(tmp_path, capsys):
+    rep = tmp_path / "cc.json"
+    assert run_cli("crosscheck", "--a", 1, "--psi0", 0.7, "--seed", -1, "--report", rep) == 1
+    assert _assert_invalid_config(capsys, rep) == (
+        "error: InvalidConfig: --seed must be non-negative, got -1\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_artifacts_get_the_umask_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        out, rep = tmp_path / "curve.csv", tmp_path / "rep.json"
+        assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--samples=64", "--out", out) == 0
+        assert run_cli("classify", "--in", out, "--report", rep) == 0
+        for path in (out, rep):
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert os.umask(umask) == umask  # the write left the umask as it found it
+
+        def chunks():
+            yield "s,x,y,z\n"
+            raise ValueError("chunk failed")
+
+        before = rep.read_text()
+        with pytest.raises(ValueError, match="chunk failed"):
+            cli._atomic_write(rep, chunks())
+        assert rep.read_text() == before
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "rep.json"]
+
+
 # ----------------------------------------------------------------------
 # the option table against the per-command subparsers it replaced
 
@@ -1080,7 +1129,76 @@ def test_build_config_config_merge_matches_legacy_parser(tmp_path):
     assert _outcome(cli.build_config, argv) == _outcome(legacy_build_config, argv)
 
 
-def test_build_config_constructs_two_parsers(monkeypatch):
+# every command's flags, and --config, which is a flag only before the command
+_FLAGS = sorted({"--config": str, **{"--" + dest.replace("_", "-"): kind
+                                     for options in cli._OPTIONS.values()
+                                     for dest, kind in options.items()}}.items())
+# every flag's proper prefixes, none of which abbreviates --help
+_PREFIXES = sorted({flag[:k] for flag, _ in _FLAGS for k in range(3, len(flag))})
+_ANY_VALUE = sorted({value for values in _VALUES.values() for value in values})
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cfg")
+    (root / "cfg.json").write_text(json.dumps({"generate": {"psi0": 0.9, "samples": 64},
+                                               "verify": {"kg-tol": 1e-3}}))
+    (root / "bad.json").write_text('{"develop": {"nope": 1}}')
+    return [str(root / "cfg.json"), str(root / "bad.json"), str(root / "missing.json"), ""]
+
+
+@st.composite
+def _argvs(draw, config_paths):
+    """An argv from the table's commands, flags, flag prefixes and values.
+
+    About half give only the command's own flags, each with a value from its
+    kind's list; the rest also mix in other flags, prefixes, stray and
+    missing values and `--`.
+    """
+    plain = draw(st.booleans())
+    path = draw(st.sampled_from(config_paths))
+    prefixes = [[], ["--config", path], [f"--config={path}"]]
+    if not plain:
+        prefixes += [["--config"], ["--conf", path], ["--config", path, "--config", path]]
+    argv = draw(st.sampled_from(prefixes))
+    command = draw(st.sampled_from(sorted(cli._OPTIONS)))
+    named = plain or (argv != ["--config"] and draw(st.sampled_from([True, True, False])))
+    argv += [command] if named else draw(st.sampled_from([[], ["stray"]]))
+    for i in range(draw(st.integers(0, 6))):
+        dest, kind = draw(st.sampled_from(list(cli._OPTIONS[command].items())))
+        flag = "--" + dest.replace("_", "-")
+        value = draw(st.sampled_from(_VALUES[kind]))
+        items = [[flag, value], [f"{flag}={value}"]]
+        if not plain and draw(st.booleans()):
+            # one flaw: another flag, a prefix or the dest's spelling; any
+            # value; a missing or stray value; or `--` after an option.  A
+            # `--` next to the command, or with no command, is left out: the
+            # top parser reads it apart from the reference, because its
+            # `command` positional takes the `--` as its own end-of-options mark.
+            other, other_kind = draw(st.sampled_from(_FLAGS))
+            spelled = draw(st.sampled_from([other, draw(st.sampled_from(_PREFIXES)), "--" + dest]))
+            odd = draw(st.sampled_from(_VALUES[other_kind] + _ANY_VALUE))
+            items = [[spelled, value], [f"{spelled}={value}"], [flag, odd], [f"{flag}={odd}"],
+                     [flag], [value]] + [["--"]] * (i > 0 and named)
+        argv += draw(st.sampled_from(items))
+    return argv
+
+
+def test_build_config_matches_legacy_parser_on_generated_argvs(config_paths):
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(_argvs(config_paths))
+    @example(["verify", "--kg_tol", "1e-3"])
+    @example(["classify", "--in", "x", "--"])
+    @example(["develop", "--in=--"])
+    @example(["generate", "--a", "-1\n", "--b", "-"])
+    @example(["--config=", "crosscheck", "--seed=-3", "--seed", "4"])
+    def check(argv):
+        assert _outcome(cli.build_config, argv) == _outcome(legacy_build_config, argv), argv
+
+    check()
+
+
+def test_build_config_builds_parsers_only_for_messages(monkeypatch):
     made = []
 
     class CountingParser(cli._Parser):
@@ -1089,10 +1207,23 @@ def test_build_config_constructs_two_parsers(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_Parser", CountingParser)
-    for command in cli._OPTIONS:
-        made.clear()
-        cli.build_config([command])
-        assert made == ["conegeo", f"conegeo {command}"]
+    typed = {float: "-7.25e-05", int: "64", str: "curve.csv"}
+    for command, options in cli._OPTIONS.items():
+        every = []
+        for i, (dest, kind) in enumerate(options.items()):
+            flag = "--" + dest.replace("_", "-")
+            every += [f"{flag}={typed[kind]}"] if i % 2 else [flag, typed[kind]]
+        for argv in ([command], [command, *every], ["--config=", command, *every]):
+            made.clear()
+            cli.build_config(argv)
+            assert made == [], argv
+        last = "--" + list(options)[-1]
+        # an abbreviation, an unknown option, a missing value and a trailing `--`
+        for argv in ([command, last[:-1], "x"], [command, "--bogus", "1"], [command, last],
+                     [command, *every, "--"]):
+            made.clear()
+            _outcome(cli.build_config, argv)
+            assert made == ["conegeo", f"conegeo {command}"], argv
 
 
 @pytest.mark.parametrize("text,bad", [

@@ -162,6 +162,15 @@ def test_fd_derivatives_bitwise_equal_to_single_orders():
                 assert value.tobytes() == single[order].tobytes(), (orders, order)
 
 
+def test_stencil_step_overflow_names_step_and_order():
+    line = lambda t: np.stack([t, 2 * t, 3 * t], axis=-1)  # noqa: E731
+    # 1e103**2 is finite, 1e103**3 is not
+    h, s = 1e103, np.array([0.0, 1e104])
+    assert all(np.isfinite(d).all() for d in jt.fd_derivatives(line, s, (1, 2), h))
+    with pytest.raises(OverflowError, match=r"^order-3 stencil step h = 1e\+103: h\*\*3 overflows$"):
+        jt.fd_derivatives(line, s, (1, 2, 3), h)
+
+
 @pytest.mark.parametrize("orders,taps", [
     ((1, 2, 3), 7), ((0, 1, 2, 3), 7), ((1, 2), 5), ((0, 1), 5),
     ((1,), 4), ((2,), 5), ((3,), 6),
