@@ -19,6 +19,7 @@ from .classify import (
 )
 from .cones import (
     ChartCurve,
+    ChartSamples,
     CircularCone,
     Cone,
     SphericalBaseCurve,
@@ -47,7 +48,6 @@ from .curves import (
     FrenetFrame,
     SpaceCurve,
     circle_curve,
-    cross_magnitude,
     frenet_apparatus,
     helix_curve,
     line_curve,

@@ -228,9 +228,8 @@ def _cmd_integrate(p):
     cone = _load_cone(p["cone"])
     ivp = _load_ivp(p["ivp"])
     chart = integrate_geodesic(cone, ivp, h=p.get("step") or 1e-3)
-    s, t, u = chart.samples
-    points = u[:, None] * cone.base.evaluate(t)
-    _atomic_write(p["out"], curve_csv_text(s, points))
+    points = chart.u[:, None] * cone.base.evaluate(chart.t)
+    _atomic_write(p["out"], curve_csv_text(chart.s, points))
     return 0
 
 
@@ -340,10 +339,12 @@ def _top_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", help="JSON file with per-command option defaults")
-    parser.add_argument("command", nargs="?", choices=tuple(_COMMANDS),
-                        help="one of the commands listed below")
-    parser.add_argument("args", nargs=argparse.REMAINDER,
-                        help="the command's options; see conegeo COMMAND --help")
+    # nargs PARSER, as a subcommand's: the command and every token after it,
+    # a `--` beside it included, which the command's own parser then reads
+    command = parser.add_argument("command", nargs=argparse.PARSER, choices=tuple(_COMMANDS),
+                                  help="one of the commands listed below, then its options; "
+                                       "see conegeo COMMAND --help")
+    command.required = False  # _parse names a missing command
     return parser
 
 
@@ -405,9 +406,9 @@ def _read_plain(argv):
     if rest and rest[0].partition("=")[0] == "--config":
         _, eq, config = rest.pop(0).partition("=")
         if not eq:
-            if not rest or not _is_value(rest[0]):
-                return None
-            config = rest.pop(0)
+            config = rest.pop(0) if rest else None
+        if config is None or not _is_value(config):
+            return None
     if not rest or rest[0] not in _OPTIONS:
         return None
     command, types = rest[0], _OPTIONS[rest[0]]
@@ -433,7 +434,12 @@ def _parse(argv):
     top = _top_parser().parse_args(argv)
     if top.command is None:
         raise InvalidConfig("no command given; see --help")
-    return top.config, top.command, vars(_command_parser(top.command).parse_args(top.args))
+    command, *args = top.command
+    params = vars(_command_parser(command).parse_args(args))
+    for dest, value in {"config": top.config, **params}.items():
+        if isinstance(value, list):  # argparse reads `--name=--` as []
+            raise InvalidConfig(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return top.config, command, params
 
 
 def build_config(argv):

@@ -6,12 +6,11 @@ u^2 dt^2 + du^2 for every base curve, which is the plane in polar
 coordinates; develop() realizes that isometry.
 """
 
-from functools import cache
-
 import numpy as np
 
 from . import jets as jt
 from .curves import (
+    Record,
     SpaceCurve,
     circle_curve,
     line_curve,
@@ -23,7 +22,6 @@ from .curves import (
 from .errors import (
     BaseDomainExceeded,
     DegenerateBase,
-    InsufficientSamples,
     InvalidHalfAngle,
     NonpositiveRadialCoordinate,
     NotOnCone,
@@ -334,18 +332,18 @@ def _check_on_cone(cone, pts, u, t):
 
 
 def chart_curve(cone, curve, s=None, samples=256):
-    """Chart an ambient curve: s -> (t(s), u(s)) with t tracked continuously.
+    """Chart an ambient curve: the ChartSamples (t(s), u(s)) with t tracked continuously.
 
     Circular cones take t = sin(psi0) * unwrap(atan2(y, x)); general cones
     chart every sample in one batched solve and unwrap t by the base period,
     which assumes consecutive samples lie less than half a period apart in
     t.  The first sample, in order, that sits at the vertex, above U_MAX or
-    off the cone raises.
+    off the cone raises.  dt and du are None.
     """
     if s is None:
         s = sample_grid(curve, samples)
     s = np.asarray(s, dtype=float)
-    return ChartCurve.from_samples(s, *chart_points(cone, curve.evaluate(s)))
+    return ChartSamples(s, *chart_points(cone, curve.evaluate(s)), None, None)
 
 
 def chart_points(cone, points):
@@ -366,6 +364,12 @@ def chart_points(cone, points):
     return t, u
 
 
+class ChartSamples(Record):
+    """Cone coordinates (t, u) at the nodes s, and dt/ds, du/ds there when known (else None)."""
+
+    fields = ("s", "t", "u", "dt", "du")
+
+
 class ChartCurve:
     """Curve in cone coordinates s -> (t(s), u(s)) with scalar jets.
 
@@ -373,58 +377,16 @@ class ChartCurve:
     least the slots 0..order.
     """
 
-    def __init__(self, t_jet_fn, u_jet_fn, domain, samples=None):
+    def __init__(self, t_jet_fn, u_jet_fn, domain):
         self._t_jet = t_jet_fn
         self._u_jet = u_jet_fn
         self.domain = (float(domain[0]), float(domain[1]))
-        self.samples = samples  # optional (s, t, u) arrays for sampled charts
 
     def t_jet(self, s, order=3):
         return self._t_jet(np.atleast_1d(np.asarray(s, dtype=float)), order)
 
     def u_jet(self, s, order=3):
         return self._u_jet(np.atleast_1d(np.asarray(s, dtype=float)), order)
-
-    @staticmethod
-    def from_samples(s, t, u, dt=None, du=None):
-        """Sampled chart; derivatives default to stencils on the series."""
-        s = np.asarray(s, dtype=float)
-        need = 2 * jt.stencil_reach(3) + 1  # nodes of the order-3 series stencil
-        if s.size < need:
-            raise InsufficientSamples(
-                f"a sampled chart needs at least {need - 1} steps ({need} nodes), got "
-                f"{s.size - 1} steps of {(s[-1] - s[0]) / max(s.size - 1, 1):.6g} "
-                f"over length {s[-1] - s[0]:.6g}")
-        t = np.asarray(t, dtype=float)
-        u = np.asarray(u, dtype=float)
-        dx = jt.uniform_step(s)
-        if dx is None:
-            raise ValueError("sampled charts need a uniform parameter grid")
-
-        def scalar_jet_fn(values, slopes):
-            @cache
-            def series(order):  # (abscissae, derivative) on first read of the slot
-                d, r = jt.series_derivative(values, dx, order)
-                return s[r:s.size - r], d
-
-            def jet(q, order):
-                return jt.stack_slots(order, lambda: jt.hermite(s, values, slopes, q),
-                                      lambda: jt.hermite(s, values, slopes, q, derivative=True),
-                                      lambda: np.interp(q, *series(2)),
-                                      lambda: np.interp(q, *series(3)))
-
-            return jet
-
-        if dt is None:
-            dt = jt.node_slopes(s, t)
-        if du is None:
-            du = jt.node_slopes(s, u)
-        return ChartCurve(
-            scalar_jet_fn(t, dt),
-            scalar_jet_fn(u, du),
-            (s[0], s[-1]),
-            samples=(s, t, u),
-        )
 
 
 def curve_from_chart(base: SphericalBaseCurve, chart: ChartCurve) -> SpaceCurve:

@@ -399,11 +399,6 @@ def position_cross(p, d1):
     return cross, np.linalg.norm(cross, axis=-1)
 
 
-def cross_magnitude(curve, s):
-    """|alpha(s) x alpha'(s)|."""
-    return position_cross(*curve.derivatives(s, (0, 1)))[1]
-
-
 def _adaptive_simpson_segments(f, nodes, values, tol):
     """Per-interval integrals of f over consecutive nodes, adaptive Simpson.
 
@@ -561,11 +556,6 @@ def table_chunks(header, *columns):
     for start in range(0, table.shape[0], TABLE_BLOCK_ROWS):
         block = table[start:start + TABLE_BLOCK_ROWS]
         yield (row * block.shape[0]) % tuple(block.ravel().tolist())
-
-
-def table_text(header, *columns):
-    """The text of table_chunks(header, *columns) as one string."""
-    return "".join(table_chunks(header, *columns))
 
 
 def write_table(path, header, *columns):

@@ -25,6 +25,7 @@ from .classify import (
 )
 from .cones import (
     ChartCurve,
+    ChartSamples,
     Cone,
     CircularCone,
     SphericalBaseCurve,
@@ -144,15 +145,17 @@ class GeodesicIVP(Record):
 
 
 def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
-                       drift_tol=None) -> ChartCurve:
+                       drift_tol=None) -> ChartSamples:
     """Fixed-step RK4 integration of the geodesic equations.
 
-    Returns a sampled chart with the integrator's exact nodal derivatives.
-    Raises VertexPoint if u0, or u anywhere on the trajectory, lies outside
-    the chart range [U_MIN, U_MAX], VertexApproach if u falls below the
-    cone's u_min during a step, and StepTooLarge if the Clairaut invariant
-    drifts beyond drift_tol (default 1e-9 per unit arc length).  length/h
-    above MAX_RK4_STEPS raises ValueError before anything is allocated.
+    Returns the ChartSamples of the full steps, with the integrator's exact
+    nodal derivatives as dt and du.  Raises VertexPoint if u0, or u anywhere
+    on the trajectory, lies outside the chart range [U_MIN, U_MAX],
+    VertexApproach if u falls below the cone's u_min during a step,
+    StepTooLarge if the Clairaut invariant drifts beyond drift_tol (default
+    1e-9 per unit arc length), and InsufficientSamples on fewer than
+    MIN_SAMPLES - 1 full steps.  length/h above MAX_RK4_STEPS raises
+    ValueError before anything is allocated.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -216,9 +219,15 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
             f"Clairaut drift {drift:.3g} exceeds {drift_tol:.3g}; reduce h"
         )
 
-    # the tail step breaks grid uniformity; drop it from the sampled chart
+    # the tail step breaks grid uniformity; drop it from the samples
     keep = slice(None, -1 if has_tail and n_full >= 1 else None)
-    return ChartCurve.from_samples(s[keep], t[keep], u[keep], dt=dt[keep], du=du[keep])
+    s = s[keep]
+    if s.size < MIN_SAMPLES:  # the least grid classify and verify judge
+        raise InsufficientSamples(
+            f"a sampled chart needs at least {MIN_SAMPLES - 1} steps ({MIN_SAMPLES} nodes), "
+            f"got {s.size - 1} steps of {(s[-1] - s[0]) / max(s.size - 1, 1):.6g} "
+            f"over length {s[-1] - s[0]:.6g}")
+    return ChartSamples(s, t[keep], u[keep], dt[keep], du[keep])
 
 
 class GeodesyReport(Report):

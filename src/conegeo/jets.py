@@ -135,18 +135,18 @@ def node_slopes(s, values):
     return m
 
 
-def hermite(s, values, slopes, q, derivative=False):
+def hermite(s, values, slopes, q):
     """Piecewise cubic Hermite interpolant through (s, values) with node slopes.
 
     values and slopes are (n,) or (n, k); the basis weights broadcast over
-    the trailing axis.  Returns the interpolant at q, or its first
-    derivative with derivative=True.  q outside [s[0], s[-1]] extrapolates
-    the end cubic.  At a node it is the node's value (-0.0 may become +0.0).
+    the trailing axis.  Returns the interpolant at q; q outside
+    [s[0], s[-1]] extrapolates the end cubic.  At a node it is the node's
+    value (-0.0 may become +0.0).
     """
     idx = np.asarray(np.searchsorted(s, q, side="right") - 1)
     np.clip(idx, 0, s.size - 2, out=idx)
     idx1 = idx + 1
-    w = _hermite_weights(s, idx, idx1, q, values.ndim - 1, derivative)
+    w = _hermite_weights(s, idx, idx1, q, values.ndim - 1)
     # w00 v0 + w10 m0 + w01 v1 + w11 m1, summed left to right into one array
     out = w[0] * values.take(idx, axis=0)
     for wk, table, i in zip(w[1:], (slopes, values, slopes), (idx, idx1, idx1)):
@@ -154,15 +154,12 @@ def hermite(s, values, slopes, q, derivative=False):
     return out
 
 
-def _hermite_weights(s, idx, idx1, q, trailing, derivative):
+def _hermite_weights(s, idx, idx1, q, trailing):
     """hermite's basis weights at q, in a frame of their own so no temporary outlives them."""
     s0 = s.take(idx)
     h, th = (x.reshape(np.shape(x) + (1,) * trailing) for x in (s.take(idx1) - s0, q - s0))
     th /= h
     t2 = th * th
-    if derivative:
-        a, b, c = 6 * t2, 6 * th, 3 * t2
-        return (a - b) / h, c - 4 * th + 1, (b - a) / h, c - 2 * th
     t3 = t2 * th
     a, b = 2 * t3, 3 * t2
     return a - b + 1, (t3 - 2 * t2 + th) * h, b - a, (t3 - t2) * h

@@ -34,16 +34,15 @@ from conegeo.errors import (
 def count_vector_hermite_calls(monkeypatch):
     """Record q.size of every jets.hermite call on (n, k) values.
 
-    Sampled curves and bases interpolate (n, 3) points; the scalar calls
-    of sampled charts are not counted.
+    Sampled curves and bases interpolate (n, 3) points.
     """
     calls = []
     plain = jets.hermite
 
-    def counted(s, values, slopes, q, derivative=False):
+    def counted(s, values, slopes, q):
         if values.ndim == 2:
             calls.append(np.size(q))
-        return plain(s, values, slopes, q, derivative)
+        return plain(s, values, slopes, q)
 
     monkeypatch.setattr(jets, "hermite", counted)
     return calls
@@ -303,6 +302,9 @@ def legacy_build_config(argv):
     if ns.command is None:
         raise InvalidConfig("no command given; see --help")
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+    for dest, value in {"config": ns.config, **params}.items():
+        if isinstance(value, list):  # argparse reads `--name=--` as []
+            raise InvalidConfig(f"argument --{dest.replace('_', '-')}: expected one argument")
     if ns.config:
         try:
             with open(ns.config, "r", encoding="ascii") as fh:
@@ -534,7 +536,7 @@ def reference_arclength_rate_jets(vector_jet_at_tau):
     return np.stack([np.zeros_like(v), 1.0 / v, -a / v**4, -b / v**5 + 4.0 * a**2 / v**7])
 
 
-def reference_hermite(s, values, slopes, q, derivative=False):
+def reference_hermite(s, values, slopes, q):
     """jets.hermite as it was before the in-place kernel: one numpy pass per term.
 
     Kept, with reference_fd_derivatives below, as the reference the lean
@@ -544,12 +546,8 @@ def reference_hermite(s, values, slopes, q, derivative=False):
     h = s[idx + 1] - s[idx]
     th = (q - s[idx]) / h
     t2 = th * th
-    if derivative:
-        w = ((6 * t2 - 6 * th) / h, 3 * t2 - 4 * th + 1,
-             (6 * th - 6 * t2) / h, 3 * t2 - 2 * th)
-    else:
-        t3 = t2 * th
-        w = (2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * h, -2 * t3 + 3 * t2, (t3 - t2) * h)
+    t3 = t2 * th
+    w = (2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * h, -2 * t3 + 3 * t2, (t3 - t2) * h)
     tail = (1,) * (values.ndim - 1)
     w00, w10, w01, w11 = (x.reshape(x.shape + tail) for x in w)
     return (w00 * values[idx] + w10 * slopes[idx]

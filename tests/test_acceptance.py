@@ -160,10 +160,10 @@ def test_criterion_5_integrator_matches_closed_form():
             length=5.0,
         )
         chart = integrate_geodesic(CircularCone(psi0), ivp, h=1e-3)
-        s, t, u = chart.samples
+        s, t, u = chart.s, chart.t, chart.u
         dev = max(float(np.max(np.abs(t - chart0.t_jet(s, 0)[0]))),
                   float(np.max(np.abs(u - chart0.u_jet(s, 0)[0]))))
-        C = u**2 * chart.t_jet(s)[1]
+        C = u**2 * chart.dt
         drift = float((C.max() - C.min()) / abs(C.mean())) / 5.0
         worst_dev = max(worst_dev, dev)
         worst_drift = max(worst_drift, drift)
@@ -236,7 +236,8 @@ def test_criterion_9_development_distance_and_minimum_norm(corpus):
     worst_dist, worst_min = 0.0, 0.0
     for curve, params, cone in corpus:
         s = sample_grid(curve, 256)
-        pts = develop(*chart_curve(cone, curve, s=s).samples[1:])
+        chart = chart_curve(cone, curve, s=s)
+        pts = develop(chart.t, chart.u)
         _, _, _, residual, distance = line_fit(pts)
         worst_dist = max(worst_dist, abs(distance - 1.0 / params.a), residual)
         s_star = -params.b / params.a

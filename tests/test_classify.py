@@ -9,7 +9,6 @@ from conegeo import (
     circular_base,
     classification_identity_residual,
     classify_rectifying_or_spherical,
-    cross_magnitude,
     fit_slant_axis,
     frenet_apparatus,
     generate_circular_geodesic,
@@ -26,11 +25,13 @@ from conegeo import (
 )
 from conegeo import jets as jt
 from conegeo.classify import (
+    LABEL_AMBIGUOUS,
     LABEL_NEITHER,
     LABEL_RECTIFYING,
     LABEL_SPHERICAL,
     _canonical_axis,
 )
+from conegeo.curves import position_cross
 from conegeo.errors import (
     DegenerateFit,
     InsufficientSamples,
@@ -54,7 +55,7 @@ def test_relative_spread_divides_only_above_the_zero_reference(ref, want):
 
 def test_relative_spread_of_generated_cross_magnitude():
     cur = generate_circular_geodesic(RectifyingParams(2.0, 0.0, 0.0), 0.9)
-    mags = cross_magnitude(cur, sample_grid(cur, 64))
+    mags = position_cross(*cur.derivatives(sample_grid(cur, 64), (0, 1)))[1]
     assert relative_spread(mags, mags.mean()) < 1e-6 and abs(mags.mean() - 0.5) < 1e-12
 
 
@@ -81,11 +82,38 @@ def test_classify_great_circle():
 def test_classify_offset_helix_neither():
     hx = helix_curve(1.0, 0.6, center=(0.7, -0.4, 0.2))
     s = sample_grid(hx, 256)
-    mags = cross_magnitude(hx, s)
+    mags = position_cross(*hx.derivatives(s, (0, 1)))[1]
     # direct evaluation confirms the spread is far above tolerance
     assert (mags.max() - mags.min()) / mags.mean() > 1e-2
     rep = classify_rectifying_or_spherical(sample_curve(hx))
     assert rep.label == LABEL_NEITHER
+
+
+def test_classify_curve_passing_both_tests_is_ambiguous():
+    # near its minimum-norm point s = -b/a a rectifying curve has <alpha, t>
+    # = s + b/a near 0 too, so at tol 1e-2 it passes the spherical test as well
+    cur = generate_circular_geodesic(RectifyingParams(1.0, 0.0, 0.0), np.pi / 4, (-0.005, 0.005))
+    cs = sample_curve(cur)
+    assert classify_rectifying_or_spherical(cs).label == LABEL_RECTIFYING
+    rep = classify_rectifying_or_spherical(cs, tol=1e-2)
+    assert rep.label == LABEL_AMBIGUOUS and rep.fitted_a is None
+
+
+def test_classify_backwards_rectifying_curve_fits_negative_a():
+    # alpha(-s) is the closed form with (-a, b): alpha x alpha' turns against n
+    params = RectifyingParams(1.3, 0.2, 0.1)
+    cur = generate_circular_geodesic(params, 0.8)
+    lo, hi = cur.domain
+    signs = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
+
+    def jet(s, order):
+        return cur.jet(-s, order) * signs[:order + 1]
+
+    backwards = SpaceCurve.from_function(lambda s: cur.evaluate(-s), (-hi, -lo), jet=jet)
+    rep = classify_rectifying_or_spherical(sample_curve(backwards))
+    assert rep.label == LABEL_RECTIFYING
+    assert abs(rep.fitted_a + params.a) < 1e-6 * params.a
+    assert abs(rep.fitted_b - params.b) < 1e-6
 
 
 @pytest.mark.parametrize("rows,grid", [(10, 2), (14, 6), (15, 7)])
@@ -155,7 +183,7 @@ def test_classify_mixed_subinterval_curve_is_ambiguous():
         return glued_jet(s)[0]
 
     glued = SpaceCurve.from_function(glued_eval, (-3.0, 5.0), jet=glued_jet)
-    mags = cross_magnitude(glued, sample_grid(glued, 256))
+    mags = position_cross(*glued.derivatives(sample_grid(glued, 256), (0, 1)))[1]
     assert (mags.max() - mags.min()) / mags.mean() < 1e-12
     rep = classify_rectifying_or_spherical(sample_curve(glued))
     assert rep.label == LABEL_AMBIGUOUS
@@ -169,7 +197,7 @@ def test_constant_cross_magnitude_implies_dichotomy():
                random_spherical(rng)[0]]
     for cur in corpus:
         s = sample_grid(cur, 256)
-        mags = cross_magnitude(cur, s)
+        mags = position_cross(*cur.derivatives(s, (0, 1)))[1]
         if not relative_spread(mags, mags.mean()) < 1e-8:
             continue
         pts = cur.evaluate(s)

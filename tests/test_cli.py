@@ -424,10 +424,10 @@ def test_verify_reads_unit_speed_off_its_one_stencil_pass(tmp_path, monkeypatch)
     calls = []
     plain = jets.hermite
 
-    def counted(s, values, slopes, q, derivative=False):
+    def counted(s, values, slopes, q):
         if np.array_equal(s, nodes[0]):
             calls.append(np.size(q))
-        return plain(s, values, slopes, q, derivative)
+        return plain(s, values, slopes, q)
 
     def refused(curve, tol=1e-10):
         raise AssertionError("reparametrize_arclength called on a unit-speed curve")
@@ -1075,9 +1075,9 @@ def _outcome(build, argv):
 
 
 _VALUES = {
-    float: ["0.25", "3", "-1E3", "-7.25e-05", "-.5", "1e400", "nan", "abc", ""],
-    int: ["64", "-3", "0", "-1E3", "7.0", "abc", ""],
-    str: ["curve.csv", "-x", "", "a b"],
+    float: ["0.25", "3", "-1E3", "-7.25e-05", "-.5", "1e400", "nan", "abc", "", "--"],
+    int: ["64", "-3", "0", "-1E3", "7.0", "abc", "", "--"],
+    str: ["curve.csv", "-x", "", "a b", "--"],
 }
 
 
@@ -1153,7 +1153,7 @@ def _argvs(draw, config_paths):
 
     About half give only the command's own flags, each with a value from its
     kind's list; the rest also mix in other flags, prefixes, stray and
-    missing values and `--`.
+    missing values and `--`, also before or right after the command.
     """
     plain = draw(st.booleans())
     path = draw(st.sampled_from(config_paths))
@@ -1163,23 +1163,23 @@ def _argvs(draw, config_paths):
     argv = draw(st.sampled_from(prefixes))
     command = draw(st.sampled_from(sorted(cli._OPTIONS)))
     named = plain or (argv != ["--config"] and draw(st.sampled_from([True, True, False])))
-    argv += [command] if named else draw(st.sampled_from([[], ["stray"]]))
-    for i in range(draw(st.integers(0, 6))):
+    head = [command] if named else draw(st.sampled_from([[], ["stray"]]))
+    if not plain and draw(st.booleans()):
+        head.insert(draw(st.integers(0, len(head))), "--")
+    argv += head
+    for _ in range(draw(st.integers(0, 6))):
         dest, kind = draw(st.sampled_from(list(cli._OPTIONS[command].items())))
         flag = "--" + dest.replace("_", "-")
         value = draw(st.sampled_from(_VALUES[kind]))
         items = [[flag, value], [f"{flag}={value}"]]
         if not plain and draw(st.booleans()):
             # one flaw: another flag, a prefix or the dest's spelling; any
-            # value; a missing or stray value; or `--` after an option.  A
-            # `--` next to the command, or with no command, is left out: the
-            # top parser reads it apart from the reference, because its
-            # `command` positional takes the `--` as its own end-of-options mark.
+            # value; a missing or stray value; or `--`
             other, other_kind = draw(st.sampled_from(_FLAGS))
             spelled = draw(st.sampled_from([other, draw(st.sampled_from(_PREFIXES)), "--" + dest]))
             odd = draw(st.sampled_from(_VALUES[other_kind] + _ANY_VALUE))
             items = [[spelled, value], [f"{spelled}={value}"], [flag, odd], [f"{flag}={odd}"],
-                     [flag], [value]] + [["--"]] * (i > 0 and named)
+                     [flag], [value], ["--"]]
         argv += draw(st.sampled_from(items))
     return argv
 
@@ -1190,6 +1190,10 @@ def test_build_config_matches_legacy_parser_on_generated_argvs(config_paths):
     @example(["verify", "--kg_tol", "1e-3"])
     @example(["classify", "--in", "x", "--"])
     @example(["develop", "--in=--"])
+    @example(["--config=--", "develop"])
+    @example(["classify", "--", "--in", "x"])
+    @example(["--", "classify", "--in", "x"])
+    @example(["--config", "x", "--"])
     @example(["generate", "--a", "-1\n", "--b", "-"])
     @example(["--config=", "crosscheck", "--seed=-3", "--seed", "4"])
     def check(argv):
@@ -1268,6 +1272,32 @@ def test_config_after_command_is_rejected(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert run_cli("generate", "--config", cfg, "--a", 1.0, "--out", out) == 1
     assert "unrecognized arguments: --config" in _assert_invalid_config(capsys, out)
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["classify", "--in=--", "--report", "r.json"], "--in"),
+    (["generate", "--a=--", "--psi0", "0.8", "--out", "c.csv"], "--a"),
+    (["--config=--", "generate", "--a", "1", "--psi0", "0.8", "--out", "c.csv"], "--config"),
+])
+def test_dashdash_as_an_equals_value_is_a_missing_value(tmp_path, monkeypatch, capsys,
+                                                        argv, option):
+    # argparse reads `--name=--` as an empty list, which no option takes
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    err = _assert_invalid_config(capsys, tmp_path / "r.json", tmp_path / "c.csv")
+    assert err == f"error: InvalidConfig: argument {option}: expected one argument\n"
+
+
+def test_dashdash_beside_the_command_is_refused(tmp_path, capsys):
+    # nothing after `--` is an option, so neither run reads --in or --report
+    curve, rep = tmp_path / "c.csv", tmp_path / "r.json"
+    assert run_cli("generate", "--a", 1.3, "--psi0", 0.8, "--out", curve) == 0
+    assert run_cli("classify", "--", "--in", curve, "--report", rep) == 1
+    err = _assert_invalid_config(capsys, rep)
+    assert err.endswith(f"unrecognized arguments: -- --in {curve} --report {rep}\n")
+    assert run_cli("--", "classify", "--in", curve, "--report", rep) == 1
+    err = _assert_invalid_config(capsys, rep)
+    assert "argument command: invalid choice: '--' (choose from 'generate', " in err
 
 
 def test_no_command_message(capsys):

@@ -1,10 +1,11 @@
 """Fuzzed command lines and input files through `main`: every run ends in a defined exit.
 
 Argument vectors are built from the option table, in spaced and `=` forms,
-with well-formed, non-finite, empty and garbage values.  Sample counts stay
-at or below 512 and RK4 steps at or above 1e-3, so no run allocates much.
-Input files are well-formed curve, base, cone and IVP files with their
-bytes mutated.
+with well-formed, non-finite, empty and garbage values, `--name=--` among
+them.  Sample counts stay at or below 512 and RK4 steps at or above 1e-3,
+so no run allocates much.  Input files are well-formed curve, base, cone
+and IVP files with their bytes mutated.  No run may end in an exception
+that only a fault of the program raises.
 """
 
 import json
@@ -19,12 +20,13 @@ from hypothesis import strategies as st
 
 from conegeo import RectifyingParams, circular_base, generate_circular_geodesic
 from conegeo.cli import _OPTIONS, main
-from conegeo.curves import table_text
+from conegeo.curves import table_chunks
 
 _ODD = ["-1E3", "-7.25e-05", "nan", "inf", "-inf", "1e400", "", "abc", "0x10", "1.5.2",
         "-", "--", "two\nlines", " 3 "]
 _PATHS = ["curve.csv", "cone.json", "general.json", "ivp.json", "base.csv", "cfg.json",
-          "out.csv", "rep.json", "missing.csv", "no-dir/out.csv", ".", "", "-x", "nul\x00"]
+          "out.csv", "rep.json", "missing.csv", "no-dir/out.csv", ".", "", "-x", "--",
+          "nul\x00"]
 
 # values a passing run would use, per option
 _GOOD = {
@@ -71,8 +73,16 @@ def _argv(draw):
         flag = "--" + dest.replace("_", "-")
         value = draw(_value(dest, options[dest], mode))
         value = value if isinstance(value, str) else repr(value)
-        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+        if mode == "odd" and draw(st.booleans()):
+            argv.append(f"{flag}=--")  # argparse reads this value as an empty list
+        else:
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
+
+
+# exceptions that only a fault of the program raises, never an input
+_FORBIDDEN = tuple(f"error: {name}:" for name in
+                   ("TypeError", "KeyError", "AttributeError", "IndexError"))
 
 
 @pytest.fixture()
@@ -84,8 +94,8 @@ def inputs(tmp_path, monkeypatch):
     t = np.linspace(0.0, 2 * np.pi, 257)
     base = circular_base(0.8).evaluate(t)
     files = {
-        "curve.csv": table_text("s,x,y,z", s, curve.evaluate(s)),
-        "base.csv": table_text("t,x,y,z", t, base),
+        "curve.csv": "".join(table_chunks("s,x,y,z", s, curve.evaluate(s))),
+        "base.csv": "".join(table_chunks("t,x,y,z", t, base)),
         "cone.json": json.dumps({"kind": "circular", "psi0": 0.8}),
         "general.json": json.dumps({"kind": "general", "base_csv": "base.csv"}),
         "ivp.json": json.dumps({"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 1.0}),
@@ -126,6 +136,7 @@ def test_main_fuzz_ends_in_defined_exit(inputs, capsys, argv):
     err = capsys.readouterr().err
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err
+    assert not err.startswith(_FORBIDDEN), (argv, err)
     if code:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
@@ -213,6 +224,7 @@ def test_main_on_mutated_input_files_ends_in_defined_exit(inputs, capsys, run, m
         code = main(list(argv))
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (argv, data)
+    assert not err.startswith(_FORBIDDEN), (argv, err)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
         [str(w.message) for w in caught]
     if code:

@@ -167,9 +167,9 @@ def test_chart_curve_matches_sequential_oracle(wavy_cone):
         s = np.linspace(*curve.domain, n)
         t_ref, u_ref = sequential_chart_curve(wavy_cone, curve, s)
         chart = chart_curve(wavy_cone, curve, s=s)
-        assert np.max(np.abs(chart.samples[1] - t_ref)) < 1e-12
-        np.testing.assert_allclose(chart.samples[2], u_ref, rtol=1e-14, atol=0.0)
-    assert np.ptp(chart.samples[1]) > 2.2 * period
+        assert np.max(np.abs(chart.t - t_ref)) < 1e-12
+        np.testing.assert_allclose(chart.u, u_ref, rtol=1e-14, atol=0.0)
+    assert np.ptp(chart.t) > 2.2 * period
 
 
 @pytest.mark.parametrize("vertex_first", [True, False])
@@ -335,9 +335,9 @@ def test_chart_latitude_on_open_sampled_base():
     s = np.linspace(*lat.domain, 200)
     chart = chart_curve(cone, lat, s=s)
     t_start = cone.base.domain[0] + cone.base.curve.fd_margin(3)
-    assert np.max(np.abs(chart.samples[1] - (t_start + s / u0))) < 1e-9
+    assert np.max(np.abs(chart.t - (t_start + s / u0))) < 1e-9
     # between nodes the Hermite base sits slightly off the unit sphere
-    assert np.max(np.abs(chart.samples[2] - u0)) < 1e-9 * u0
+    assert np.max(np.abs(chart.u - u0)) < 1e-9 * u0
 
 
 # ----------------------------------------------------------------------
@@ -377,11 +377,19 @@ def test_generated_geodesic_curvature_vanishes(wavy_cone):
 
 
 # ----------------------------------------------------------------------
-# the Clairaut invariant u^2 t', read off the chart jets
+# the Clairaut invariant u^2 t', read off the chart jets or, at charted
+# samples, off the velocity decomposition alpha' = u' y(t) + u t' y'(t)
 
 
 def _clairaut(chart, s):
     return chart.u_jet(s, 0)[0] ** 2 * chart.t_jet(s, 1)[1]
+
+
+def _velocity_parts(cone, curve, chart):
+    """(u', u t') at the chart's samples: alpha' read on the orthonormal y(t), y'(t)."""
+    d1 = curve.derivative(chart.s, 1)
+    y, y1 = cone.base.derivatives(chart.t, (0, 1))
+    return np.sum(d1 * y, axis=-1), np.sum(d1 * y1, axis=-1)
 
 
 def test_clairaut_generated_chart():
@@ -395,15 +403,14 @@ def test_clairaut_latitude(quarter_cone):
     u0 = 2.0
     lat = latitude_circle(quarter_cone, u0)
     chart = chart_curve(quarter_cone, lat, samples=64)
-    s = chart.samples[0]
-    inv = _clairaut(chart, s)
+    inv = chart.u * _velocity_parts(quarter_cone, lat, chart)[1]
     assert np.max(np.abs(inv - u0)) < 1e-6
 
 
 def test_clairaut_ruling(quarter_cone):
     r = ruling(quarter_cone, 0.4, (0.5, 2.5))
     chart = chart_curve(quarter_cone, r, samples=64)
-    inv = _clairaut(chart, chart.samples[0])
+    inv = chart.u * _velocity_parts(quarter_cone, r, chart)[1]
     assert np.max(np.abs(inv)) < 1e-9
 
 
@@ -423,22 +430,32 @@ def test_develop_generated_chart_is_line():
     assert abs(distance - 1.0) < 1e-12
 
 
+def test_line_fit_residual_is_the_largest_deviation():
+    # 101 points on the x axis, one moved 1e-3 off it: the fitted line moves
+    # by about 1e-5, so only the largest deviation sees the moved point
+    pts = np.stack([np.linspace(0.0, 1.0, 101), np.zeros(101)], axis=-1)
+    pts[50, 1] = 1e-3
+    centroid, _, normal, residual, _ = line_fit(pts)
+    assert residual == float(np.max(np.abs((pts - centroid) @ normal)))
+    assert 0.98e-3 < residual < 1e-3
+
+
 def test_develop_ruling_is_radial(quarter_cone):
     r = ruling(quarter_cone, 0.8, (0.5, 3.0))
     chart = chart_curve(quarter_cone, r, samples=48)
-    pts = develop(*chart.samples[1:])
+    pts = develop(chart.t, chart.u)
     _, _, _, residual, distance = line_fit(pts)
     assert residual < 1e-9
     assert distance < 1e-9  # radial lines pass through the origin
     radii = np.linalg.norm(pts, axis=-1)
-    assert np.max(np.abs(radii - chart.samples[2])) < 1e-12
+    assert np.max(np.abs(radii - chart.u)) < 1e-12
 
 
 def test_develop_latitude_is_arc(quarter_cone):
     u0 = 1.5
     lat = latitude_circle(quarter_cone, u0)
     chart = chart_curve(quarter_cone, lat, samples=128)
-    pts = develop(*chart.samples[1:])
+    pts = develop(chart.t, chart.u)
     radii = np.linalg.norm(pts, axis=-1)
     assert np.max(np.abs(radii - u0)) < 1e-9
     _, _, _, residual, _ = line_fit(pts)
@@ -519,7 +536,7 @@ def test_ruling_is_geodesic(quarter_cone):
     s = np.linspace(0.0, r.length, 32)
     assert np.max(np.abs(geodesic_curvature(quarter_cone, r, s))) < 1e-12
     chart = chart_curve(quarter_cone, r, s=s)
-    _, _, _, residual, _ = line_fit(develop(*chart.samples[1:]))
+    _, _, _, residual, _ = line_fit(develop(chart.t, chart.u))
     assert residual < 1e-9
 
 
@@ -543,21 +560,18 @@ def test_remark_identity_on_cone_curves(wavy_cone):
     cur = reparametrize_arclength(raw)
     s = np.linspace(*cur.domain, 64)
     chart = chart_curve(wavy_cone, cur, s=s)
-    t_arr, u_arr = chart.samples[1], chart.samples[2]
-    N = surface_normal(wavy_cone, t_arr)
-    # chart velocity decomposition gives dt/ds pointwise
-    d1 = cur.derivative(s, 1)
-    dt = np.sum(d1 * wavy_cone.base.derivative(t_arr, 1), axis=-1) / u_arr
-    lhs = np.cross(cur.evaluate(s), d1) + (u_arr**2 * dt)[:, None] * N
+    N = surface_normal(wavy_cone, chart.t)
+    # chart velocity decomposition gives u t' pointwise
+    u_dt = _velocity_parts(wavy_cone, cur, chart)[1]
+    lhs = np.cross(cur.evaluate(s), cur.derivative(s, 1)) + (chart.u * u_dt)[:, None] * N
     assert np.max(np.linalg.norm(lhs, axis=-1)) < 1e-6
 
 
 def test_metric_compatibility(wavy_cone):
     cur = generate_rectifying(RectifyingParams(0.8, 0.3, 0.5), wavy_cone.base)
     chart = chart_curve(wavy_cone, cur, samples=512)
-    q = chart.samples[0][4:-4]
-    tj, uj = chart.t_jet(q, 1), chart.u_jet(q, 1)
-    speed = np.hypot(uj[1], uj[0] * tj[1])
+    # |alpha'|^2 = u'^2 + u^2 t'^2: a velocity off the tangent plane reads short
+    speed = np.hypot(*_velocity_parts(wavy_cone, cur, chart))
     assert np.max(np.abs(speed - 1.0)) < 1e-5
 
 

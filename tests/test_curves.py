@@ -10,7 +10,6 @@ from conegeo import (
     RectifyingParams,
     SpaceCurve,
     circle_curve,
-    cross_magnitude,
     frenet_apparatus,
     generate_circular_geodesic,
     helix_curve,
@@ -29,8 +28,8 @@ from conegeo.curves import (
     TABLE_BLOCK_ROWS,
     _adaptive_simpson_segments,
     read_table,
+    position_cross,
     table_chunks,
-    table_text,
 )
 from conegeo.errors import (
     InsufficientMargin,
@@ -595,25 +594,25 @@ def test_sample_curve_of_a_ruling_builds_frames_on_read():
 
 
 # ----------------------------------------------------------------------
-# cross_magnitude
+# |alpha x alpha'|, by position_cross
 
 
 def test_cross_magnitude_generated_rectifying():
     cur = generate_circular_geodesic(RectifyingParams(2.0, 0.0, 0.0), 0.7)
     s = np.linspace(*cur.domain, 33)
-    assert np.max(np.abs(cross_magnitude(cur, s) - 0.5)) < 1e-12
+    assert np.max(np.abs(position_cross(*cur.derivatives(s, (0, 1)))[1] - 0.5)) < 1e-12
 
 
 def test_cross_magnitude_origin_circle():
     circ = circle_curve(3.0)
     s = np.linspace(0.0, circ.length, 17)
-    assert np.max(np.abs(cross_magnitude(circ, s) - 3.0)) < 1e-12
+    assert np.max(np.abs(position_cross(*circ.derivatives(s, (0, 1)))[1] - 3.0)) < 1e-12
 
 
 def test_cross_magnitude_line_through_origin():
     line = line_curve([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 3.0)
     s = np.linspace(0.0, 3.0, 9)
-    assert np.max(cross_magnitude(line, s)) < 1e-14
+    assert np.max(position_cross(*line.derivatives(s, (0, 1)))[1]) < 1e-14
 
 
 def test_cross_magnitude_spherical_equals_radius():
@@ -624,7 +623,7 @@ def test_cross_magnitude_spherical_equals_radius():
                                      seed=int(rng.integers(1 << 31)))
         sph = spherical_curve(base, r)
         s = np.linspace(*sph.domain, 33)
-        assert np.max(np.abs(cross_magnitude(sph, s) - r)) < 1e-10
+        assert np.max(np.abs(position_cross(*sph.derivatives(s, (0, 1)))[1] - r)) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -664,19 +663,19 @@ def test_table_text_matches_row_emitter_on_awkward_values():
     vals = np.array(awkward)
     s = np.arange(vals.size, dtype=float) - 0.5
     points = np.stack([vals, vals[::-1], -vals], axis=-1)
-    assert table_text("s,x,y,z", s, points) == _old_curve_csv_text(s, points)
+    assert "".join(table_chunks("s,x,y,z", s, points)) == _old_curve_csv_text(s, points)
     # float32 and integer inputs widen exactly, as float() did
     fits = np.max(np.abs(points), axis=1) < 1e30
     p32 = points[fits].astype(np.float32)
-    assert table_text("s,x,y,z", s[fits], p32) == _old_curve_csv_text(s[fits], p32)
+    assert "".join(table_chunks("s,x,y,z", s[fits], p32)) == _old_curve_csv_text(s[fits], p32)
     si = np.arange(vals.size)
-    assert table_text("s,x,y,z", si, points) == _old_curve_csv_text(si, points)
+    assert "".join(table_chunks("s,x,y,z", si, points)) == _old_curve_csv_text(si, points)
     # rows on both sides of every block edge, and no rows at all
     B = TABLE_BLOCK_ROWS
     many = np.resize(points, (2 * B + 1, 3))
     many_s = np.arange(2 * B + 1, dtype=float) / 7.0
     for n in (0, 1, B - 1, B, B + 1, 2 * B + 1):
-        assert table_text("s,x,y,z", many_s[:n], many[:n]) == \
+        assert "".join(table_chunks("s,x,y,z", many_s[:n], many[:n])) == \
             _old_curve_csv_text(many_s[:n], many[:n])
     chunks = list(table_chunks("s,x,y,z", many_s, many))
     assert [c.count("\n") for c in chunks] == [1, B, B, 1]

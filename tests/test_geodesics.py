@@ -33,6 +33,7 @@ from conegeo import geodesics as geodesics_module
 from conegeo.classify import LABEL_RECTIFYING, classify_rectifying_or_spherical
 from conegeo.errors import (
     BaseDomainExceeded,
+    InsufficientSamples,
     InvalidHalfAngle,
     NotOnCone,
     StepTooLarge,
@@ -124,7 +125,7 @@ def test_integrate_radial_is_ruling():
     cone = CircularCone(0.8)
     ivp = GeodesicIVP(t0=0.4, u0=1.0, dt0=0.0, du0=1.0, length=2.0)
     chart = integrate_geodesic(cone, ivp)
-    s, t, u = chart.samples
+    s, t, u = chart.s, chart.t, chart.u
     assert np.max(np.abs(t - 0.4)) == 0.0
     assert np.max(np.abs(u - (1.0 + s))) < 1e-12
 
@@ -141,29 +142,26 @@ def test_integrate_matches_closed_form():
     )
     cone = CircularCone(np.pi / 4)
     chart = integrate_geodesic(cone, ivp, h=1e-3)
-    s = chart.samples[0]
-    assert np.max(np.abs(chart.samples[1] - chart0.t_jet(s, 0)[0])) < 1e-6
-    assert np.max(np.abs(chart.samples[2] - chart0.u_jet(s, 0)[0])) < 1e-6
+    s = chart.s
+    assert np.max(np.abs(chart.t - chart0.t_jet(s, 0)[0])) < 1e-6
+    assert np.max(np.abs(chart.u - chart0.u_jet(s, 0)[0])) < 1e-6
 
 
 def test_integrate_clairaut_conservation():
     cone = CircularCone(0.5)
     ivp = GeodesicIVP(t0=0.0, u0=1.5, dt0=0.4, du0=-0.5, length=4.0)
     chart = integrate_geodesic(cone, ivp, h=1e-3)
-    s, t, u = chart.samples
-    dt = chart.t_jet(s)[1]
-    C = u**2 * dt
+    C = chart.u**2 * chart.dt
     assert (C.max() - C.min()) / abs(C.mean()) < 1e-9 * max(1.0, 4.0)
-    # chart speed hypot(u', u t') stays unit
-    tj, uj = chart.t_jet(s[4:-4], 1), chart.u_jet(s[4:-4], 1)
-    assert np.max(np.abs(np.hypot(uj[1], uj[0] * tj[1]) - 1.0)) < 1e-9
+    # chart speed hypot(u', u t') stays unit at every node
+    assert np.max(np.abs(np.hypot(chart.du, chart.u * chart.dt) - 1.0)) < 1e-9
 
 
 def test_integrate_develops_straight():
     cone = CircularCone(0.9)
     ivp = GeodesicIVP(t0=0.2, u0=2.0, dt0=0.3, du0=-0.6, length=3.0)
     chart = integrate_geodesic(cone, ivp)
-    pts = develop(*chart.samples[1:])
+    pts = develop(chart.t, chart.u)
     _, _, _, residual, _ = line_fit(pts)
     assert residual < 1e-7
 
@@ -197,7 +195,7 @@ def test_integrate_step_count_ceiling(monkeypatch):
     with pytest.raises(ValueError, match="RK4 steps"):
         integrate_geodesic(CircularCone(0.8), ivp, h=5e-324)  # length/h overflows to inf
     monkeypatch.setattr(geodesics_module, "MAX_RK4_STEPS", 100)
-    assert integrate_geodesic(CircularCone(0.8), ivp, h=1e-3).samples[0].size == 101
+    assert integrate_geodesic(CircularCone(0.8), ivp, h=1e-3).s.size == 101
     with pytest.raises(ValueError, match="exceeds 100 RK4 steps"):
         integrate_geodesic(CircularCone(0.8), ivp, h=0.999e-3)
 
@@ -208,34 +206,27 @@ def test_integrate_nan_drift_fails_gate():
         integrate_geodesic(CircularCone(0.8), ivp, h=0.01)
 
 
-def _captured_integrate(monkeypatch, cone, ivp, **kw):
-    """(s, t, u, dt, du) as integrate_geodesic hands them to the sampled chart."""
-    seen = []
-
-    def capture(s, t, u, dt=None, du=None):
-        seen.append((s, t, u, dt, du))
-
-    monkeypatch.setattr(geodesics_module.ChartCurve, "from_samples", staticmethod(capture))
-    integrate_geodesic(cone, ivp, **kw)
-    return seen[0]
-
-
 _IVP = dict(t0=0.3, u0=1.0, dt0=0.7, du0=0.7)
 
 
 @pytest.mark.parametrize("length,h", [
     (2.0, 1e-3),      # whole steps
     (2.0004, 1e-3),   # a tail step, integrated and then dropped
-    (0.0007, 1e-3),   # the tail step alone (too few samples for a chart)
+    (0.0007, 1e-3),   # the tail step alone: too few samples, refused
     (3.3, 0.011),     # inexact h: the running sum of steps sets s
 ])
 @pytest.mark.parametrize("kind", ["circular", "wavy"])
-def test_integrate_bitwise_equals_textbook_rk4(monkeypatch, kind, length, h):
+def test_integrate_bitwise_equals_textbook_rk4(kind, length, h):
     cone = (CircularCone(0.8) if kind == "circular"
             else Cone(perturbed_circle_base(0.8, seed=12, amplitude=0.04)))
     ivp = GeodesicIVP(length=length, **_IVP)
-    got = _captured_integrate(monkeypatch, cone, ivp, h=h)
     want = reference_integrate(cone, ivp, h=h)
+    if want[0].size < 7:
+        with pytest.raises(InsufficientSamples, match=f"got {want[0].size - 1} steps of "):
+            integrate_geodesic(cone, ivp, h=h)
+        return
+    chart = integrate_geodesic(cone, ivp, h=h)
+    got = (chart.s, chart.t, chart.u, chart.dt, chart.du)
     assert got[0].size == want[0].size >= 2
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -282,6 +273,17 @@ def test_verify_latitude_circle_not_geodesic():
     assert abs(rep.max_abs_kg - 1.0 / u0) < 1e-5 / u0
     # the curvature-based and development-based oracles agree
     assert rep.development_straightness_residual > 1e-6
+
+
+def test_verify_faint_curvature_above_the_floor_is_not_a_ruling():
+    # max |alpha''| = 1/(u0 sin psi0) = 2.1e-6: between KAPPA_FLOOR and 1e-5
+    cone = CircularCone(1.2)
+    lat = latitude_circle(cone, 5e5)
+    cs = sample_curve(lat)
+    assert 1e-9 < float(np.max(np.linalg.norm(cs.jet[2], axis=-1))) < 1e-5
+    rep = verify_geodesic(cone, cs)
+    assert rep.verdict == "not-geodesic"
+    assert rep.normal_alignment_min is not None
 
 
 def test_verify_ruling():
@@ -366,6 +368,17 @@ def test_crosscheck_reference_params():
     assert rep.rectifying_ok and rep.slant_ok and rep.geodesic_ok and rep.identity_ok
     assert rep.eq_identity_residual_e3 < 1e-4
     assert rep.eq_identity_residual_random_u < 1e-4
+
+
+@pytest.mark.parametrize("limit,flag", [("IDENTITY_TOL", "identity_ok"),
+                                        ("SLANT_TOL", "slant_ok")])
+def test_crosscheck_failing_limit_makes_it_inconsistent(monkeypatch, limit, flag):
+    # the checks are strict, so a zero limit fails its own check and no other
+    monkeypatch.setattr(geodesics_module, limit, 0.0)
+    rep = cross_check_circular_cone(1.0, 0.0, 0.0, np.pi / 4)
+    flags = ("rectifying_ok", "slant_ok", "geodesic_ok", "identity_ok")
+    assert {name: getattr(rep, name) for name in flags} == {name: name != flag for name in flags}
+    assert not rep.consistent
 
 
 def test_crosscheck_evaluates_the_curve_once(monkeypatch):

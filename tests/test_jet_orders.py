@@ -13,16 +13,13 @@ import pytest
 from conegeo import (
     CircularCone,
     Cone,
-    GeodesicIVP,
     RectifyingParams,
     SpaceCurve,
     base_from_samples,
-    chart_curve,
     circle_curve,
     circular_base,
     generate_rectifying,
     helix_curve,
-    integrate_geodesic,
     latitude_circle,
     line_curve,
     perturbed_circle_base,
@@ -89,20 +86,8 @@ CURVES = {
 }
 
 
-def _sampled_chart():
-    curve = generate_rectifying(PARAMS, circular_base(0.7))
-    return chart_curve(CircularCone(0.7), curve, samples=300)
-
-
-def _integrated_chart():
-    ivp = GeodesicIVP(t0=0.3, u0=1.2, dt0=0.5, du0=0.4, length=2.0)
-    return integrate_geodesic(Cone(_perturbed()), ivp)
-
-
 CHARTS = {
     "rectifying": lambda: rectifying_chart(PARAMS),
-    "sampled": _sampled_chart,
-    "integrated": _integrated_chart,
 }
 
 
@@ -152,14 +137,6 @@ def test_chart_jets_are_slots_of_the_full_jet(name):
             assert_bitwise(jet(s, order), full[:order + 1])
     assert_bitwise(chart.t_jet(s, 0)[0], chart.t_jet(s)[0])
     assert_bitwise(chart.u_jet(s, 0)[0], chart.u_jet(s)[0])
-
-
-@pytest.mark.parametrize("name", ["sampled", "integrated"])
-def test_sampled_chart_returns_its_samples_at_the_nodes(name):
-    chart = CHARTS[name]()
-    s, t, u = chart.samples
-    assert_bitwise(chart.t_jet(s, 0)[0], t)
-    assert_bitwise(chart.u_jet(s, 0)[0], u)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -228,24 +205,6 @@ def test_perturbed_base_sends_only_two_slot_jets_to_normalize(monkeypatch):
     # scan 2049, odd table nodes 2048, Simpson levels 4096 and 8192, and the
     # base's own 257-point unit-speed check
     assert sum(n for k, n in calls if k == 2) == 16642
-
-
-def test_chart_jets_evaluate_only_the_slots_asked_for(monkeypatch):
-    interp_calls = []
-    plain = np.interp
-
-    def counted(*args, **kwargs):
-        interp_calls.append(1)
-        return plain(*args, **kwargs)
-
-    chart = _sampled_chart()
-    monkeypatch.setattr(np, "interp", counted)
-    s = np.linspace(*chart.domain, 11)
-    chart.t_jet(s, 1)
-    chart.u_jet(s, 1)
-    assert interp_calls == []
-    chart.t_jet(s)
-    assert len(interp_calls) == 2
 
 
 def test_custom_jet_with_more_slots_than_asked_for():

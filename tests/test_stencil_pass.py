@@ -15,12 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conegeo import (
-    ChartCurve,
     CircularCone,
     Cone,
     SpaceCurve,
     base_from_samples,
-    chart_curve,
     chart_points,
     circular_base,
     develop,
@@ -70,10 +68,9 @@ def test_hermite_matches_reference_bitwise(gaps, uniform, vector, seed, where, a
     q = np.concatenate([s[0] + (s[-1] - s[0]) * np.asarray(where, dtype=float),
                         s[np.asarray(at, dtype=int) % s.size]])
     scalar = q[0] if q.size else s[-1]
-    for derivative in (False, True):
-        for query in (q, q[:0], scalar, float(scalar)):
-            _assert_same(jets.hermite(s, values, slopes, query, derivative),
-                         reference_hermite(s, values, slopes, query, derivative))
+    for query in (q, q[:0], scalar, float(scalar)):
+        _assert_same(jets.hermite(s, values, slopes, query),
+                     reference_hermite(s, values, slopes, query))
 
 
 def _poly(q):
@@ -186,33 +183,6 @@ def test_chart_t_evaluates_the_base_once_per_newton_iteration(monkeypatch):
     assert counts["evaluate"] == 1 + counts["derivatives"]
 
 
-def test_sampled_chart_builds_series_stencils_on_first_read(monkeypatch):
-    cone = CircularCone(0.7)
-    s = np.linspace(0.0, 1.5, 64)
-    curve = SpaceCurve.from_samples(s, cone.base.evaluate(0.3 + 0.2 * s) * (1.0 + s)[:, None])
-    orders = []
-    plain = jets.series_derivative
-
-    def counted(values, dx, order=1):
-        orders.append(order)
-        return plain(values, dx, order)
-
-    monkeypatch.setattr(jets, "series_derivative", counted)
-    chart = chart_curve(cone, curve, s=s)
-    q = np.linspace(0.1, 1.4, 9)
-    chart.t_jet(q, 1), chart.u_jet(q, 1), develop(chart.t_jet(q, 0)[0], chart.u_jet(q, 0)[0])
-    develop(*chart.samples[1:])
-    assert orders == []
-    full = [chart.t_jet(q), chart.t_jet(q), chart.u_jet(q)]
-    assert orders == [2, 3, 2, 3]
-    dx = float(np.mean(np.diff(s)))
-    for jet, values in zip(full[1:], chart.samples[1:]):
-        for k in (2, 3):
-            d, r = plain(values, dx, k)
-            assert_bitwise(jet[k], np.interp(q, s[r:s.size - r], d))
-    assert_bitwise(full[0], full[1])
-
-
 # ----------------------------------------------------------------------
 # node-exact development
 
@@ -230,12 +200,11 @@ def test_development_at_the_nodes_reads_the_chart_samples():
     cone, s, pts = _minus_zero_curve()
     t, u = chart_points(cone, pts)
     assert np.signbit(t[0]) and t[0] == 0.0
-    chart = ChartCurve.from_samples(s, t, u)
     nodes = develop(t, u)
     assert_bitwise(nodes, np.stack([u * np.cos(t), u * np.sin(t)], axis=-1))
     assert np.signbit(nodes[0, 1])
     # Hermite passes return the node data bitwise, except this -0.0 sample
-    hermite = develop(chart.t_jet(s, 0)[0], chart.u_jet(s, 0)[0])
+    hermite = develop(*(jets.hermite(s, v, jets.node_slopes(s, v), s) for v in (t, u)))
     assert_bitwise(hermite[1:], nodes[1:])
     assert hermite[0, 1] == 0.0 and not np.signbit(hermite[0, 1])
 
