@@ -50,6 +50,12 @@ class RunConfig(Record):
     fields = ("command", "params")
 
 
+# the most --samples any command takes, read before anything is allocated.
+# Memory grows linearly with it; at this bound classify of a reparametrized
+# CSV peaks near 1 GB RSS
+MAX_SAMPLES = 10**6
+
+
 # ----------------------------------------------------------------------
 # deterministic text emitters (gnuplot-consumable columnar data)
 
@@ -106,6 +112,18 @@ def _positive(params, *keys):
         value = params.get(key)
         if value is not None and not (value > 0):
             raise InvalidConfig(f"--{key} must be positive, got {value!r}")
+
+
+def _samples(params, least):
+    """Keep --samples in [least, MAX_SAMPLES], checked before anything is allocated."""
+    n = params.get("samples")
+    if n is None:
+        return
+    if n < least:
+        floor = "positive" if least == 1 else f"at least {least}"
+        raise InvalidConfig(f"--samples must be {floor}, got {n!r}")
+    if n > MAX_SAMPLES:
+        raise InvalidConfig(f"--samples must be at most {MAX_SAMPLES}, got {n!r}")
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +200,7 @@ def _load_ivp(path):
 def _cmd_generate(p):
     _require(p, "a", "out")
     _positive(p, "a")
-    if p.get("samples") is not None and p["samples"] < 2:
-        raise InvalidConfig(f"--samples must be at least 2, got {p['samples']!r}")
+    _samples(p, 2)
     if (p.get("psi0") is None) == (p.get("base") is None):
         raise InvalidConfig("exactly one of --psi0 or --base is required")
     _check_writable(p["out"], "out")
@@ -207,7 +224,8 @@ def _cmd_generate(p):
 
 def _cmd_classify(p):
     _require(p, "in", "report")
-    _positive(p, "samples", "tol")
+    _samples(p, 1)
+    _positive(p, "tol")
     _check_writable(p["report"], "report")
     cs = sample_arclength(_load_curve(p["in"]), int(p.get("samples") or 256))
     report = classify_rectifying_or_spherical(cs, tol=p.get("tol"))
@@ -245,7 +263,8 @@ def _cmd_develop(p):
 
 def _cmd_verify(p):
     _require(p, "cone", "in", "report")
-    _positive(p, "samples", *(option for option, _ in GATES.values()))
+    _samples(p, 1)
+    _positive(p, *(option for option, _ in GATES.values()))
     _check_writable(p["report"], "report")
     cone = _load_cone(p["cone"])
     curve = _load_curve(p["in"])
@@ -267,7 +286,8 @@ def _cmd_verify(p):
 
 def _cmd_crosscheck(p):
     _require(p, "a", "psi0", "report")
-    _positive(p, "a", "samples")
+    _positive(p, "a")
+    _samples(p, 1)
     if p.get("seed") is not None and p["seed"] < 0:
         raise InvalidConfig(f"--seed must be non-negative, got {p['seed']!r}")
     _check_writable(p["report"], "report")

@@ -148,14 +148,15 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
                        drift_tol=None) -> ChartSamples:
     """Fixed-step RK4 integration of the geodesic equations.
 
-    Returns the ChartSamples of the full steps, with the integrator's exact
-    nodal derivatives as dt and du.  Raises VertexPoint if u0, or u anywhere
-    on the trajectory, lies outside the chart range [U_MIN, U_MAX],
-    VertexApproach if u falls below the cone's u_min during a step,
-    StepTooLarge if the Clairaut invariant drifts beyond drift_tol (default
-    1e-9 per unit arc length), and InsufficientSamples on fewer than
-    MIN_SAMPLES - 1 full steps.  length/h above MAX_RK4_STEPS raises
-    ValueError before anything is allocated.
+    Integrates floor(length/h) whole steps; a shorter remainder is not
+    integrated.  Returns their ChartSamples, with the integrator's exact
+    nodal derivatives as dt and du.  Raises InsufficientSamples before the
+    first step on fewer than MIN_SAMPLES - 1 steps, VertexPoint if u0, or u
+    anywhere on the trajectory, lies outside the chart range [U_MIN, U_MAX],
+    VertexApproach if u falls below the cone's u_min during a step or an RK4
+    stage lands on u = 0, and StepTooLarge if the Clairaut invariant drifts
+    beyond drift_tol (default 1e-9 per unit arc length).  length/h above
+    MAX_RK4_STEPS raises ValueError before anything is allocated.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -166,17 +167,17 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
         drift_tol = 1e-9 * max(1.0, L)
     u_min = cone.u_min
     base = cone.base
-    n_full = int(np.floor(L / h + 1e-12))
-    tail = L - n_full * h
-    has_tail = tail > 1e-12 * max(1.0, L)
-    steps = np.full(1 + n_full + has_tail, h)
+    n = int(np.floor(L / h + 1e-12))
+    steps = np.full(1 + n, h)
     steps[0] = 0.0
-    if has_tail:
-        steps[-1] = tail
     s = np.cumsum(steps)  # sequential, as a running sum of the steps
 
     t, u, dt, du = float(ivp.t0), float(ivp.u0), float(ivp.dt0), float(ivp.du0)
     cone._check_u(u)
+    if s.size < MIN_SAMPLES:  # the least grid classify and verify judge
+        raise InsufficientSamples(
+            f"a sampled chart needs at least {MIN_SAMPLES - 1} steps ({MIN_SAMPLES} nodes), "
+            f"got {n} steps of {h:.6g} over length {s[-1]:.6g}")
     # typed buffers hold each sample as 8 bytes, not as a Python float
     t_out, u_out, dt_out, du_out = (array("d", [x]) for x in (t, u, dt, du))
     # one RK4 step of t' = dt, u' = du, dt' = -2 du dt / u, du' = u dt^2, with
@@ -184,15 +185,15 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
     # never formed.  Each expression keeps the operation order of
     # rhs(t, u, dt, du) = (dt, du, -2.0 * du * dt / u, u * dt * dt) and of
     # the stage sums, so the samples are bitwise those of the textbook form.
-    for hs, count in ((h, n_full), (tail, int(has_tail))):
-        half, sixth = 0.5 * hs, hs / 6.0
-        for _ in range(count):
+    half, sixth = 0.5 * h, h / 6.0
+    try:
+        for _ in range(n):
             a1, b1 = -2.0 * du * dt / u, u * dt * dt
             u2, d2, w2 = u + half * du, dt + half * a1, du + half * b1
             a2, b2 = -2.0 * w2 * d2 / u2, u2 * d2 * d2
             u3, d3, w3 = u + half * w2, dt + half * a2, du + half * b2
             a3, b3 = -2.0 * w3 * d3 / u3, u3 * d3 * d3
-            u4, d4, w4 = u + hs * w3, dt + hs * a3, du + hs * b3
+            u4, d4, w4 = u + h * w3, dt + h * a3, du + h * b3
             a4, b4 = -2.0 * w4 * d4 / u4, u4 * d4 * d4
             t += sixth * (dt + 2.0 * d2 + 2.0 * d3 + d4)
             u += sixth * (du + 2.0 * w2 + 2.0 * w3 + w4)
@@ -205,6 +206,9 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
             u_out.append(u)
             dt_out.append(dt)
             du_out.append(du)
+    except ZeroDivisionError:  # a stage's u is exactly 0.0, the vertex
+        raise VertexApproach(f"u = 0 in an RK4 stage, below u_min = {u_min:.3g}, "
+                             f"at s = {s[len(u_out)]:.4g}") from None
     t, u, dt, du = (np.frombuffer(x) for x in (t_out, u_out, dt_out, du_out))
     cone._check_u(u)
 
@@ -218,16 +222,7 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
         raise StepTooLarge(
             f"Clairaut drift {drift:.3g} exceeds {drift_tol:.3g}; reduce h"
         )
-
-    # the tail step breaks grid uniformity; drop it from the samples
-    keep = slice(None, -1 if has_tail and n_full >= 1 else None)
-    s = s[keep]
-    if s.size < MIN_SAMPLES:  # the least grid classify and verify judge
-        raise InsufficientSamples(
-            f"a sampled chart needs at least {MIN_SAMPLES - 1} steps ({MIN_SAMPLES} nodes), "
-            f"got {s.size - 1} steps of {(s[-1] - s[0]) / max(s.size - 1, 1):.6g} "
-            f"over length {s[-1] - s[0]:.6g}")
-    return ChartSamples(s, t[keep], u[keep], dt[keep], du[keep])
+    return ChartSamples(s, t, u, dt, du)
 
 
 class GeodesyReport(Report):
@@ -300,8 +295,8 @@ def cross_check_circular_cone(a, b, c, psi0, seed=0, samples=256) -> CrossCheckR
     Any disagreement is reported via the ok flags, never silently passed.
     """
     params = RectifyingParams(float(a), float(b), float(c))
-    cs = sample_curve(generate_circular_geodesic(params, psi0), samples)
     cone = CircularCone(psi0)
+    cs = sample_curve(generate_rectifying(params, cone.base), samples)
 
     report = classify_rectifying_or_spherical(cs)
     slant = fit_slant_axis(cs)

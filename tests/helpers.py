@@ -338,8 +338,9 @@ def legacy_build_config(argv):
 def reference_integrate(cone, ivp, h=1e-3, drift_tol=None):
     """RK4 in its textbook form, as `integrate_geodesic` ran it before the unrolled step.
 
-    Returns (s, t, u, dt, du) after the same tail drop, and raises the same
-    errors with the same messages; `integrate_geodesic` must match it bitwise.
+    Returns (s, t, u, dt, du) of the floor(length/h) whole steps, and raises
+    the same errors with the same messages; `integrate_geodesic` must match
+    it bitwise.  It does not refuse a short IVP.
     """
     L = float(ivp.length)
     if drift_tol is None:
@@ -348,29 +349,30 @@ def reference_integrate(cone, ivp, h=1e-3, drift_tol=None):
     def rhs(t, u, dt, du):
         return dt, du, -2.0 * du * dt / u, u * dt * dt
 
-    n_full = int(np.floor(L / h + 1e-12))
-    tail = L - n_full * h
-    has_tail = tail > 1e-12 * max(1.0, L)
+    n = int(np.floor(L / h + 1e-12))
     t, u, dt, du = float(ivp.t0), float(ivp.u0), float(ivp.dt0), float(ivp.du0)
     s_out, t_out, u_out = [0.0], [t], [u]
     dt_out, du_out = [dt], [du]
     c0 = u * u * dt
     c_lo = c_hi = c0
     s_acc = 0.0
-    for i in range(n_full + has_tail):
-        hs = h if i < n_full else tail
-        k1 = rhs(t, u, dt, du)
-        k2 = rhs(t + 0.5 * hs * k1[0], u + 0.5 * hs * k1[1],
-                 dt + 0.5 * hs * k1[2], du + 0.5 * hs * k1[3])
-        k3 = rhs(t + 0.5 * hs * k2[0], u + 0.5 * hs * k2[1],
-                 dt + 0.5 * hs * k2[2], du + 0.5 * hs * k2[3])
-        k4 = rhs(t + hs * k3[0], u + hs * k3[1],
-                 dt + hs * k3[2], du + hs * k3[3])
-        t += hs / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u += hs / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        dt += hs / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        du += hs / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        s_acc += hs
+    for _ in range(n):
+        try:
+            k1 = rhs(t, u, dt, du)
+            k2 = rhs(t + 0.5 * h * k1[0], u + 0.5 * h * k1[1],
+                     dt + 0.5 * h * k1[2], du + 0.5 * h * k1[3])
+            k3 = rhs(t + 0.5 * h * k2[0], u + 0.5 * h * k2[1],
+                     dt + 0.5 * h * k2[2], du + 0.5 * h * k2[3])
+            k4 = rhs(t + h * k3[0], u + h * k3[1],
+                     dt + h * k3[2], du + h * k3[3])
+        except ZeroDivisionError:
+            raise VertexApproach(f"u = 0 in an RK4 stage, below u_min = {cone.u_min:.3g}, "
+                                 f"at s = {s_acc + h:.4g}") from None
+        t += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        u += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        dt += h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        du += h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        s_acc += h
         if u < cone.u_min:
             raise VertexApproach(
                 f"u = {u:.3g} fell below u_min = {cone.u_min:.3g} at s = {s_acc:.4g}"
@@ -390,10 +392,7 @@ def reference_integrate(cone, ivp, h=1e-3, drift_tol=None):
     drift = (c_hi - c_lo) / max(abs(c0), 1e-14) if abs(c0) > 1e-14 else (c_hi - c_lo)
     if not (drift <= drift_tol):
         raise StepTooLarge(f"Clairaut drift {drift:.3g} exceeds {drift_tol:.3g}; reduce h")
-    out = [np.asarray(x) for x in (s_out, t_out, u_out, dt_out, du_out)]
-    if has_tail and n_full >= 1:
-        out = [x[:-1] for x in out]
-    return tuple(out)
+    return tuple(np.asarray(x) for x in (s_out, t_out, u_out, dt_out, du_out))
 
 
 def reference_adaptive_simpson_segments(f, nodes, tol):

@@ -12,13 +12,12 @@ from conegeo import (
     Cone,
     GeodesicIVP,
     RectifyingParams,
-    chart_curve,
+    chart_points,
     circle_curve,
     circular_base,
     classify_rectifying_or_spherical,
     cross_check_circular_cone,
     develop,
-    frenet_apparatus,
     generate_rectifying,
     helix_curve,
     integrate_geodesic,
@@ -70,10 +69,9 @@ def corpus():
 def test_criterion_1_cross_product_identity(corpus):
     worst = 0.0
     for curve, params, _ in corpus:
-        s = sample_grid(curve, 256)
-        frames = frenet_apparatus(curve, s)
-        cm = np.cross(curve.evaluate(s), curve.derivative(s, 1))
-        err = np.max(np.linalg.norm(cm - frames.normal / params.a, axis=-1))
+        cs = sample_curve(curve, 256)
+        cm = np.cross(curve.evaluate(cs.s), curve.derivative(cs.s, 1))
+        err = np.max(np.linalg.norm(cm - cs.frames.normal / params.a, axis=-1))
         worst = max(worst, float(err))
     _report(1, "cross-product identity |alpha x alpha' - n/a|", worst < 1e-6,
             f"max {worst:.3e} < 1e-6 over 20 curves x 256 samples")
@@ -236,8 +234,7 @@ def test_criterion_9_development_distance_and_minimum_norm(corpus):
     worst_dist, worst_min = 0.0, 0.0
     for curve, params, cone in corpus:
         s = sample_grid(curve, 256)
-        chart = chart_curve(cone, curve, s=s)
-        pts = develop(chart.t, chart.u)
+        pts = develop(*chart_points(cone, curve.evaluate(s)))
         _, _, _, residual, distance = line_fit(pts)
         worst_dist = max(worst_dist, abs(distance - 1.0 / params.a), residual)
         s_star = -params.b / params.a

@@ -820,6 +820,66 @@ def test_integrate_fewer_than_six_steps_exits_2(tmp_path, quarter_cone_json, cap
         assert err == "" and len(out.read_text().splitlines()) == 1 + 7
 
 
+@pytest.mark.parametrize("command,args", [
+    ("generate", ["--a=1.3", "--psi0=0.8", "--out=out.json"]),
+    ("classify", ["--in=curve.csv", "--report=out.json"]),
+    ("verify", ["--cone=cone.json", "--in=curve.csv", "--report=out.json"]),
+    ("crosscheck", ["--a=1.3", "--psi0=0.8", "--report=out.json"]),
+])
+@pytest.mark.parametrize("source", ["argv", "config"])
+def test_samples_above_the_bound_exit_1_before_anything_is_allocated(
+        tmp_path, monkeypatch, capsys, command, args, source):
+    monkeypatch.chdir(tmp_path)
+    assert cli.build_config([command, *args, f"--samples={cli.MAX_SAMPLES}"])
+    n = cli.MAX_SAMPLES + 1
+    argv = [command, *args, f"--samples={n}"]
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({command: {"samples": n}}))
+        argv = ["--config=cfg.json", command, *args]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2**20
+    assert capsys.readouterr().err == ("error: InvalidConfig: --samples must be at most "
+                                       f"1000000, got {n}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+_STAGE_AT_VERTEX = "VertexApproach: u = 0 in an RK4 stage, below u_min = 0.001, at s = 0.004"
+
+
+@pytest.mark.parametrize("u0,length,step,message", [
+    # 49 whole steps reach u = 0.01; the remainder of 0.0095 is not integrated,
+    # so the u_min it would cross cannot fail the run
+    (0.5, 0.4995, 0.01, None),
+    # 5 steps are refused before the first, which would fall below u_min
+    (0.0035, 0.005, 1e-3, "InsufficientSamples: a sampled chart needs at least 6 steps "
+                          "(7 nodes), got 5 steps of 0.001 over length 0.005"),
+    # the fourth stage of the fourth step lands on u = 0.0 exactly
+    (0.004, 0.01, 1e-3, _STAGE_AT_VERTEX),
+    (0.004, 0.0105, 1e-3, _STAGE_AT_VERTEX),
+], ids=["remainder", "short", "stage-at-vertex", "stage-at-vertex-remainder"])
+def test_integrate_radial_ivp_toward_the_vertex(tmp_path, quarter_cone_json, capsys,
+                                                u0, length, step, message):
+    ivp = tmp_path / "ivp.json"
+    ivp.write_text(json.dumps({"t0": 0.0, "u0": u0, "dt0": 0.0, "du0": -1.0,
+                               "length": length}))
+    out = tmp_path / "ig.csv"
+    code = run_cli("integrate", "--cone", quarter_cone_json, "--ivp", ivp,
+                   "--step", step, "--out", out)
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (0, "")
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + 50 and float(rows[-1].split(",")[0]) == pytest.approx(0.49)
+    else:
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("samples,code", [(8, 2), (15, 2), (16, 0)])
 def test_classify_slant_floor_reads_requested_samples(tmp_path, capsys, samples, code):
     curve = tmp_path / "c.csv"

@@ -32,6 +32,7 @@ from conegeo import (
     write_base_csv,
 )
 from conegeo.errors import (
+    DegenerateBase,
     NonpositiveRadialCoordinate,
     NotOnCone,
     VertexPoint,
@@ -261,6 +262,9 @@ def test_chart_t_over_seed_blocks_matches_sequential():
     dirs = cone.base.evaluate(rng.uniform(0.0, cone.base.period, 100))
     dirs += 1e-3 * rng.normal(size=dirs.shape)
     dirs /= np.linalg.norm(dirs, axis=-1)[:, None]
+    # Newton stops this one on a step between 1e-13 and 1e-12, where one more
+    # iteration would move its t by an ulp
+    dirs = np.vstack([dirs, [-0.559846760326614, -0.5271943092058483, 0.6392478121141778]])
     assert dirs.shape[0] > 3 * cones_module._SEED_BLOCK
     assert_bitwise(cone.chart_t(dirs), [sequential_chart_t(cone, d) for d in dirs])
 
@@ -438,6 +442,16 @@ def test_line_fit_residual_is_the_largest_deviation():
     centroid, _, normal, residual, _ = line_fit(pts)
     assert residual == float(np.max(np.abs((pts - centroid) @ normal)))
     assert 0.98e-3 < residual < 1e-3
+
+
+def test_unit_normal_refuses_a_tangent_parallel_to_its_position():
+    # no base reaches this from the command line: a base is unit speed on the
+    # unit sphere, so <y, y'> = 0 and |y' x y| = 1, and one that retraces
+    # itself stops at a zero speed (SingularSpeed).  The guard checks the
+    # function's own input.
+    y = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateBase, match="parallel to position"):
+        cones_module.unit_normal(y, np.array([[0.0, 1.0, 0.0], [2.0, 1e-7, 0.0]]))
 
 
 def test_develop_ruling_is_radial(quarter_cone):

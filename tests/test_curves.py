@@ -585,6 +585,28 @@ def test_sample_arclength_keeps_an_analytic_unit_speed_curve():
     _assert_same_samples(cs, sample_curve(circ, 64))
 
 
+@pytest.mark.parametrize("excess,kept", [(5e-13, True), (5e-12, False)])
+def test_sample_arclength_reads_an_analytic_speed_to_1e_12(excess, kept):
+    # the circle traced at speed 1 + excess: UNIT_TOL["analytic"] = 1e-12 decides
+    circ, speed = circle_curve(3.0), 1.0 + excess
+    powers = speed ** np.arange(4)[:, None, None]
+    fast = SpaceCurve.from_function(
+        lambda s: circ.evaluate(speed * s), (0.0, 10.0),
+        jet=lambda s, order: circ.jet(speed * s, order) * powers[:order + 1])
+    assert fast.derivative_mode == "analytic"
+    assert (sample_arclength(fast, 64).curve is fast) == kept
+
+
+@pytest.mark.parametrize("kappa,vanishes", [(5e-10, True), (5e-9, False)])
+def test_frenet_frame_curvature_floor_is_1e_9(kappa, vanishes):
+    d1, d2, d3 = np.array([[1.0, 0.0, 0.0], [0.0, kappa, 0.0], [0.0, 0.0, 0.0]])[:, None]
+    if vanishes:
+        with pytest.raises(VanishingCurvature, match="at or below floor 1e-09"):
+            curves_module.frenet_frame(d1, d2, d3)
+    else:
+        assert curves_module.frenet_frame(d1, d2, d3).kappa[0] == kappa
+
+
 def test_sample_curve_of_a_ruling_builds_frames_on_read():
     line = line_curve([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], 2.0)
     cs = sample_curve(line, 32)

@@ -30,7 +30,7 @@ from conegeo import (
     verify_geodesic,
 )
 from conegeo import geodesics as geodesics_module
-from conegeo.classify import LABEL_RECTIFYING, classify_rectifying_or_spherical
+from conegeo.classify import LABEL_RECTIFYING, SlantAxisFit, classify_rectifying_or_spherical
 from conegeo.errors import (
     BaseDomainExceeded,
     InsufficientSamples,
@@ -211,8 +211,8 @@ _IVP = dict(t0=0.3, u0=1.0, dt0=0.7, du0=0.7)
 
 @pytest.mark.parametrize("length,h", [
     (2.0, 1e-3),      # whole steps
-    (2.0004, 1e-3),   # a tail step, integrated and then dropped
-    (0.0007, 1e-3),   # the tail step alone: too few samples, refused
+    (2.0004, 1e-3),   # a remainder shorter than one step, not integrated
+    (0.0007, 1e-3),   # no whole step: too few samples, refused
     (3.3, 0.011),     # inexact h: the running sum of steps sets s
 ])
 @pytest.mark.parametrize("kind", ["circular", "wavy"])
@@ -222,7 +222,7 @@ def test_integrate_bitwise_equals_textbook_rk4(kind, length, h):
     ivp = GeodesicIVP(length=length, **_IVP)
     want = reference_integrate(cone, ivp, h=h)
     if want[0].size < 7:
-        with pytest.raises(InsufficientSamples, match=f"got {want[0].size - 1} steps of "):
+        with pytest.raises(InsufficientSamples, match=f"got {want[0].size - 1} steps of {h:.6g} over length {want[0][-1]:.6g}$"):
             integrate_geodesic(cone, ivp, h=h)
         return
     chart = integrate_geodesic(cone, ivp, h=h)
@@ -242,6 +242,9 @@ def test_integrate_errors_match_textbook_rk4():
          dict(h=0.05, drift_tol=1e-15)),
         (CircularCone(0.8), GeodesicIVP(t0=0.0, u0=1.0, dt0=float("nan"), du0=0.2,
                                         length=0.1), dict(h=0.01)),
+        # the fourth stage of the fourth step lands on u = 0.0 exactly
+        (CircularCone(0.8), GeodesicIVP(t0=0.0, u0=0.004, dt0=0.0, du0=-1.0, length=0.01),
+         dict(h=1e-3)),
     ]
     for cone, ivp, kw in cases:
         with pytest.raises((VertexApproach, StepTooLarge)) as want:
@@ -381,19 +384,44 @@ def test_crosscheck_failing_limit_makes_it_inconsistent(monkeypatch, limit, flag
     assert not rep.consistent
 
 
+@pytest.mark.parametrize("flag,residual,ok", [
+    ("slant_ok", 3e-6, True), ("slant_ok", 3e-5, False),         # SLANT_TOL = 1e-5
+    ("identity_ok", 3e-5, True), ("identity_ok", 3e-4, False),   # IDENTITY_TOL = 1e-4
+])
+def test_crosscheck_limits_sit_between_their_neighbours(monkeypatch, flag, residual, ok):
+    # each residual set a factor of 3 either side of its limit, the others as computed
+    if flag == "slant_ok":
+        plain = geodesics_module.fit_slant_axis
+
+        def fit(cs):
+            got = plain(cs)
+            return SlantAxisFit(got.axis, got.cos_angle_mean, residual)
+
+        monkeypatch.setattr(geodesics_module, "fit_slant_axis", fit)
+    else:
+        monkeypatch.setattr(geodesics_module, "classification_identity_residual",
+                            lambda cs, U, report: (cs.s, np.full(cs.s.size, residual)))
+    rep = cross_check_circular_cone(1.0, 0.0, 0.0, np.pi / 4)
+    assert (getattr(rep, flag), rep.consistent) == (ok, ok)
+
+
 def test_crosscheck_evaluates_the_curve_once(monkeypatch):
     made = []
-    plain = geodesics_module.generate_circular_geodesic
 
-    def generate(*args):
-        made.append(plain(*args))
-        return made[-1]
+    def record(plain):
+        def make(*args):
+            made.append(plain(*args))
+            return made[-1]
+        return make
 
-    monkeypatch.setattr(geodesics_module, "generate_circular_geodesic", generate)
+    for name in ("CircularCone", "generate_rectifying"):
+        monkeypatch.setattr(geodesics_module, name, record(getattr(geodesics_module, name)))
     passes = count_curve_jet_passes(monkeypatch)
     assert cross_check_circular_cone(1.3, 0.2, 0.1, 0.8).consistent
+    cone, curve = made  # one cone, then the curve generated on its base
     # the closed-form jet chains one jet of the base circle per pass
-    assert sum(c is made[0] for c in passes) == 1 and len(passes) == 2
+    assert sum(c is curve for c in passes) == 1 and len(passes) == 2
+    assert sum(c is cone.base.curve for c in passes) == 1
 
 
 def test_crosscheck_randomized_params():
