@@ -36,6 +36,7 @@ from .curves import (
 from .errors import DegenerateFit, InvalidConfig
 from .geodesics import (
     GATES,
+    MAX_RK4_STEPS,
     GeodesicIVP,
     RectifyingParams,
     cross_check_circular_cone,
@@ -245,7 +246,11 @@ def _cmd_integrate(p):
     _check_writable(p["out"], "out")
     cone = _load_cone(p["cone"])
     ivp = _load_ivp(p["ivp"])
-    chart = integrate_geodesic(cone, ivp, h=p.get("step") or 1e-3)
+    h = p.get("step") or 1e-3
+    if not (ivp.length / h <= MAX_RK4_STEPS):
+        raise InvalidConfig(f"--step must be at least length/{MAX_RK4_STEPS} = "
+                            f"{ivp.length / MAX_RK4_STEPS:.3g}, got {h!r}")
+    chart = integrate_geodesic(cone, ivp, h=h)
     points = chart.u[:, None] * cone.base.evaluate(chart.t)
     _atomic_write(p["out"], curve_csv_text(chart.s, points))
     return 0

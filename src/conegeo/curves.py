@@ -15,6 +15,7 @@ from .errors import (
     SingularSpeed,
     VanishingCurvature,
 )
+from .floattext import block_text
 
 KAPPA_FLOOR = 1e-9
 # |speed - 1| below this reads as unit speed: the derivative noise of each mode
@@ -536,7 +537,7 @@ def reparametrize_arclength(curve, tol=1e-10):
 # CSV interchange: one header line, then rows of shortest round-trip decimals
 
 
-# rows per block of CSV text: the most rows a write holds as Python objects
+# rows per block of CSV text: bounds the writer's lanes and slot rows
 TABLE_BLOCK_ROWS = 512
 # largest |value| of a curve CSV: one row of 1e153 in a 256-row curve
 # already overflows a stencil product, and 1e155 overflows |point|
@@ -544,18 +545,16 @@ CURVE_VALUE_MAX = 1e150
 
 
 def table_chunks(header, *columns):
-    """CSV text of 1-D columns and (n, k) column blocks, repr-formatted.
+    """CSV text of 1-D columns and (n, k) column blocks, each value as repr() writes it.
 
     Yields the header line, then blocks of at most TABLE_BLOCK_ROWS rows,
-    each formatted by one `%` over the block's values.  The text is made
-    as the chunks are read, so a writer holds one block at a time.
+    each written by floattext.block_text.  The text is made as the chunks
+    are read, so a writer holds one block at a time.
     """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     yield header + "\n"
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
     for start in range(0, table.shape[0], TABLE_BLOCK_ROWS):
-        block = table[start:start + TABLE_BLOCK_ROWS]
-        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+        yield block_text(table[start:start + TABLE_BLOCK_ROWS])
 
 
 def write_table(path, header, *columns):

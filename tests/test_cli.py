@@ -848,6 +848,25 @@ def test_samples_above_the_bound_exit_1_before_anything_is_allocated(
     assert not (tmp_path / "out.json").exists()
 
 
+def test_step_above_the_rk4_bound_exits_1_naming_step(tmp_path, monkeypatch, capsys,
+                                                      quarter_cone_json):
+    # the IVP's length sets the bound, so it is read first; the library's
+    # ValueError for the same bound stays with library callers
+    ivp = tmp_path / "ivp.json"
+    ivp.write_text(json.dumps({"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 5.0}))
+    out = tmp_path / "o.csv"
+    args = ["integrate", "--cone", quarter_cone_json, "--ivp", ivp, "--out", out]
+    assert run_cli(*args, "--step", 1e-9) == 1
+    assert capsys.readouterr().err == ("error: InvalidConfig: --step must be at least "
+                                       "length/1000000 = 5e-06, got 1e-09\n")
+    assert not out.exists()
+    monkeypatch.setattr(cli, "MAX_RK4_STEPS", 5000)
+    assert run_cli(*args, "--step", 1e-3) == 0
+    assert len(out.read_text().splitlines()) == 1 + 5001
+    assert run_cli(*args, "--step", 0.999e-3) == 1
+    assert "--step must be at least length/5000 = 0.001, got 0.000999" in capsys.readouterr().err
+
+
 _STAGE_AT_VERTEX = "VertexApproach: u = 0 in an RK4 stage, below u_min = 0.001, at s = 0.004"
 
 

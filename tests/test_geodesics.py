@@ -11,6 +11,7 @@ from conegeo import (
     RectifyingParams,
     SpaceCurve,
     base_from_samples,
+    chart_points,
     circular_base,
     cross_check_circular_cone,
     default_s_domain,
@@ -344,6 +345,45 @@ def test_verify_limits_override_one_gate_each():
         assert verify_geodesic(cone, cs, {name: GATES[name][1]}) == rep
     with pytest.raises(ValueError, match="unknown gates \\['kg_tol'\\]"):
         verify_geodesic(cone, cs, {"kg_tol": 1.0})
+
+
+def _bent_geodesic(eps):
+    """A true geodesic with its chart angle t moved by eps times a smooth bump.
+
+    The points stay on the cone; the bump bends the curve within it.
+    """
+    cone = CircularCone(0.8)
+    geodesic = generate_rectifying(RectifyingParams(1.3, 0.2, 0.1), cone.base)
+    s = np.linspace(*geodesic.domain, 2049)
+    t, u = chart_points(cone, geodesic.evaluate(s))
+    x = np.clip((s - 0.5 * (s[0] + s[-1])) / (0.25 * (s[-1] - s[0])), -1.0, 1.0)
+    bent = u[:, None] * cone.base.evaluate(t + eps * np.cos(0.5 * np.pi * x) ** 4)
+    return cone, sample_curve(SpaceCurve.from_samples(s, bent), 256)
+
+
+@pytest.mark.parametrize("gate,limit,eps,above", [
+    ("max_abs_kg", 1e-4, 1.2e-4, True),
+    ("max_abs_kg", 1e-4, 1.2e-5, False),
+    ("clairaut_relvar", 1e-5, 1e-5, True),
+    ("clairaut_relvar", 1e-5, 1e-6, False),
+    ("normal_alignment_min", 1e-5, 8e-4, True),
+    ("normal_alignment_min", 1e-5, 2.5e-4, False),
+    ("development_straightness_residual", 1e-6, 8e-6, True),
+    ("development_straightness_residual", 1e-6, 8e-7, False),
+])
+def test_each_gate_decides_within_a_decade_of_its_limit(gate, limit, eps, above):
+    # the gate's value on the bent geodesic lies between its default limit
+    # and 10 times it (above) or a tenth of it (below); the other gates are
+    # opened, so the default, 10 times and a tenth of it give these verdicts
+    cone, cs = _bent_geodesic(eps)
+    others = {name: 1.0 for name in GATES if name != gate}
+    rep = verify_geodesic(cone, cs, others)
+    value = getattr(rep, gate)
+    excess = 1.0 - value if gate == "normal_alignment_min" else value
+    assert (limit < excess < 10 * limit) if above else (limit / 10 < excess < limit)
+    assert rep.verdict == ("not-geodesic" if above else "geodesic")
+    assert verify_geodesic(cone, cs, {**others, gate: 10 * limit}).verdict == "geodesic"
+    assert verify_geodesic(cone, cs, {**others, gate: limit / 10}).verdict == "not-geodesic"
 
 
 def test_verify_winding_geodesic_on_narrow_cone():

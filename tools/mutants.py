@@ -63,6 +63,23 @@ ORACLES = [
      '"finite-difference": 1e-5}', '"finite-difference": 1e-3}'),
 ]
 
+# (label, module, text, replacement): one-line faults in the CSV writer's
+# digit selection and layout, each of which changes some value's text
+WRITER = [
+    ("writer ties round down, not to even", "floattext.py",
+     "(vb + _U(1) + (s & _U(1))) >> _U(2)", "(vb + _U(1) + _U(0)) >> _U(2)"),
+    ("writer never includes the interval ends", "floattext.py",
+     "out = c & _U(1)", "out = _U(1)"),
+    ("writer always includes the interval ends", "floattext.py",
+     "out = c & _U(1)", "out = _U(0)"),
+    ("writer drops the narrow interval's k", "floattext.py",
+     "k = _floor_log10_pow2(q, narrow)", "k = _floor_log10_pow2(q, 0)"),
+    ("writer tries the shorter candidate only for s >= 100", "floattext.py",
+     "where=upin != wpin)", "where=(upin != wpin) & (s >= _U(100)))"),
+    ("writer exponent from decpt <= -3", "floattext.py", "(decpt > -4)", "(decpt > -3)"),
+    ("writer exponent from decpt > 15", "floattext.py", "(decpt <= 16)", "(decpt <= 15)"),
+]
+
 # (name, module, text, its literal, the literal x10, the literal x0.1): every
 # named limit, scaled both ways; MIN_SAMPLES counts nodes, so 0.7 rounds to 1
 LIMITS = [
@@ -94,6 +111,7 @@ LIMITS = [
 
 def mutants():
     yield from ORACLES
+    yield from WRITER
     for name, module, text, literal, up, down in LIMITS:
         for factor, value in (("x10", up), ("x0.1", down)):
             yield f"{name} {factor}", module, text, text.replace(literal, value)
