@@ -187,8 +187,6 @@ def base_from_samples(t, points):
 class Cone:
     """Cone over a spherical base curve, vertex at the origin, u in [U_MIN, U_MAX]."""
 
-    u_min = U_MIN
-
     def __init__(self, base: SphericalBaseCurve):
         self.base = base
 
@@ -201,15 +199,15 @@ class Cone:
             raise VertexPoint(f"u = {float(u[bad].flat[0]):.3g} outside the chart range "
                               f"[{U_MIN:.3g}, {U_MAX:.3g}]")
 
-    def chart_t(self, direction, t_hint=None):
+    def chart_t(self, direction):
         """Base parameter of unit direction(s) on the cone (grid + Newton).
 
         A (3,) direction gives a float, an (n, 3) array of directions an
-        (n,) array.  Without t_hint every direction is seeded from the
-        argmax of its dot product with a grid of base points; then Newton
-        on g(t) = <d - y(t), y'(t)> runs over all directions at once,
-        each stopping on its own.  Open bases keep seeds and iterates
-        inside the margin of the order-2 stencil.
+        (n,) array.  Every direction is seeded from the argmax of its dot
+        product with a grid of base points; then Newton on
+        g(t) = <d - y(t), y'(t)> runs over all directions at once, each
+        stopping on its own.  Open bases keep seeds and iterates inside
+        the margin of the order-2 stencil.
         """
         base = self.base
         dirs = np.asarray(direction, dtype=float)
@@ -219,14 +217,11 @@ class Cone:
         if not base.periodic:
             m2 = base.curve.fd_margin(2)
             lo, hi = d0 + m2, d1 - m2
-        if t_hint is None:
-            grid = np.linspace(d0, d1, _CHART_GRID, endpoint=not base.periodic)
-            ys = base.evaluate(grid)
-            t = np.empty(d.shape[0])
-            for i in range(0, d.shape[0], _SEED_BLOCK):
-                t[i:i + _SEED_BLOCK] = grid[np.argmax(d[i:i + _SEED_BLOCK] @ ys.T, axis=1)]
-        else:
-            t = np.broadcast_to(np.asarray(t_hint, dtype=float), d.shape[:1]).copy()
+        grid = np.linspace(d0, d1, _CHART_GRID, endpoint=not base.periodic)
+        ys = base.evaluate(grid)
+        t = np.empty(d.shape[0])
+        for i in range(0, d.shape[0], _SEED_BLOCK):
+            t[i:i + _SEED_BLOCK] = grid[np.argmax(d[i:i + _SEED_BLOCK] @ ys.T, axis=1)]
         t = np.clip(t, lo, hi)
         active = np.arange(t.size)
         for _ in range(_NEWTON_CAP):
@@ -251,16 +246,6 @@ class CircularCone(Cone):
     def __init__(self, psi0):
         self.psi0 = _half_angle(psi0)
         super().__init__(circular_base(self.psi0))
-
-    def chart_t(self, direction, t_hint=None):
-        sp = np.sin(self.psi0)
-        t = float(np.arctan2(direction[1], direction[0]) * sp)
-        period = 2 * np.pi * sp
-        if t_hint is not None:
-            t += period * np.round((float(t_hint) - t) / period)
-        elif t < 0.0:
-            t += period
-        return t
 
 
 def cone_point(cone, t, u):
@@ -291,24 +276,10 @@ def unit_normal(y, y1):
     return n / nrm[..., None]
 
 
-def chart_coordinates(cone, point, t_hint=None):
-    """Invert the cone parametrization: point -> (t, u).
-
-    Raises VertexPoint near the vertex or above U_MAX, and NotOnCone when
-    the best chart residual exceeds the on-cone tolerance.
-    """
-    p = np.asarray(point, dtype=float)
-    u = float(np.linalg.norm(p))
-    if not cone.u_min <= u <= U_MAX:
-        raise _range_error(cone, u)
-    t = cone.chart_t(p / u, t_hint=t_hint)
-    _check_on_cone(cone, p, u, t)
-    return t, u
-
-
-def _range_error(cone, u):
-    return VertexPoint(f"|point| = {u:.3g} outside the chart range "
-                       f"[{cone.u_min:.3g}, {U_MAX:.3g}]")
+def chart_coordinates(cone, point):
+    """(t, u) of one point as floats: element 0 of chart_points(cone, point)."""
+    t, u = chart_points(cone, point)
+    return float(t[0]), float(u[0])
 
 
 def _check_on_cone(cone, pts, u, t):
@@ -317,7 +288,6 @@ def _check_on_cone(cone, pts, u, t):
     The residual is taken _CHECK_BLOCK points at a time, so its (n, 3)
     temporaries stay bounded however long the curve.
     """
-    pts, u, t = np.atleast_2d(pts), np.atleast_1d(u), np.atleast_1d(t)
     for start in range(0, u.size, _CHECK_BLOCK):
         block = slice(start, start + _CHECK_BLOCK)
         offset = cone.base.evaluate(t[block]) * u[block, None]
@@ -350,7 +320,7 @@ def chart_points(cone, points):
     """(t, u) of the (n, 3) points, charted as chart_curve charts its samples."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     u = np.linalg.norm(pts, axis=-1)
-    outside = np.flatnonzero((u < cone.u_min) | (u > U_MAX))
+    outside = np.flatnonzero(~((u >= U_MIN) & (u <= U_MAX)))  # a NaN |point| too
     n = outside[0] if outside.size else u.size
     if isinstance(cone, CircularCone):
         t = np.unwrap(np.arctan2(pts[:n, 1], pts[:n, 0])) * np.sin(cone.psi0)
@@ -360,7 +330,8 @@ def chart_points(cone, points):
             t = np.unwrap(t, period=cone.base.period)
     _check_on_cone(cone, pts[:n], u[:n], t)
     if outside.size:
-        raise _range_error(cone, u[n])
+        raise VertexPoint(f"|point| = {u[n]:.3g} outside the chart range "
+                          f"[{U_MIN:.3g}, {U_MAX:.3g}]")
     return t, u
 
 

@@ -548,13 +548,14 @@ def table_chunks(header, *columns):
     """CSV text of 1-D columns and (n, k) column blocks, each value as repr() writes it.
 
     Yields the header line, then blocks of at most TABLE_BLOCK_ROWS rows,
-    each written by floattext.block_text.  The text is made as the chunks
-    are read, so a writer holds one block at a time.
+    each stacked from the columns and written by floattext.block_text as
+    it is read, so a writer holds one block of the table at a time.
     """
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    columns = [np.asarray(c, dtype=float) for c in columns]
     yield header + "\n"
-    for start in range(0, table.shape[0], TABLE_BLOCK_ROWS):
-        yield block_text(table[start:start + TABLE_BLOCK_ROWS])
+    # up to the longest column, so a shorter one fails column_stack
+    for start in range(0, max(map(len, columns)), TABLE_BLOCK_ROWS):
+        yield block_text(np.column_stack([c[start:start + TABLE_BLOCK_ROWS] for c in columns]))
 
 
 def write_table(path, header, *columns):

@@ -29,6 +29,7 @@ from .cones import (
     Cone,
     CircularCone,
     SphericalBaseCurve,
+    U_MIN,
     chart_points,
     curve_from_chart,
     develop,
@@ -153,7 +154,7 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
     nodal derivatives as dt and du.  Raises InsufficientSamples before the
     first step on fewer than MIN_SAMPLES - 1 steps, VertexPoint if u0, or u
     anywhere on the trajectory, lies outside the chart range [U_MIN, U_MAX],
-    VertexApproach if u falls below the cone's u_min during a step or an RK4
+    VertexApproach if u falls below U_MIN during a step or an RK4
     stage lands on u = 0, and StepTooLarge if the Clairaut invariant drifts
     beyond drift_tol (default 1e-9 per unit arc length).  length/h above
     MAX_RK4_STEPS raises ValueError before anything is allocated.
@@ -165,7 +166,7 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
         raise ValueError(f"length/step = {L / h:.3g} exceeds {MAX_RK4_STEPS} RK4 steps")
     if drift_tol is None:
         drift_tol = 1e-9 * max(1.0, L)
-    u_min = cone.u_min
+    u_min = U_MIN
     base = cone.base
     n = int(np.floor(L / h + 1e-12))
     steps = np.full(1 + n, h)

@@ -19,7 +19,7 @@ from conegeo import (
 )
 from conegeo import jets
 from conegeo.cli import RunConfig, _Parser
-from conegeo.cones import ON_CONE_RTOL, U_MAX
+from conegeo.cones import ON_CONE_RTOL, U_MAX, U_MIN
 from conegeo.errors import (
     BaseDomainExceeded,
     InvalidConfig,
@@ -238,9 +238,9 @@ def sequential_chart_curve(cone, curve, s):
     hint = None
     for i, p in enumerate(pts):
         u[i] = np.linalg.norm(p)
-        if not cone.u_min <= u[i] <= U_MAX:
+        if not U_MIN <= u[i] <= U_MAX:
             raise VertexPoint(f"|point| = {u[i]:.3g} outside the chart range "
-                              f"[{cone.u_min:.3g}, {U_MAX:.3g}]")
+                              f"[{U_MIN:.3g}, {U_MAX:.3g}]")
         t[i] = sequential_chart_t(cone, p / u[i], t_hint=hint)
         residual = float(np.linalg.norm(u[i] * cone.base.evaluate(t[i]) - p))
         if residual > ON_CONE_RTOL * u[i]:
@@ -366,16 +366,16 @@ def reference_integrate(cone, ivp, h=1e-3, drift_tol=None):
             k4 = rhs(t + h * k3[0], u + h * k3[1],
                      dt + h * k3[2], du + h * k3[3])
         except ZeroDivisionError:
-            raise VertexApproach(f"u = 0 in an RK4 stage, below u_min = {cone.u_min:.3g}, "
+            raise VertexApproach(f"u = 0 in an RK4 stage, below u_min = {U_MIN:.3g}, "
                                  f"at s = {s_acc + h:.4g}") from None
         t += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         u += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         dt += h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         du += h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
         s_acc += h
-        if u < cone.u_min:
+        if u < U_MIN:
             raise VertexApproach(
-                f"u = {u:.3g} fell below u_min = {cone.u_min:.3g} at s = {s_acc:.4g}"
+                f"u = {u:.3g} fell below u_min = {U_MIN:.3g} at s = {s_acc:.4g}"
             )
         c = u * u * dt
         c_lo, c_hi = min(c_lo, c), max(c_hi, c)

@@ -155,6 +155,41 @@ def test_chart_rejects_vertex(quarter_cone):
         chart_coordinates(quarter_cone, np.array([0.0, 0.0, 1e-12]))
 
 
+def _chart_cone(kind):
+    if kind == "circular":
+        return CircularCone(0.8)
+    return _sampled_closed_cone() if kind == "closed" else _open_sampled_cone()
+
+
+@pytest.mark.parametrize("kind", ["circular", "closed", "open"])
+def test_chart_coordinates_is_one_point_of_chart_points(kind):
+    cone = _chart_cone(kind)
+    for t0, u0 in ((0.2, 0.5), (0.9, 3.0), (1.6, 1e5), (2.3, 0.01)):
+        p = cone_point(cone, t0, u0)
+        t, u = chart_coordinates(cone, p)
+        ts, us = chart_points(cone, p)
+        assert type(t) is float and type(u) is float
+        assert_bitwise([t, u], [ts[0], us[0]])
+    off = cone_point(cone, 0.9, 2.0) * np.array([1.0, 1.0, 1.01])
+    for bad, error in ((np.array([0.0, 0.0, 1e-12]), VertexPoint), (off, NotOnCone)):
+        with pytest.raises(error) as one:
+            chart_coordinates(cone, bad)
+        with pytest.raises(error) as many:
+            chart_points(cone, bad)
+        assert str(one.value) == str(many.value)
+
+
+@pytest.mark.parametrize("kind", ["circular", "closed", "open"])
+def test_nan_point_is_outside_the_chart_range(kind):
+    # a NaN |point| is outside the chart range, not a bad base parameter
+    cone = _chart_cone(kind)
+    rows = np.stack([cone_point(cone, 0.7, 2.0), [0.3, np.nan, 0.4]])
+    for chart in (chart_points, chart_coordinates):
+        with pytest.raises(VertexPoint) as err:
+            chart(cone, rows)
+        assert str(err.value) == "|point| = nan outside the chart range [0.001, 1e+06]"
+
+
 # ----------------------------------------------------------------------
 # batched chart inversion
 
@@ -288,6 +323,12 @@ def _sampled_closed_cone():
     return Cone(base_from_samples(t, pts))
 
 
+def _open_sampled_cone():
+    full = perturbed_circle_base(0.8, seed=12, amplitude=0.04)
+    t_nodes = np.linspace(0.0, 0.6 * full.period, 801)
+    return Cone(base_from_samples(t_nodes, full.evaluate(t_nodes)))
+
+
 @pytest.mark.parametrize("sampled", [False, True])
 def test_chart_curve_base_calls_do_not_grow_with_samples(wavy_cone, monkeypatch, sampled):
     # a per-sample solve would call the base evaluators once or more per sample
@@ -314,18 +355,14 @@ def test_chart_curve_base_calls_do_not_grow_with_samples(wavy_cone, monkeypatch,
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_newton_iteration_evaluates_each_base_offset_once(monkeypatch, closed):
-    # value, y' and y'' of a sampled base come from one 5-tap stencil pass
-    full = perturbed_circle_base(0.8, seed=12, amplitude=0.04)
-    if closed:
-        cone = _sampled_closed_cone()
-    else:
-        t_nodes = np.linspace(0.0, 0.6 * full.period, 801)
-        cone = Cone(base_from_samples(t_nodes, full.evaluate(t_nodes)))
+    # value, y' and y'' of a sampled base come from one 5-tap stencil pass,
+    # after one pass over the seed grid
+    cone = _sampled_closed_cone() if closed else _open_sampled_cone()
     t_true = np.linspace(0.5, 1.5, 40)
     dirs = cone.base.evaluate(t_true)
     calls = count_vector_hermite_calls(monkeypatch)
     monkeypatch.setattr(cones_module, "_NEWTON_CAP", 1)
-    cone.chart_t(dirs, t_hint=t_true + 0.01)
+    cone.chart_t(dirs)
     assert 1 <= len(calls) <= 6
 
 

@@ -703,6 +703,31 @@ def test_table_text_matches_row_emitter_on_awkward_values():
     assert [c.count("\n") for c in chunks] == [1, B, B, 1]
 
 
+def test_table_chunks_hold_one_block_of_the_table():
+    # each block is stacked from the columns as it is written: a whole
+    # 200,000 x 4 table would be 6.1 MiB
+    n = 200_000
+    s = np.linspace(0.0, 1.0, n)
+    points = np.stack([np.cos(s), np.sin(s), s / 3.0], axis=-1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = sum(chunk.count("\n") for chunk in table_chunks("s,x,y,z", s, points))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + n
+    assert peak < 1.5 * 2**20, f"table_chunks peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_table_chunks_refuse_columns_of_different_lengths():
+    # blocks are stacked one at a time: the rows of a longer column past
+    # the shorter one's last block must not be dropped
+    for n in (1024, 1100):
+        with pytest.raises(ValueError):
+            "".join(table_chunks("s,x,y,z", np.zeros(n), np.zeros((2148 - n, 3))))
+
+
 def test_read_table_parses_like_float(tmp_path):
     rng = np.random.default_rng(5)
     vals = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),

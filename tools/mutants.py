@@ -59,6 +59,8 @@ ORACLES = [
      "residual = float(np.mean(np.abs(centered @ normal)))"),
     ("KAPPA_FLOOR 1e-9 -> 1e-5", "curves.py", "KAPPA_FLOOR = 1e-9", "KAPPA_FLOOR = 1e-5"),
     ("ON_CONE_RTOL x100", "cones.py", "ON_CONE_RTOL = 1e-8", "ON_CONE_RTOL = 1e-6"),
+    ("chart range lets a NaN |point| through", "cones.py",
+     "~((u >= U_MIN) & (u <= U_MAX))", "(u < U_MIN) | (u > U_MAX)"),
     ('UNIT_TOL["finite-difference"] x100', "curves.py",
      '"finite-difference": 1e-5}', '"finite-difference": 1e-3}'),
 ]
