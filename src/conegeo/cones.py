@@ -67,10 +67,6 @@ class SphericalBaseCurve:
     def curve(self):
         return self._curve
 
-    @property
-    def derivative_mode(self):
-        return self._curve.derivative_mode
-
     def _wrap(self, t):
         if not self.periodic:
             return t
@@ -84,9 +80,6 @@ class SphericalBaseCurve:
         # periodic sampled bases wrap the stencil itself so evaluation near
         # the seam does not run into domain margins
         return self.periodic and self._curve.derivative_mode == "finite-difference"
-
-    def derivative(self, t, order=1):
-        return self.derivatives(t, (order,))[0]
 
     def derivatives(self, t, orders):
         """Derivatives of the given orders at t in one pass; order 0 is y(t)."""
@@ -166,7 +159,7 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
             lambda: (np.stack([sp * np.sin(t), -sp * np.cos(t), zero], axis=-1)
                      + (sin * ks**3) @ A + (-cos * ks**3) @ B)))
 
-    curve = SpaceCurve.from_function(lambda t: raw_jet(t, 0)[0], (0.0, 2 * np.pi), jet=raw_jet)
+    curve = SpaceCurve(lambda t: raw_jet(t, 0)[0], (0.0, 2 * np.pi), jet=raw_jet)
     return SphericalBaseCurve(curve, periodic=True)
 
 
@@ -199,19 +192,16 @@ class Cone:
             raise VertexPoint(f"u = {float(u[bad].flat[0]):.3g} outside the chart range "
                               f"[{U_MIN:.3g}, {U_MAX:.3g}]")
 
-    def chart_t(self, direction):
-        """Base parameter of unit direction(s) on the cone (grid + Newton).
+    def chart_t(self, directions):
+        """Base parameters (n,) of the (n, 3) unit directions on the cone (grid + Newton).
 
-        A (3,) direction gives a float, an (n, 3) array of directions an
-        (n,) array.  Every direction is seeded from the argmax of its dot
-        product with a grid of base points; then Newton on
-        g(t) = <d - y(t), y'(t)> runs over all directions at once, each
-        stopping on its own.  Open bases keep seeds and iterates inside
-        the margin of the order-2 stencil.
+        Every direction is seeded from the argmax of its dot product with a
+        grid of base points; then Newton on g(t) = <d - y(t), y'(t)> runs
+        over all directions at once, each stopping on its own.  Open bases
+        keep seeds and iterates inside the margin of the order-2 stencil.
         """
         base = self.base
-        dirs = np.asarray(direction, dtype=float)
-        d = np.atleast_2d(dirs)
+        d = np.asarray(directions, dtype=float)
         d0, d1 = base.domain
         lo, hi = -np.inf, np.inf
         if not base.periodic:
@@ -237,15 +227,15 @@ class Cone:
             step[moving] = g[moving] / gp[moving]
             t[active] = np.clip(ta - step, lo, hi)
             active = active[moving & ~(np.abs(step) < _NEWTON_TOL)]
-        return float(t[0]) if dirs.ndim == 1 else t
+        return t
 
 
 class CircularCone(Cone):
     """Right circular cone with half angle psi0; closed-form chart."""
 
     def __init__(self, psi0):
-        self.psi0 = _half_angle(psi0)
-        super().__init__(circular_base(self.psi0))
+        super().__init__(circular_base(psi0))
+        self.psi0 = float(psi0)
 
 
 def cone_point(cone, t, u):
@@ -373,7 +363,7 @@ def curve_from_chart(base: SphericalBaseCurve, chart: ChartCurve) -> SpaceCurve:
             yj = jt.jet_compose(yj, tj)
         return jt.jet_product(chart.u_jet(s, order), yj)
 
-    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], chart.domain, jet=jet)
+    return SpaceCurve(lambda s: jet(s, 0)[0], chart.domain, jet=jet)
 
 
 def geodesic_curvature(cone, curve, s):

@@ -4,6 +4,8 @@ Curves are immutable after construction and every operation is a pure
 function of its inputs, so concurrent evaluation is safe.
 """
 
+import os
+import tempfile
 from functools import cached_property
 
 import numpy as np
@@ -24,6 +26,8 @@ UNIT_TOL = {"analytic": 1e-12, "finite-difference": 1e-5}
 SAMPLE_ORDER = 3
 # most points per integrand call of the adaptive Simpson quadrature
 _SIMPSON_BLOCK = 1024
+# most grid points per curve.jet call of sample_curve: bounds its stencil temporaries
+_JET_BLOCK = 4096
 
 
 class Record:
@@ -211,10 +215,6 @@ class SpaceCurve:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def from_function(fn, domain, jet=None, h=None):
-        return SpaceCurve(fn, domain, jet=jet, h=h)
-
-    @staticmethod
     def from_samples(s, points):
         """Sampled curve with cubic Hermite interpolation between nodes."""
         s = np.asarray(s, dtype=float)
@@ -257,8 +257,7 @@ def circle_curve(radius=1.0, center=(0.0, 0.0, 0.0), turns=1.0):
             lambda: np.stack([-cos / r, -sin / r, zero], axis=-1),
             lambda: np.stack([sin / r**2, -cos / r**2, zero], axis=-1))
 
-    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, 2 * np.pi * r * turns),
-                                    jet=jet)
+    return SpaceCurve(lambda s: jet(s, 0)[0], (0.0, 2 * np.pi * r * turns), jet=jet)
 
 
 def helix_curve(radius, pitch, center=(0.0, 0.0, 0.0), turns=2.0):
@@ -279,8 +278,7 @@ def helix_curve(radius, pitch, center=(0.0, 0.0, 0.0), turns=2.0):
             lambda: np.stack([-R * cos / c**2, -R * sin / c**2, np.zeros_like(th)], axis=-1),
             lambda: np.stack([R * sin / c**3, -R * cos / c**3, np.zeros_like(th)], axis=-1))
 
-    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, 2 * np.pi * c * turns),
-                                    jet=jet)
+    return SpaceCurve(lambda s: jet(s, 0)[0], (0.0, 2 * np.pi * c * turns), jet=jet)
 
 
 def line_curve(point, direction, length=1.0):
@@ -297,7 +295,7 @@ def line_curve(point, direction, length=1.0):
         return jt.stack_slots(order, lambda: pos, lambda: np.broadcast_to(d, pos.shape),
                               lambda: np.zeros_like(pos), lambda: np.zeros_like(pos))
 
-    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, float(length)), jet=jet)
+    return SpaceCurve(lambda s: jet(s, 0)[0], (0.0, float(length)), jet=jet)
 
 
 # ----------------------------------------------------------------------
@@ -340,9 +338,16 @@ class CurveSamples(Record):
 
 
 def sample_curve(curve, samples=256):
-    """Evaluate the curve's jet once on sample_grid(curve, samples)."""
+    """Evaluate the curve's jet once on sample_grid(curve, samples).
+
+    The jet is taken _JET_BLOCK points per curve.jet call into one array.
+    No point's jet reads its neighbours, so the blocks are bitwise one call.
+    """
     s = _readonly(sample_grid(curve, samples))
-    return CurveSamples(curve, samples, s, _readonly(curve.jet(s, SAMPLE_ORDER)))
+    jet = np.empty((SAMPLE_ORDER + 1, s.size, 3))
+    for start in range(0, s.size, _JET_BLOCK):
+        jet[:, start:start + _JET_BLOCK] = curve.jet(s[start:start + _JET_BLOCK], SAMPLE_ORDER)
+    return CurveSamples(curve, samples, s, _readonly(jet))
 
 
 def sample_arclength(curve, samples=256):
@@ -558,9 +563,30 @@ def table_chunks(header, *columns):
         yield block_text(np.column_stack([c[start:start + TABLE_BLOCK_ROWS] for c in columns]))
 
 
+def write_text(path, chunks):
+    """Write the text chunks to a temp file beside path, then replace path with it.
+
+    A failure while the chunks are read leaves path as it was and no temp
+    file behind.  The file gets the mode a plain open would give it, 0o666
+    less the umask, not mkstemp's owner-only 0o600.
+    """
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".conegeo-")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+            umask = os.umask(0o022)  # reading the umask means setting it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_table(path, header, *columns):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(table_chunks(header, *columns))
+    write_text(path, table_chunks(header, *columns))
 
 
 def read_table(path, header):

@@ -29,8 +29,10 @@ from .cones import (
     Cone,
     CircularCone,
     SphericalBaseCurve,
+    U_MAX,
     U_MIN,
     chart_points,
+    circular_base,
     curve_from_chart,
     develop,
     geodesic_curvature_of,
@@ -121,8 +123,7 @@ def generate_rectifying(params: RectifyingParams, base: SphericalBaseCurve,
 def generate_circular_geodesic(params: RectifyingParams, psi0,
                                s_domain=None) -> SpaceCurve:
     """Closed-form geodesic on the right circular cone with half angle psi0."""
-    cone = CircularCone(psi0)
-    return generate_rectifying(params, cone.base, s_domain)
+    return generate_rectifying(params, circular_base(psi0), s_domain)
 
 
 class GeodesicIVP(Record):
@@ -201,15 +202,15 @@ def integrate_geodesic(cone: Cone, ivp: GeodesicIVP, h=1e-3,
             dt += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             du += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             if u < u_min:
-                raise VertexApproach(f"u = {u:.3g} fell below u_min = {u_min:.3g} "
-                                     f"at s = {s[len(u_out)]:.4g}")
+                raise VertexApproach(f"u = {u:.3g} fell below the chart range "
+                                     f"[{u_min:.3g}, {U_MAX:.3g}] at s = {s[len(u_out)]:.4g}")
             t_out.append(t)
             u_out.append(u)
             dt_out.append(dt)
             du_out.append(du)
     except ZeroDivisionError:  # a stage's u is exactly 0.0, the vertex
-        raise VertexApproach(f"u = 0 in an RK4 stage, below u_min = {u_min:.3g}, "
-                             f"at s = {s[len(u_out)]:.4g}") from None
+        raise VertexApproach(f"u = 0 in an RK4 stage, below the chart range "
+                             f"[{u_min:.3g}, {U_MAX:.3g}], at s = {s[len(u_out)]:.4g}") from None
     t, u, dt, du = (np.frombuffer(x) for x in (t_out, u_out, dt_out, du_out))
     cone._check_u(u)
 

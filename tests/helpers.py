@@ -111,7 +111,7 @@ def trig_jet_curve(coeff_a, coeff_b, domain):
         g3 = (sin * ks**3) @ A + (-cos * ks**3) @ B
         return np.stack([g0, g1, g2, g3])
 
-    return SpaceCurve.from_function(lambda t: jet(t)[0], domain, jet=jet)
+    return SpaceCurve(lambda t: jet(t)[0], domain, jet=jet)
 
 
 def random_trig_curve(rng, modes=3, scale=1.0, domain=(0.0, 2 * np.pi)):
@@ -165,7 +165,7 @@ def reference_circular_base(psi0):
             lambda: np.stack([sin / sp**2, -cos / sp**2, zero], axis=-1))
 
     period = 2 * np.pi * sp
-    curve = SpaceCurve.from_function(lambda t: jet(t, 0)[0], (0.0, period), jet=jet)
+    curve = SpaceCurve(lambda t: jet(t, 0)[0], (0.0, period), jet=jet)
     return SphericalBaseCurve(curve, periodic=True)
 
 
@@ -183,7 +183,7 @@ def reference_spherical_curve(base, radius):
         return jets.jet_product(rad, jets.jet_compose(yj, lin))
 
     span = base.period if base.periodic else (d1 - d0)
-    return SpaceCurve.from_function(lambda s: jet(s, 0)[0], (0.0, r * span), jet=jet)
+    return SpaceCurve(lambda s: jet(s, 0)[0], (0.0, r * span), jet=jet)
 
 
 def twisted_cubic_unit_speed():
@@ -196,7 +196,7 @@ def twisted_cubic_unit_speed():
         d3 = np.stack([zero, zero, 6 * one], axis=-1)
         return np.stack([p, d1, d2, d3])
 
-    raw = SpaceCurve.from_function(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
+    raw = SpaceCurve(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
     return reparametrize_arclength(raw)
 
 
@@ -366,8 +366,8 @@ def reference_integrate(cone, ivp, h=1e-3, drift_tol=None):
             k4 = rhs(t + h * k3[0], u + h * k3[1],
                      dt + h * k3[2], du + h * k3[3])
         except ZeroDivisionError:
-            raise VertexApproach(f"u = 0 in an RK4 stage, below u_min = {U_MIN:.3g}, "
-                                 f"at s = {s_acc + h:.4g}") from None
+            raise VertexApproach(f"u = 0 in an RK4 stage, below the chart range "
+                                 f"[{U_MIN:.3g}, {U_MAX:.3g}], at s = {s_acc + h:.4g}") from None
         t += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         u += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         dt += h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
@@ -375,7 +375,8 @@ def reference_integrate(cone, ivp, h=1e-3, drift_tol=None):
         s_acc += h
         if u < U_MIN:
             raise VertexApproach(
-                f"u = {u:.3g} fell below u_min = {U_MIN:.3g} at s = {s_acc:.4g}"
+                f"u = {u:.3g} fell below the chart range [{U_MIN:.3g}, {U_MAX:.3g}] "
+                f"at s = {s_acc:.4g}"
             )
         c = u * u * dt
         c_lo, c_hi = min(c_lo, c), max(c_hi, c)

@@ -109,7 +109,7 @@ def test_classify_backwards_rectifying_curve_fits_negative_a():
     def jet(s, order):
         return cur.jet(-s, order) * signs[:order + 1]
 
-    backwards = SpaceCurve.from_function(lambda s: cur.evaluate(-s), (-hi, -lo), jet=jet)
+    backwards = SpaceCurve(lambda s: cur.evaluate(-s), (-hi, -lo), jet=jet)
     rep = classify_rectifying_or_spherical(sample_curve(backwards))
     assert rep.label == LABEL_RECTIFYING
     assert abs(rep.fitted_a + params.a) < 1e-6 * params.a
@@ -182,7 +182,7 @@ def test_classify_mixed_subinterval_curve_is_ambiguous():
     def glued_eval(s):
         return glued_jet(s)[0]
 
-    glued = SpaceCurve.from_function(glued_eval, (-3.0, 5.0), jet=glued_jet)
+    glued = SpaceCurve(glued_eval, (-3.0, 5.0), jet=glued_jet)
     mags = position_cross(*glued.derivatives(sample_grid(glued, 256), (0, 1)))[1]
     assert (mags.max() - mags.min()) / mags.mean() < 1e-12
     rep = classify_rectifying_or_spherical(sample_curve(glued))

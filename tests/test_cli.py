@@ -24,7 +24,7 @@ from conegeo import (
     write_base_csv,
     write_curve_csv,
 )
-from conegeo import GATES, cli
+from conegeo import GATES, cli, curves
 from conegeo.cli import main
 from conegeo.errors import DegenerateFit, InvalidConfig
 from helpers import count_curve_jet_passes, count_speed_points, legacy_build_config
@@ -867,7 +867,8 @@ def test_step_above_the_rk4_bound_exits_1_naming_step(tmp_path, monkeypatch, cap
     assert "--step must be at least length/5000 = 0.001, got 0.000999" in capsys.readouterr().err
 
 
-_STAGE_AT_VERTEX = "VertexApproach: u = 0 in an RK4 stage, below u_min = 0.001, at s = 0.004"
+_STAGE_AT_VERTEX = ("VertexApproach: u = 0 in an RK4 stage, below the chart range "
+                    "[0.001, 1e+06], at s = 0.004")
 
 
 @pytest.mark.parametrize("u0,length,step,message", [
@@ -1135,7 +1136,7 @@ def test_artifacts_get_the_umask_mode(tmp_path, umask):
 
         before = rep.read_text()
         with pytest.raises(ValueError, match="chunk failed"):
-            cli._atomic_write(rep, chunks())
+            curves.write_text(rep, chunks())
         assert rep.read_text() == before
     finally:
         os.umask(old)

@@ -126,7 +126,7 @@ def test_derivative_unit_circle():
 
 def test_derivative_fd_matches_analytic():
     hx = helix_curve(0.6, 0.8)
-    fd_twin = SpaceCurve.from_function(lambda s: hx.evaluate(s), hx.domain, h=1e-4)
+    fd_twin = SpaceCurve(lambda s: hx.evaluate(s), hx.domain, h=1e-4)
     s = np.linspace(1.0, 5.0, 11)
     assert np.max(np.abs(fd_twin.derivative(s, 1) - hx.derivative(s, 1))) < 1e-9
 
@@ -134,14 +134,14 @@ def test_derivative_fd_matches_analytic():
 @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), 0.0101])
 def test_step_outside_its_range_is_refused(h):
     with pytest.raises(ValueError, match="step h must be positive and at most 1/100"):
-        SpaceCurve.from_function(np.sin, (0.0, 1.0), h=h)
+        SpaceCurve(np.sin, (0.0, 1.0), h=h)
 
 
 def test_step_and_kind_follow_the_constructor():
-    assert SpaceCurve.from_function(np.sin, (0.0, 2.0), h=0.02).h == 0.02
+    assert SpaceCurve(np.sin, (0.0, 2.0), h=0.02).h == 0.02
     s = np.linspace(0.0, 1.0, 201)
     sampled = SpaceCurve.from_samples(s, np.stack([s, s * s, s**3], axis=-1))
-    closed = SpaceCurve.from_function(np.sin, (0.0, 2.0))
+    closed = SpaceCurve(np.sin, (0.0, 2.0))
     assert (sampled.kind, sampled.h) == ("sampled", float(np.mean(np.diff(s))))
     assert (closed.kind, closed.h) == ("closed-form", 2e-4)
     # a reparametrized sampled curve has no nodes; its step is rescaled, not reset
@@ -152,7 +152,7 @@ def test_step_and_kind_follow_the_constructor():
 
 def test_derivative_constant_curve_is_zero():
     # h large enough that round-off amplification 1/h^3 stays negligible
-    const = SpaceCurve.from_function(
+    const = SpaceCurve(
         lambda s: np.broadcast_to([1.0, 2.0, 3.0], s.shape + (3,)).copy(), (0.0, 1.0),
         h=0.005,
     )
@@ -168,7 +168,7 @@ def _counting_fd_helix():
         calls.append(np.array(q))
         return hx.evaluate(q)
 
-    return SpaceCurve.from_function(evaluator, hx.domain), calls
+    return SpaceCurve(evaluator, hx.domain), calls
 
 
 @pytest.mark.parametrize("scalar", [False, True])
@@ -208,7 +208,7 @@ def test_derivatives_margin_of_highest_order():
 
 
 def test_derivative_margin_enforced():
-    fd = SpaceCurve.from_function(
+    fd = SpaceCurve(
         lambda s: np.stack([s, s**2, np.zeros_like(s)], axis=-1), (0.0, 1.0)
     )
     with pytest.raises(InsufficientMargin):
@@ -233,7 +233,7 @@ def test_reparametrize_circle_by_angle():
         d3 = np.stack([2 * np.sin(t), -2 * np.cos(t), zero], axis=-1)
         return np.stack([p, d1, d2, d3])
 
-    raw = SpaceCurve.from_function(lambda t: jet(t)[0], (0.0, 2 * np.pi), jet=jet)
+    raw = SpaceCurve(lambda t: jet(t)[0], (0.0, 2 * np.pi), jet=jet)
     unit = reparametrize_arclength(raw)
     assert abs(unit.length - 4 * np.pi) < 1e-9
     s = np.linspace(*unit.domain, 65)
@@ -250,7 +250,7 @@ def test_reparametrize_cubic_against_quadrature_oracle():
         d3 = np.stack([6 * np.ones_like(t), zero, zero], axis=-1)
         return np.stack([p, d1, d2, d3])
 
-    raw = SpaceCurve.from_function(lambda t: jet(t)[0], (0.0, 1.0), jet=jet)
+    raw = SpaceCurve(lambda t: jet(t)[0], (0.0, 1.0), jet=jet)
     unit = reparametrize_arclength(raw)
     # oracle: dense trapezoid quadrature of the speed 3 t^2 + 1
     t = np.linspace(0.0, 1.0, 200001)
@@ -277,7 +277,7 @@ def test_reparametrize_singular_speed():
         d2 = np.stack([2 * np.ones_like(t), zero, zero], axis=-1)
         return np.stack([p, d1, d2, np.zeros_like(p)])
 
-    cusp = SpaceCurve.from_function(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
+    cusp = SpaceCurve(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
     message = (r"^speed 0 below regularity threshold 2e-12 "
                r"\(1e-12 times the largest speed, 2\)$")
     with pytest.raises(SingularSpeed, match=message):
@@ -300,7 +300,7 @@ def test_simpson_stops_on_nonfinite_integrand():
 
 
 def test_reparametrize_rejects_nonfinite_speed():
-    nan_curve = SpaceCurve.from_function(
+    nan_curve = SpaceCurve(
         lambda s: np.where(s[:, None] > 0.5, np.nan, s[:, None] * [1.0, 0.0, 0.0]),
         (0.0, 1.0))
     with pytest.raises(SingularSpeed):
@@ -424,7 +424,7 @@ def test_reparametrize_kinked_speed_matches_reference(monkeypatch):
         x = t + 0.5 * np.sign(t - c) * (t - c) ** 2
         return np.stack([x, np.zeros_like(t), np.zeros_like(t)], axis=-1)
 
-    curve = SpaceCurve.from_function(fn, (0.0, 1.0))
+    curve = SpaceCurve(fn, (0.0, 1.0))
     sizes = count_speed_points(monkeypatch)
     reparametrize_arclength(curve)
     # the scan, the odd table nodes and two full Simpson levels are 16,385
@@ -500,7 +500,7 @@ def test_frame_orthonormality_analytic_and_fd():
     assert np.max(np.linalg.norm(np.cross(fr.tangent, fr.normal) - fr.binormal,
                                  axis=-1)) < 1e-8
 
-    fd_twin = SpaceCurve.from_function(lambda q: unit.evaluate(q), unit.domain)
+    fd_twin = SpaceCurve(lambda q: unit.evaluate(q), unit.domain)
     s2 = sample_grid(fd_twin, 64)
     fr2 = frenet_apparatus(fd_twin, s2)
     for u, v in ((fr2.tangent, fr2.normal), (fr2.tangent, fr2.binormal),
@@ -590,7 +590,7 @@ def test_sample_arclength_reads_an_analytic_speed_to_1e_12(excess, kept):
     # the circle traced at speed 1 + excess: UNIT_TOL["analytic"] = 1e-12 decides
     circ, speed = circle_curve(3.0), 1.0 + excess
     powers = speed ** np.arange(4)[:, None, None]
-    fast = SpaceCurve.from_function(
+    fast = SpaceCurve(
         lambda s: circ.evaluate(speed * s), (0.0, 10.0),
         jet=lambda s, order: circ.jet(speed * s, order) * powers[:order + 1])
     assert fast.derivative_mode == "analytic"
@@ -613,6 +613,50 @@ def test_sample_curve_of_a_ruling_builds_frames_on_read():
     assert np.max(np.linalg.norm(cs.jet[2], axis=-1)) == 0.0
     with pytest.raises(VanishingCurvature):
         cs.frames
+
+
+def _generated_rows(n):
+    # the curve read from an n-row `generate --psi0=0.8 --a=1.3 --b=0.2 --c=0.1` CSV
+    cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
+    s = np.linspace(*cur.domain, n)
+    return SpaceCurve.from_samples(s, cur.evaluate(s))
+
+
+def _reparametrized_64_rows():
+    # classify samples this curve at the arc length of its 64 rows
+    rows = _generated_rows(64)
+    unit = reparametrize_arclength(rows)
+    assert unit is not rows
+    return unit
+
+
+def test_sample_curve_holds_one_block_of_jet_temporaries():
+    # in one curve.jet call the stencil and Hermite temporaries of every
+    # grid point are held at once, about 960 bytes a sample
+    curve, n = _reparametrized_64_rows(), 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cs = sample_curve(curve, n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cs.s.size == n
+    assert peak <= 300 * n, f"sample_curve peaked at {peak / n:.0f} bytes per sample"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_circular_geodesic(RectifyingParams(1.1, 0.2, 0.3), 0.8),
+    lambda: perturbed_circle_base(1.1, seed=3).curve,
+    lambda: _generated_rows(1024),
+    _reparametrized_64_rows,
+], ids=["analytic", "perturbed-base", "sampled", "reparametrized"])
+def test_sample_curve_blocks_are_one_jet_call_bitwise(monkeypatch, make):
+    curve = make()
+    monkeypatch.setattr(curves_module, "_JET_BLOCK", 97)
+    cs = sample_curve(curve, 1000)
+    assert cs.s.size >= 3 * 97
+    assert_bitwise(cs.jet, curve.jet(cs.s, 3))
 
 
 # ----------------------------------------------------------------------
@@ -726,6 +770,18 @@ def test_table_chunks_refuse_columns_of_different_lengths():
     for n in (1024, 1100):
         with pytest.raises(ValueError):
             "".join(table_chunks("s,x,y,z", np.zeros(n), np.zeros((2148 - n, 3))))
+
+
+def test_write_curve_csv_failing_after_its_first_block_keeps_the_old_file(tmp_path):
+    # the columns disagree only in the second block, after the header and
+    # the first block of text are written
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"s,x,y,z\n0.0,1.0,2.0,3.0\n")
+    s = np.arange(TABLE_BLOCK_ROWS + 10, dtype=float)
+    with pytest.raises(ValueError):
+        write_curve_csv(path, s, np.zeros((TABLE_BLOCK_ROWS + 5, 3)))
+    assert path.read_bytes() == b"s,x,y,z\n0.0,1.0,2.0,3.0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
 
 
 def test_read_table_parses_like_float(tmp_path):

@@ -210,8 +210,7 @@ def test_perturbed_base_sends_only_two_slot_jets_to_normalize(monkeypatch):
 def test_custom_jet_with_more_slots_than_asked_for():
     # a jet may return more than order + 1 slots; derivatives reads the ones asked for
     hx = helix_curve(0.6, 0.8)
-    four = SpaceCurve.from_function(hx.evaluate, hx.domain,
-                                    jet=lambda s, order: hx.jet(s))
+    four = SpaceCurve(hx.evaluate, hx.domain, jet=lambda s, order: hx.jet(s))
     s = np.linspace(1.0, 5.0, 9)
     for orders in ORDER_SETS:
         for g, k in zip(four.derivatives(s, orders), orders):

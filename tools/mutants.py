@@ -82,6 +82,17 @@ WRITER = [
     ("writer exponent from decpt > 15", "floattext.py", "(decpt <= 16)", "(decpt <= 15)"),
 ]
 
+# (label, module, text, replacement): one-line faults in the memory bound of
+# sample_curve, the file writer's cleanup and the wording of an RK4 error
+GUARDS = [
+    ("sample_curve jet block unbounded", "curves.py", "_JET_BLOCK = 4096",
+     "_JET_BLOCK = 10**12"),
+    ("file writer leaves its temp file", "curves.py", "os.unlink(tmp)", "pass"),
+    ("RK4 stage error names u_min, not the chart range", "geodesics.py",
+     'below the chart range "\n                             f"[{u_min:.3g}, {U_MAX:.3g}], at s',
+     'below u_min = {u_min:.3g}, "\n                             f"at s'),
+]
+
 # (name, module, text, its literal, the literal x10, the literal x0.1): every
 # named limit, scaled both ways; MIN_SAMPLES counts nodes, so 0.7 rounds to 1
 LIMITS = [
@@ -114,6 +125,7 @@ LIMITS = [
 def mutants():
     yield from ORACLES
     yield from WRITER
+    yield from GUARDS
     for name, module, text, literal, up, down in LIMITS:
         for factor, value in (("x10", up), ("x0.1", down)):
             yield f"{name} {factor}", module, text, text.replace(literal, value)
