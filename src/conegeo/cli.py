@@ -91,7 +91,7 @@ def _positive(params, *keys):
     for key in keys:
         value = params.get(key)
         if value is not None and not (value > 0):
-            raise InvalidConfig(f"--{key} must be positive, got {value!r}")
+            raise InvalidConfig(f"--{key.replace('_', '-')} must be positive, got {value!r}")
 
 
 def _samples(params, least):

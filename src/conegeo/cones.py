@@ -10,6 +10,7 @@ import numpy as np
 
 from . import jets as jt
 from .curves import (
+    UNIT_TOL,
     Record,
     SpaceCurve,
     circle_curve,
@@ -43,18 +44,21 @@ U_MIN = 1e-9 * U_MAX
 class SphericalBaseCurve:
     """Unit-speed curve on the unit sphere, the directrix of a cone.
 
-    Construction normalizes: curves that are not unit-speed are
-    reparametrized, points are checked to lie on the sphere.  periodic
-    marks closed bases; their evaluators accept any real t.
+    Construction checks and does not repair: points must lie on the sphere
+    and the speed must be 1 up to UNIT_TOL of the curve's derivative mode,
+    or DegenerateBase names the worst point.  periodic marks closed bases;
+    their evaluators accept any real t.
     """
 
     def __init__(self, curve: SpaceCurve, periodic=False):
         _check_on_sphere(curve.evaluate(np.linspace(*curve.domain, 257)))
         m = curve.fd_margin(1)
         scan = np.linspace(curve.domain[0] + m, curve.domain[1] - m, 257)
-        speeds = np.linalg.norm(curve.derivative(scan, 1), axis=-1)
-        if np.max(np.abs(speeds - 1.0)) > 1e-8:
-            curve = reparametrize_arclength(curve)
+        off = np.abs(np.linalg.norm(curve.derivative(scan, 1), axis=-1) - 1.0)
+        worst = int(np.argmax(off))
+        if not off[worst] <= UNIT_TOL[curve.derivative_mode]:
+            raise DegenerateBase(f"base speed is off 1 by {off[worst]:.3g} at t = "
+                                 f"{scan[worst]:.6g}; t must be arc length")
         self._curve = curve
         self.periodic = bool(periodic)
         self.period = curve.length if periodic else None
@@ -132,7 +136,7 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
     """Smooth non-circular closed spherical base near the psi0 circle.
 
     A trigonometric perturbation of the circle is projected back onto the
-    sphere; SphericalBaseCurve reparametrizes it to unit speed.  Small
+    sphere and reparametrized to unit speed by arc length.  Small
     amplitudes keep the spherical bending positive, matching the circular
     case's orientation.
     """
@@ -159,8 +163,8 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
             lambda: (np.stack([sp * np.sin(t), -sp * np.cos(t), zero], axis=-1)
                      + (sin * ks**3) @ A + (-cos * ks**3) @ B)))
 
-    curve = SpaceCurve(lambda t: raw_jet(t, 0)[0], (0.0, 2 * np.pi), jet=raw_jet)
-    return SphericalBaseCurve(curve, periodic=True)
+    raw = SpaceCurve(lambda t: raw_jet(t, 0)[0], (0.0, 2 * np.pi), jet=raw_jet)
+    return SphericalBaseCurve(reparametrize_arclength(raw), periodic=True)
 
 
 def base_from_samples(t, points):

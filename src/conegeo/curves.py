@@ -478,9 +478,11 @@ def reparametrize_arclength(curve, tol=1e-10):
     4097-node speed table, whose odd nodes are evaluated once.  Adaptive
     Simpson quadrature of the speed, seeded with that table, gives the
     cumulative length, and the inverse map is a monotone Hermite table with
-    slopes 1/speed.  Analytic input jets are chain-ruled so the result keeps
-    analytic derivative quality.  A sampled curve's stencil step is scaled
-    to the arc length, capped at 1/100 of the new domain.
+    slopes 1/speed.  Arc length counts from the first table node, one stencil
+    margin inside a sampled curve's domain.  Analytic input jets are
+    chain-ruled so the result keeps analytic derivative quality.  A sampled
+    curve's stencil step is scaled to the arc length, capped at 1/100 of the
+    new domain.
     """
     s0, s1 = curve.domain
 
@@ -510,9 +512,10 @@ def reparametrize_arclength(curve, tol=1e-10):
     table[::2] = v
     table[1::2] = speeds(tau_nodes[1::2])
     seg = _adaptive_simpson_segments(speeds, tau_nodes, table, tol)
-    # anchor arc length at the original start parameter so affine fits in s
-    # remain comparable before and after reparametrization
-    s_table = s0 + np.concatenate([[0.0], np.cumsum(seg)])
+    # the result starts at the first table node's point and keeps its label,
+    # so affine fits in s read the same before and after
+    a0 = tau_nodes[0]
+    s_table = a0 + np.concatenate([[0.0], np.cumsum(seg)])
     total = float(s_table[-1] - s_table[0])
     slopes = 1.0 / table
 
@@ -533,9 +536,9 @@ def reparametrize_arclength(curve, tol=1e-10):
     if curve.kind == "sampled":
         # SpaceCurve refuses a step above 1/100 of its domain, as a curve of
         # under 101 rows can reach once its step is rescaled
-        cap = ((s0 + total) - s0) / 100.0
+        cap = ((a0 + total) - a0) / 100.0
         h = min(curve.h * total / (s1 - s0), cap)
-    return SpaceCurve(evaluator, (s0, s0 + total), jet=jet, h=h)
+    return SpaceCurve(evaluator, (a0, a0 + total), jet=jet, h=h)
 
 
 # ----------------------------------------------------------------------

@@ -439,7 +439,8 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
 
     The speed is evaluated on the scan, again on every Simpson level and
     again for the table slopes, and a sampled curve's rescaled step is not
-    capped, so curves of under 101 rows can raise ValueError.  Kept as the
+    capped, so curves of under 101 rows can raise ValueError.  Arc length is
+    counted from the first table node, as in the current version.  Kept as the
     reference the current version must match bitwise wherever this one returns.
     """
     s0, s1 = curve.domain
@@ -463,7 +464,8 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
 
     tau_nodes = np.linspace(s0 + m, s1 - m, table_size)
     seg = reference_adaptive_simpson_segments(speed, tau_nodes, tol)
-    s_table = s0 + np.concatenate([[0.0], np.cumsum(seg)])
+    a0 = tau_nodes[0]
+    s_table = a0 + np.concatenate([[0.0], np.cumsum(seg)])
     total = float(s_table[-1] - s_table[0])
     slopes = 1.0 / speed(tau_nodes)
 
@@ -481,7 +483,7 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
             return jets.jet_reparametrize(base_jet(inverse(q)))
 
     h = curve.h * total / (s1 - s0) if curve.kind == "sampled" else None
-    return SpaceCurve(evaluator, (s0, s0 + total), jet=jet, h=h)
+    return SpaceCurve(evaluator, (a0, a0 + total), jet=jet, h=h)
 
 
 def _reference_dot(a, b):

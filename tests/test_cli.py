@@ -14,6 +14,7 @@ from conegeo import (
     CircularCone,
     RectifyingParams,
     SpaceCurve,
+    base_from_samples,
     generate_circular_geodesic,
     latitude_circle,
     line_curve,
@@ -26,7 +27,7 @@ from conegeo import (
 )
 from conegeo import GATES, cli, curves
 from conegeo.cli import main
-from conegeo.errors import DegenerateFit, InvalidConfig
+from conegeo.errors import DegenerateBase, DegenerateFit, InvalidConfig
 from helpers import count_curve_jet_passes, count_speed_points, legacy_build_config
 
 
@@ -287,6 +288,62 @@ def test_develop_rows_above_the_chart_range_exit_2(tmp_path, capsys, kind):
     u = float(np.linalg.norm(points[0])) * 1e100
     assert capsys.readouterr().err == f"error: VertexPoint: |point| = {u:.3g} {_RANGE}\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def angle_labelled_cone(tmp_path_factory):
+    """A general cone over the psi0 = 0.8 circle as 2049 rows labelled by angle.
+
+    Its speed is sin 0.8, not 1, so t is not arc length.  Returns the
+    directory holding base.csv, cone.json, ivp.json and a true geodesic
+    curve.csv, and the one error line every command must print.
+    """
+    root = tmp_path_factory.mktemp("angle-base")
+    theta = np.linspace(0.0, 2 * np.pi, 2049)
+    pts = CircularCone(0.8).base.evaluate(theta * np.sin(0.8))
+    pts[-1] = pts[0]
+    write_base_csv(root / "base.csv", theta, pts)
+    (root / "cone.json").write_text(json.dumps({"kind": "general", "base_csv": "base.csv"}))
+    (root / "ivp.json").write_text(json.dumps(
+        {"t0": 0.1, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}))
+    assert run_cli("generate", "--psi0=0.8", "--a=0.5", "--b=0.0", "--c=0.1",
+                   "--samples=512", "--out", root / "curve.csv") == 0
+    with pytest.raises(DegenerateBase) as info:
+        base_from_samples(theta, pts)
+    return root, f"error: DegenerateBase: {info.value}\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "develop", "integrate"])
+def test_a_base_not_labelled_by_arc_length_exits_2(angle_labelled_cone, capsys, command):
+    # the base is refused, not reparametrized: at 2049 rows that repair
+    # misplaced the seam, and verify read not-geodesic on a true geodesic
+    root, line = angle_labelled_cone
+    argv = {"generate": ["--a=0.5", "--c=0.1", "--samples=512", "--base", root / "base.csv"],
+            "verify": ["--cone", root / "cone.json", "--in", root / "curve.csv"],
+            "develop": ["--cone", root / "cone.json", "--in", root / "curve.csv"],
+            "integrate": ["--cone", root / "cone.json", "--ivp", root / "ivp.json"]}[command]
+    out = root / f"{command}.out"
+    assert run_cli(command, *argv, "--report" if command == "verify" else "--out", out) == 2
+    assert capsys.readouterr().err == line
+    assert line.startswith("error: DegenerateBase: base speed is off 1 by 0.283 at t = ")
+    assert line.endswith("; t must be arc length\n")
+    if command == "verify":
+        assert json.loads(out.read_text())["error"] == "DegenerateBase"
+    else:
+        assert not out.exists()
+
+
+def test_classify_of_a_reparametrized_csv_keeps_its_parameter_labels(tmp_path):
+    # 128 rows are off unit speed past the FD noise, so classify reparametrizes
+    # them; arc length counted from the first speed-table node keeps s, so
+    # fitted_b reads b (it read b + a m = 0.357 when counted from s0 instead)
+    csv, rep = tmp_path / "c.csv", tmp_path / "r.json"
+    assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--b=0.2", "--c=0.1",
+                   "--samples=128", "--out", csv) == 0
+    assert run_cli("classify", "--in", csv, "--report", rep) == 0
+    data = json.loads(rep.read_text())
+    assert data["label"] == "rectifying"
+    assert abs(data["fitted_b"] - 0.2) < 2e-6 and abs(data["fitted_a"] - 1.3) < 1e-6
 
 
 def test_integrate_and_develop_hold_one_text_block(tmp_path, quarter_cone_json):
@@ -1110,6 +1167,48 @@ def test_one_row_curve_csv_exits_1(tmp_path, quarter_cone_json, capsys):
     assert run_cli("verify", "--cone", quarter_cone_json, "--in", csv,
                    "--report", rep) == 1
     assert "need at least two samples" in _assert_invalid_config(capsys, rep)
+
+
+def _positive_argv(command, option, value, paths):
+    """argv of `command` valid but for --option=value; (argv, the artifact's path)."""
+    curve, cone, ivp = paths
+    out = {"generate": "--out", "integrate": "--out"}.get(command, "--report")
+    argv = {"generate": ["--psi0=0.8"],
+            "crosscheck": ["--psi0=0.8"],
+            "integrate": ["--cone", cone, "--ivp", ivp],
+            "classify": ["--in", curve],
+            "verify": ["--cone", cone, "--in", curve]}[command]
+    if option != "a" and command in ("generate", "crosscheck"):
+        argv.append("--a=1.3")
+    artifact = curve.parent / f"{command}-{option}.out"
+    return [command, *argv, f"--{option}={value}", out, artifact], artifact
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("generate", "a", 0), ("generate", "a", -1), ("crosscheck", "a", 0),
+    ("crosscheck", "a", -1), ("integrate", "step", 0), ("classify", "tol", 0),
+    *(("verify", option.replace("_", "-"), 0) for option, _ in GATES.values()),
+])
+def test_nonpositive_option_exits_1_naming_it(geodesic_verify, capsys, command, option,
+                                             value):
+    # without the guard, classify --tol=0 says neither and verify --kg-tol=0
+    # not-geodesic on a true geodesic, both at exit 0
+    curve, cone, _ = geodesic_verify
+    ivp = curve.parent / "ivp.json"
+    ivp.write_text(json.dumps({"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}))
+    argv, artifact = _positive_argv(command, option, value, (curve, cone, ivp))
+    assert run_cli(*argv) == 1
+    assert _assert_invalid_config(capsys, artifact) == (
+        f"error: InvalidConfig: --{option} must be positive, got {float(value)!r}\n")
+
+
+@pytest.mark.parametrize("smin,smax", [(2.0, 1.0), (1.0, 1.0)])
+def test_generate_window_must_not_be_empty(tmp_path, capsys, smin, smax):
+    out = tmp_path / "c.csv"
+    assert run_cli("generate", "--a=1.3", "--psi0=0.8", f"--smin={smin}", f"--smax={smax}",
+                   "--out", out) == 1
+    assert _assert_invalid_config(capsys, out) == (
+        "error: InvalidConfig: --smin must be below --smax\n")
 
 
 def test_negative_seed_exits_1(tmp_path, capsys):

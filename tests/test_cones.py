@@ -10,6 +10,7 @@ from conegeo import (
     Cone,
     RectifyingParams,
     SpaceCurve,
+    SphericalBaseCurve,
     base_from_samples,
     chart_coordinates,
     chart_curve,
@@ -638,6 +639,72 @@ def test_base_from_samples_rejects_off_sphere():
     pts = 1.01 * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
     with pytest.raises(DegenerateBase):
         base_from_samples(t, pts)
+
+
+def _sped_up(curve, k):
+    """y(k t): the curve at k times its speed, its jet chain-ruled."""
+    d0, d1 = curve.domain
+    scale = k ** np.arange(4)[:, None, None]
+
+    def jet(t, order):
+        return curve.jet(k * t, order) * scale[:order + 1]
+
+    return SpaceCurve(lambda t: curve.evaluate(k * t), (d0 / k, d1 / k), jet=jet)
+
+
+def _named_speed(curve, message):
+    """The deviation and the t that a DegenerateBase speed message names, and |speed - 1| there."""
+    head, _, rest = message.partition(" at t = ")
+    assert head.startswith("base speed is off 1 by ") and rest.endswith("; t must be arc length")
+    t = float(rest.split(";")[0])
+    return float(head.rsplit(" ", 1)[1]), t, abs(np.linalg.norm(curve.derivative(t, 1)) - 1.0)
+
+
+@pytest.mark.parametrize("k", [np.sin(0.8), 1.0 + 1e-9, 1.3])
+def test_analytic_base_off_unit_speed_is_refused(monkeypatch, k):
+    # analytic bases are held to UNIT_TOL["analytic"] = 1e-12, and none is repaired
+    monkeypatch.setattr(cones_module, "reparametrize_arclength", None)
+    curve = _sped_up(circular_base(0.8).curve, k)
+    with pytest.raises(DegenerateBase) as info:
+        SphericalBaseCurve(curve, periodic=True)
+    named, t, off = _named_speed(curve, str(info.value))
+    assert named == float(f"{abs(k - 1.0):.3g}") and f"{off:.3g}" == f"{named:.3g}"
+    assert curve.domain[0] <= t <= curve.domain[1]
+
+
+def _circle_rows(theta):
+    """Rows of the psi0 = 0.8 circle at polar angles theta, the last one the first."""
+    pts = circular_base(0.8).evaluate(theta * np.sin(0.8))
+    pts[-1] = pts[0]
+    return pts
+
+
+@pytest.mark.parametrize("rows", [257, 2049])
+@pytest.mark.parametrize("stretch,off", [(1.0 / np.sin(0.8), "0.283"), (1.0 + 1e-4, "0.0001")])
+def test_sampled_base_off_unit_speed_is_refused(rows, stretch, off):
+    # stretch 1/sin(0.8) labels the circle by its angle; 1 + 1e-4 is past
+    # the derivative noise UNIT_TOL["finite-difference"] = 1e-5
+    theta = np.linspace(0.0, 2 * np.pi, rows)
+    t = theta * np.sin(0.8) * stretch
+    with pytest.raises(DegenerateBase) as info:
+        base_from_samples(t, _circle_rows(theta))
+    named, at, real = _named_speed(SpaceCurve.from_samples(t, _circle_rows(theta)),
+                                   str(info.value))
+    assert f"{named:.3g}" == off == f"{real:.3g}" and t[0] < at < t[-1]
+
+
+@pytest.mark.parametrize("rows", [257, 2049])
+@pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-6])
+def test_sampled_base_labelled_by_arc_length_is_kept_as_it_is(monkeypatch, rows, stretch):
+    # a sampled base need only be unit speed to its derivative noise,
+    # UNIT_TOL["finite-difference"] = 1e-5, and it keeps its nodes and labels
+    monkeypatch.setattr(cones_module, "reparametrize_arclength", None)
+    theta = np.linspace(0.0, 2 * np.pi, rows)
+    t = theta * np.sin(0.8) * stretch
+    base = base_from_samples(t, _circle_rows(theta))
+    assert base.curve.kind == "sampled" and base.domain == (t[0], t[-1])
+    assert base.period == t[-1] - t[0]
+    assert_bitwise(base.curve.nodes[0], t)
 
 
 def test_develop_rejects_nonpositive_radius():

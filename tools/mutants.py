@@ -83,7 +83,8 @@ WRITER = [
 ]
 
 # (label, module, text, replacement): one-line faults in the memory bound of
-# sample_curve, the file writer's cleanup and the wording of an RK4 error
+# sample_curve, the file writer's cleanup, the wording of an RK4 error, the
+# base's unit-speed check, the arc-length anchor and the positive-option guard
 GUARDS = [
     ("sample_curve jet block unbounded", "curves.py", "_JET_BLOCK = 4096",
      "_JET_BLOCK = 10**12"),
@@ -91,6 +92,11 @@ GUARDS = [
     ("RK4 stage error names u_min, not the chart range", "geodesics.py",
      'below the chart range "\n                             f"[{u_min:.3g}, {U_MAX:.3g}], at s',
      'below u_min = {u_min:.3g}, "\n                             f"at s'),
+    ("base speed check loosened to 1.0", "cones.py",
+     "if not off[worst] <= UNIT_TOL[curve.derivative_mode]:", "if not off[worst] <= 1.0:"),
+    ("arc length anchored at s0 again", "curves.py", "a0 = tau_nodes[0]", "a0 = s0"),
+    ("positive-option guard lets 0 through", "cli.py",
+     "not (value > 0)", "value < 0"),
 ]
 
 # (name, module, text, its literal, the literal x10, the literal x0.1): every
