@@ -75,35 +75,41 @@ def report_json_text(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _check_writable(path, key):
+# ----------------------------------------------------------------------
+# each option's own rule, rule(flag, value), applied to a given value only
+
+
+def _check_nothing(flag, value):
+    """No rule of its own: an input its loader checks, or any finite number."""
+
+
+def _check_positive(flag, value):
+    if not (value > 0):
+        raise InvalidConfig(f"{flag} must be positive, got {value!r}")
+
+
+def _check_non_negative(flag, value):
+    if value < 0:
+        raise InvalidConfig(f"{flag} must be non-negative, got {value!r}")
+
+
+def _check_samples(least):
+    """The rule keeping --samples in [least, MAX_SAMPLES]."""
+    floor = "positive" if least == 1 else f"at least {least}"
+
+    def check(flag, n):
+        if n < least:
+            raise InvalidConfig(f"{flag} must be {floor}, got {n!r}")
+        if n > MAX_SAMPLES:
+            raise InvalidConfig(f"{flag} must be at most {MAX_SAMPLES}, got {n!r}")
+
+    return check
+
+
+def _check_writable(flag, path):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     if not os.path.isdir(directory):
-        raise InvalidConfig(f"--{key}: directory {directory!r} does not exist")
-
-
-def _require(params, *keys):
-    for key in keys:
-        if params.get(key) is None:
-            raise InvalidConfig(f"missing required option --{key}")
-
-
-def _positive(params, *keys):
-    for key in keys:
-        value = params.get(key)
-        if value is not None and not (value > 0):
-            raise InvalidConfig(f"--{key.replace('_', '-')} must be positive, got {value!r}")
-
-
-def _samples(params, least):
-    """Keep --samples in [least, MAX_SAMPLES], checked before anything is allocated."""
-    n = params.get("samples")
-    if n is None:
-        return
-    if n < least:
-        floor = "positive" if least == 1 else f"at least {least}"
-        raise InvalidConfig(f"--samples must be {floor}, got {n!r}")
-    if n > MAX_SAMPLES:
-        raise InvalidConfig(f"--samples must be at most {MAX_SAMPLES}, got {n!r}")
+        raise InvalidConfig(f"{flag}: directory {directory!r} does not exist")
 
 
 # ----------------------------------------------------------------------
@@ -174,85 +180,61 @@ def _load_ivp(path):
 
 
 # ----------------------------------------------------------------------
-# command handlers
+# command handlers: each takes the checked options, keeps the rules that join
+# two options or read an input, and returns its artifact's text chunks, which
+# run writes to the command's output option
 
 
 def _cmd_generate(p):
-    _require(p, "a", "out")
-    _positive(p, "a")
-    _samples(p, 2)
-    if (p.get("psi0") is None) == (p.get("base") is None):
+    if (p["psi0"] is None) == (p["base"] is None):
         raise InvalidConfig("exactly one of --psi0 or --base is required")
-    _check_writable(p["out"], "out")
-    params = RectifyingParams(p["a"], p.get("b") or 0.0, p.get("c") or 0.0)
-    s_domain = None
-    if p.get("smin") is not None or p.get("smax") is not None:
-        _require(p, "smin", "smax")
-        if not p["smin"] < p["smax"]:
-            raise InvalidConfig("--smin must be below --smax")
-        s_domain = (p["smin"], p["smax"])
-    if p.get("psi0") is not None:
+    params = RectifyingParams(p["a"], p["b"], p["c"])
+    s_domain = (p["smin"], p["smax"])
+    if s_domain == (None, None):
+        s_domain = None
+    elif None in s_domain:
+        raise InvalidConfig(f"missing required option --{'smin' if p['smin'] is None else 'smax'}")
+    elif not p["smin"] < p["smax"]:
+        raise InvalidConfig("--smin must be below --smax")
+    if p["psi0"] is not None:
         curve = generate_circular_geodesic(params, p["psi0"], s_domain)
     else:
         base = _load_table(p["base"], "base", read_base_csv, base_from_samples)
         curve = generate_rectifying(params, base, s_domain)
-    n = int(p.get("samples") or 1024)
-    s = np.linspace(*curve.domain, n)
-    write_text(p["out"], curve_csv_text(s, curve.evaluate(s)))
-    return 0
+    s = np.linspace(*curve.domain, p["samples"])
+    return curve_csv_text(s, curve.evaluate(s))
 
 
 def _cmd_classify(p):
-    _require(p, "in", "report")
-    _samples(p, 1)
-    _positive(p, "tol")
-    _check_writable(p["report"], "report")
-    cs = sample_arclength(_load_curve(p["in"]), int(p.get("samples") or 256))
-    report = classify_rectifying_or_spherical(cs, tol=p.get("tol"))
-    payload = report.to_dict()
+    cs = sample_arclength(_load_curve(p["in"]), p["samples"])
+    payload = classify_rectifying_or_spherical(cs, tol=p["tol"]).to_dict()
     try:
         payload.update(fit_slant_axis(cs).to_dict())
     except DegenerateFit:
         payload.update(dict.fromkeys(SlantAxisFit.fields),
                        slant_fit_error="DegenerateFit")
-    write_text(p["report"], [report_json_text(payload)])
-    return 0
+    return [report_json_text(payload)]
 
 
 def _cmd_integrate(p):
-    _require(p, "cone", "ivp", "out")
-    _positive(p, "step")
-    _check_writable(p["out"], "out")
     cone = _load_cone(p["cone"])
-    ivp = _load_ivp(p["ivp"])
-    h = p.get("step") or 1e-3
+    ivp, h = _load_ivp(p["ivp"]), p["step"]
     if not (ivp.length / h <= MAX_RK4_STEPS):
         raise InvalidConfig(f"--step must be at least length/{MAX_RK4_STEPS} = "
                             f"{ivp.length / MAX_RK4_STEPS:.3g}, got {h!r}")
     chart = integrate_geodesic(cone, ivp, h=h)
-    points = chart.u[:, None] * cone.base.evaluate(chart.t)
-    write_text(p["out"], curve_csv_text(chart.s, points))
-    return 0
+    return curve_csv_text(chart.s, chart.u[:, None] * cone.base.evaluate(chart.t))
 
 
 def _cmd_develop(p):
-    _require(p, "cone", "in", "out")
-    _check_writable(p["out"], "out")
     cone = _load_cone(p["cone"])
     s, points = _load_table(p["in"], "in", read_curve_csv)
-    planar = develop(*chart_points(cone, points))
-    write_text(p["out"], development_csv_text(s, planar))
-    return 0
+    return development_csv_text(s, develop(*chart_points(cone, points)))
 
 
 def _cmd_verify(p):
-    _require(p, "cone", "in", "report")
-    _samples(p, 1)
-    _positive(p, *(option for option, _ in GATES.values()))
-    _check_writable(p["report"], "report")
-    cone = _load_cone(p["cone"])
-    curve = _load_curve(p["in"])
-    cs = sample_arclength(curve, int(p.get("samples") or 256))
+    cone, curve = _load_cone(p["cone"]), _load_curve(p["in"])
+    cs = sample_arclength(curve, p["samples"])
     # every row is charted, so a row between the sampled ones is read too;
     # the gates read the sampled rows' (t, u) from that one chart
     s_rows, rows = curve.nodes
@@ -261,26 +243,14 @@ def _cmd_verify(p):
     if cs.curve is curve:  # sampled on its own rows, not reparametrized
         sampled = np.searchsorted(s_rows, cs.s)
         chart = (t[sampled], u[sampled])
-    limits = {name: p[option] for name, (option, _) in GATES.items()
-              if p.get(option) is not None}
-    report = verify_geodesic(cone, cs, limits, chart)
-    write_text(p["report"], [report_json_text(report.to_dict())])
-    return 0
+    limits = {name: p[option] for name, (option, _) in GATES.items()}
+    return [report_json_text(verify_geodesic(cone, cs, limits, chart).to_dict())]
 
 
 def _cmd_crosscheck(p):
-    _require(p, "a", "psi0", "report")
-    _positive(p, "a")
-    _samples(p, 1)
-    if p.get("seed") is not None and p["seed"] < 0:
-        raise InvalidConfig(f"--seed must be non-negative, got {p['seed']!r}")
-    _check_writable(p["report"], "report")
-    report = cross_check_circular_cone(
-        p["a"], p.get("b") or 0.0, p.get("c") or 0.0, p["psi0"],
-        seed=int(p.get("seed") or 0), samples=int(p.get("samples") or 256),
-    )
-    write_text(p["report"], [report_json_text(report.to_dict())])
-    return 0
+    report = cross_check_circular_cone(p["a"], p["b"], p["c"], p["psi0"],
+                                       seed=p["seed"], samples=p["samples"])
+    return [report_json_text(report.to_dict())]
 
 
 # command -> (handler, one-line help), in --help order
@@ -315,22 +285,56 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfig(message)
 
 
-# command -> {dest: type}; option --kg-tol has dest kg_tol.  Command-line
-# values and --config values are both read as these types.
+class _Option(Record):
+    """An option's type, its value when absent (none if _REQUIRED), its rule and its help."""
+
+    fields = ("type", "default", "rule", "help")
+
+
+_REQUIRED = object()
+_INPUT = _Option(str, _REQUIRED, _check_nothing, None)
+_OUTPUT = _Option(str, _REQUIRED, _check_writable, None)
+_SLOPE = _Option(float, _REQUIRED, _check_positive, None)
+_OFFSET = _Option(float, 0.0, _check_nothing, None)
+_ANY = _Option(float, None, _check_nothing, None)
+_SAMPLES = _Option(int, 256, _check_samples(1), None)
+
+# command -> {dest: _Option}, in --help order; option --kg-tol has dest kg_tol.
+# Command-line values and --config values are both read as the row's type.
 _OPTIONS = {
-    "generate": {"a": float, "b": float, "c": float, "psi0": float, "base": str,
-                 "smin": float, "smax": float, "samples": int, "out": str},
-    "classify": {"in": str, "samples": int, "tol": float, "report": str},
-    "integrate": {"cone": str, "ivp": str, "step": float, "out": str},
-    "develop": {"cone": str, "in": str, "out": str},
-    "verify": {"cone": str, "in": str, "samples": int,
-               **{option: float for option, _ in GATES.values()}, "report": str},
-    "crosscheck": {"a": float, "b": float, "c": float, "psi0": float, "seed": int,
-                   "samples": int, "report": str},
+    "generate": {"a": _SLOPE, "b": _OFFSET, "c": _OFFSET,
+                 "psi0": _Option(float, None, _check_nothing, "circular-cone half angle"),
+                 "base": _Option(str, None, _check_nothing,
+                                 "base curve CSV (t,x,y,z) for a general cone"),
+                 "smin": _ANY, "smax": _ANY,
+                 "samples": _Option(int, 1024, _check_samples(2), None), "out": _OUTPUT},
+    "classify": {"in": _INPUT, "samples": _SAMPLES,
+                 "tol": _Option(float, None, _check_positive, None), "report": _OUTPUT},
+    "integrate": {"cone": _INPUT, "ivp": _INPUT,
+                  "step": _Option(float, 1e-3, _check_positive, None), "out": _OUTPUT},
+    "develop": {"cone": _INPUT, "in": _INPUT, "out": _OUTPUT},
+    "verify": {"cone": _INPUT, "in": _INPUT, "samples": _SAMPLES,
+               **{option: _Option(float, limit, _check_positive, None)
+                  for option, limit in GATES.values()}, "report": _OUTPUT},
+    "crosscheck": {"a": _SLOPE, "b": _OFFSET, "c": _OFFSET,
+                   "psi0": _Option(float, _REQUIRED, _check_nothing, "circular-cone half angle"),
+                   "seed": _Option(int, 0, _check_non_negative, None),
+                   "samples": _SAMPLES, "report": _OUTPUT},
 }
 
-_OPTION_HELP = {"psi0": "circular-cone half angle",
-                "base": "base curve CSV (t,x,y,z) for a general cone"}
+
+def _checked(command, params):
+    """params checked by their rows, every missing one named first, then filled with defaults."""
+    rows = _OPTIONS[command].items()
+    for key, row in rows:
+        if params[key] is None and row.default is _REQUIRED:
+            raise InvalidConfig(f"missing required option --{key}")
+    for key, row in rows:
+        if params[key] is not None:
+            row.rule("--" + key.replace("_", "-"), params[key])
+    # a zero reads as the default, so --b=-0.0 runs as --b=0
+    return {key: params[key] if row.default in (None, _REQUIRED) else params[key] or row.default
+            for key, row in rows}
 
 
 def _top_parser():
@@ -354,9 +358,9 @@ def _top_parser():
 
 def _command_parser(command):
     parser = _Parser(prog=f"conegeo {command}", description=_COMMANDS[command][1])
-    for dest, kind in _OPTIONS[command].items():
-        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
-                            help=_OPTION_HELP.get(dest))
+    for dest, row in _OPTIONS[command].items():
+        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=row.type,
+                            help=row.help)
     return parser
 
 
@@ -382,12 +386,12 @@ def _merge_config(params, path, command):
     section = _read_json(path, "config").get(command, {})
     if not isinstance(section, dict):
         raise InvalidConfig(f"--config: section {command!r} must be an object")
-    types = _OPTIONS[command]
+    rows = _OPTIONS[command]
     for key, value in section.items():
         key = key.replace("-", "_")
-        if key not in types:
+        if key not in rows:
             raise InvalidConfig(f"--config: unknown option {key!r} for {command}")
-        value = _coerce(key, types[key], value)  # checked even where overridden
+        value = _coerce(key, rows[key].type, value)  # checked even where overridden
         if params[key] is None:
             params[key] = value
 
@@ -415,9 +419,9 @@ def _read_plain(argv):
             return None
     if not rest or rest[0] not in _OPTIONS:
         return None
-    command, types = rest[0], _OPTIONS[rest[0]]
-    flags = {"--" + dest.replace("_", "-"): dest for dest in types}
-    params = dict.fromkeys(types)
+    command, rows = rest[0], _OPTIONS[rest[0]]
+    flags = {"--" + dest.replace("_", "-"): dest for dest in rows}
+    params = dict.fromkeys(rows)
     tokens = iter(rest[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")
@@ -427,7 +431,7 @@ def _read_plain(argv):
         if dest is None or value is None or not _is_value(value):
             return None
         try:
-            params[dest] = types[dest](value)
+            params[dest] = rows[dest].type(value)
         except ValueError:
             return None
     return config, command, params
@@ -457,7 +461,10 @@ def build_config(argv):
 
 
 def run(config: RunConfig):
-    return _COMMANDS[config.command][0](config.params)
+    params = _checked(config.command, config.params)
+    output = next(key for key, row in _OPTIONS[config.command].items() if row is _OUTPUT)
+    write_text(params[output], _COMMANDS[config.command][0](params))
+    return 0
 
 
 def _print_error(name, exc):
@@ -483,8 +490,7 @@ def main(argv=None):
         report_path = config.params.get("report") if config else None
         if report_path:
             try:
-                write_text(report_path,
-                              [report_json_text({"error": name, "message": str(exc)})])
+                write_text(report_path, [report_json_text({"error": name, "message": str(exc)})])
             except (OSError, ValueError):
                 pass
         return 2

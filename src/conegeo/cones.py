@@ -18,7 +18,8 @@ from .curves import (
     read_table,
     reparametrize_arclength,
     sample_grid,
-    write_table,
+    table_chunks,
+    write_text,
 )
 from .errors import (
     BaseDomainExceeded,
@@ -46,53 +47,48 @@ class SphericalBaseCurve:
 
     Construction checks and does not repair: points must lie on the sphere
     and the speed must be 1 up to UNIT_TOL of the curve's derivative mode,
-    or DegenerateBase names the worst point.  periodic marks closed bases;
-    their evaluators accept any real t.
+    or DegenerateBase names the worst point: a sampled base's speed at every
+    row, from its interpolant's node slopes, any other at 257 points.
+    periodic marks closed bases; their evaluators accept any real t.
     """
 
     def __init__(self, curve: SpaceCurve, periodic=False):
         _check_on_sphere(curve.evaluate(np.linspace(*curve.domain, 257)))
-        m = curve.fd_margin(1)
-        scan = np.linspace(curve.domain[0] + m, curve.domain[1] - m, 257)
-        off = np.abs(np.linalg.norm(curve.derivative(scan, 1), axis=-1) - 1.0)
+        if curve.nodes is None:
+            m = curve.fd_margin(1)
+            at = np.linspace(curve.domain[0] + m, curve.domain[1] - m, 257)
+            velocity = curve.derivative(at, 1)
+        else:
+            at, velocity = curve.nodes[0], jt.node_slopes(*curve.nodes)
+        off = np.abs(np.linalg.norm(velocity, axis=-1) - 1.0)
         worst = int(np.argmax(off))
         if not off[worst] <= UNIT_TOL[curve.derivative_mode]:
             raise DegenerateBase(f"base speed is off 1 by {off[worst]:.3g} at t = "
-                                 f"{scan[worst]:.6g}; t must be arc length")
-        self._curve = curve
+                                 f"{at[worst]:.6g}; t must be arc length")
+        self.curve = curve
+        self.domain = curve.domain
         self.periodic = bool(periodic)
         self.period = curve.length if periodic else None
-
-    @property
-    def domain(self):
-        return self._curve.domain
-
-    @property
-    def curve(self):
-        return self._curve
 
     def _wrap(self, t):
         if not self.periodic:
             return t
-        t0 = self._curve.domain[0]
+        t0 = self.domain[0]
         return t0 + np.mod(np.asarray(t, dtype=float) - t0, self.period)
 
     def evaluate(self, t):
-        return self._curve.evaluate(self._wrap(t))
-
-    def _wraps_stencil(self):
-        # periodic sampled bases wrap the stencil itself so evaluation near
-        # the seam does not run into domain margins
-        return self.periodic and self._curve.derivative_mode == "finite-difference"
+        return self.curve.evaluate(self._wrap(t))
 
     def derivatives(self, t, orders):
         """Derivatives of the given orders at t in one pass; order 0 is y(t)."""
-        if self._wraps_stencil():
+        # periodic sampled bases wrap the stencil itself so evaluation near
+        # the seam does not run into domain margins
+        if self.periodic and self.curve.derivative_mode == "finite-difference":
             jt.top_order(orders)
             arr = np.asarray(t, dtype=float)
-            out = jt.fd_derivatives(self.evaluate, np.atleast_1d(arr), orders, self._curve.h)
+            out = jt.fd_derivatives(self.evaluate, np.atleast_1d(arr), orders, self.curve.h)
             return [o[0] for o in out] if arr.ndim == 0 else out
-        return self._curve.derivatives(self._wrap(t), orders)
+        return self.curve.derivatives(self._wrap(t), orders)
 
     def jet(self, t, order=3):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -101,7 +97,7 @@ class SphericalBaseCurve:
     def contains_range(self, t_lo, t_hi, margin=0.0):
         if self.periodic:
             return True
-        d0, d1 = self._curve.domain
+        d0, d1 = self.domain
         return t_lo >= d0 + margin and t_hi <= d1 - margin
 
 
@@ -132,20 +128,20 @@ def circular_base(psi0):
                               periodic=True)
 
 
-def perturbed_circle_base(psi0, seed=0, amplitude=0.04, modes=3):
+def perturbed_circle_base(psi0, seed=0, amplitude=0.04):
     """Smooth non-circular closed spherical base near the psi0 circle.
 
-    A trigonometric perturbation of the circle is projected back onto the
-    sphere and reparametrized to unit speed by arc length.  Small
-    amplitudes keep the spherical bending positive, matching the circular
-    case's orientation.
+    A three-harmonic trigonometric perturbation of the circle is projected
+    back onto the sphere and reparametrized to unit speed by arc length.
+    Small amplitudes keep the spherical bending positive, matching the
+    circular case's orientation.
     """
     psi0 = _half_angle(psi0)
     rng = np.random.default_rng(seed)
     sp, cp = np.sin(psi0), np.cos(psi0)
-    ks = np.arange(1, modes + 1)
-    A = rng.normal(size=(modes, 3)) * amplitude / ks[:, None] ** 2
-    B = rng.normal(size=(modes, 3)) * amplitude / ks[:, None] ** 2
+    ks = np.arange(1, 4)
+    A = rng.normal(size=(ks.size, 3)) * amplitude / ks[:, None] ** 2
+    B = rng.normal(size=(ks.size, 3)) * amplitude / ks[:, None] ** 2
 
     def raw_jet(t, order):
         t = np.atleast_1d(t)
@@ -435,15 +431,14 @@ def spherical_curve(base: SphericalBaseCurve, radius):
     return _latitude(base, r, d0, base.period if base.periodic else (d1 - d0))
 
 
-def latitude_circle(cone, u0, t_start=None, t_span=None):
-    """The constant-u curve s -> u0 * y(t0 + s/u0), unit speed in s."""
+def latitude_circle(cone, u0, t_span=None):
+    """The constant-u curve s -> u0 * y(t0 + s/u0) from the base's first usable t0."""
     u0 = float(u0)
     cone._check_u(np.asarray(u0))
     base = cone.base
     d0, d1 = base.domain
     margin = 0.0 if base.periodic else base.curve.fd_margin(3)
-    if t_start is None:
-        t_start = d0 + margin
+    t_start = d0 + margin
     if t_span is None:
         t_span = (d1 - d0) - 2 * margin
     if not base.contains_range(t_start, t_start + t_span):
@@ -509,4 +504,4 @@ def read_base_csv(path):
 
 
 def write_base_csv(path, t, points):
-    write_table(path, "t,x,y,z", t, points)
+    write_text(path, table_chunks("t,x,y,z", t, points))

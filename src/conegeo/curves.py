@@ -26,6 +26,7 @@ UNIT_TOL = {"analytic": 1e-12, "finite-difference": 1e-5}
 SAMPLE_ORDER = 3
 # most points per integrand call of the adaptive Simpson quadrature
 _SIMPSON_BLOCK = 1024
+_ARCLENGTH_TOL = 1e-10  # absolute error the arc-length quadrature shares out
 # most grid points per curve.jet call of sample_curve: bounds its stencil temporaries
 _JET_BLOCK = 4096
 
@@ -470,7 +471,7 @@ def _blocked(f, x):
     return out
 
 
-def reparametrize_arclength(curve, tol=1e-10):
+def reparametrize_arclength(curve):
     """Arc-length reparametrization of a regular curve.
 
     The speed is scanned on 2049 points; an already unit-speed curve is
@@ -511,7 +512,7 @@ def reparametrize_arclength(curve, tol=1e-10):
     table = np.empty(tau_nodes.size)
     table[::2] = v
     table[1::2] = speeds(tau_nodes[1::2])
-    seg = _adaptive_simpson_segments(speeds, tau_nodes, table, tol)
+    seg = _adaptive_simpson_segments(speeds, tau_nodes, table, _ARCLENGTH_TOL)
     # the result starts at the first table node's point and keeps its label,
     # so affine fits in s read the same before and after
     a0 = tau_nodes[0]
@@ -588,10 +589,6 @@ def write_text(path, chunks):
         raise
 
 
-def write_table(path, header, *columns):
-    write_text(path, table_chunks(header, *columns))
-
-
 def read_table(path, header):
     """Rows of a CSV file under the given header line, shape (n, columns).
 
@@ -629,7 +626,7 @@ def _check_values(path, data, ok, what, tail=""):
 
 
 def write_curve_csv(path, s, points):
-    write_table(path, "s,x,y,z", s, points)
+    write_text(path, table_chunks("s,x,y,z", s, points))
 
 
 def read_curve_csv(path):

@@ -35,6 +35,11 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+# command -> {dest: type}, the option table's types
+_TYPES = {command: {dest: row.type for dest, row in options.items()}
+          for command, options in cli._OPTIONS.items()}
+
+
 @pytest.fixture()
 def quarter_cone_json(tmp_path):
     path = tmp_path / "cone.json"
@@ -155,10 +160,13 @@ def test_verify_options_come_from_the_gate_table():
         ("clairaut_relvar", ("clairaut_tol", 1e-5)),
         ("normal_alignment_min", ("align_tol", 1e-5)),
         ("development_straightness_residual", ("straight_tol", 1e-6))]
-    assert cli._OPTIONS["verify"] == {
+    assert _TYPES["verify"] == {
         "cone": str, "in": str, "samples": int, "kg_tol": float, "clairaut_tol": float,
         "align_tol": float, "straight_tol": float, "report": str}
     assert list(cli._OPTIONS["verify"])[3:7] == [option for option, _ in GATES.values()]
+    # an absent gate option reads the gate's own limit
+    assert [cli._OPTIONS["verify"][option].default for option, _ in GATES.values()] == [
+        limit for _, limit in GATES.values()]
 
 
 @pytest.mark.parametrize("via", ["option", "config"])
@@ -1169,37 +1177,83 @@ def test_one_row_curve_csv_exits_1(tmp_path, quarter_cone_json, capsys):
     assert "need at least two samples" in _assert_invalid_config(capsys, rep)
 
 
-def _positive_argv(command, option, value, paths):
-    """argv of `command` valid but for --option=value; (argv, the artifact's path)."""
+def _valid_options(command, paths):
+    """{dest: value} of a `command` run that passes every option rule; and its artifact."""
     curve, cone, ivp = paths
-    out = {"generate": "--out", "integrate": "--out"}.get(command, "--report")
-    argv = {"generate": ["--psi0=0.8"],
-            "crosscheck": ["--psi0=0.8"],
-            "integrate": ["--cone", cone, "--ivp", ivp],
-            "classify": ["--in", curve],
-            "verify": ["--cone", cone, "--in", curve]}[command]
-    if option != "a" and command in ("generate", "crosscheck"):
-        argv.append("--a=1.3")
-    artifact = curve.parent / f"{command}-{option}.out"
-    return [command, *argv, f"--{option}={value}", out, artifact], artifact
+    options = {"generate": {"a": 1.3, "psi0": 0.8},
+               "crosscheck": {"a": 1.3, "psi0": 0.8},
+               "integrate": {"cone": cone, "ivp": ivp},
+               "develop": {"cone": cone, "in": curve},
+               "classify": {"in": curve},
+               "verify": {"cone": cone, "in": curve}}[command]
+    artifact = curve.parent / f"{command}.out"
+    output = next(dest for dest, row in cli._OPTIONS[command].items() if row is cli._OUTPUT)
+    return {**options, output: artifact}, artifact
 
 
-@pytest.mark.parametrize("command,option,value", [
-    ("generate", "a", 0), ("generate", "a", -1), ("crosscheck", "a", 0),
-    ("crosscheck", "a", -1), ("integrate", "step", 0), ("classify", "tol", 0),
-    *(("verify", option.replace("_", "-"), 0) for option, _ in GATES.values()),
-])
-def test_nonpositive_option_exits_1_naming_it(geodesic_verify, capsys, command, option,
-                                             value):
-    # without the guard, classify --tol=0 says neither and verify --kg-tol=0
-    # not-geodesic on a true geodesic, both at exit 0
+def _argv(command, options):
+    return [command, *(f"--{dest.replace('_', '-')}={value}" for dest, value in options.items())]
+
+
+@pytest.fixture(scope="module")
+def option_paths(geodesic_verify):
     curve, cone, _ = geodesic_verify
     ivp = curve.parent / "ivp.json"
     ivp.write_text(json.dumps({"t0": 0.0, "u0": 1.0, "dt0": 0.7, "du0": 0.7, "length": 2.0}))
-    argv, artifact = _positive_argv(command, option, value, (curve, cone, ivp))
-    assert run_cli(*argv) == 1
+    return curve, cone, ivp
+
+
+@pytest.mark.parametrize("command,option,value", [
+    (command, dest.replace("_", "-"), value)
+    for command, options in cli._OPTIONS.items()
+    for dest, row in options.items() if row.rule is cli._check_positive
+    for value in (0, -1)
+])
+def test_nonpositive_option_exits_1_naming_it(option_paths, capsys, command, option, value):
+    # without the guard, classify --tol=0 says neither and verify --kg-tol=0
+    # not-geodesic on a true geodesic, both at exit 0
+    options, artifact = _valid_options(command, option_paths)
+    assert run_cli(*_argv(command, {**options, option.replace("-", "_"): value})) == 1
     assert _assert_invalid_config(capsys, artifact) == (
         f"error: InvalidConfig: --{option} must be positive, got {float(value)!r}\n")
+
+
+# values each option type is probed with; its row's rule names which it refuses
+_PROBES = {int: [-1, 0, 1, cli.MAX_SAMPLES + 1], float: [-1.0, 0.0], str: ["no-dir/x.out"]}
+
+
+@pytest.mark.parametrize("command,dest", [(command, dest) for command, options
+                                          in cli._OPTIONS.items() for dest in options])
+def test_each_option_rule_refuses_through_main(option_paths, tmp_path, monkeypatch, capsys,
+                                               command, dest):
+    # a required row left out, and each probe its rule refuses, exit 1 with
+    # one line before any artifact is written; a row with a rule of its own
+    # must refuse some probe, so a new rule cannot go untested
+    monkeypatch.chdir(tmp_path)
+    row = cli._OPTIONS[command][dest]
+    flag = "--" + dest.replace("_", "-")
+    options, artifact = _valid_options(command, option_paths)
+    cases = []
+    if row.default is cli._REQUIRED:
+        cases.append(({k: v for k, v in options.items() if k != dest},
+                      f"missing required option {flag}"))
+    for value in _PROBES[row.type]:
+        try:
+            row.rule(flag, value)
+        except InvalidConfig as exc:
+            cases.append(({**options, dest: value}, str(exc)))
+    assert cases or row.rule is cli._check_nothing
+    for given, message in cases:
+        assert run_cli(*_argv(command, given)) == 1
+        assert _assert_invalid_config(capsys, artifact) == f"error: InvalidConfig: {message}\n"
+
+
+@pytest.mark.parametrize("given,missing", [("--smin=0", "--smax"), ("--smax=0", "--smin")])
+def test_generate_window_needs_both_ends(tmp_path, capsys, given, missing):
+    out = tmp_path / "c.csv"
+    assert run_cli("generate", "--a=1.3", "--psi0=0.8", given, "--out", out) == 1
+    assert _assert_invalid_config(capsys, out) == (
+        f"error: InvalidConfig: missing required option {missing}\n")
 
 
 @pytest.mark.parametrize("smin,smax", [(2.0, 1.0), (1.0, 1.0)])
@@ -1261,7 +1315,7 @@ _VALUES = {
 
 
 def _option_argvs():
-    for command, options in cli._OPTIONS.items():
+    for command, options in _TYPES.items():
         for dest, kind in options.items():
             flag = "--" + dest.replace("_", "-")
             for value in _VALUES[kind]:
@@ -1289,7 +1343,7 @@ def test_build_config_matches_legacy_parser():
 def test_build_config_config_merge_matches_legacy_parser(tmp_path):
     typed = {float: -2.5, int: 64, str: "curve.csv"}
     cfg = tmp_path / "cfg.json"
-    for command, options in cli._OPTIONS.items():
+    for command, options in _TYPES.items():
         for dest, kind in options.items():
             flag = "--" + dest.replace("_", "-")
             for key in {dest, dest.replace("_", "-")}:
@@ -1310,7 +1364,7 @@ def test_build_config_config_merge_matches_legacy_parser(tmp_path):
 
 # every command's flags, and --config, which is a flag only before the command
 _FLAGS = sorted({"--config": str, **{"--" + dest.replace("_", "-"): kind
-                                     for options in cli._OPTIONS.values()
+                                     for options in _TYPES.values()
                                      for dest, kind in options.items()}}.items())
 # every flag's proper prefixes, none of which abbreviates --help
 _PREFIXES = sorted({flag[:k] for flag, _ in _FLAGS for k in range(3, len(flag))})
@@ -1347,7 +1401,7 @@ def _argvs(draw, config_paths):
         head.insert(draw(st.integers(0, len(head))), "--")
     argv += head
     for _ in range(draw(st.integers(0, 6))):
-        dest, kind = draw(st.sampled_from(list(cli._OPTIONS[command].items())))
+        dest, kind = draw(st.sampled_from(list(_TYPES[command].items())))
         flag = "--" + dest.replace("_", "-")
         value = draw(st.sampled_from(_VALUES[kind]))
         items = [[flag, value], [f"{flag}={value}"]]
@@ -1391,7 +1445,7 @@ def test_build_config_builds_parsers_only_for_messages(monkeypatch):
 
     monkeypatch.setattr(cli, "_Parser", CountingParser)
     typed = {float: "-7.25e-05", int: "64", str: "curve.csv"}
-    for command, options in cli._OPTIONS.items():
+    for command, options in _TYPES.items():
         every = []
         for i, (dest, kind) in enumerate(options.items()):
             flag = "--" + dest.replace("_", "-")
@@ -1525,6 +1579,8 @@ def test_unexpected_handler_error_exits_2(tmp_path, monkeypatch, capsys, exc):
     assert err == f"error: {name}: {' '.join(str(exc).splitlines())}\n"
     assert json.loads(rep.read_text()) == {"error": name, "message": str(exc)}
     monkeypatch.setitem(cli._COMMANDS, "develop", (broken, "broken"))
-    assert run_cli("develop", "--out", tmp_path / "d.csv") == 2
+    # the option rules run before the handler, so the run names every required option
+    assert run_cli("develop", "--cone", tmp_path / "cone.json", "--in", tmp_path / "c.csv",
+                   "--out", tmp_path / "d.csv") == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
 

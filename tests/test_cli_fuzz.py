@@ -71,7 +71,7 @@ def _argv(draw):
         if mode == "omit" or dest in skip:
             continue
         flag = "--" + dest.replace("_", "-")
-        value = draw(_value(dest, options[dest], mode))
+        value = draw(_value(dest, options[dest].type, mode))
         value = value if isinstance(value, str) else repr(value)
         if mode == "odd" and draw(st.booleans()):
             argv.append(f"{flag}=--")  # argparse reads this value as an empty list

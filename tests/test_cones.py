@@ -39,6 +39,7 @@ from conegeo.errors import (
     VertexPoint,
 )
 from conegeo import cones as cones_module
+from conegeo import jets
 from helpers import (
     assert_bitwise,
     count_vector_hermite_calls,
@@ -652,12 +653,11 @@ def _sped_up(curve, k):
     return SpaceCurve(lambda t: curve.evaluate(k * t), (d0 / k, d1 / k), jet=jet)
 
 
-def _named_speed(curve, message):
-    """The deviation and the t that a DegenerateBase speed message names, and |speed - 1| there."""
+def _named_speed(message):
+    """The deviation and the t that a DegenerateBase speed message names."""
     head, _, rest = message.partition(" at t = ")
     assert head.startswith("base speed is off 1 by ") and rest.endswith("; t must be arc length")
-    t = float(rest.split(";")[0])
-    return float(head.rsplit(" ", 1)[1]), t, abs(np.linalg.norm(curve.derivative(t, 1)) - 1.0)
+    return float(head.rsplit(" ", 1)[1]), float(rest.split(";")[0])
 
 
 @pytest.mark.parametrize("k", [np.sin(0.8), 1.0 + 1e-9, 1.3])
@@ -667,7 +667,8 @@ def test_analytic_base_off_unit_speed_is_refused(monkeypatch, k):
     curve = _sped_up(circular_base(0.8).curve, k)
     with pytest.raises(DegenerateBase) as info:
         SphericalBaseCurve(curve, periodic=True)
-    named, t, off = _named_speed(curve, str(info.value))
+    named, t = _named_speed(str(info.value))
+    off = abs(np.linalg.norm(curve.derivative(t, 1)) - 1.0)
     assert named == float(f"{abs(k - 1.0):.3g}") and f"{off:.3g}" == f"{named:.3g}"
     assert curve.domain[0] <= t <= curve.domain[1]
 
@@ -683,14 +684,29 @@ def _circle_rows(theta):
 @pytest.mark.parametrize("stretch,off", [(1.0 / np.sin(0.8), "0.283"), (1.0 + 1e-4, "0.0001")])
 def test_sampled_base_off_unit_speed_is_refused(rows, stretch, off):
     # stretch 1/sin(0.8) labels the circle by its angle; 1 + 1e-4 is past
-    # the derivative noise UNIT_TOL["finite-difference"] = 1e-5
+    # the derivative noise UNIT_TOL["finite-difference"] = 1e-5.  The named
+    # t is a row, and the speed there is that of the row's node slope.
     theta = np.linspace(0.0, 2 * np.pi, rows)
     t = theta * np.sin(0.8) * stretch
     with pytest.raises(DegenerateBase) as info:
         base_from_samples(t, _circle_rows(theta))
-    named, at, real = _named_speed(SpaceCurve.from_samples(t, _circle_rows(theta)),
-                                   str(info.value))
-    assert f"{named:.3g}" == off == f"{real:.3g}" and t[0] < at < t[-1]
+    named, at = _named_speed(str(info.value))
+    row = int(np.argmin(np.abs(t - at)))
+    real = abs(np.linalg.norm(jets.node_slopes(t, _circle_rows(theta))[row]) - 1.0)
+    assert f"{named:.3g}" == off == f"{real:.3g}" and f"{t[row]:.6g}" == f"{at:.6g}"
+
+
+def test_sampled_base_with_one_mislabelled_row_is_refused():
+    # row 1004 of a 2,049-row arc-length circle, its t moved by 0.1 of a
+    # step, lies between two points of a 257-point scan; its neighbour's
+    # node slope reads 0.0585 off unit speed
+    theta = np.linspace(0.0, 2 * np.pi, 2049)
+    t = theta * np.sin(0.8)
+    t[1004] += 0.1 * (t[1] - t[0])
+    with pytest.raises(DegenerateBase) as info:
+        base_from_samples(t, _circle_rows(theta))
+    named, at = _named_speed(str(info.value))
+    assert named == 0.0585 and f"{at:.6g}" == f"{t[1005]:.6g}"
 
 
 @pytest.mark.parametrize("rows", [257, 2049])

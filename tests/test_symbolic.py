@@ -19,9 +19,11 @@ import sympy as sp
 from conegeo import (
     RectifyingParams,
     circular_base,
+    classify_rectifying_or_spherical,
     generate_rectifying,
     perturbed_circle_base,
     sample_curve,
+    torsion_ratio_profile,
 )
 
 a = sp.Symbol("a", positive=True)
@@ -74,6 +76,19 @@ def test_torsion_over_curvature_is_sign_k_times_w():
     assert _zero(det - w * (a * k) ** 3 / (1 + w**2) ** sp.Rational(9, 2))
 
 
+def test_the_dichotomy_identity_in_frenet_form():
+    # any unit-speed curve alpha = p T + q N + r B: alpha' = T and the
+    # Frenet equations give q' = tau r - kappa p and r' = -tau q, so
+    # d/ds |alpha x T|^2 = d/ds (q^2 + r^2) = -2 kappa <alpha, N> <alpha, T>.
+    # |alpha x T| is constant just where alpha is rectifying (<alpha, N> = 0)
+    # or normal to T (<alpha, T> = 0), the two labels classify gives
+    s_ = sp.Symbol("s", real=True)
+    p, q, r, kappa, tau = (sp.Function(name)(s_) for name in ("p", "q", "r", "kappa", "tau"))
+    frenet = {sp.Derivative(q, s_): tau * r - kappa * p, sp.Derivative(r, s_): -tau * q}
+    cross = sp.Matrix([p, q, r]).cross(sp.Matrix([1, 0, 0]))  # alpha x T in (T, N, B)
+    assert _zero(sp.diff(cross.dot(cross), s_).subs(frenet) + 2 * kappa * q * p)
+
+
 def _reference():
     """kappa, tau, <alpha, T> and |alpha x T| as numpy functions of (a, b, w, k)."""
     kk = sp.Symbol("kk", real=True)
@@ -123,3 +138,24 @@ def test_generated_frenet_data_match_the_symbolic_reference(name, abc):
     assert np.max(np.abs(frames.tau - tau) / np.maximum(np.abs(tau), kappa)) < 1e-11
     assert np.max(np.abs(got_along - along)) < 1e-13 * np.max(np.abs(along))
     assert np.max(np.abs(got_cross - cross)) < 1e-13 * np.max(cross)
+
+
+@pytest.mark.parametrize("name", list(BASES))
+@pytest.mark.parametrize("abc", [(1.3, 0.2, 0.1), (0.7, -1.1, 0.4)])
+def test_classify_and_the_torsion_ratio_fit_recover_a_and_b(name, abc):
+    # classify's fits are 1/|alpha x T| and a <alpha, T> - a s, within 1e-14
+    # of (a, b) (measured 2.2e-16); tau/kappa = sign(k) (a s + b) is fitted
+    # within 1e-12 (measured 2.5e-14)
+    make, _ = BASES[name]
+    base = make()
+    params = RectifyingParams(*abc)
+    cs = sample_curve(generate_rectifying(params, base), 256)
+    report = classify_rectifying_or_spherical(cs)
+    assert report.label == "rectifying"
+    assert abs(report.fitted_a - params.a) <= 1e-14 * params.a
+    assert abs(report.fitted_b - params.b) <= 1e-14 * max(1.0, abs(params.b))
+    sign = np.sign(_base_curvature(base, params.c + np.arctan(params.a * cs.s + params.b)))
+    assert np.all(sign == sign[0])
+    profile = torsion_ratio_profile(cs)
+    assert abs(profile.slope - sign[0] * params.a) <= 1e-12 * params.a
+    assert abs(profile.intercept - sign[0] * params.b) <= 1e-12 * max(1.0, abs(params.b))

@@ -84,7 +84,7 @@ WRITER = [
 
 # (label, module, text, replacement): one-line faults in the memory bound of
 # sample_curve, the file writer's cleanup, the wording of an RK4 error, the
-# base's unit-speed check, the arc-length anchor and the positive-option guard
+# base's unit-speed check, the arc-length anchor and the option table's checker
 GUARDS = [
     ("sample_curve jet block unbounded", "curves.py", "_JET_BLOCK = 4096",
      "_JET_BLOCK = 10**12"),
@@ -95,8 +95,27 @@ GUARDS = [
     ("base speed check loosened to 1.0", "cones.py",
      "if not off[worst] <= UNIT_TOL[curve.derivative_mode]:", "if not off[worst] <= 1.0:"),
     ("arc length anchored at s0 again", "curves.py", "a0 = tau_nodes[0]", "a0 = s0"),
-    ("positive-option guard lets 0 through", "cli.py",
+    ("positive-option rule lets 0 through", "cli.py",
      "not (value > 0)", "value < 0"),
+    ("required rule skipped", "cli.py",
+     "if params[key] is None and row.default is _REQUIRED:", "if False:"),
+    ("generate samples floor off by one", "cli.py",
+     '"samples": _Option(int, 1024, _check_samples(2), None)',
+     '"samples": _Option(int, 1024, _check_samples(1), None)'),
+    ("--step default dropped", "cli.py",
+     '"step": _Option(float, 1e-3, _check_positive, None)',
+     '"step": _Option(float, None, _check_positive, None)'),
+]
+
+# (label, module, text, replacement): one-line faults in the closed form and
+# in the jet algebra every chart curve is built with
+CLOSED_FORM = [
+    ("closed form: sign of b in t(s)", "geodesics.py",
+     "w = a * s + b\n        q = 1.0 + w * w", "w = a * s - b\n        q = 1.0 + w * w"),
+    ("closed form: arctan off by a factor", "geodesics.py",
+     "lambda: c + np.arctan(w),", "lambda: c + 1.01 * np.arctan(w),"),
+    ("jet_product drops the u_0 y_k Leibniz term", "jets.py",
+     "for j in range(k - 1, -1, -1):", "for j in range(k - 1, 0, -1):"),
 ]
 
 # (name, module, text, its literal, the literal x10, the literal x0.1): every
@@ -132,6 +151,7 @@ def mutants():
     yield from ORACLES
     yield from WRITER
     yield from GUARDS
+    yield from CLOSED_FORM
     for name, module, text, literal, up, down in LIMITS:
         for factor, value in (("x10", up), ("x0.1", down)):
             yield f"{name} {factor}", module, text, text.replace(literal, value)
