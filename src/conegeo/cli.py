@@ -7,6 +7,7 @@ Exit status: 0 success, 1 validation error, 2 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -337,8 +338,9 @@ def _checked(command, params):
             for key, row in rows}
 
 
+@functools.cache
 def _top_parser():
-    """Parser of everything before the command's own options."""
+    """Parser of everything before the command's own options, built once per process."""
     commands = "".join(f"  {name:<12}{text}\n" for name, (_, text) in _COMMANDS.items())
     parser = _Parser(
         prog="conegeo",
@@ -352,11 +354,13 @@ def _top_parser():
     command = parser.add_argument("command", nargs=argparse.PARSER, choices=tuple(_COMMANDS),
                                   help="one of the commands listed below, then its options; "
                                        "see conegeo COMMAND --help")
-    command.required = False  # _parse names a missing command
+    command.required = False  # build_config names a missing command
     return parser
 
 
+@functools.cache
 def _command_parser(command):
+    """Parser of one command's options, built once per process from its _OPTIONS rows."""
     parser = _Parser(prog=f"conegeo {command}", description=_COMMANDS[command][1])
     for dest, row in _OPTIONS[command].items():
         parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=row.type,
@@ -396,49 +400,12 @@ def _merge_config(params, path, command):
             params[key] = value
 
 
-def _is_value(token):
-    # what argparse reads as an option's value rather than as an option name
-    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token)
+def build_config(argv):
+    """The command and its options, read by argparse, the one writer of help and messages.
 
-
-def _read_plain(argv):
-    """(config, command, params) read from the option table, or None.
-
-    Reads `[--config PATH | --config=PATH] COMMAND` and then exact `--name
-    value` or `--name=value` tokens, each value converted by its option's
-    type, which argparse reads to the same result.  Any other argv is None:
-    a help flag, an abbreviated or unknown option, a missing or dash-led
-    value, a value its type refuses, a stray token or `--`.
+    Options left unset on the command line are filled from the --config
+    section; every numeric value, from either source, must be finite.
     """
-    config, rest = None, list(argv)
-    if rest and rest[0].partition("=")[0] == "--config":
-        _, eq, config = rest.pop(0).partition("=")
-        if not eq:
-            config = rest.pop(0) if rest else None
-        if config is None or not _is_value(config):
-            return None
-    if not rest or rest[0] not in _OPTIONS:
-        return None
-    command, rows = rest[0], _OPTIONS[rest[0]]
-    flags = {"--" + dest.replace("_", "-"): dest for dest in rows}
-    params = dict.fromkeys(rows)
-    tokens = iter(rest[1:])
-    for token in tokens:
-        flag, eq, value = token.partition("=")
-        if not eq:
-            value = next(tokens, None)
-        dest = flags.get(flag)
-        if dest is None or value is None or not _is_value(value):
-            return None
-        try:
-            params[dest] = rows[dest].type(value)
-        except ValueError:
-            return None
-    return config, command, params
-
-
-def _parse(argv):
-    """(config, command, params) by argparse, the one writer of help and messages."""
     top = _top_parser().parse_args(argv)
     if top.command is None:
         raise InvalidConfig("no command given; see --help")
@@ -447,13 +414,8 @@ def _parse(argv):
     for dest, value in {"config": top.config, **params}.items():
         if isinstance(value, list):  # argparse reads `--name=--` as []
             raise InvalidConfig(f"argument --{dest.replace('_', '-')}: expected one argument")
-    return top.config, command, params
-
-
-def build_config(argv):
-    config, command, params = _read_plain(argv) or _parse(argv)
-    if config:
-        _merge_config(params, config, command)
+    if top.config:
+        _merge_config(params, top.config, command)
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(f"--{key.replace('_', '-')} must be finite, got {value!r}")

@@ -592,8 +592,9 @@ def write_text(path, chunks):
 def read_table(path, header):
     """Rows of a CSV file under the given header line, shape (n, columns).
 
-    Blank lines are skipped and `#` is data, not a comment.  Every value
-    must be finite and the first column strictly increasing.
+    Blank lines are skipped and `#` is data, not a comment.  There must be
+    at least one row, every value must be finite and the first column
+    strictly increasing.
     """
     width = header.count(",") + 1
     with open(path, "r", encoding="ascii") as fh:
@@ -601,13 +602,13 @@ def read_table(path, header):
         if next((ln for ln in lines if ln.strip()), "").strip() != header:
             raise ValueError(f"{path}: expected header {header!r}")
         start = fh.tell()
-        data = np.empty((0, 0))
-        if any(ln.strip() for ln in lines):  # loadtxt warns on a file without rows
-            fh.seek(start)
-            try:
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        if not any(ln.strip() for ln in lines):  # loadtxt warns on a file without rows
+            raise ValueError(f"{path}: no data rows")
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if data.shape[1] != width:
         words = {3: "three", 4: "four"}
         raise ValueError(f"{path}: expected {words.get(width, width)} columns per row")

@@ -830,6 +830,20 @@ def test_unknown_json_key_exits_1(tmp_path, capsys, case):
     assert _assert_invalid_config(capsys, out) == f"error: InvalidConfig: {message}\n"
 
 
+@pytest.mark.parametrize("command,prefix", [("generate", "--base: "),
+                                            ("develop", "--cone: bad descriptor: {root}/")])
+def test_header_only_base_csv_exits_1(tmp_path, monkeypatch, capsys, command, prefix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "base.csv").write_text("t,x,y,z\n\n")
+    (tmp_path / "cone.json").write_text(json.dumps({"kind": "general", "base_csv": "base.csv"}))
+    write_curve_csv(tmp_path / "curve.csv", [0.0, 1.0], [[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]])
+    args = {"generate": ["--a=1.3", "--base=base.csv"],
+            "develop": ["--cone=cone.json", "--in=curve.csv"]}[command]
+    assert run_cli(command, *args, "--out=out.csv") == 1
+    assert _assert_invalid_config(capsys, tmp_path / "out.csv") == (
+        f"error: InvalidConfig: {prefix.format(root=tmp_path)}base.csv: no data rows\n")
+
+
 @pytest.mark.parametrize("command", ["generate", "develop"])
 def test_a_huge_base_value_is_refused_in_one_line(tmp_path, command):
     # 1e308 is finite, so the CSV reader takes it; the base's node radii
@@ -1109,7 +1123,7 @@ _SPIKED_ARGV = {
 }
 
 
-@pytest.mark.parametrize("value", ["1e308", "1e200", "-1e200"])
+@pytest.mark.parametrize("value", ["1e308", "1e200", "-1e200", "2e150", "-2e150"])
 @pytest.mark.parametrize("command", list(_SPIKED_ARGV))
 def test_huge_curve_csv_value_exits_1_naming_its_row(spiked_csv, monkeypatch, capsys,
                                                       command, value):
@@ -1435,7 +1449,7 @@ def test_build_config_matches_legacy_parser_on_generated_argvs(config_paths):
     check()
 
 
-def test_build_config_builds_parsers_only_for_messages(monkeypatch):
+def test_build_config_builds_each_parser_once(monkeypatch):
     made = []
 
     class CountingParser(cli._Parser):
@@ -1443,24 +1457,30 @@ def test_build_config_builds_parsers_only_for_messages(monkeypatch):
             made.append(kwargs.get("prog"))
             super().__init__(*args, **kwargs)
 
+    builders = (cli._top_parser, cli._command_parser)
     monkeypatch.setattr(cli, "_Parser", CountingParser)
     typed = {float: "-7.25e-05", int: "64", str: "curve.csv"}
-    for command, options in _TYPES.items():
-        every = []
-        for i, (dest, kind) in enumerate(options.items()):
-            flag = "--" + dest.replace("_", "-")
-            every += [f"{flag}={typed[kind]}"] if i % 2 else [flag, typed[kind]]
-        for argv in ([command], [command, *every], ["--config=", command, *every]):
-            made.clear()
-            cli.build_config(argv)
-            assert made == [], argv
-        last = "--" + list(options)[-1]
-        # an abbreviation, an unknown option, a missing value and a trailing `--`
-        for argv in ([command, last[:-1], "x"], [command, "--bogus", "1"], [command, last],
-                     [command, *every, "--"]):
-            made.clear()
-            _outcome(cli.build_config, argv)
-            assert made == ["conegeo", f"conegeo {command}"], argv
+    # emptied before and after, so no other test builds or reads a CountingParser
+    for builder in builders:
+        builder.cache_clear()
+    try:
+        for _ in range(2):
+            for command, options in _TYPES.items():
+                every = []
+                for i, (dest, kind) in enumerate(options.items()):
+                    flag = "--" + dest.replace("_", "-")
+                    every += [f"{flag}={typed[kind]}"] if i % 2 else [flag, typed[kind]]
+                last = "--" + list(options)[-1]
+                # plain, with --config, an abbreviation, an unknown option, a
+                # missing value and a trailing `--`
+                for argv in ([command], [command, *every], ["--config=", command, *every],
+                             [command, last[:-1], "x"], [command, "--bogus", "1"],
+                             [command, last], [command, *every, "--"]):
+                    _outcome(cli.build_config, argv)
+    finally:
+        for builder in builders:
+            builder.cache_clear()
+    assert sorted(made) == sorted(["conegeo", *(f"conegeo {command}" for command in _TYPES)])
 
 
 @pytest.mark.parametrize("text,bad", [

@@ -820,8 +820,8 @@ def test_read_table_accepts_crlf_and_blank_lines(tmp_path):
     ("0,1,2,3\n1,1,1,-Infinity\n", "non-finite value -inf"),
     ("0,1,2,3\n1,1,1,1e400\n", "non-finite value inf"),
     ("nan,1,2,3\n1,1,1,1\n", "non-finite value nan"),
-    ("", "expected four columns per row"),
-    ("\n\n", "expected four columns per row"),
+    ("", "no data rows"),
+    ("\n\n", "no data rows"),
 ])
 def test_read_table_rejects(tmp_path, body, message):
     path = tmp_path / "bad.csv"

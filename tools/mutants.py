@@ -105,6 +105,8 @@ GUARDS = [
     ("--step default dropped", "cli.py",
      '"step": _Option(float, 1e-3, _check_positive, None)',
      '"step": _Option(float, None, _check_positive, None)'),
+    ("command parser built per call", "cli.py", "@functools.cache\ndef _command_parser",
+     "def _command_parser"),
 ]
 
 # (label, module, text, replacement): one-line faults in the closed form and
