@@ -91,28 +91,25 @@ def _readonly(a):
 class SpaceCurve:
     """An evaluable curve in R^3 over a closed parameter interval.
 
-    kind is "sampled" when the curve is backed by nodes with cubic Hermite
-    interpolation and "closed-form" otherwise; derivative_mode is
-    "analytic" when third-order jets are available and "finite-difference"
-    otherwise.  h is the step of the order-4 central stencils that give
-    finite-difference derivatives.
+    nodes is the (parameters, points) table of a curve backed by cubic
+    Hermite interpolation, else None; derivative_mode is "analytic" when
+    third-order jets are available and "finite-difference" otherwise.  h is
+    the step of the order-4 central stencils that give finite-difference
+    derivatives: the node spacing, at most 1/100 of the domain, or 1e-4 of
+    the domain without nodes.
     """
 
-    def __init__(self, evaluator, domain, *, jet=None, h=None, nodes=None):
+    def __init__(self, evaluator, domain, *, jet=None, nodes=None):
         s_min, s_max = float(domain[0]), float(domain[1])
         if not (np.isfinite(s_min) and np.isfinite(s_max) and s_min < s_max):
             raise ValueError(f"degenerate domain [{s_min}, {s_max}]")
         length = s_max - s_min
-        if h is None:
-            if nodes is not None:
-                # stencil step = node spacing so stencils land on exact data;
-                # capped for coarse polylines to keep h small vs the domain
-                h = min(float(np.mean(np.diff(nodes[0]))), length / 100.0)
-            else:
-                h = 1e-4 * length
-        if not 0.0 < h <= length / 100.0:
-            raise ValueError(f"step h must be positive and at most 1/100 of the domain "
-                             f"length, got {h!r}")
+        if nodes is not None:
+            # stencil step = node spacing so stencils land on exact data;
+            # capped for coarse polylines to keep h small vs the domain
+            h = min(float(np.mean(np.diff(nodes[0]))), length / 100.0)
+        else:
+            h = 1e-4 * length
         self._evaluator = evaluator
         self._jet = jet
         self._domain = (s_min, s_max)
@@ -129,10 +126,6 @@ class SpaceCurve:
     @property
     def length(self):
         return self._domain[1] - self._domain[0]
-
-    @property
-    def kind(self):
-        return "closed-form" if self._nodes is None else "sampled"
 
     @property
     def derivative_mode(self):
@@ -306,8 +299,10 @@ def line_curve(point, direction, length=1.0):
 def sample_grid(curve, n=256):
     """Uniform parameter grid avoiding the margins of the order-3 stencils.
 
-    Sampled curves are sampled on their own (interior) nodes so stencil
-    points land on exact data.
+    Sampled curves are sampled on their own (interior) nodes.  From 101
+    rows the stencil step is the node spacing, so stencil points land on
+    exact data; below that the step is capped at 1/100 of the domain and
+    the taps fall between the nodes.
     """
     s0, s1 = curve.domain
     m = curve.fd_margin(SAMPLE_ORDER)
@@ -352,19 +347,21 @@ def sample_curve(curve, samples=256):
 
 
 def sample_arclength(curve, samples=256):
-    """sample_curve of the curve at unit speed.
+    """sample_curve of a curve whose parameter is arc length by contract.
 
     The speeds the samples already hold decide, at the points every gate
     reads: when each |alpha'| on the grid is within UNIT_TOL of 1 for the
-    curve's derivative mode, the samples are returned, and a sampled curve
-    keeps its nodes.  Otherwise the curve is sampled again after
-    reparametrize_arclength.
+    curve's derivative mode, the samples are returned.  Otherwise
+    SingularSpeed names the worst grid point, by its own parameter, so a
+    sampled curve's is a label from its table.
     """
     cs = sample_curve(curve, samples)
-    speed = np.linalg.norm(cs.jet[1], axis=-1)
-    if float(np.max(np.abs(speed - 1.0))) < UNIT_TOL[curve.derivative_mode]:
-        return cs
-    return sample_curve(reparametrize_arclength(curve), samples)
+    off = np.abs(np.linalg.norm(cs.jet[1], axis=-1) - 1.0)
+    worst = int(np.argmax(off))
+    if not off[worst] < UNIT_TOL[curve.derivative_mode]:
+        raise SingularSpeed(f"curve speed is off 1 by {off[worst]:.3g} at "
+                            f"s = {float(cs.s[worst])!r}; s must be arc length")
+    return cs
 
 
 def frenet_apparatus(curve, s):
@@ -472,19 +469,21 @@ def _blocked(f, x):
 
 
 def reparametrize_arclength(curve):
-    """Arc-length reparametrization of a regular curve.
+    """Arc-length reparametrization of a regular closed-form curve.
 
+    A node table raises ValueError: its parameter is arc length by contract.
     The speed is scanned on 2049 points; an already unit-speed curve is
     returned unchanged.  Otherwise the scan becomes the even nodes of a
     4097-node speed table, whose odd nodes are evaluated once.  Adaptive
     Simpson quadrature of the speed, seeded with that table, gives the
     cumulative length, and the inverse map is a monotone Hermite table with
     slopes 1/speed.  Arc length counts from the first table node, one stencil
-    margin inside a sampled curve's domain.  Analytic input jets are
-    chain-ruled so the result keeps analytic derivative quality.  A sampled
-    curve's stencil step is scaled to the arc length, capped at 1/100 of the
-    new domain.
+    margin inside a finite-difference curve's domain.  Analytic input jets
+    are chain-ruled so the result keeps analytic derivative quality.
     """
+    if curve.nodes is not None:
+        raise ValueError("a node table is not reparametrized: its parameter "
+                         "must be arc length")
     s0, s1 = curve.domain
 
     def speeds(q):
@@ -533,13 +532,7 @@ def reparametrize_arclength(curve):
         def jet(q, order):
             return jt.jet_reparametrize(base_jet(inverse(q), order))
 
-    h = None
-    if curve.kind == "sampled":
-        # SpaceCurve refuses a step above 1/100 of its domain, as a curve of
-        # under 101 rows can reach once its step is rescaled
-        cap = ((a0 + total) - a0) / 100.0
-        h = min(curve.h * total / (s1 - s0), cap)
-    return SpaceCurve(evaluator, (a0, a0 + total), jet=jet, h=h)
+    return SpaceCurve(evaluator, (a0, a0 + total), jet=jet)
 
 
 # ----------------------------------------------------------------------

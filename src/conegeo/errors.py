@@ -14,7 +14,7 @@ class InsufficientMargin(ConeGeoError):
 
 
 class SingularSpeed(ConeGeoError):
-    """Curve speed drops below the regularity threshold."""
+    """Curve speed drops below the regularity threshold, or is off 1 where s must be arc length."""
 
 
 class VanishingCurvature(ConeGeoError):

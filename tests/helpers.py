@@ -126,6 +126,31 @@ def random_unit_speed_curve(rng, **kw):
     return reparametrize_arclength(random_trig_curve(rng, **kw))
 
 
+def named_speed_refusal(message):
+    """The deviation, as written, and the s of a sample_arclength refusal message.
+
+    The s must be written as repr writes it.
+    """
+    head, _, rest = message.partition(" at s = ")
+    assert head.startswith("curve speed is off 1 by ") and \
+        rest.endswith("; s must be arc length"), message
+    s = float(rest.split(";")[0])
+    assert rest.startswith(f"{s!r};"), message
+    return head.rsplit(" ", 1)[1], s
+
+
+def reparametrized_fd_curve():
+    """(cos t, sin t, t^2 / 2) on [0, 3] by arc length, a finite-difference curve.
+
+    The closed form has no jet and its speed sqrt(1 + t^2) is not 1, so
+    reparametrize_arclength builds it: its stencil taps read a Hermite
+    inverse table.
+    """
+    raw = SpaceCurve(lambda t: np.stack([np.cos(t), np.sin(t), 0.5 * t * t], axis=-1),
+                     (0.0, 3.0))
+    return reparametrize_arclength(raw)
+
+
 def random_rectifying(rng, circular=True):
     """Random closed-form geodesic; returns (curve, params, base, psi0)."""
     a = rng.uniform(0.5, 4.0)
@@ -435,13 +460,12 @@ def reference_adaptive_simpson_segments(f, nodes, tol):
 
 
 def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
-    """reparametrize_arclength before the shared speed table and the step cap.
+    """reparametrize_arclength before the shared speed table.
 
     The speed is evaluated on the scan, again on every Simpson level and
-    again for the table slopes, and a sampled curve's rescaled step is not
-    capped, so curves of under 101 rows can raise ValueError.  Arc length is
-    counted from the first table node, as in the current version.  Kept as the
-    reference the current version must match bitwise wherever this one returns.
+    again for the table slopes.  Arc length is counted from the first table
+    node, as in the current version.  Kept as the reference the current
+    version must match bitwise on closed-form curves.
     """
     s0, s1 = curve.domain
 
@@ -482,8 +506,7 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
         def jet(q, order=3):
             return jets.jet_reparametrize(base_jet(inverse(q)))
 
-    h = curve.h * total / (s1 - s0) if curve.kind == "sampled" else None
-    return SpaceCurve(evaluator, (a0, a0 + total), jet=jet, h=h)
+    return SpaceCurve(evaluator, (a0, a0 + total), jet=jet)
 
 
 def _reference_dot(a, b):

@@ -28,7 +28,12 @@ from conegeo import (
 from conegeo import GATES, cli, curves
 from conegeo.cli import main
 from conegeo.errors import DegenerateBase, DegenerateFit, InvalidConfig
-from helpers import count_curve_jet_passes, count_speed_points, legacy_build_config
+from helpers import (
+    count_curve_jet_passes,
+    count_speed_points,
+    legacy_build_config,
+    named_speed_refusal,
+)
 
 
 def run_cli(*args):
@@ -341,17 +346,26 @@ def test_a_base_not_labelled_by_arc_length_exits_2(angle_labelled_cone, capsys, 
         assert not out.exists()
 
 
-def test_classify_of_a_reparametrized_csv_keeps_its_parameter_labels(tmp_path):
-    # 128 rows are off unit speed past the FD noise, so classify reparametrizes
-    # them; arc length counted from the first speed-table node keeps s, so
-    # fitted_b reads b (it read b + a m = 0.357 when counted from s0 instead)
+def _refused_at(err, csv):
+    """The deviation and the s of a one-line arc-length refusal; s is a label of the CSV."""
+    assert err.startswith("error: SingularSpeed: ") and err.count("\n") == 1, err
+    off, s = named_speed_refusal(err.removeprefix("error: SingularSpeed: ")[:-1])
+    assert s in read_curve_csv(csv)[0], err
+    return off, s
+
+
+def test_classify_of_a_reparametrized_csv_keeps_its_parameter_labels(tmp_path, capsys):
+    # 128 rows are off unit speed past the FD noise, a CSV that classify once
+    # reparametrized, shifting its labels and fitted_b; s must be arc length,
+    # so it is refused, and the refusal names a label of the file's s column
     csv, rep = tmp_path / "c.csv", tmp_path / "r.json"
     assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--b=0.2", "--c=0.1",
                    "--samples=128", "--out", csv) == 0
-    assert run_cli("classify", "--in", csv, "--report", rep) == 0
-    data = json.loads(rep.read_text())
-    assert data["label"] == "rectifying"
-    assert abs(data["fitted_b"] - 0.2) < 2e-6 and abs(data["fitted_a"] - 1.3) < 1e-6
+    assert run_cli("classify", "--in", csv, "--report", rep) == 2
+    err = capsys.readouterr().err
+    assert _refused_at(err, csv) == ("1.5e-05", -0.1841308298001212)
+    assert json.loads(rep.read_text()) == {
+        "error": "SingularSpeed", "message": err.removeprefix("error: SingularSpeed: ")[:-1]}
 
 
 def test_integrate_and_develop_hold_one_text_block(tmp_path, quarter_cone_json):
@@ -389,8 +403,9 @@ def test_classify_line_exits_2(tmp_path):
 
 
 def test_curves_under_101_rows_keep_their_step_under_the_cap(tmp_path, capsys):
-    # a sampled curve's step is length/100; rescaled to the arc length it
-    # must stay at most 1/100 of the new domain, which 96 and 97 rows missed
+    # a node table's step is its node spacing, capped at length/100, so under
+    # 101 rows the stencil taps fall between the rows, where this geodesic's
+    # interpolant is off unit speed: both commands refuse it, naming a row
     cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
     cone = tmp_path / "cone.json"
     cone.write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
@@ -399,14 +414,11 @@ def test_curves_under_101_rows_keep_their_step_under_the_cap(tmp_path, capsys):
     for rows in range(90, 101):
         s = np.linspace(*cur.domain, rows)
         write_curve_csv(csv, s, cur.evaluate(s))
-        codes = [run_cli("classify", "--in", csv, "--report", rep)]
-        labels = [json.loads(rep.read_text()).get("label")]
-        codes.append(run_cli("verify", "--cone", cone, "--in", csv, "--report", rep))
-        labels.append(json.loads(rep.read_text()).get("error"))
-        assert "step h" not in capsys.readouterr().err
-        if rows == 96:
-            # verify's NotOnCone is the off-node sampling of the resampled curve
-            assert codes == [0, 2] and labels == ["rectifying", "NotOnCone"]
+        assert SpaceCurve.from_samples(*read_curve_csv(csv)).h == cur.length / 100.0
+        for argv in (["classify"], ["verify", "--cone", cone]):
+            assert run_cli(*argv, "--in", csv, "--report", rep) == 2, rows
+            _refused_at(capsys.readouterr().err, csv)
+            assert json.loads(rep.read_text())["error"] == "SingularSpeed"
 
 
 def _generated_on_cone(tmp_path, psi0, *args):
@@ -437,23 +449,59 @@ def test_coarse_csv_with_unit_node_speeds_is_read_on_its_nodes(tmp_path, psi0, r
         assert abs(data["fitted_a"] - 1.0) < 5e-8
 
 
-def test_readme_coarse_csv_sweep(tmp_path):
-    # README "Known limitation: coarse curve CSVs": the node speeds and the
-    # former scan agree on each of these curves (resampled below 192 rows)
-    expect = {32: ("neither", "NotOnCone"), 48: ("neither", "NotOnCone"),
-              64: ("ambiguous", "NotOnCone"), 96: ("rectifying", "NotOnCone"),
-              128: ("rectifying", "NotOnCone"), 192: ("rectifying", "geodesic"),
-              256: ("rectifying", "geodesic")}
+def test_readme_coarse_csv_sweep(tmp_path, capsys):
+    # README "A curve CSV is arc length by contract": under 160 rows the grid
+    # speeds are off 1 past the FD noise, and both commands refuse the file.
+    # From 160 rows the file is read on its rows, as it always was: fitted_a
+    # and fitted_b are the values measured before the refusal existed
+    refused = {32: "0.00168", 48: "0.000243", 64: "3.84e-05", 96: "3.6e-05", 128: "1.5e-05"}
+    kept = {160: (1.3000000623712984, 0.20000000959558428),
+            192: (1.3000000297353578, 0.20000000457467018),
+            256: (1.3000000092738306, 0.2000000014267433)}
     rep = tmp_path / "rep.json"
-    for rows, (label, outcome) in expect.items():
+    for rows in (*refused, *kept):
         csv, cone = _generated_on_cone(tmp_path, 0.8, "--a=1.3", "--b=0.2", "--c=0.1",
                                        "--samples", rows)
-        assert run_cli("classify", "--in", csv, "--report", rep) == 0
-        assert json.loads(rep.read_text())["label"] == label, rows
-        code = run_cli("verify", "--cone", cone, "--in", csv, "--report", rep)
+        argvs = (["classify"], ["verify", "--cone", cone])
+        if rows in refused:
+            for argv in argvs:
+                assert run_cli(*argv, "--in", csv, "--report", rep) == 2, rows
+                assert _refused_at(capsys.readouterr().err, csv)[0] == refused[rows]
+                assert json.loads(rep.read_text())["error"] == "SingularSpeed"
+            continue
+        assert run_cli(*argvs[0], "--in", csv, "--report", rep) == 0
         data = json.loads(rep.read_text())
-        assert (code, data.get("verdict", data.get("error"))) == (
-            (0, outcome) if outcome == "geodesic" else (2, outcome)), rows
+        assert data["label"] == "rectifying", rows
+        assert (data["fitted_a"], data["fitted_b"]) == pytest.approx(kept[rows], abs=1e-12)
+        assert run_cli(*argvs[1], "--in", csv, "--report", rep) == 0
+        assert json.loads(rep.read_text())["verdict"] == "geodesic", rows
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e105, 1e140])
+def test_curve_csv_with_scaled_points_is_refused(tmp_path, monkeypatch, capsys, scale):
+    # the points scaled and s not: the speed is the scale, and the refusal
+    # reads it off the one sampled jet, with no speed scan or quadrature
+    csv, cone = _generated_on_cone(tmp_path, 0.8, "--a=1.3", "--b=0.2", "--c=0.1")
+    s, pts = read_curve_csv(csv)
+    write_curve_csv(csv, s, scale * pts)
+    sizes = count_speed_points(monkeypatch)
+    rep = tmp_path / "rep.json"
+    for argv in (["classify"], ["verify", "--cone", cone]):
+        assert run_cli(*argv, "--in", csv, "--report", rep) == 2
+        assert _refused_at(capsys.readouterr().err, csv)[0] == f"{scale:.3g}"
+        assert json.loads(rep.read_text())["error"] == "SingularSpeed"
+    assert sizes == [257]  # verify's one speed scan: the cone base's own check
+
+
+def test_classify_of_a_bad_row_names_a_parameter_of_the_file(tmp_path, capsys):
+    # data row 22's x set to 1000.0 is a tap of the grid's stencils: the
+    # refusal names an s of the file (it once named -4.001384978199358, a
+    # parameter of a reparametrized curve that no row holds)
+    csv, _ = _spiked_rows(tmp_path, 5001, 22, "1000.0")
+    rep = tmp_path / "rep.json"
+    assert run_cli("classify", "--in", csv, "--report", rep) == 2
+    _refused_at(capsys.readouterr().err, csv)
+    assert json.loads(rep.read_text())["error"] == "SingularSpeed"
 
 
 @pytest.mark.parametrize("rows", range(2, 11))
@@ -466,7 +514,9 @@ def test_curve_csv_too_short_for_node_stencils_exits_2(tmp_path, quarter_cone_js
     rep = tmp_path / "rep.json"
     code = run_cli("classify", "--in", csv, "--report", rep)
     if rows == 10:
-        assert code == 0 and "label" in json.loads(rep.read_text())
+        # long enough for the stencils, whose taps fall between the rows
+        # (the step is capped at length/100), where the speed is off 1
+        assert code == 2 and _refused_at(capsys.readouterr().err, csv)[0] == "0.042"
         return
     message = (f"error: InsufficientMargin: sampled curve of {rows} rows too short "
                f"for derivative stencils: needs at least 10\n")
@@ -566,29 +616,31 @@ def test_verify_charts_each_row_once(tmp_path, monkeypatch, kind):
 
 
 def test_large_scale_curve_classifies_in_bounded_work(tmp_path, monkeypatch, capsys):
-    # an absolute quadrature tolerance alone refined every interval of a
-    # 1e80-scale curve through all 14 doublings: past 200,000 speed samples
-    # by the fifth, where 15,732 now suffice
+    # a 1e80-scale curve, its s scaled with its points so that s stays arc
+    # length, is read on its rows: no speed is scanned or integrated (the
+    # quadrature's own bound is a test_curves test), and its curvature of
+    # about 1e-82 is below the floor
     csv = tmp_path / "curve.csv"
     assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--b=0.2", "--c=0.1",
                    "--samples=256", "--out", csv) == 0
     s, pts = read_curve_csv(csv)
-    write_curve_csv(csv, s, 1e80 * pts)
+    write_curve_csv(csv, 1e80 * s, 1e80 * pts)
     sizes = count_speed_points(monkeypatch, limit=40_000)
     assert run_cli("classify", "--in", csv, "--report", tmp_path / "rep.json") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: VanishingCurvature: curvature ") and err.count("\n") == 1
-    assert sum(sizes) > 4097  # the speed was integrated, not only scanned
+    assert sizes == []
 
 
 @pytest.mark.parametrize("scale", [1e105, 1e140])
 def test_stencil_step_overflow_is_named(tmp_path, capsys, scale):
-    # the rescaled stencil step passes 5.6e102, where h**3 overflows a float
+    # s scaled with the points stays arc length; the stencil step, the node
+    # spacing, then passes 5.6e102, where h**3 overflows a float
     csv = tmp_path / "curve.csv"
     assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--b=0.2", "--c=0.1",
                    "--samples=1024", "--out", csv) == 0
     s, pts = read_curve_csv(csv)
-    write_curve_csv(csv, s, scale * pts)
+    write_curve_csv(csv, scale * s, scale * pts)
     rep = tmp_path / "rep.json"
     assert run_cli("classify", "--in", csv, "--report", rep) == 2
     err = capsys.readouterr().err
@@ -1136,11 +1188,13 @@ def test_huge_curve_csv_value_exits_1_naming_its_row(spiked_csv, monkeypatch, ca
         f"column 2 exceeds 1e+150 in magnitude\n")
 
 
+_SPIKE_REFUSED = ("SingularSpeed: curve speed is off 1 by 2.21e+151 at s = -3.3665158371040724; "
+                  "s must be arc length")
+
+
 @pytest.mark.parametrize("command,message", [
-    ("classify", "SingularSpeed: speed 1 below regularity threshold 2.22e+139 "
-                 "(1e-12 times the largest speed, 2.22e+151)"),
-    ("verify", "SingularSpeed: speed 1 below regularity threshold 2.22e+139 "
-               "(1e-12 times the largest speed, 2.22e+151)"),
+    pytest.param("classify", _SPIKE_REFUSED, id="classify-SingularSpeed"),
+    pytest.param("verify", _SPIKE_REFUSED, id="verify-SingularSpeed"),
     ("develop", "VertexPoint: |point| = 1e+150 " + _RANGE),
 ])
 def test_curve_csv_value_at_the_bound_reaches_the_numerics(spiked_csv, monkeypatch, capsys,
@@ -1291,7 +1345,7 @@ def test_artifacts_get_the_umask_mode(tmp_path, umask):
     old = os.umask(umask)
     try:
         out, rep = tmp_path / "curve.csv", tmp_path / "rep.json"
-        assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--samples=64", "--out", out) == 0
+        assert run_cli("generate", "--psi0=0.8", "--a=1.3", "--out", out) == 0
         assert run_cli("classify", "--in", out, "--report", rep) == 0
         for path in (out, rep):
             assert path.stat().st_mode & 0o777 == 0o666 & ~umask

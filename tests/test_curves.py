@@ -42,10 +42,12 @@ from conegeo import curves as curves_module
 from helpers import (
     assert_bitwise,
     count_speed_points,
+    named_speed_refusal,
     random_trig_curve,
     random_unit_speed_curve,
     reference_adaptive_simpson_segments,
     reference_reparametrize_arclength,
+    reparametrized_fd_curve,
 )
 
 
@@ -126,36 +128,30 @@ def test_derivative_unit_circle():
 
 def test_derivative_fd_matches_analytic():
     hx = helix_curve(0.6, 0.8)
-    fd_twin = SpaceCurve(lambda s: hx.evaluate(s), hx.domain, h=1e-4)
+    fd_twin = SpaceCurve(lambda s: hx.evaluate(s), hx.domain)
     s = np.linspace(1.0, 5.0, 11)
     assert np.max(np.abs(fd_twin.derivative(s, 1) - hx.derivative(s, 1))) < 1e-9
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), 0.0101])
-def test_step_outside_its_range_is_refused(h):
-    with pytest.raises(ValueError, match="step h must be positive and at most 1/100"):
-        SpaceCurve(np.sin, (0.0, 1.0), h=h)
-
-
 def test_step_and_kind_follow_the_constructor():
-    assert SpaceCurve(np.sin, (0.0, 2.0), h=0.02).h == 0.02
+    # a curve is a node table or a closed form, and its step follows from that:
+    # the node spacing, at most 1/100 of the domain, or 1e-4 of the domain
     s = np.linspace(0.0, 1.0, 201)
     sampled = SpaceCurve.from_samples(s, np.stack([s, s * s, s**3], axis=-1))
+    coarse = SpaceCurve.from_samples(s[::4], sampled.nodes[1][::4])
     closed = SpaceCurve(np.sin, (0.0, 2.0))
-    assert (sampled.kind, sampled.h) == ("sampled", float(np.mean(np.diff(s))))
-    assert (closed.kind, closed.h) == ("closed-form", 2e-4)
-    # a reparametrized sampled curve has no nodes; its step is rescaled, not reset
-    unit = reparametrize_arclength(sampled)
-    assert unit.nodes is None and unit.kind == "closed-form"
-    assert unit.h == sampled.h * unit.length / sampled.length
+    assert (sampled.nodes is not None, sampled.h) == (True, float(np.mean(np.diff(s))))
+    assert (coarse.nodes[0].size, coarse.h) == (51, 0.01)
+    assert (closed.nodes, closed.h) == (None, 2e-4)
+    with pytest.raises(TypeError, match="'h'"):
+        SpaceCurve(np.sin, (0.0, 2.0), h=0.02)
 
 
 def test_derivative_constant_curve_is_zero():
     # h large enough that round-off amplification 1/h^3 stays negligible
     const = SpaceCurve(
-        lambda s: np.broadcast_to([1.0, 2.0, 3.0], s.shape + (3,)).copy(), (0.0, 1.0),
-        h=0.005,
-    )
+        lambda s: np.broadcast_to([1.0, 2.0, 3.0], s.shape + (3,)).copy(), (0.0, 50.0))
+    assert const.h == 0.005
     for order in (1, 2, 3):
         assert np.allclose(const.derivative(0.5, order), 0.0, atol=1e-8)
 
@@ -387,13 +383,9 @@ def test_simpson_tolerance_floor_is_the_integral_rounding():
 
 
 def _assert_same_reparametrization(curve):
-    """reparametrize_arclength is the reference bit for bit wherever the reference returns."""
+    """reparametrize_arclength is the reference bit for bit."""
     unit = reparametrize_arclength(curve)
-    try:
-        ref = reference_reparametrize_arclength(curve)
-    except ValueError:  # the reference's uncapped step of a curve under 101 rows
-        assert curve.kind == "sampled" and unit.h == unit.length / 100.0
-        return
+    ref = reference_reparametrize_arclength(curve)
     assert (unit is curve) == (ref is curve)
     assert unit.domain == ref.domain and unit.h == ref.h
     q = np.linspace(*unit.domain, 301)
@@ -407,13 +399,16 @@ def _assert_same_reparametrization(curve):
        geodesic=st.booleans())
 @example(rows=64, seed=0, geodesic=True)
 @example(rows=96, seed=0, geodesic=True)
-def test_reparametrize_sampled_curve_matches_reference(rows, seed, geodesic):
+def test_reparametrize_refuses_a_node_table(rows, seed, geodesic):
+    # a node table's parameter is arc length by contract, so it is never
+    # rescanned: unit speed at its nodes (a geodesic's rows) or not
     if geodesic:
         closed_form = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
     else:
         closed_form = random_trig_curve(np.random.default_rng(seed))
     s = np.linspace(*closed_form.domain, rows)
-    _assert_same_reparametrization(SpaceCurve.from_samples(s, closed_form.evaluate(s)))
+    with pytest.raises(ValueError, match="^a node table is not reparametrized"):
+        reparametrize_arclength(SpaceCurve.from_samples(s, closed_form.evaluate(s)))
 
 
 def test_reparametrize_kinked_speed_matches_reference(monkeypatch):
@@ -430,6 +425,32 @@ def test_reparametrize_kinked_speed_matches_reference(monkeypatch):
     # the scan, the odd table nodes and two full Simpson levels are 16,385
     assert sum(sizes) > 2049 + 2048 + 4096 + 8192
     _assert_same_reparametrization(curve)
+
+
+def test_large_scale_curve_reparametrizes_in_bounded_work():
+    # an absolute quadrature tolerance alone refined a 1e80-scale curve's
+    # intervals past their first doubling (74,013 speed points); each stops
+    # there, as at speed 2: the scan, the odd table nodes and two Simpson levels
+    cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
+    for scale in (2.0, 1e80):
+        raw = SpaceCurve(lambda s, k=scale: k * cur.evaluate(s), cur.domain,
+                         jet=lambda s, order, k=scale: k * cur.jet(s, order))
+        with pytest.MonkeyPatch.context() as mp:
+            sizes = count_speed_points(mp, limit=40_000)
+            unit = reparametrize_arclength(raw)
+        assert sum(sizes) == 2049 + 2048 + 4096 + 8192
+        assert abs(unit.length / (scale * cur.length) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e107, 1e140])
+def test_stencil_step_overflow_is_named_on_a_closed_form_curve(scale):
+    # a unit-speed finite-difference curve over a domain of 7.7 scale has the
+    # step 7.7e-4 scale, past 5.6e102, where h**3 overflows a float
+    cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
+    wide = SpaceCurve(lambda s: scale * cur.evaluate(s / scale),
+                      (scale * cur.domain[0], scale * cur.domain[1]))
+    with pytest.raises(OverflowError, match=r"^order-3 stencil step h = .*: h\*\*3 overflows$"):
+        sample_arclength(wide, 64)
 
 
 @_DERANDOMIZED
@@ -564,17 +585,20 @@ def _assert_same_samples(cs, ref):
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_sample_arclength_is_the_samples_of_the_unit_speed_curve(scale):
-    # the s column scaled by 2 halves the speed; unit speed keeps the nodes
+    # unit speed keeps the nodes; the s column scaled by 2 halves the speed,
+    # and the refusal names the worst grid point by its label in the table
     cur = generate_circular_geodesic(RectifyingParams(1.1, 0.2, 0.3), 0.8)
     s_nodes = np.linspace(*cur.domain, 1024)
     sampled = SpaceCurve.from_samples(scale * s_nodes, cur.evaluate(s_nodes))
+    if scale == 2.0:
+        with pytest.raises(SingularSpeed) as info:
+            sample_arclength(sampled, 200)
+        off, s = named_speed_refusal(str(info.value))
+        assert off == "0.5" and s in sampled.nodes[0]
+        return
     cs = sample_arclength(sampled, 200)
-    if scale == 1.0:
-        assert cs.curve is sampled
-        _assert_same_samples(cs, sample_curve(sampled, 200))
-    else:
-        assert cs.curve.nodes is None
-        _assert_same_samples(cs, sample_curve(reparametrize_arclength(sampled), 200))
+    assert cs.curve is sampled
+    _assert_same_samples(cs, sample_curve(sampled, 200))
     assert np.max(np.abs(np.linalg.norm(cs.jet[1], axis=-1) - 1.0)) < 1e-5
 
 
@@ -594,7 +618,13 @@ def test_sample_arclength_reads_an_analytic_speed_to_1e_12(excess, kept):
         lambda s: circ.evaluate(speed * s), (0.0, 10.0),
         jet=lambda s, order: circ.jet(speed * s, order) * powers[:order + 1])
     assert fast.derivative_mode == "analytic"
-    assert (sample_arclength(fast, 64).curve is fast) == kept
+    if kept:
+        assert sample_arclength(fast, 64).curve is fast
+        return
+    with pytest.raises(SingularSpeed) as info:
+        sample_arclength(fast, 64)
+    off, s = named_speed_refusal(str(info.value))
+    assert off == "5e-12" and s in sample_grid(fast, 64)
 
 
 @pytest.mark.parametrize("kappa,vanishes", [(5e-10, True), (5e-9, False)])
@@ -622,18 +652,10 @@ def _generated_rows(n):
     return SpaceCurve.from_samples(s, cur.evaluate(s))
 
 
-def _reparametrized_64_rows():
-    # classify samples this curve at the arc length of its 64 rows
-    rows = _generated_rows(64)
-    unit = reparametrize_arclength(rows)
-    assert unit is not rows
-    return unit
-
-
 def test_sample_curve_holds_one_block_of_jet_temporaries():
     # in one curve.jet call the stencil and Hermite temporaries of every
-    # grid point are held at once, about 960 bytes a sample
-    curve, n = _reparametrized_64_rows(), 100_000
+    # grid point are held at once, about 940 bytes a sample
+    curve, n = reparametrized_fd_curve(), 100_000
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -649,7 +671,7 @@ def test_sample_curve_holds_one_block_of_jet_temporaries():
     lambda: generate_circular_geodesic(RectifyingParams(1.1, 0.2, 0.3), 0.8),
     lambda: perturbed_circle_base(1.1, seed=3).curve,
     lambda: _generated_rows(1024),
-    _reparametrized_64_rows,
+    reparametrized_fd_curve,
 ], ids=["analytic", "perturbed-base", "sampled", "reparametrized"])
 def test_sample_curve_blocks_are_one_jet_call_bitwise(monkeypatch, make):
     curve = make()

@@ -23,7 +23,6 @@ from conegeo import (
     circular_base,
     develop,
     perturbed_circle_base,
-    reparametrize_arclength,
     sample_grid,
 )
 from conegeo import jets
@@ -34,6 +33,7 @@ from helpers import (
     count_vector_hermite_calls,
     reference_fd_derivatives,
     reference_hermite,
+    reparametrized_fd_curve,
 )
 
 _HYP = settings(max_examples=60, deadline=None, derandomize=True)
@@ -133,15 +133,13 @@ def test_periodic_sampled_base_across_its_seam(where, turns):
     _check_pass(base.derivatives, wrapped, q, base.curve.h)
 
 
-_S = np.linspace(0.0, 3.0, 301)
-# a sampled curve whose speed is not 1, so reparametrize_arclength resamples it
-_REP = reparametrize_arclength(
-    SpaceCurve.from_samples(_S, np.stack([np.cos(_S), np.sin(_S), 0.5 * _S * _S], axis=-1)))
+# a closed-form curve whose speed is not 1, so reparametrize_arclength rebuilds it
+_REP = reparametrized_fd_curve()
 
 
 @_HYP
 @given(where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-def test_reparametrized_sampled_curve(where):
+def test_reparametrized_finite_difference_curve(where):
     rep = _REP
     assert rep.derivative_mode == "finite-difference" and rep.nodes is None
     m = rep.fd_margin(3)

@@ -84,7 +84,8 @@ WRITER = [
 
 # (label, module, text, replacement): one-line faults in the memory bound of
 # sample_curve, the file writer's cleanup, the wording of an RK4 error, the
-# base's unit-speed check, the arc-length anchor and the option table's checker
+# base's unit-speed check, the curve's arc-length refusal, the arc-length
+# anchor and the option table's checker
 GUARDS = [
     ("sample_curve jet block unbounded", "curves.py", "_JET_BLOCK = 4096",
      "_JET_BLOCK = 10**12"),
@@ -94,6 +95,8 @@ GUARDS = [
      'below u_min = {u_min:.3g}, "\n                             f"at s'),
     ("base speed check loosened to 1.0", "cones.py",
      "if not off[worst] <= UNIT_TOL[curve.derivative_mode]:", "if not off[worst] <= 1.0:"),
+    ("curve speed refusal skipped", "curves.py",
+     "if not off[worst] < UNIT_TOL[curve.derivative_mode]:", "if False:"),
     ("arc length anchored at s0 again", "curves.py", "a0 = tau_nodes[0]", "a0 = s0"),
     ("positive-option rule lets 0 through", "cli.py",
      "not (value > 0)", "value < 0"),
