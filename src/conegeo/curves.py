@@ -587,8 +587,120 @@ def read_table(path, header):
 
     Blank lines are skipped and `#` is data, not a comment.  There must be
     at least one row, every value must be finite and the first column
-    strictly increasing.
+    strictly increasing.  Each value is the double float() reads from its
+    text.  A file as table_chunks writes it takes the canonical route
+    (_read_canonical); every other file, and every file that route
+    declines, is read by np.loadtxt, with the same values and errors.
     """
+    data = _read_canonical(path, header)
+    if data is None:
+        data = _read_table_loadtxt(path, header)
+    _check_values(path, data, np.isfinite(data), "non-finite value")
+    if np.any(np.diff(data[:, 0]) <= 0.0):
+        raise ValueError(f"{path}: parameter column must be strictly increasing")
+    return data
+
+
+# bytes per block of the canonical route; a block is cut after its last
+# newline, so a row of 64 KiB or more sends the file to loadtxt
+_READ_BLOCK = 1 << 16
+_CANONICAL_BYTES = b"0123456789.eE+-,\n"
+# a double at most this small is read again: its rounding error may fall
+# below the subnormal grid, where the midpoint test cannot see it
+_TINY = 2.0**-1021
+
+
+def _read_canonical(path, header):
+    """The (n, columns) table of a canonical CSV file, or None for any other file.
+
+    Canonical: line 1 is exactly the header, and the body holds only the
+    bytes of _CANONICAL_BYTES in rows of exactly `columns` fields; the
+    final newline is optional.  A first pass counts the rows, so the table
+    is allocated once; the second reads the body in blocks of about
+    _READ_BLOCK bytes.  Returns None on the first block that breaks the
+    grammar or that numpy does not read to its end.
+    """
+    import warnings  # local: only this route needs it, and the interpreter loaded it at start-up
+
+    width = header.count(",") + 1
+    head = header.encode("ascii") + b"\n"
+    with open(path, "rb") as fh:
+        if fh.read(len(head)) != head:
+            return None
+        rows, last = 0, b"\n"
+        while chunk := fh.read(_READ_BLOCK):
+            rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+            last = chunk[-1:]
+        rows += last != b"\n"
+        if not rows:
+            return None
+        fh.seek(len(head))
+        data = np.empty((rows, width))
+        flat = data.reshape(-1)
+        done = 0
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            # older numpy warns, where newer numpy raises, on text fromstring
+            # cannot read to its end
+            warnings.simplefilter("error", DeprecationWarning)
+            while block := fh.read(_READ_BLOCK):
+                if len(block) == _READ_BLOCK:  # the next read starts after the last newline
+                    cut = block.rfind(b"\n") + 1
+                    if not cut:
+                        return None
+                    fh.seek(cut - len(block), 1)
+                    block = block[:cut]
+                elif not block.endswith(b"\n"):
+                    block += b"\n"
+                done = _read_block(block, width, flat, done)
+                if done is None:
+                    return None
+    return data if done == flat.size else None
+
+
+def _read_block(block, width, flat, done):
+    """Read whole rows of canonical text into flat[done:]; the new count, or None.
+
+    The C library's strtold reads the block (np.fromstring with dtype
+    longdouble), and each long double L is rounded to float64.  With L
+    correctly rounded to p >= 64 bits, a double midpoint (54 bits) cannot
+    lie strictly between L and the decimal, so the rounding is float()'s
+    unless L is itself a midpoint (double rounding; Clinger, "How to read
+    floating point numbers accurately", PLDI 1990).  float() reads those
+    fields again, and every nonzero one that rounds to infinity or to at
+    most _TINY.  The caller suppresses numpy's floating-point errors.
+    """
+    if block.translate(None, _CANONICAL_BYTES):
+        return None
+    text = block.replace(b"\n", b",")
+    seps = np.flatnonzero(np.frombuffer(text, np.uint8) == 44)
+    ends = np.frombuffer(block, np.uint8)[seps] == 10
+    rows = seps.size // width
+    if (seps.size != rows * width or np.count_nonzero(ends) != rows
+            or not ends[width - 1::width].all()):
+        return None
+    try:
+        values = np.fromstring(text, sep=",", dtype=np.longdouble)
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != seps.size or done + values.size > flat.size:
+        return None
+    out = flat[done:done + values.size]
+    out[...] = values
+    # L - out, exact in long double: twice it is the gap to the next double
+    # exactly when L is a midpoint, and it is 0 where L is out's own value
+    values -= out
+    r = values.astype(np.float64)
+    size = np.abs(out)
+    redo = (r != 0) & ((out + 2 * r) - out == 2 * r)
+    redo |= ~((size > _TINY) & (size < np.inf))
+    redo = np.flatnonzero(redo)
+    for i in redo[values[redo] != 0]:
+        out[i] = float(text[seps[i - 1] + 1 if i else 0:seps[i]])
+    return done + out.size
+
+
+def _read_table_loadtxt(path, header):
+    """The table of any CSV file under the header, by np.loadtxt; read_table's other route."""
     width = header.count(",") + 1
     with open(path, "r", encoding="ascii") as fh:
         lines = iter(fh.readline, "")
@@ -605,9 +717,6 @@ def read_table(path, header):
     if data.shape[1] != width:
         words = {3: "three", 4: "four"}
         raise ValueError(f"{path}: expected {words.get(width, width)} columns per row")
-    _check_values(path, data, np.isfinite(data), "non-finite value")
-    if np.any(np.diff(data[:, 0]) <= 0.0):
-        raise ValueError(f"{path}: parameter column must be strictly increasing")
     return data
 
 
@@ -626,6 +735,7 @@ def write_curve_csv(path, s, points):
 def read_curve_csv(path):
     """(s, points) of a curve CSV; read_table's rules, and no value above CURVE_VALUE_MAX."""
     data = read_table(path, "s,x,y,z")
-    _check_values(path, data, np.abs(data) <= CURVE_VALUE_MAX, "value",
+    # two comparisons, not np.abs: no float temporary the size of the table
+    _check_values(path, data, (data >= -CURVE_VALUE_MAX) & (data <= CURVE_VALUE_MAX), "value",
                   f" exceeds {CURVE_VALUE_MAX:g} in magnitude")
     return data[:, 0], data[:, 1:]

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conegeo import (
@@ -861,3 +861,196 @@ def test_read_table_rejects_header(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError, match="expected header 's,x,y,z'"):
         read_curve_csv(path)
+
+
+# ----------------------------------------------------------------------
+# the canonical route of read_table and its loadtxt twin
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       final_newline=st.booleans(), finite=st.booleans())
+@example(rows=5000, seed=3, final_newline=False, finite=True)
+def test_read_table_equals_its_loadtxt_route_bitwise(tmp_path, rows, seed, final_newline,
+                                                    finite):
+    # random bit patterns: every sign and exponent and subnormals; unless
+    # `finite`, one value in 2,048 is an inf or nan, which only the loadtxt
+    # route reads.  Tables over 700 rows or so span several blocks
+    rng = np.random.default_rng(seed)
+    table = np.frombuffer(rng.bytes(rows * 32), dtype=np.float64).reshape(rows, 4).copy()
+    if finite:
+        table[~np.isfinite(table)] = 0.5
+    table[:, 0] = np.sort(table[:, 0])
+    text = "".join(table_chunks("s,x,y,z", table[:, 0], table[:, 1:]))
+    path = tmp_path / "c.csv"
+    path.write_text(text if final_newline else text[:-1])
+    got = curves_module._read_canonical(path, "s,x,y,z")
+    want = curves_module._read_table_loadtxt(path, "s,x,y,z")
+    if np.isfinite(table).all():
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got is None
+
+
+def _padded_rows(values, length):
+    # rows of repr text, the last one's first field padded with leading zeros
+    # so the rows come to exactly `length` bytes
+    lines = [",".join(map(repr, row)) + "\n" for row in values]
+    rows, size = [], 0
+    while size + len(lines[len(rows)]) + len(lines[len(rows) + 1]) <= length:
+        size += len(lines[len(rows)])
+        rows.append(lines[len(rows)])
+    return rows + ["0" * (length - size - len(lines[len(rows)])) + lines[len(rows)]]
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("tail_rows", [0, 1])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_read_table_rows_at_the_block_edge(tmp_path, shift, tail_rows, final_newline):
+    # a row ends one byte before, on, or one byte after the end of the first
+    # _READ_BLOCK bytes of the body; with tail_rows 0 it is the last row
+    block = curves_module._READ_BLOCK
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(block // 8, 4)) * 10.0 ** rng.integers(-30, 30, (block // 8, 4))
+    values[:, 0] = 1.0 + np.arange(block // 8)
+    values = values.tolist()
+    rows = _padded_rows(values, block + shift)
+    rows += [",".join(map(repr, values[len(rows) + k])) + "\n" for k in range(tail_rows)]
+    body = "".join(rows)
+    assert body.index("\n", block + shift - 1) == block + shift - 1
+    path = tmp_path / "c.csv"
+    path.write_text("s,x,y,z\n" + (body if final_newline else body[:-1]))
+    got = curves_module._read_canonical(path, "s,x,y,z")
+    assert got is not None and got.shape == (len(rows), 4)
+    assert read_table(path, "s,x,y,z").tobytes() == \
+        curves_module._read_table_loadtxt(path, "s,x,y,z").tobytes()
+
+
+_LONG_ROW = b"0,1," + b"0" * 70000 + b"2,3\n"
+
+
+# each file, as read at the commit before the canonical route: its table or
+# its error line, PATH standing for the file's path
+@pytest.mark.parametrize("body,expect", [
+    (b"0,1,2,3\n\n1,4,5,6\n\n", [[0.0, 1.0, 2.0, 3.0], [1.0, 4.0, 5.0, 6.0]]),
+    (b"\r\n0,1,2,3\r\n1,4,5,6\r\n", [[0.0, 1.0, 2.0, 3.0], [1.0, 4.0, 5.0, 6.0]]),
+    (b" 0 ,1, 2,3\n1,4,5,6 \n", [[0.0, 1.0, 2.0, 3.0], [1.0, 4.0, 5.0, 6.0]]),
+    (b"0\t,1,2,3\x0b\n", [[0.0, 1.0, 2.0, 3.0]]),
+    (_LONG_ROW, [[0.0, 1.0, 2.0, 3.0]]),
+    (b"0,inf,2,3\n", "PATH: non-finite value inf in data row 1, column 2"),
+    (b"0,1,nan,3\n", "PATH: non-finite value nan in data row 1, column 3"),
+    (b"0,1,2,-Infinity\n", "PATH: non-finite value -inf in data row 1, column 4"),
+    (b"0,0x1p3,2,3\n",
+     "PATH: could not convert string '0x1p3' to float64 at row 0, column 2."),
+    (b"0,nan(1),2,3\n",
+     "PATH: could not convert string 'nan(1)' to float64 at row 0, column 2."),
+    (b"0,1,2,3#c\n", "PATH: could not convert string '3#c' to float64 at row 0, column 4."),
+    (b"#0,1,2,3\n1,1,1,1\n",
+     "PATH: could not convert string '#0' to float64 at row 0, column 1."),
+    (b"0,,2,3\n", "PATH: could not convert string '' to float64 at row 0, column 2."),
+    (b"0,1,2,3,\n1,1,1,1,\n",
+     "PATH: could not convert string '' to float64 at row 0, column 5."),
+    (b"0,1.2.3,2,3\n",
+     "PATH: could not convert string '1.2.3' to float64 at row 0, column 2."),
+    (b"0,1e,2,3\n", "PATH: could not convert string '1e' to float64 at row 0, column 2."),
+    (b"0,+,2,3\n", "PATH: could not convert string '+' to float64 at row 0, column 2."),
+    (b"0,1,2,3\x00\n",
+     "PATH: could not convert string '3\\x00' to float64 at row 0, column 4."),
+    (b"0,1,2\n1,1,1\n", "PATH: expected four columns per row"),
+    (b"0,1,2,3,4\n", "PATH: expected four columns per row"),
+    (b"0,1,2,3\n1,1,1\n", "PATH: the number of columns changed from 4 to 3 at row 2; "
+                          "use `usecols` to select a subset and avoid this error"),
+    (b"0,1,2\n1,1,1,1,1\n", "PATH: the number of columns changed from 3 to 5 at row 2; "
+                            "use `usecols` to select a subset and avoid this error"),
+    (b"0,1,2,3\n1,1,\xc3\xa9,1\n",
+     "'ascii' codec can't decode byte 0xc3 in position 20: ordinal not in range(128)"),
+    (b"", "PATH: no data rows"),
+])
+def test_read_table_keeps_the_loadtxt_result_of_other_files(tmp_path, body, expect):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"s,x,y,z\n" + body)
+    assert curves_module._read_canonical(path, "s,x,y,z") is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = read_table(path, "s,x,y,z").tolist()
+        except ValueError as exc:
+            got = str(exc).replace(str(path), "PATH")
+    assert got == expect
+
+
+@pytest.mark.parametrize("text", [b"\ns,x,y,z\n0,1,2,3\n", b"s,x,y,z\r\n0,1,2,3\n",
+                                  b" s,x,y,z\n0,1,2,3\n"])
+def test_read_table_reads_other_headers_by_loadtxt(tmp_path, text):
+    path = tmp_path / "c.csv"
+    path.write_bytes(text)
+    assert curves_module._read_canonical(path, "s,x,y,z") is None
+    assert read_table(path, "s,x,y,z").tolist() == [[0.0, 1.0, 2.0, 3.0]]
+
+
+def _decimal_midpoint(lo, hi, k=0):
+    # the exact midpoint of two doubles, moved k * 1e-40 of itself
+    from decimal import Context, Decimal
+    context = Context(prec=1200)
+    m = context.divide(context.add(Decimal(lo), Decimal(hi)), 2)
+    return str(context.add(m, context.multiply(m, Decimal(f"{k}e-40"))))
+
+
+def test_read_table_edge_values_are_floats_bitwise(tmp_path):
+    tiny, big = 5e-324, float(np.finfo(float).max)
+    texts = [
+        "1e-400", "-1e-400", "4.9e-324", "2.4703282292062328e-324", "-0.0", "-0", "0e5",
+        _decimal_midpoint(0.0, tiny), _decimal_midpoint(0.0, tiny, 1),
+        _decimal_midpoint(0.0, tiny, -1), _decimal_midpoint(tiny, 2 * tiny, 1),
+        _decimal_midpoint(-3 * tiny, -2 * tiny, -1), _decimal_midpoint(2.0**-1022, 2.0**-1022
+                                                                      - tiny, 1),
+        repr(big), "1.7976931348623158e308", "-1.797693134862315807937289714053e308",
+        _decimal_midpoint(big, 2**1024, -1), _decimal_midpoint(np.nextafter(big, 0), big, 1),
+        "1.234567890123456789012345", "-9.999999999999999999999999e-300",
+        "2.000000000000000222044604925031308", "9007199254740993", "0.1",
+    ]
+    texts += ["0.0"] * (-len(texts) % 3)
+    rows = [f"{i},{','.join(texts[3 * i:3 * i + 3])}" for i in range(len(texts) // 3)]
+    path = tmp_path / "c.csv"
+    path.write_text("s,x,y,z\n" + "\n".join(rows) + "\n")
+    want = np.array([float(t) for t in texts])
+    assert curves_module._read_canonical(path, "s,x,y,z") is not None
+    assert read_table(path, "s,x,y,z")[:, 1:].ravel().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1e400", "non-finite value inf in data row 2, column 3"),
+    ("-1e400", "non-finite value -inf in data row 2, column 3"),
+    ("1.797693134862315808e308", "non-finite value inf in data row 2, column 3"),
+])
+def test_read_table_names_a_value_that_overflows(tmp_path, value, message):
+    # the long doubles are rounded under a local errstate: the CLI raises on overflow
+    path = tmp_path / "c.csv"
+    path.write_text(f"s,x,y,z\n0,1,2,3\n1,2,{value},4\n")
+    assert curves_module._read_canonical(path, "s,x,y,z") is not None
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(ValueError, match=message):
+            read_table(path, "s,x,y,z")
+
+
+def test_read_curve_csv_holds_one_block_of_text(tmp_path):
+    # the canonical route counts the rows first and reads the body into the
+    # one result table, a block at a time: a 20,001-row file peaks at the
+    # 640,032-byte table plus 427,016 bytes of one block's temporaries
+    # (its text, the comma copy, separator offsets, long doubles and the
+    # midpoint test), where reading the whole 1.29 MB file at once would not
+    n = 20_001
+    s = np.linspace(0.0, 5.0, n)
+    path = tmp_path / "c.csv"
+    write_curve_csv(path, s, np.stack([np.cos(s), np.sin(s), s / 3.0], axis=-1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got, _ = read_curve_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got.base.nbytes == 4 * 8 * n
+    assert peak < got.base.nbytes + 8 * curves_module._READ_BLOCK, \
+        f"read_curve_csv peaked at {peak} bytes"

@@ -110,6 +110,18 @@ GUARDS = [
      '"step": _Option(float, None, _check_positive, None)'),
     ("command parser built per call", "cli.py", "@functools.cache\ndef _command_parser",
      "def _command_parser"),
+    ("CSV midpoint re-read skipped", "curves.py",
+     "redo = (r != 0) & ((out + 2 * r) - out == 2 * r)", "redo = r != r"),
+    ("CSV tiny and infinite values not read again", "curves.py",
+     "redo |= ~((size > _TINY) & (size < np.inf))", "pass"),
+    ("CSV block cut one byte off its newline", "curves.py",
+     'cut = block.rfind(b"\\n") + 1', 'cut = block.rfind(b"\\n")'),
+    ("CSV row-width check dropped", "curves.py",
+     "if (seps.size != rows * width or np.count_nonzero(ends) != rows\n"
+     "            or not ends[width - 1::width].all()):", "if False:"),
+    ("CSV loadtxt route skipped on a decline", "curves.py",
+     "data = _read_table_loadtxt(path, header)",
+     'raise ValueError(f"{path}: not a canonical CSV")'),
 ]
 
 # (label, module, text, replacement): one-line faults in the closed form and
