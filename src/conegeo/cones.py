@@ -59,7 +59,7 @@ class SphericalBaseCurve:
             at = np.linspace(curve.domain[0] + m, curve.domain[1] - m, 257)
             velocity = curve.derivative(at, 1)
         else:
-            at, velocity = curve.nodes[0], jt.node_slopes(*curve.nodes)
+            at, velocity = curve.nodes[0], curve.node_slopes
         off = np.abs(np.linalg.norm(velocity, axis=-1) - 1.0)
         worst = int(np.argmax(off))
         if not off[worst] <= UNIT_TOL[curve.derivative_mode]:

@@ -92,7 +92,8 @@ class SpaceCurve:
     """An evaluable curve in R^3 over a closed parameter interval.
 
     nodes is the (parameters, points) table of a curve backed by cubic
-    Hermite interpolation, else None; derivative_mode is "analytic" when
+    Hermite interpolation, else None, and node_slopes the interpolant's
+    slopes at those nodes; derivative_mode is "analytic" when
     third-order jets are available and "finite-difference" otherwise.  h is
     the step of the order-4 central stencils that give finite-difference
     derivatives: the node spacing, at most 1/100 of the domain, or 1e-4 of
@@ -100,6 +101,7 @@ class SpaceCurve:
     """
 
     def __init__(self, evaluator, domain, *, jet=None, nodes=None):
+        """nodes, if given, is (parameters, points, slopes) of the interpolant."""
         s_min, s_max = float(domain[0]), float(domain[1])
         if not (np.isfinite(s_min) and np.isfinite(s_max) and s_min < s_max):
             raise ValueError(f"degenerate domain [{s_min}, {s_max}]")
@@ -114,9 +116,10 @@ class SpaceCurve:
         self._jet = jet
         self._domain = (s_min, s_max)
         self._h = h
-        self._nodes = None
+        self._nodes = self._slopes = None
         if nodes is not None:
             self._nodes = (_readonly(nodes[0]), _readonly(nodes[1]))
+            self._slopes = _readonly(nodes[2])
 
     # ------------------------------------------------------------------
     @property
@@ -140,6 +143,11 @@ class SpaceCurve:
     def nodes(self):
         """(parameters, points) for sampled curves, else None."""
         return self._nodes
+
+    @property
+    def node_slopes(self):
+        """First derivatives at the nodes, as the interpolant uses them, else None."""
+        return self._slopes
 
     # ------------------------------------------------------------------
     def _check_domain(self, s):
@@ -225,7 +233,7 @@ class SpaceCurve:
         return SpaceCurve(
             lambda q: jt.hermite(s, points, slopes, q),
             (s[0], s[-1]),
-            nodes=(s, points),
+            nodes=(s, points, slopes),
         )
 
 
@@ -604,10 +612,20 @@ def read_table(path, header):
 # bytes per block of the canonical route; a block is cut after its last
 # newline, so a row of 64 KiB or more sends the file to loadtxt
 _READ_BLOCK = 1 << 16
-_CANONICAL_BYTES = b"0123456789.eE+-,\n"
+# the bytes of a fixed-notation block; a canonical block may add these
+_FIXED_BYTES = b"0123456789.-,\n"
+_EXPONENT_BYTES = b"eE+"
 # a double at most this small is read again: its rounding error may fall
 # below the subnormal grid, where the midpoint test cannot see it
 _TINY = 2.0**-1021
+# 10**0 .. 10**27, each exact in a 64-bit significand (5**27 < 2**63); the
+# fixed-point path needs a long double that holds them, as x86-64 and
+# aarch64 Linux have, and leaves every block to strtold elsewhere
+_POW10 = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
+_FIXED_POINT = np.finfo(np.longdouble).nmant >= 63
+# a mantissa below this cannot be the int64 parser's saturated
+# LONG_MAX, which it returns for an overflow of either sign
+_MANTISSA_MAX = 10**18
 
 
 def _read_canonical(path, header):
@@ -660,28 +678,33 @@ def _read_canonical(path, header):
 def _read_block(block, width, flat, done):
     """Read whole rows of canonical text into flat[done:]; the new count, or None.
 
-    The C library's strtold reads the block (np.fromstring with dtype
-    longdouble), and each long double L is rounded to float64.  With L
-    correctly rounded to p >= 64 bits, a double midpoint (54 bits) cannot
-    lie strictly between L and the decimal, so the rounding is float()'s
-    unless L is itself a midpoint (double rounding; Clinger, "How to read
-    floating point numbers accurately", PLDI 1990).  float() reads those
-    fields again, and every nonzero one that rounds to infinity or to at
-    most _TINY.  The caller suppresses numpy's floating-point errors.
+    Each field becomes a long double L correctly rounded to p >= 64 bits:
+    by _read_fixed when the block has no exponent field, else by the C
+    library's strtold (np.fromstring with dtype longdouble).  L is rounded
+    to float64.  A double midpoint (54 bits) cannot lie strictly between L
+    and the decimal, so the rounding is float()'s unless L is itself a
+    midpoint (double rounding; Clinger, "How to read floating point numbers
+    accurately", PLDI 1990).  float() reads those fields again, and every
+    nonzero one that rounds to infinity or to at most _TINY.  The caller
+    suppresses numpy's floating-point errors.
     """
-    if block.translate(None, _CANONICAL_BYTES):
+    rest = block.translate(None, _FIXED_BYTES)
+    if rest.translate(None, _EXPONENT_BYTES):
         return None
     text = block.replace(b"\n", b",")
-    seps = np.flatnonzero(np.frombuffer(text, np.uint8) == 44)
+    chars = np.frombuffer(text, np.uint8)
+    seps = np.flatnonzero(chars == 44)
     ends = np.frombuffer(block, np.uint8)[seps] == 10
     rows = seps.size // width
     if (seps.size != rows * width or np.count_nonzero(ends) != rows
             or not ends[width - 1::width].all()):
         return None
-    try:
-        values = np.fromstring(text, sep=",", dtype=np.longdouble)
-    except (ValueError, DeprecationWarning):
-        return None
+    values = None if rest or not _FIXED_POINT else _read_fixed(text, chars, seps)
+    if values is None:
+        try:
+            values = np.fromstring(text, sep=",", dtype=np.longdouble)
+        except (ValueError, DeprecationWarning):
+            return None
     if values.size != seps.size or done + values.size > flat.size:
         return None
     out = flat[done:done + values.size]
@@ -699,25 +722,88 @@ def _read_block(block, width, flat, done):
     return done + out.size
 
 
+def _read_fixed(text, chars, seps):
+    """Long doubles of a block whose every field is -?D+.D+, or None to leave it to strtold.
+
+    text is the block with commas for its newlines, chars its bytes and
+    seps the offset of the comma that ends each field.  A field is m / 10**f:
+    m its digits without the dot, read by numpy's int64 parser, and f the
+    count of digits after the dot.  Both are exact in a 64-bit significand
+    when |m| < _MANTISSA_MAX and f <= 27, so the one division is the decimal
+    correctly rounded, the long double strtold gives.  Any other block is
+    declined.
+    """
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    starts[1:] = seps[:-1] + 1
+    minus = chars[starts] == 45
+    dots = np.flatnonzero(chars == 46)
+    if dots.size != seps.size:
+        return None
+    # one dot per field, then, with a digit on each side of it
+    if not ((starts + minus < dots) & (dots < seps - 1)).all():
+        return None
+    # and no minus sign but a field's first byte
+    if np.count_nonzero(chars == 45) != np.count_nonzero(minus):
+        return None
+    frac = seps - dots - 1
+    del starts, dots  # freed: the division below is the block's memory peak
+    if frac.max() > 27:
+        return None
+    m = np.fromstring(text.replace(b".", b""), sep=",", dtype=np.int64)
+    if m.size != seps.size or not ((m > -_MANTISSA_MAX) & (m < _MANTISSA_MAX)).all():
+        return None
+    values = m.astype(np.longdouble)
+    values /= _POW10[frac]
+    values[minus & (m == 0)] = -0.0
+    return values
+
+
 def _read_table_loadtxt(path, header):
     """The table of any CSV file under the header, by np.loadtxt; read_table's other route."""
     width = header.count(",") + 1
-    with open(path, "r", encoding="ascii") as fh:
-        lines = iter(fh.readline, "")
-        if next((ln for ln in lines if ln.strip()), "").strip() != header:
-            raise ValueError(f"{path}: expected header {header!r}")
-        start = fh.tell()
-        if not any(ln.strip() for ln in lines):  # loadtxt warns on a file without rows
-            raise ValueError(f"{path}: no data rows")
-        fh.seek(start)
-        try:
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = iter(fh.readline, "")
+            if next((ln for ln in lines if ln.strip()), "").strip() != header:
+                raise ValueError(f"{path}: expected header {header!r}")
+            start = fh.tell()
+            if not any(ln.strip() for ln in lines):  # loadtxt warns on a file without rows
+                raise ValueError(f"{path}: no data rows")
+            fh.seek(start)
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        # the decoder fails a whole chunk at once, so find the byte's row again
+        raise ValueError(f"{path}: {_non_ascii(path, header)}") from None
     if data.shape[1] != width:
         words = {3: "three", 4: "four"}
         raise ValueError(f"{path}: expected {words.get(width, width)} columns per row")
     return data
+
+
+def _non_ascii(path, header):
+    """Where the file's first non-ASCII byte is, in the words of the other CSV errors.
+
+    Rows are counted as loadtxt counts them: the lines that are not blank,
+    the header first.  A header line with such a byte is not the header.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        row = -1
+        for line in fh:
+            row += bool(line.strip())
+            # surrogateescape reads byte 0xNN, NN >= 80, as U+DCNN
+            col = next((i for i, ch in enumerate(line) if ch >= "\udc80"), None)
+            if col is not None:
+                break
+    if row < 1:
+        return f"expected header {header!r}"
+    return (f"non-ASCII byte {ord(line[col]) - 0xdc00:#04x} in data row {row}, "
+            f"column {line.count(',', 0, col) + 1}")
 
 
 def _check_values(path, data, ok, what, tail=""):

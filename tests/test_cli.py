@@ -1148,6 +1148,22 @@ def test_nonfinite_csv_value_exits_1(tmp_path, quarter_cone_json, capsys, bad):
     assert "non-finite value" in _assert_invalid_config(capsys, out)
 
 
+def test_non_ascii_csv_byte_exits_1_naming_its_row(tmp_path, capsys):
+    # a file of 600 rows: its byte is past the first chunk the decoder reads
+    rows = [f"{0.1 * k!r},{1.0 + k},0.5,0.25" for k in range(600)]
+    rows[400] = rows[400].replace("0.5", "0.é")
+    csv = tmp_path / "c.csv"
+    csv.write_bytes(("s,x,y,z\n\n" + "\n".join(rows) + "\n").encode("utf-8"))
+    rep = tmp_path / "rep.json"
+    assert run_cli("classify", "--in", csv, "--report", rep) == 1
+    assert _assert_invalid_config(capsys, rep) == (
+        f"error: InvalidConfig: --in: {csv}: non-ASCII byte 0xc3 in data row 401, column 3\n")
+    csv.write_bytes("s,é,y,z\n0,1,2,3\n".encode("utf-8"))
+    assert run_cli("classify", "--in", csv, "--report", rep) == 1
+    assert _assert_invalid_config(capsys, rep) == (
+        f"error: InvalidConfig: --in: {csv}: expected header 's,x,y,z'\n")
+
+
 @pytest.fixture(scope="module")
 def spiked_csv(tmp_path_factory):
     """A 256-row geodesic CSV and a writer that sets x of its data row 21 to a value."""

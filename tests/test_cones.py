@@ -723,6 +723,18 @@ def test_sampled_base_labelled_by_arc_length_is_kept_as_it_is(monkeypatch, rows,
     assert_bitwise(base.curve.nodes[0], t)
 
 
+def test_sampled_base_takes_the_node_slopes_of_its_curve(monkeypatch):
+    # the interpolant's slopes are computed once, and the speed check reads them
+    calls = []
+    node_slopes = jets.node_slopes
+    monkeypatch.setattr(jets, "node_slopes", lambda *a: calls.append(1) or node_slopes(*a))
+    theta = np.linspace(0.0, 2 * np.pi, 2049)
+    t = theta * np.sin(0.8)
+    base = base_from_samples(t, _circle_rows(theta))
+    assert len(calls) == 1
+    assert_bitwise(base.curve.node_slopes, node_slopes(t, _circle_rows(theta)))
+
+
 def test_develop_rejects_nonpositive_radius():
     s = np.linspace(0.0, 1.0, 16)
     with pytest.raises(NonpositiveRadialCoordinate):

@@ -963,8 +963,8 @@ _LONG_ROW = b"0,1," + b"0" * 70000 + b"2,3\n"
                           "use `usecols` to select a subset and avoid this error"),
     (b"0,1,2\n1,1,1,1,1\n", "PATH: the number of columns changed from 3 to 5 at row 2; "
                             "use `usecols` to select a subset and avoid this error"),
-    (b"0,1,2,3\n1,1,\xc3\xa9,1\n",
-     "'ascii' codec can't decode byte 0xc3 in position 20: ordinal not in range(128)"),
+    # not as loadtxt's route read it: that line named no file and gave a byte offset
+    (b"0,1,2,3\n1,1,\xc3\xa9,1\n", "PATH: non-ASCII byte 0xc3 in data row 2, column 3"),
     (b"", "PATH: no data rows"),
 ])
 def test_read_table_keeps_the_loadtxt_result_of_other_files(tmp_path, body, expect):
@@ -1032,6 +1032,84 @@ def test_read_table_names_a_value_that_overflows(tmp_path, value, message):
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(ValueError, match=message):
             read_table(path, "s,x,y,z")
+
+
+def _spy_fixed(monkeypatch):
+    # the result of each _read_fixed call: "read", "declined"
+    calls = []
+    read = curves_module._read_fixed
+
+    def spy(*args):
+        values = read(*args)
+        calls.append("declined" if values is None else "read")
+        return values
+
+    monkeypatch.setattr(curves_module, "_read_fixed", spy)
+    return calls
+
+
+_NEEDS_FIXED_POINT = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                                        reason="long double below 64 bits: strtold reads all")
+
+
+# (row, what _read_fixed returns on its block): [] when the block has an
+# exponent field and goes straight to strtold
+@_NEEDS_FIXED_POINT
+@pytest.mark.parametrize("row,calls", [
+    pytest.param("0.0,-0.0,-0.000,00.5", ["read"], id="signed-zeros-leading-zero"),
+    # an 18-digit mantissa, and 19 digits whose value is below 10**18
+    pytest.param("0.0,123456789.012345678,0.0912345678901234567,-0.0912345678901234567",
+                 ["read"], id="mantissa-18-and-19-digits"),
+    pytest.param("0.0,123456789012345678.9,1.5,2.5", ["declined"], id="mantissa-over-10**18"),
+    # past 2**63 the int64 parser returns LONG_MAX, for either sign
+    pytest.param("0.0,12345678901234567890.5,-12345678901234567890.5,2.5", ["declined"],
+                 id="mantissa-saturates"),
+    pytest.param("0.0,0.000000000123456789012345678,-0.000000000000000000000000001,2.5",
+                 ["read"], id="frac-27"),
+    pytest.param("0.0,0.0000000000000000000000000001,1.5,2.5", ["declined"], id="frac-28"),
+    # double midpoints, which float() reads again: 2**53 + 1 and 2**52 + 1.5
+    pytest.param("0.0,9007199254740993.0,-9007199254740993.0,4503599627370497.5", ["read"],
+                 id="midpoints"),
+    pytest.param("0.0,.5,5.,-.5", ["declined"], id="no-digit-beside-the-dot"),
+    # as many dots as fields, but two in one field
+    pytest.param("0.0,1..5,2,3.0", ["declined"], id="two-dots-in-a-field"),
+    pytest.param("0.0,1-5.0,2.0,3.0", ["declined"], id="inner-minus"),
+    pytest.param("0.0,1-5,2.0,3.0", ["declined"], id="inner-minus-no-dot"),
+    pytest.param("0.0,--1.5,2.0,3.0", ["declined"], id="double-minus"),
+    pytest.param("0.0,1.5e-3,-2.25,3.0", [], id="mixed-with-exponent"),
+])
+def test_read_fixed_equals_strtold_and_float_bitwise(tmp_path, monkeypatch, row, calls):
+    path = tmp_path / "c.csv"
+    path.write_text(f"s,x,y,z\n0.5,1.5,2.5,3.5\n{row}\n")
+    monkeypatch.setattr(curves_module, "_FIXED_POINT", False)
+    want = curves_module._read_canonical(path, "s,x,y,z")
+    monkeypatch.setattr(curves_module, "_FIXED_POINT", True)
+    seen = _spy_fixed(monkeypatch)
+    got = curves_module._read_canonical(path, "s,x,y,z")
+    assert seen == calls
+    if want is None:
+        assert got is None
+    else:
+        assert got.tobytes() == want.tobytes()
+        texts = f"0.5,1.5,2.5,3.5,{row}".split(",")
+        assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+@_NEEDS_FIXED_POINT
+def test_table_chunks_body_without_exponents_takes_the_fixed_point_path(tmp_path, monkeypatch):
+    # every value of repr is between 1e-4 and 1e16 in magnitude, so no
+    # field has an exponent and every block is read as int64 mantissas
+    rng = np.random.default_rng(5)
+    s = np.linspace(1.0, 2.0, 1000)
+    points = rng.uniform(-1e3, 1e3, (1000, 3))
+    text = "".join(table_chunks("s,x,y,z", s, points))
+    assert "e" not in text[len("s,x,y,z"):]
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    seen = _spy_fixed(monkeypatch)
+    got = curves_module._read_canonical(path, "s,x,y,z")
+    assert seen and set(seen) == {"read"}
+    assert got.tobytes() == curves_module._read_table_loadtxt(path, "s,x,y,z").tobytes()
 
 
 def test_read_curve_csv_holds_one_block_of_text(tmp_path):

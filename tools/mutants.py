@@ -85,7 +85,7 @@ WRITER = [
 # (label, module, text, replacement): one-line faults in the memory bound of
 # sample_curve, the file writer's cleanup, the wording of an RK4 error, the
 # base's unit-speed check, the curve's arc-length refusal, the arc-length
-# anchor and the option table's checker
+# anchor, the option table's checker and the CSV reader's canonical route
 GUARDS = [
     ("sample_curve jet block unbounded", "curves.py", "_JET_BLOCK = 4096",
      "_JET_BLOCK = 10**12"),
@@ -122,6 +122,16 @@ GUARDS = [
     ("CSV loadtxt route skipped on a decline", "curves.py",
      "data = _read_table_loadtxt(path, header)",
      'raise ValueError(f"{path}: not a canonical CSV")'),
+    ("CSV fixed-point dot-in-own-field check dropped", "curves.py",
+     "if not ((starts + minus < dots) & (dots < seps - 1)).all():", "if False:"),
+    ("CSV fixed-point minus-count check dropped", "curves.py",
+     "if np.count_nonzero(chars == 45) != np.count_nonzero(minus):", "if False:"),
+    ("CSV fixed-point mantissa limit 10**18 raised to 10**19", "curves.py",
+     "_MANTISSA_MAX = 10**18", "_MANTISSA_MAX = 10**19"),
+    ("CSV fixed-point fraction digits limit 27 raised to 28", "curves.py",
+     "if frac.max() > 27:", "if frac.max() > 28:"),
+    ("CSV fixed-point -0.0 fix dropped", "curves.py",
+     "values[minus & (m == 0)] = -0.0", "pass"),
 ]
 
 # (label, module, text, replacement): one-line faults in the closed form and

@@ -16,17 +16,29 @@ double up, and m (1 - 1e-40) and m (1 + 1e-40).  A long double reads each
 of these as m, so rounding it to float64 alone rounds half of the
 perturbed ones the wrong way; the midpoint re-read must catch all of them.
 
+Then the fixed-notation families, which the reader's fixed-point path
+(curves._read_fixed) takes where every field of a block has the form
+-?D+.D+: COUNT // 2 random doubles of both signs with 1e-4 <= |v| < 1e16,
+which `%r` writes without an exponent, and COUNT // 100 exact midpoints
++-2**k (1 + j 2**-52) + 2**(k-53) for k = 51..59, written as N.25, N.5 or
+N.0, one file per k.  From k = 56 on, mantissas (the digits without the
+dot) reach 10**18, so those files' blocks are left to strtold.
+
 Last, bodies holding inf, -inf or nan must leave the canonical route and
 fail read_table with its non-finite error.
 
 Prints the counts, with how many values the long double cast alone
-rounded wrongly, or the first value that differs, and exits 1 on a
-difference.  Only numpy, the standard library and the repository's src/
+rounded wrongly and how many blocks of each family the fixed-point path
+and strtold read, or the first value that differs.  Exits 1 on a
+difference, and when the fixed-notation families took the fixed-point
+path in no block on a platform whose long double has it.
+Only numpy, the standard library and the repository's src/
 are used; this file is not collected by pytest.
 """
 
 import sys
 import tempfile
+from collections import Counter
 from decimal import Context, Decimal
 from pathlib import Path
 
@@ -34,12 +46,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from conegeo import curves  # noqa: E402
 from conegeo.curves import _read_canonical, read_table  # noqa: E402
 
 HEADER = "s,x,y,z"
 COLUMNS = 4
 ROWS_PER_FILE = 16384
 MIDPOINTS_PER_FILE = 1024  # three texts of up to 800 digits each
+BLOCKS = Counter()  # "read": blocks the canonical route read; "fixed-point": by _read_fixed
 
 
 def finite_doubles(rng, count):
@@ -56,6 +70,47 @@ def midpoint_texts(v):
     context = Context(prec=1200)  # a midpoint has at most 768 significant digits
     m = context.divide(context.add(Decimal(float(v)), Decimal(float(np.nextafter(v, np.inf)))), 2)
     return [str(context.add(m, context.multiply(m, Decimal(f"{k}e-40")))) for k in (0, -1, 1)]
+
+
+def fixed_doubles(rng, count):
+    """count random doubles of both signs, 1e-4 <= |v| < 1e16: %r writes them without exponent."""
+    values = np.empty(0)
+    while values.size < count:
+        bits = (rng.integers(1023 - 14, 1023 + 54, count, dtype=np.uint64) << np.uint64(52)
+                | rng.integers(0, 2**52, count, dtype=np.uint64)
+                | rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63))
+        drawn = bits.view(np.float64)
+        drawn = drawn[(np.abs(drawn) >= 1e-4) & (np.abs(drawn) < 1e16)]
+        values = np.concatenate([values, drawn])
+    return values[:count]
+
+
+def fixed_midpoint_texts(rng, k, count):
+    """count exact midpoints +-2**k (1 + j 2**-52) + 2**(k-53), j random, in fixed notation."""
+    texts = []
+    for j, negative in zip(rng.integers(0, 2**52, count).tolist(),
+                           rng.integers(0, 2, count).tolist()):
+        odd = 2**53 + 2 * j + 1  # the midpoint is odd * 2**(k-53)
+        if k >= 53:
+            text = f"{odd << (k - 53)}.0"
+        else:
+            shift = 53 - k
+            text = f"{odd >> shift}.{(odd & ((1 << shift) - 1)) * 5**shift:0{shift}d}"
+        texts.append("-" * negative + text)
+    return texts
+
+
+def count_blocks():
+    """Count in BLOCKS the blocks the canonical route reads, and those of its fixed-point path."""
+    def counted(read, key):
+        def wrapper(*args):
+            out = read(*args)
+            BLOCKS[key] += out is not None
+            return out
+        return wrapper
+
+    curves._read_block = counted(curves._read_block, "read")
+    curves._read_fixed = counted(curves._read_fixed, "fixed-point")
 
 
 def check_texts(path, texts, label):
@@ -79,24 +134,37 @@ def check_texts(path, texts, label):
     return want.size, int(np.count_nonzero(cast.view(np.uint64) != want.view(np.uint64)))
 
 
+def check_family(path, label, batches):
+    """(values, cast misses, fixed-point blocks, strtold blocks) of the files of the batches."""
+    before = BLOCKS.copy()
+    values = misses = 0
+    for texts in batches:
+        done, missed = check_texts(path, texts, label)
+        values += done
+        misses += missed
+    fixed = BLOCKS["fixed-point"] - before["fixed-point"]
+    return values, misses, fixed, BLOCKS["read"] - before["read"] - fixed
+
+
 def check(count, seed):
     rng = np.random.default_rng(seed)
+    count_blocks()
+    per_file = ROWS_PER_FILE * COLUMNS
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.csv"
-        random_values = random_misses = 0
-        while random_values < count:
-            values = finite_doubles(rng, min(ROWS_PER_FILE * COLUMNS, count - random_values))
-            done, misses = check_texts(path, [repr(v) for v in values.tolist()], "random")
-            random_values += done
-            random_misses += misses
+        families = {}
+        families["random"] = check_family(path, "random", (
+            [repr(v) for v in finite_doubles(rng, min(per_file, count - done)).tolist()]
+            for done in range(0, count, per_file)))
         middles = finite_doubles(rng, count // 100)
-        family_values = family_misses = 0
-        for start in range(0, middles.size, MIDPOINTS_PER_FILE):
-            texts = [t for v in middles[start:start + MIDPOINTS_PER_FILE]
-                     for t in midpoint_texts(v)]
-            done, misses = check_texts(path, texts, "midpoint")
-            family_values += done
-            family_misses += misses
+        families["midpoint"] = check_family(path, "midpoint", (
+            [t for v in middles[start:start + MIDPOINTS_PER_FILE] for t in midpoint_texts(v)]
+            for start in range(0, middles.size, MIDPOINTS_PER_FILE)))
+        families["fixed-notation"] = check_family(path, "fixed-notation", (
+            [repr(v) for v in fixed_doubles(rng, min(per_file, count // 2 - done)).tolist()]
+            for done in range(0, count // 2, per_file)))
+        families["fixed midpoint"] = check_family(path, "fixed midpoint", (
+            fixed_midpoint_texts(rng, k, count // 900) for k in range(51, 60)))
         for bad in ("inf", "-inf", "nan"):
             path.write_text(f"{HEADER}\n0.0,1.0,{bad},2.0\n", encoding="ascii")
             if _read_canonical(path, HEADER) is not None:
@@ -110,10 +178,15 @@ def check(count, seed):
             else:
                 print(f"{bad}: read_table accepted a non-finite value")
                 return 1
-    print(f"{random_values} random values from seed {seed} ({random_misses} rounded wrongly "
-          f"by the long double cast alone) and {family_values} midpoint-family values "
-          f"({family_misses} rounded wrongly by the cast alone): bit-identical to float() "
-          f"(numpy {np.__version__})")
+    for label, (values, misses, fixed, strtold) in families.items():
+        print(f"{values} {label} values: {misses} rounded wrongly by the long double cast "
+              f"alone; {fixed} blocks read by the fixed-point path, {strtold} by strtold")
+    print(f"seed {seed}: bit-identical to float() (numpy {np.__version__})")
+    if not curves._FIXED_POINT:
+        print("this platform's long double has no fixed-point path: every block took strtold")
+    elif not families["fixed-notation"][2] + families["fixed midpoint"][2]:
+        print("the fixed-notation families took the fixed-point path in no block")
+        return 1
     return 0
 
 
