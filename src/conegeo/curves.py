@@ -4,7 +4,9 @@ Curves are immutable after construction and every operation is a pure
 function of its inputs, so concurrent evaluation is safe.
 """
 
+import math
 import os
+import re
 import tempfile
 from functools import cached_property
 
@@ -593,28 +595,33 @@ def write_text(path, chunks):
 def read_table(path, header):
     """Rows of a CSV file under the given header line, shape (n, columns).
 
-    Blank lines are skipped and `#` is data, not a comment.  There must be
-    at least one row, every value must be finite and the first column
-    strictly increasing.  Each value is the double float() reads from its
-    text.  A file as table_chunks writes it takes the canonical route
-    (_read_canonical); every other file, and every file that route
-    declines, is read by np.loadtxt, with the same values and errors.
+    Line 1 is exactly the header.  Each row holds one field per column,
+    each a decimal of the grammar [-+]?(D+.?D*|.D+)([eE][-+]?D+)? with no
+    spaces, and the final newline is optional: the file as table_chunks
+    writes it.  There must be at least one row, every value must be finite
+    and the first column strictly increasing.  Each value is the double
+    float() reads from its text.  Any other file raises one ValueError,
+    `PATH: ...`, naming its first fault by 1-based data row and column.
     """
-    data = _read_canonical(path, header)
-    if data is None:
-        data = _read_table_loadtxt(path, header)
+    data = _read_rows(path, header)
     _check_values(path, data, np.isfinite(data), "non-finite value")
-    if np.any(np.diff(data[:, 0]) <= 0.0):
-        raise ValueError(f"{path}: parameter column must be strictly increasing")
+    back = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
+    if back.size:
+        raise ValueError(f"{path}: parameter column must be strictly increasing: data row "
+                         f"{back[0] + 2} is not above data row {back[0] + 1}")
     return data
 
 
-# bytes per block of the canonical route; a block is cut after its last
-# newline, so a row of 64 KiB or more sends the file to loadtxt
+# bytes per block; a block is cut after its last newline, so a row of
+# 64 KiB or more is refused
 _READ_BLOCK = 1 << 16
-# the bytes of a fixed-notation block; a canonical block may add these
+# the bytes of a fixed-notation block; a block of the grammar may add these
 _FIXED_BYTES = b"0123456789.-,\n"
 _EXPONENT_BYTES = b"eE+"
+# a field of the grammar, or a text float() reads as inf or nan, which is
+# named as a non-finite value rather than as no decimal
+_FIELD = re.compile(rb"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|[-+]?(inf|infinity|nan)",
+                    re.IGNORECASE)
 # a double at most this small is read again: its rounding error may fall
 # below the subnormal grid, where the midpoint test cannot see it
 _TINY = 2.0**-1021
@@ -628,55 +635,57 @@ _FIXED_POINT = np.finfo(np.longdouble).nmant >= 63
 _MANTISSA_MAX = 10**18
 
 
-def _read_canonical(path, header):
-    """The (n, columns) table of a canonical CSV file, or None for any other file.
+def _read_rows(path, header):
+    """The (n, columns) table of a CSV file of read_table's grammar, its values unchecked.
 
-    Canonical: line 1 is exactly the header, and the body holds only the
-    bytes of _CANONICAL_BYTES in rows of exactly `columns` fields; the
-    final newline is optional.  A first pass counts the rows, so the table
-    is allocated once; the second reads the body in blocks of about
-    _READ_BLOCK bytes.  Returns None on the first block that breaks the
-    grammar or that numpy does not read to its end.
+    A first pass counts the rows, so the table is allocated once; the second
+    reads the body in blocks of about _READ_BLOCK bytes (_read_block).  On
+    the first block that breaks the grammar, or that numpy does not read to
+    its end, _refuse names the fault.
     """
-    import warnings  # local: only this route needs it, and the interpreter loaded it at start-up
+    import warnings  # local: only this reader needs it, and the interpreter loaded it at start-up
 
     width = header.count(",") + 1
     head = header.encode("ascii") + b"\n"
     with open(path, "rb") as fh:
-        if fh.read(len(head)) != head:
-            return None
+        if fh.read(len(head)) not in (head, head[:-1]):  # the header, its newline optional
+            raise ValueError(f"{path}: expected header {header!r}")
         rows, last = 0, b"\n"
         while chunk := fh.read(_READ_BLOCK):
             rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
             last = chunk[-1:]
+        if fh.tell() - len(head) <= rows:  # no body, or newlines only
+            raise ValueError(f"{path}: no data rows")
         rows += last != b"\n"
-        if not rows:
-            return None
-        fh.seek(len(head))
         data = np.empty((rows, width))
         flat = data.reshape(-1)
-        done = 0
+        done, start = 0, fh.seek(len(head))
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             # older numpy warns, where newer numpy raises, on text fromstring
             # cannot read to its end
             warnings.simplefilter("error", DeprecationWarning)
             while block := fh.read(_READ_BLOCK):
                 if len(block) == _READ_BLOCK:  # the next read starts after the last newline
-                    cut = block.rfind(b"\n") + 1
-                    if not cut:
-                        return None
-                    fh.seek(cut - len(block), 1)
-                    block = block[:cut]
+                    block = block[:block.rfind(b"\n") + 1]
+                    fh.seek(start + len(block))
                 elif not block.endswith(b"\n"):
                     block += b"\n"
-                done = _read_block(block, width, flat, done)
-                if done is None:
-                    return None
-    return data if done == flat.size else None
+                read = _read_block(block, width, flat, done) if block else None
+                if read is None:
+                    break
+                done = read
+                start += len(block)
+        if done != flat.size:
+            _refuse(path, fh, start, data[:done // width], width)
+    return data
 
 
 def _read_block(block, width, flat, done):
-    """Read whole rows of canonical text into flat[done:]; the new count, or None.
+    """Read whole rows of the grammar's text into flat[done:]; the new count, or None.
+
+    None on a block with a byte outside _FIXED_BYTES and _EXPONENT_BYTES,
+    a row of other than `width` fields, or text numpy does not read to its
+    end: every such block holds a fault _refuse names.
 
     Each field becomes a long double L correctly rounded to p >= 64 bits:
     by _read_fixed when the block has no exponent field, else by the C
@@ -759,51 +768,41 @@ def _read_fixed(text, chars, seps):
     return values
 
 
-def _read_table_loadtxt(path, header):
-    """The table of any CSV file under the header, by np.loadtxt; read_table's other route."""
-    width = header.count(",") + 1
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = iter(fh.readline, "")
-            if next((ln for ln in lines if ln.strip()), "").strip() != header:
-                raise ValueError(f"{path}: expected header {header!r}")
-            start = fh.tell()
-            if not any(ln.strip() for ln in lines):  # loadtxt warns on a file without rows
-                raise ValueError(f"{path}: no data rows")
-            fh.seek(start)
-            try:
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except UnicodeDecodeError:
-                raise
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError:
-        # the decoder fails a whole chunk at once, so find the byte's row again
-        raise ValueError(f"{path}: {_non_ascii(path, header)}") from None
-    if data.shape[1] != width:
-        words = {3: "three", 4: "four"}
-        raise ValueError(f"{path}: expected {words.get(width, width)} columns per row")
-    return data
+def _refuse(path, fh, offset, before, width):
+    """Raise the ValueError naming the first fault of a file _read_rows declined at offset.
 
-
-def _non_ascii(path, header):
-    """Where the file's first non-ASCII byte is, in the words of the other CSV errors.
-
-    Rows are counted as loadtxt counts them: the lines that are not blank,
-    the header first.  A header line with such a byte is not the header.
+    `before` holds the rows read before that block; of those, only a value
+    can be at fault, by being non-finite.  From the offset on, each row is
+    checked by itself in Python: its length, its bytes, its field count and
+    each field against _FIELD, in that order.
     """
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        row = -1
-        for line in fh:
-            row += bool(line.strip())
-            # surrogateescape reads byte 0xNN, NN >= 80, as U+DCNN
-            col = next((i for i, ch in enumerate(line) if ch >= "\udc80"), None)
-            if col is not None:
-                break
-    if row < 1:
-        return f"expected header {header!r}"
-    return (f"non-ASCII byte {ord(line[col]) - 0xdc00:#04x} in data row {row}, "
-            f"column {line.count(',', 0, col) + 1}")
+    _check_values(path, before, np.isfinite(before), "non-finite value")
+    fh.seek(offset)
+    row = len(before)
+    while line := fh.readline(_READ_BLOCK):
+        row += 1
+        if len(line) == _READ_BLOCK and not line.endswith(b"\n"):
+            raise ValueError(f"{path}: data row {row} is {_READ_BLOCK} bytes or longer")
+        line = line.removesuffix(b"\n")
+        if high := re.search(rb"[\x80-\xff]", line):
+            at = high.start()
+            raise ValueError(f"{path}: non-ASCII byte {line[at]:#04x} in data row {row}, "
+                             f"column {line.count(b',', 0, at) + 1}")
+        fields = line.split(b",") if line else []
+        if len(fields) != width:
+            raise ValueError(f"{path}: {len(fields)} field{'s' * (len(fields) != 1)} in data "
+                             f"row {row}, expected {width}")
+        for col, field in enumerate(fields, 1):
+            if not _FIELD.fullmatch(field):
+                raise ValueError(f"{path}: {field.decode('ascii')!r} in data row {row}, "
+                                 f"column {col} is not a decimal number")
+            if not math.isfinite(value := float(field)):
+                raise ValueError(f"{path}: non-finite value {value} in data row {row}, "
+                                 f"column {col}")
+    # _read_block declines only a block that holds one of the faults above
+    # (the reader property test in tests/test_curves.py pins this), so this
+    # line is reached only by a file that changed while it was read
+    raise ValueError(f"{path}: data row {len(before) + 1} or a later one could not be read")
 
 
 def _check_values(path, data, ok, what, tail=""):

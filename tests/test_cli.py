@@ -1149,11 +1149,11 @@ def test_nonfinite_csv_value_exits_1(tmp_path, quarter_cone_json, capsys, bad):
 
 
 def test_non_ascii_csv_byte_exits_1_naming_its_row(tmp_path, capsys):
-    # a file of 600 rows: its byte is past the first chunk the decoder reads
+    # a file of 600 rows, its byte in data row 401
     rows = [f"{0.1 * k!r},{1.0 + k},0.5,0.25" for k in range(600)]
     rows[400] = rows[400].replace("0.5", "0.é")
     csv = tmp_path / "c.csv"
-    csv.write_bytes(("s,x,y,z\n\n" + "\n".join(rows) + "\n").encode("utf-8"))
+    csv.write_bytes(("s,x,y,z\n" + "\n".join(rows) + "\n").encode("utf-8"))
     rep = tmp_path / "rep.json"
     assert run_cli("classify", "--in", csv, "--report", rep) == 1
     assert _assert_invalid_config(capsys, rep) == (
@@ -1162,6 +1162,22 @@ def test_non_ascii_csv_byte_exits_1_naming_its_row(tmp_path, capsys):
     assert run_cli("classify", "--in", csv, "--report", rep) == 1
     assert _assert_invalid_config(capsys, rep) == (
         f"error: InvalidConfig: --in: {csv}: expected header 's,x,y,z'\n")
+
+
+@pytest.mark.parametrize("body,line", [
+    pytest.param("0,1,0,0\r\n1,2,0,0\r\n",
+                 "'0\\r' in data row 1, column 4 is not a decimal number", id="crlf"),
+    pytest.param("0,1,0,0\n\n1,2,0,0\n", "0 fields in data row 2, expected 4", id="blank-line"),
+    pytest.param("0,1,0,0\n1, 2,0,0\n", "' 2' in data row 2, column 2 is not a decimal number",
+                 id="spaced-field"),
+])
+def test_csv_the_reader_refuses_exits_1_naming_its_row(tmp_path, capsys, body, line):
+    # files np.loadtxt read, which the one CSV reader refuses
+    csv = tmp_path / "c.csv"
+    csv.write_bytes(("s,x,y,z\n" + body).encode("ascii"))
+    rep = tmp_path / "rep.json"
+    assert run_cli("classify", "--in", csv, "--report", rep) == 1
+    assert _assert_invalid_config(capsys, rep) == f"error: InvalidConfig: --in: {csv}: {line}\n"
 
 
 @pytest.fixture(scope="module")

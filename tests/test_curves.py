@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -817,26 +819,22 @@ def test_read_table_parses_like_float(tmp_path):
     expect = np.array([[float(v) for v in row.split(",")] for row in text])
     got = read_table(path, "s,x,y,z")
     assert got.tobytes() == expect.tobytes()
+    # float() reads spaces around a field, the grammar does not
     odd = tmp_path / "odd.csv"
     odd.write_text("s,x,y,z\n 1 ,+2.5E+3,  -1e-320,7\n2,10,0,0\n")
-    assert read_table(odd, "s,x,y,z").tolist() == [[1.0, 2500.0, -1e-320, 7.0],
-                                                  [2.0, 10.0, 0.0, 0.0]]
-
-
-def test_read_table_accepts_crlf_and_blank_lines(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_bytes(b"\r\ns,x,y,z\r\n\r\n0,1,2,3\r\n\r\n1,4,5,6\r\n\r\n")
-    s, pts = read_curve_csv(path)
-    assert s.tolist() == [0.0, 1.0]
-    assert pts.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    with pytest.raises(ValueError, match=r": ' 1 ' in data row 1, column 1 is not a decimal"):
+        read_table(odd, "s,x,y,z")
 
 
 @pytest.mark.parametrize("body,message", [
-    ("0,1,2,3#c\n1,1,1,1\n", "could not convert"),
-    ("#0,1,2,3\n1,1,1,1\n", "could not convert"),
-    ("0,1,2,3\n1,1,1\n", "number of columns"),
-    ("0,1,2,3,\n1,1,1,1,\n", "could not convert"),
-    ("0,1,2\n1,1,1\n", "expected four columns per row"),
+    pytest.param("0,1,2,3#c\n1,1,1,1\n", "'3#c' in data row 1, column 4 is not a decimal number",
+                 id="hash-ends-a-field"),
+    pytest.param("#0,1,2,3\n1,1,1,1\n", "'#0' in data row 1, column 1 is not a decimal number",
+                 id="hash-starts-a-row"),
+    pytest.param("0,1,2,3\n1,1,1\n", "3 fields in data row 2, expected 4", id="short-row-2"),
+    pytest.param("0,1,2,3,\n1,1,1,1,\n", "5 fields in data row 1, expected 4",
+                 id="trailing-commas"),
+    pytest.param("0,1,2\n1,1,1\n", "3 fields in data row 1, expected 4", id="short-rows"),
     ("0,1,nan,3\n1,1,1,1\n", "non-finite value nan in data row 1, column 3"),
     ("0,1,2,3\n1,inf,1,1\n", "non-finite value inf in data row 2, column 2"),
     ("0,1,2,3\n1,1,1,-Infinity\n", "non-finite value -inf"),
@@ -855,16 +853,101 @@ def test_read_table_rejects(tmp_path, body, message):
     assert str(info.value).startswith(f"{path}: ")
 
 
-@pytest.mark.parametrize("text", ["", "\n", "x,y,z\n0,1,2\n", "s,x,y\n0,1,2,3\n"])
+@pytest.mark.parametrize("text", ["", "\n", "x,y,z\n0,1,2\n", "s,x,y\n0,1,2,3\n",
+                                  "\ns,x,y,z\n0,1,2,3\n", "s,x,y,z\r\n0,1,2,3\n",
+                                  " s,x,y,z\n0,1,2,3\n"])
 def test_read_table_rejects_header(tmp_path, text):
+    # line 1 is exactly the header: no blank line before it, no CR, no space
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match="expected header 's,x,y,z'"):
         read_curve_csv(path)
 
 
+# one file for each line a CSV fault can get, PATH standing for its path
+@pytest.mark.parametrize("text,line", [
+    pytest.param(b"s,x,y,z\r\n0,1,2,3\r\n", "PATH: expected header 's,x,y,z'", id="header"),
+    pytest.param(b"s,x,y,z\n\n", "PATH: no data rows", id="no-data-rows"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\n1,4,\xff5,6\n",
+                 "PATH: non-ASCII byte 0xff in data row 2, column 3", id="non-ascii"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\n1,4,5,1e400\n",
+                 "PATH: non-finite value inf in data row 2, column 4", id="non-finite"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\n\n1,4,5,6\n", "PATH: 0 fields in data row 2, expected 4",
+                 id="blank-line"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\n1,4,5,6,\n", "PATH: 5 fields in data row 2, expected 4",
+                 id="trailing-comma"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\n1\n", "PATH: 1 field in data row 2, expected 4",
+                 id="one-field"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\r\n1,4,5,6\r\n",
+                 "PATH: '3\\r' in data row 1, column 4 is not a decimal number", id="crlf"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\n1,4, 5,6\n",
+                 "PATH: ' 5' in data row 2, column 3 is not a decimal number", id="space"),
+    pytest.param(b"s,x,y,z\n0,0x1p3,2,3\n",
+                 "PATH: '0x1p3' in data row 1, column 2 is not a decimal number", id="hex"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\n1,2,3," + b"4" * 70000 + b"\n",
+                 "PATH: data row 2 is 65536 bytes or longer", id="long-row"),
+    pytest.param(b"s,x,y,z\n0,1,2,3\n1,4,5,6\n1,7,8,9\n",
+                 "PATH: parameter column must be strictly increasing: data row 3 is not above "
+                 "data row 2", id="not-increasing"),
+])
+def test_read_curve_csv_names_each_fault(tmp_path, text, line):
+    path = tmp_path / "c.csv"
+    path.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            read_curve_csv(path)
+    assert str(info.value).replace(str(path), "PATH") == line
+
+
+def test_read_table_names_a_decline_without_a_fault(tmp_path, monkeypatch):
+    # _read_block declines only a block that holds a fault the refusal pass
+    # names; should it decline a clean one, the line still names the file
+    # and the first row the pass read
+    path = tmp_path / "c.csv"
+    path.write_text("s,x,y,z\n0,1,2,3\n1,4,5,6\n")
+    monkeypatch.setattr(curves_module, "_read_block", lambda *args: None)
+    with pytest.raises(ValueError, match=r": data row 1 or a later one could not be read$"):
+        read_table(path, "s,x,y,z")
+
+
+def test_read_table_refusal_pass_starts_at_the_declined_block(tmp_path, monkeypatch):
+    # a 5,000-row file spans six blocks; with its last row bad, the pass
+    # checks the fields of that last block only, not of every row
+    n = 5000
+    s = np.linspace(0.0, 1.0, n)
+    text = "".join(table_chunks("s,x,y,z", s, np.stack([s, -s, s / 3.0], axis=-1)))
+    assert len(text) > 4 * curves_module._READ_BLOCK
+    path = tmp_path / "c.csv"
+    path.write_text(text[:-1] + "#\n")
+    fields, grammar = [], curves_module._FIELD
+
+    class Counted:
+        def fullmatch(self, field):
+            fields.append(field)
+            return grammar.fullmatch(field)
+
+    monkeypatch.setattr(curves_module, "_FIELD", Counted())
+    with pytest.raises(ValueError, match=f"in data row {n}, column 4 is not a decimal number"):
+        read_table(path, "s,x,y,z")
+    # the last block's rows all end in the file's last _READ_BLOCK bytes
+    assert 0 < len(fields) <= 4 * text.count("\n", len(text) - curves_module._READ_BLOCK) < n
+
+
+def test_read_table_names_a_non_finite_value_before_the_declined_block(tmp_path):
+    # the block reader reads data row 1's 1e400 as inf and declines a later
+    # block at its last row's `#`: the first fault is still row 1's
+    s = np.linspace(0.0, 1.0, 2000)
+    rows = "".join(table_chunks("s,x,y,z", s, np.stack([s, -s, s / 3.0], axis=-1))).split("\n")
+    rows[1] = "0.0,0.0,1e400,0.0"
+    path = tmp_path / "c.csv"
+    path.write_text("\n".join(rows[:-2] + [rows[-2] + "#", ""]))
+    with pytest.raises(ValueError, match=r": non-finite value inf in data row 1, column 3$"):
+        read_table(path, "s,x,y,z")
+
+
 # ----------------------------------------------------------------------
-# the canonical route of read_table and its loadtxt twin
+# the block reader against float() and an oracle of its own
 
 
 @settings(derandomize=True, deadline=None, max_examples=60,
@@ -872,11 +955,13 @@ def test_read_table_rejects_header(tmp_path, text):
 @given(rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
        final_newline=st.booleans(), finite=st.booleans())
 @example(rows=5000, seed=3, final_newline=False, finite=True)
-def test_read_table_equals_its_loadtxt_route_bitwise(tmp_path, rows, seed, final_newline,
-                                                    finite):
+def test_read_table_round_trips_random_bit_patterns_bitwise(tmp_path, rows, seed,
+                                                            final_newline, finite):
     # random bit patterns: every sign and exponent and subnormals; unless
-    # `finite`, one value in 2,048 is an inf or nan, which only the loadtxt
-    # route reads.  Tables over 700 rows or so span several blocks
+    # `finite`, one value in 2,048 is an inf or nan, which table_chunks
+    # writes and the reader refuses.  Tables over 700 rows or so span
+    # several blocks.  _read_rows leaves the first column unchecked, as the
+    # patterns put in for non-finite ones repeat
     rng = np.random.default_rng(seed)
     table = np.frombuffer(rng.bytes(rows * 32), dtype=np.float64).reshape(rows, 4).copy()
     if finite:
@@ -885,12 +970,96 @@ def test_read_table_equals_its_loadtxt_route_bitwise(tmp_path, rows, seed, final
     text = "".join(table_chunks("s,x,y,z", table[:, 0], table[:, 1:]))
     path = tmp_path / "c.csv"
     path.write_text(text if final_newline else text[:-1])
-    got = curves_module._read_canonical(path, "s,x,y,z")
-    want = curves_module._read_table_loadtxt(path, "s,x,y,z")
     if np.isfinite(table).all():
-        assert got.tobytes() == want.tobytes()
+        assert curves_module._read_rows(path, "s,x,y,z").tobytes() == table.tobytes()
+        return
+    row, col = np.argwhere(~np.isfinite(table))[0]
+    with pytest.raises(ValueError, match=f": non-finite value {table[row, col]} in data row "
+                                         f"{row + 1}, column {col + 1}$"):
+        curves_module._read_rows(path, "s,x,y,z")
+
+
+# the grammar as the reader documents it, written out again for the oracle
+_DECIMAL = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
+def _oracle(data):
+    """float() of every field of a curve CSV by str.split, or the first faulty data row.
+
+    Returns the table, "header" or "no data rows" for the first line, or
+    the 1-based data row of the first row with a fault, a parameter not
+    above the one before it among them.
+    """
+    text = data.decode("latin-1")
+    head, newline, body = text.partition("\n")
+    if head != "s,x,y,z":
+        return "header"
+    if not body.strip("\n"):
+        return "no data rows"
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline
+    table = []
+    for row, line in enumerate(lines, 1):
+        fields = line.split(",")
+        if (len(line) >= 65536 or not line.isascii() or len(fields) != 4
+                or not all(_DECIMAL.fullmatch(f) and math.isfinite(float(f)) for f in fields)):
+            return row
+        table.append([float(f) for f in fields])
+    table = np.array(table)
+    back = np.flatnonzero(np.diff(table[:, 0]) <= 0)
+    return table if not back.size else int(back[0]) + 2
+
+
+_SPLICES = [" ", "\r", "\n", "", ",", "nan", "inf", "0x10", "#", "1e", b"\xff"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 1500), seed=st.integers(0, 2**32 - 1), fixed=st.booleans(),
+       final_newline=st.booleans(),
+       splices=st.lists(st.tuples(st.sampled_from(_SPLICES),
+                                  st.one_of(st.integers(-8, 8), st.floats(0.0, 1.0))),
+                        min_size=1, max_size=2))
+@example(rows=1400, seed=1, fixed=False, final_newline=True, splices=[(" ", 0)])
+@example(rows=1400, seed=1, fixed=True, final_newline=True, splices=[("\n", -1), ("#", 1)])
+def test_read_table_is_float_of_each_field_or_names_the_oracles_row(tmp_path, rows, seed, fixed,
+                                                                    final_newline, splices):
+    # a table_chunks body with one or two texts spliced in: at a fraction of
+    # the file, or at an offset from the end of the first block of the body
+    rng = np.random.default_rng(seed)
+    if fixed:
+        table = rng.uniform(-1e3, 1e3, (rows, 4))
     else:
-        assert got is None
+        table = np.frombuffer(rng.bytes(rows * 32), dtype=np.float64).reshape(rows, 4).copy()
+        table[~np.isfinite(table)] = 0.5
+    table[:, 0] = np.sort(table[:, 0])
+    data = "".join(table_chunks("s,x,y,z", table[:, 0], table[:, 1:])).encode("ascii")
+    data = data if final_newline else data[:-1]
+    for splice, where in splices:
+        if isinstance(where, float):
+            at = int(where * len(data))
+        else:
+            at = min(max(len("s,x,y,z\n") + curves_module._READ_BLOCK + where, 0), len(data))
+        splice = splice if isinstance(splice, bytes) else splice.encode("ascii")
+        data = data[:at] + splice + data[at:]
+    path = tmp_path / "c.csv"
+    path.write_bytes(data)
+    want = _oracle(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, np.ndarray):
+            assert read_table(path, "s,x,y,z").tobytes() == want.tobytes()
+            return
+        with pytest.raises(ValueError) as info:
+            read_table(path, "s,x,y,z")
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    expect = {"header": "expected header 's,x,y,z'", "no data rows": "no data rows"}
+    if isinstance(want, str):
+        assert message == f"{path}: {expect[want]}"
+    else:
+        assert re.search(f"data row {want}[ ,]", message), (want, message)
 
 
 def _padded_rows(values, length):
@@ -921,17 +1090,40 @@ def test_read_table_rows_at_the_block_edge(tmp_path, shift, tail_rows, final_new
     assert body.index("\n", block + shift - 1) == block + shift - 1
     path = tmp_path / "c.csv"
     path.write_text("s,x,y,z\n" + (body if final_newline else body[:-1]))
-    got = curves_module._read_canonical(path, "s,x,y,z")
-    assert got is not None and got.shape == (len(rows), 4)
-    assert read_table(path, "s,x,y,z").tobytes() == \
-        curves_module._read_table_loadtxt(path, "s,x,y,z").tobytes()
+    want = np.array([[float(f) for f in row.split(",")] for row in rows])
+    assert read_table(path, "s,x,y,z").tobytes() == want.tobytes()
 
 
 _LONG_ROW = b"0,1," + b"0" * 70000 + b"2,3\n"
 
+# the line of each file below that is not the line the np.loadtxt route gave it
+_CHANGED = {
+    b"0,1,2,3\n\n1,4,5,6\n\n": "PATH: 0 fields in data row 2, expected 4",
+    b"\r\n0,1,2,3\r\n1,4,5,6\r\n": "PATH: 1 field in data row 1, expected 4",
+    b" 0 ,1, 2,3\n1,4,5,6 \n": "PATH: ' 0 ' in data row 1, column 1 is not a decimal number",
+    b"0\t,1,2,3\x0b\n": "PATH: '0\\t' in data row 1, column 1 is not a decimal number",
+    _LONG_ROW: "PATH: data row 1 is 65536 bytes or longer",
+    b"0,0x1p3,2,3\n": "PATH: '0x1p3' in data row 1, column 2 is not a decimal number",
+    b"0,nan(1),2,3\n": "PATH: 'nan(1)' in data row 1, column 2 is not a decimal number",
+    b"0,1,2,3#c\n": "PATH: '3#c' in data row 1, column 4 is not a decimal number",
+    b"#0,1,2,3\n1,1,1,1\n": "PATH: '#0' in data row 1, column 1 is not a decimal number",
+    b"0,,2,3\n": "PATH: '' in data row 1, column 2 is not a decimal number",
+    b"0,1,2,3,\n1,1,1,1,\n": "PATH: 5 fields in data row 1, expected 4",
+    b"0,1.2.3,2,3\n": "PATH: '1.2.3' in data row 1, column 2 is not a decimal number",
+    b"0,1e,2,3\n": "PATH: '1e' in data row 1, column 2 is not a decimal number",
+    b"0,+,2,3\n": "PATH: '+' in data row 1, column 2 is not a decimal number",
+    b"0,1,2,3\x00\n": "PATH: '3\\x00' in data row 1, column 4 is not a decimal number",
+    b"0,1,2\n1,1,1\n": "PATH: 3 fields in data row 1, expected 4",
+    b"0,1,2,3,4\n": "PATH: 5 fields in data row 1, expected 4",
+    b"0,1,2,3\n1,1,1\n": "PATH: 3 fields in data row 2, expected 4",
+    b"0,1,2\n1,1,1,1,1\n": "PATH: 3 fields in data row 1, expected 4",
+}
 
-# each file, as read at the commit before the canonical route: its table or
-# its error line, PATH standing for the file's path
+
+# each file as the np.loadtxt route read it, before the block reader read
+# every file: its table or its error line, PATH standing for the file's path.
+# Each file is refused now; the lines of the non-finite values, the
+# non-ASCII byte and the empty body are kept, the others are in _CHANGED
 @pytest.mark.parametrize("body,expect", [
     (b"0,1,2,3\n\n1,4,5,6\n\n", [[0.0, 1.0, 2.0, 3.0], [1.0, 4.0, 5.0, 6.0]]),
     (b"\r\n0,1,2,3\r\n1,4,5,6\r\n", [[0.0, 1.0, 2.0, 3.0], [1.0, 4.0, 5.0, 6.0]]),
@@ -963,30 +1155,17 @@ _LONG_ROW = b"0,1," + b"0" * 70000 + b"2,3\n"
                           "use `usecols` to select a subset and avoid this error"),
     (b"0,1,2\n1,1,1,1,1\n", "PATH: the number of columns changed from 3 to 5 at row 2; "
                             "use `usecols` to select a subset and avoid this error"),
-    # not as loadtxt's route read it: that line named no file and gave a byte offset
     (b"0,1,2,3\n1,1,\xc3\xa9,1\n", "PATH: non-ASCII byte 0xc3 in data row 2, column 3"),
     (b"", "PATH: no data rows"),
 ])
 def test_read_table_keeps_the_loadtxt_result_of_other_files(tmp_path, body, expect):
     path = tmp_path / "c.csv"
     path.write_bytes(b"s,x,y,z\n" + body)
-    assert curves_module._read_canonical(path, "s,x,y,z") is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            got = read_table(path, "s,x,y,z").tolist()
-        except ValueError as exc:
-            got = str(exc).replace(str(path), "PATH")
-    assert got == expect
-
-
-@pytest.mark.parametrize("text", [b"\ns,x,y,z\n0,1,2,3\n", b"s,x,y,z\r\n0,1,2,3\n",
-                                  b" s,x,y,z\n0,1,2,3\n"])
-def test_read_table_reads_other_headers_by_loadtxt(tmp_path, text):
-    path = tmp_path / "c.csv"
-    path.write_bytes(text)
-    assert curves_module._read_canonical(path, "s,x,y,z") is None
-    assert read_table(path, "s,x,y,z").tolist() == [[0.0, 1.0, 2.0, 3.0]]
+        with pytest.raises(ValueError) as info:
+            read_table(path, "s,x,y,z")
+    assert str(info.value).replace(str(path), "PATH") == _CHANGED.get(body, expect)
 
 
 def _decimal_midpoint(lo, hi, k=0):
@@ -1015,7 +1194,6 @@ def test_read_table_edge_values_are_floats_bitwise(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("s,x,y,z\n" + "\n".join(rows) + "\n")
     want = np.array([float(t) for t in texts])
-    assert curves_module._read_canonical(path, "s,x,y,z") is not None
     assert read_table(path, "s,x,y,z")[:, 1:].ravel().tobytes() == want.tobytes()
 
 
@@ -1028,7 +1206,6 @@ def test_read_table_names_a_value_that_overflows(tmp_path, value, message):
     # the long doubles are rounded under a local errstate: the CLI raises on overflow
     path = tmp_path / "c.csv"
     path.write_text(f"s,x,y,z\n0,1,2,3\n1,2,{value},4\n")
-    assert curves_module._read_canonical(path, "s,x,y,z") is not None
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(ValueError, match=message):
             read_table(path, "s,x,y,z")
@@ -1053,7 +1230,8 @@ _NEEDS_FIXED_POINT = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
 
 
 # (row, what _read_fixed returns on its block): [] when the block has an
-# exponent field and goes straight to strtold
+# exponent field and goes straight to strtold.  A row that strtold cannot
+# read either is refused the same way on both paths
 @_NEEDS_FIXED_POINT
 @pytest.mark.parametrize("row,calls", [
     pytest.param("0.0,-0.0,-0.000,00.5", ["read"], id="signed-zeros-leading-zero"),
@@ -1081,14 +1259,21 @@ _NEEDS_FIXED_POINT = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
 def test_read_fixed_equals_strtold_and_float_bitwise(tmp_path, monkeypatch, row, calls):
     path = tmp_path / "c.csv"
     path.write_text(f"s,x,y,z\n0.5,1.5,2.5,3.5\n{row}\n")
+
+    def read():
+        try:
+            return curves_module._read_rows(path, "s,x,y,z")
+        except ValueError as exc:
+            return str(exc)
+
     monkeypatch.setattr(curves_module, "_FIXED_POINT", False)
-    want = curves_module._read_canonical(path, "s,x,y,z")
+    want = read()
     monkeypatch.setattr(curves_module, "_FIXED_POINT", True)
     seen = _spy_fixed(monkeypatch)
-    got = curves_module._read_canonical(path, "s,x,y,z")
+    got = read()
     assert seen == calls
-    if want is None:
-        assert got is None
+    if isinstance(want, str):
+        assert got == want and "is not a decimal number" in want and "data row 2," in want
     else:
         assert got.tobytes() == want.tobytes()
         texts = f"0.5,1.5,2.5,3.5,{row}".split(",")
@@ -1107,17 +1292,18 @@ def test_table_chunks_body_without_exponents_takes_the_fixed_point_path(tmp_path
     path = tmp_path / "c.csv"
     path.write_text(text)
     seen = _spy_fixed(monkeypatch)
-    got = curves_module._read_canonical(path, "s,x,y,z")
+    got = read_table(path, "s,x,y,z")
     assert seen and set(seen) == {"read"}
-    assert got.tobytes() == curves_module._read_table_loadtxt(path, "s,x,y,z").tobytes()
+    assert got.tobytes() == np.column_stack([s, points]).tobytes()
 
 
 def test_read_curve_csv_holds_one_block_of_text(tmp_path):
-    # the canonical route counts the rows first and reads the body into the
-    # one result table, a block at a time: a 20,001-row file peaks at the
-    # 640,032-byte table plus 427,016 bytes of one block's temporaries
-    # (its text, the comma copy, separator offsets, long doubles and the
-    # midpoint test), where reading the whole 1.29 MB file at once would not
+    # the reader counts the rows first and reads the body into the one
+    # result table, a block at a time: a 20,001-row file peaks at the
+    # 640,032-byte table plus 388,436 bytes of one block's temporaries
+    # (tracemalloc, numpy 2.4.6, the first read in a fresh process: its
+    # text, the comma copy, separator offsets, long doubles and the midpoint
+    # test), where reading the whole 1.29 MB file at once would not
     n = 20_001
     s = np.linspace(0.0, 5.0, n)
     path = tmp_path / "c.csv"

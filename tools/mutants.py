@@ -85,7 +85,7 @@ WRITER = [
 # (label, module, text, replacement): one-line faults in the memory bound of
 # sample_curve, the file writer's cleanup, the wording of an RK4 error, the
 # base's unit-speed check, the curve's arc-length refusal, the arc-length
-# anchor, the option table's checker and the CSV reader's canonical route
+# anchor, the option table's checker and the CSV reader
 GUARDS = [
     ("sample_curve jet block unbounded", "curves.py", "_JET_BLOCK = 4096",
      "_JET_BLOCK = 10**12"),
@@ -115,13 +115,22 @@ GUARDS = [
     ("CSV tiny and infinite values not read again", "curves.py",
      "redo |= ~((size > _TINY) & (size < np.inf))", "pass"),
     ("CSV block cut one byte off its newline", "curves.py",
-     'cut = block.rfind(b"\\n") + 1', 'cut = block.rfind(b"\\n")'),
+     'block = block[:block.rfind(b"\\n") + 1]', 'block = block[:block.rfind(b"\\n")]'),
     ("CSV row-width check dropped", "curves.py",
      "if (seps.size != rows * width or np.count_nonzero(ends) != rows\n"
      "            or not ends[width - 1::width].all()):", "if False:"),
-    ("CSV loadtxt route skipped on a decline", "curves.py",
-     "data = _read_table_loadtxt(path, header)",
-     'raise ValueError(f"{path}: not a canonical CSV")'),
+    ("CSV refusal counts data rows from 0", "curves.py",
+     "row = len(before)\n", "row = len(before) - 1\n"),
+    ("CSV refusal width check dropped", "curves.py",
+     "if len(fields) != width:", "if False:"),
+    ("CSV field grammar accepts a space", "curves.py",
+     '_FIELD = re.compile(rb"[-+]?(', '_FIELD = re.compile(rb" ?[-+]?('),
+    ("CSV refusal pass starts at the first row, not the declined block", "curves.py",
+     "_refuse(path, fh, start, data[:done // width], width)",
+     "_refuse(path, fh, len(head), data[:0], width)"),
+    ("CSV refusal skips the values read before the declined block", "curves.py",
+     '_check_values(path, before, np.isfinite(before), "non-finite value")\n    fh.seek',
+     "fh.seek"),
     ("CSV fixed-point dot-in-own-field check dropped", "curves.py",
      "if not ((starts + minus < dots) & (dots < seps - 1)).all():", "if False:"),
     ("CSV fixed-point minus-count check dropped", "curves.py",

@@ -1,14 +1,14 @@
-"""Bit identity of the CSV reader's canonical route with float() on random doubles.
+"""Bit identity of the CSV reader with float() on random doubles, and its refusals.
 
     python3 tools/parse_identity.py [COUNT [SEED]]
 
 The reader's twin of tools/repr_identity.py.  Draws COUNT (default
 2,000,000) uniformly random 64-bit patterns, so every sign and exponent
 turns up, subnormals among them; the non-finite ones are drawn again,
-because the canonical grammar has no text for them.  Writes them with `%r`
+because the reader's grammar has no text for them.  Writes them with `%r`
 as four-column bodies under the curve header, reads each file through
-curves._read_canonical, the canonical route of read_table, and compares
-every value bitwise with float() of its text.
+curves._read_rows, read_table's reader before its checks of the values,
+and compares every value bitwise with float() of its text.
 
 Then the decimal midpoint families of COUNT // 100 random finite doubles
 v, written with the decimal module: the exact midpoint m of v and the next
@@ -24,8 +24,13 @@ which `%r` writes without an exponent, and COUNT // 100 exact midpoints
 N.0, one file per k.  From k = 56 on, mantissas (the digits without the
 dot) reach 10**18, so those files' blocks are left to strtold.
 
-Last, bodies holding inf, -inf or nan must leave the canonical route and
-fail read_table with its non-finite error.
+Then bodies holding inf, -inf or nan must fail read_table with its
+non-finite error.  Last, the refusal family: a 16,384-row file of random
+doubles with one fault in a random data row R, one file for each of CRLF, a
+blank line, a spaced field, hex, `1e` and a 70,000-byte row.  Each must
+fail read_table with one line naming data row R.  Older numpy warns where
+newer numpy raises on text np.fromstring cannot read to its end (as `1e`),
+so this checks that such a half-read block is refused, not returned.
 
 Prints the counts, with how many values the long double cast alone
 rounded wrongly and how many blocks of each family the fixed-point path
@@ -36,6 +41,7 @@ Only numpy, the standard library and the repository's src/
 are used; this file is not collected by pytest.
 """
 
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -47,13 +53,23 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from conegeo import curves  # noqa: E402
-from conegeo.curves import _read_canonical, read_table  # noqa: E402
+from conegeo.curves import _read_rows, read_table  # noqa: E402
 
 HEADER = "s,x,y,z"
 COLUMNS = 4
 ROWS_PER_FILE = 16384
 MIDPOINTS_PER_FILE = 1024  # three texts of up to 800 digits each
-BLOCKS = Counter()  # "read": blocks the canonical route read; "fixed-point": by _read_fixed
+BLOCKS = Counter()  # "read": blocks the reader read; "fixed-point": by _read_fixed
+# (name, fault): each takes a row of the refusal family's file and returns
+# it with the fault, which is then in that row's place
+REFUSALS = {
+    "CRLF": lambda row: row + "\r",
+    "blank line": lambda row: "\n" + row,
+    "spaced field": lambda row: row.replace(",", ", ", 1),
+    "hex": lambda row: row.split(",", 1)[0] + ",0x10," + row.split(",", 2)[2],
+    "1e": lambda row: row.split(",", 1)[0] + ",1e," + row.split(",", 2)[2],
+    "70,000-byte row": lambda row: row.replace(",", "," + "0" * 70000, 1),
+}
 
 
 def finite_doubles(rng, count):
@@ -101,7 +117,7 @@ def fixed_midpoint_texts(rng, k, count):
 
 
 def count_blocks():
-    """Count in BLOCKS the blocks the canonical route reads, and those of its fixed-point path."""
+    """Count in BLOCKS the blocks the reader reads, and those of its fixed-point path."""
     def counted(read, key):
         def wrapper(*args):
             out = read(*args)
@@ -118,9 +134,10 @@ def check_texts(path, texts, label):
     texts = texts + ["0.0"] * (-len(texts) % COLUMNS)
     body = "\n".join(",".join(texts[i:i + COLUMNS]) for i in range(0, len(texts), COLUMNS))
     path.write_text(f"{HEADER}\n{body}\n", encoding="ascii")
-    got = _read_canonical(path, HEADER)
-    if got is None:
-        print(f"{label}: the canonical route declined a canonical body")
+    try:
+        got = _read_rows(path, HEADER)
+    except ValueError as exc:
+        print(f"{label}: a body of the grammar was refused: {exc}")
         sys.exit(1)
     want = np.array([float(t) for t in texts])
     mismatch = np.flatnonzero(got.ravel().view(np.uint64) != want.view(np.uint64))
@@ -146,6 +163,21 @@ def check_family(path, label, batches):
     return values, misses, fixed, BLOCKS["read"] - before["read"] - fixed
 
 
+def refusal(path):
+    """How read_table's one-line error names path's fault: "data row R" or "non-finite value".
+
+    None if read_table reads path, or its error is not one line naming path.
+    """
+    try:
+        read_table(path, HEADER)
+    except ValueError as exc:
+        line = str(exc)
+        named = re.search(r"non-finite value|data row \d+", line)
+        if line.startswith(f"{path}: ") and "\n" not in line and named:
+            return named.group()
+    return None
+
+
 def check(count, seed):
     rng = np.random.default_rng(seed)
     count_blocks()
@@ -167,17 +199,19 @@ def check(count, seed):
             fixed_midpoint_texts(rng, k, count // 900) for k in range(51, 60)))
         for bad in ("inf", "-inf", "nan"):
             path.write_text(f"{HEADER}\n0.0,1.0,{bad},2.0\n", encoding="ascii")
-            if _read_canonical(path, HEADER) is not None:
-                print(f"{bad}: the canonical route read a non-finite text")
+            if refusal(path) != "non-finite value":
+                print(f"{bad}: read_table did not name a non-finite value")
                 return 1
-            try:
-                read_table(path, HEADER)
-            except ValueError as exc:
-                if "non-finite value" not in str(exc):
-                    raise
-            else:
-                print(f"{bad}: read_table accepted a non-finite value")
+        table = finite_doubles(rng, per_file).reshape(-1, COLUMNS).tolist()
+        rows = [",".join(map(repr, [float(k), *row[1:]])) for k, row in enumerate(table)]
+        for name, fault in REFUSALS.items():
+            row = int(rng.integers(len(rows)))
+            path.write_text("\n".join([HEADER, *rows[:row], fault(rows[row]), *rows[row + 1:]])
+                            + "\n", encoding="ascii")
+            if refusal(path) != f"data row {row + 1}":
+                print(f"{name} in data row {row + 1}: not named by read_table")
                 return 1
+        print(f"{len(REFUSALS)} refusal files: each fault named by its data row")
     for label, (values, misses, fixed, strtold) in families.items():
         print(f"{values} {label} values: {misses} rounded wrongly by the long double cast "
               f"alone; {fixed} blocks read by the fixed-point path, {strtold} by strtold")
