@@ -53,10 +53,9 @@ class SphericalBaseCurve:
     """
 
     def __init__(self, curve: SpaceCurve, periodic=False):
-        _check_on_sphere(curve.evaluate(np.linspace(*curve.domain, 257)))
+        at = np.linspace(*curve.domain, 257)
+        _check_on_sphere(curve.evaluate(at))
         if curve.nodes is None:
-            m = curve.fd_margin(1)
-            at = np.linspace(curve.domain[0] + m, curve.domain[1] - m, 257)
             velocity = curve.derivative(at, 1)
         else:
             at, velocity = curve.nodes[0], curve.node_slopes
@@ -159,7 +158,7 @@ def perturbed_circle_base(psi0, seed=0, amplitude=0.04):
             lambda: (np.stack([sp * np.sin(t), -sp * np.cos(t), zero], axis=-1)
                      + (sin * ks**3) @ A + (-cos * ks**3) @ B)))
 
-    raw = SpaceCurve(lambda t: raw_jet(t, 0)[0], (0.0, 2 * np.pi), jet=raw_jet)
+    raw = SpaceCurve(raw_jet, (0.0, 2 * np.pi))
     return SphericalBaseCurve(reparametrize_arclength(raw), periodic=True)
 
 
@@ -363,7 +362,7 @@ def curve_from_chart(base: SphericalBaseCurve, chart: ChartCurve) -> SpaceCurve:
             yj = jt.jet_compose(yj, tj)
         return jt.jet_product(chart.u_jet(s, order), yj)
 
-    return SpaceCurve(lambda s: jet(s, 0)[0], chart.domain, jet=jet)
+    return SpaceCurve(jet, chart.domain)
 
 
 def geodesic_curvature(cone, curve, s):

@@ -91,37 +91,34 @@ def _readonly(a):
 
 
 class SpaceCurve:
-    """An evaluable curve in R^3 over a closed parameter interval.
+    """A curve in R^3 over a closed parameter interval, of one of two kinds.
 
-    nodes is the (parameters, points) table of a curve backed by cubic
-    Hermite interpolation, else None, and node_slopes the interpolant's
-    slopes at those nodes; derivative_mode is "analytic" when
-    third-order jets are available and "finite-difference" otherwise.  h is
-    the step of the order-4 central stencils that give finite-difference
-    derivatives: the node spacing, at most 1/100 of the domain, or 1e-4 of
-    the domain without nodes.
+    SpaceCurve(jet, domain) is a closed form: jet(s, order) returns slots
+    0..order of the curve at s, points included, and every derivative is
+    read off it.  SpaceCurve.from_samples(s, points) is a node table: its
+    cubic Hermite interpolant, differentiated by order-4 central stencils
+    whose step h is the mean node spacing.  nodes is the (parameters,
+    points) table, else None, and node_slopes the interpolant's slopes at
+    those nodes; a closed form has neither and its h is None.
+    derivative_mode names the kind: "analytic" or "finite-difference".
     """
 
-    def __init__(self, evaluator, domain, *, jet=None, nodes=None):
-        """nodes, if given, is (parameters, points, slopes) of the interpolant."""
+    def __init__(self, jet, domain, *, nodes=None):
+        """jet, or jet None and nodes = (parameters, points, slopes) of the interpolant."""
+        if (jet is None) == (nodes is None):
+            raise TypeError("SpaceCurve takes a jet(s, order) or, from from_samples, "
+                            "a node table")
         s_min, s_max = float(domain[0]), float(domain[1])
         if not (np.isfinite(s_min) and np.isfinite(s_max) and s_min < s_max):
             raise ValueError(f"degenerate domain [{s_min}, {s_max}]")
-        length = s_max - s_min
-        if nodes is not None:
-            # stencil step = node spacing so stencils land on exact data;
-            # capped for coarse polylines to keep h small vs the domain
-            h = min(float(np.mean(np.diff(nodes[0]))), length / 100.0)
-        else:
-            h = 1e-4 * length
-        self._evaluator = evaluator
         self._jet = jet
         self._domain = (s_min, s_max)
-        self._h = h
-        self._nodes = self._slopes = None
+        self._h = self._nodes = self._slopes = None
         if nodes is not None:
             self._nodes = (_readonly(nodes[0]), _readonly(nodes[1]))
             self._slopes = _readonly(nodes[2])
+            # the stencil taps of a uniform node grid land on its nodes
+            self._h = float(np.mean(np.diff(self._nodes[0])))
 
     # ------------------------------------------------------------------
     @property
@@ -138,12 +135,12 @@ class SpaceCurve:
 
     @property
     def h(self):
-        """Finite-difference step."""
+        """Stencil step of a node table, its mean node spacing; None for a closed form."""
         return self._h
 
     @property
     def nodes(self):
-        """(parameters, points) for sampled curves, else None."""
+        """(parameters, points) of a node table, else None."""
         return self._nodes
 
     @property
@@ -163,16 +160,22 @@ class SpaceCurve:
             )
 
     def fd_margin(self, order=3):
-        """Domain shrink needed by the finite-difference stencil; none for order 0."""
-        if self._jet is not None or order == 0:
+        """Domain shrink a node table's order-`order` stencil needs; 0 for a closed form."""
+        if self._h is None or order == 0:
             return 0.0
         return jt.stencil_reach(order) * self._h * (1.0 + 1e-9)
+
+    def _points(self, q):
+        """Points at the 1-D parameters q: slot 0 of the jet, or the interpolant."""
+        if self._jet is not None:
+            return np.asarray(self._jet(q, 0)[0], dtype=float)
+        return jt.hermite(*self._nodes, self._slopes, q)
 
     def evaluate(self, s):
         """Point alpha(s); accepts a scalar or an array of parameters."""
         arr = np.asarray(s, dtype=float)
         self._check_domain(arr)
-        out = np.asarray(self._evaluator(np.atleast_1d(arr)), dtype=float)
+        out = self._points(np.atleast_1d(arr))
         if arr.ndim == 0:
             return out[0]
         return out
@@ -187,10 +190,9 @@ class SpaceCurve:
         """Derivatives of the given orders at s in one pass; order 0 is the point.
 
         orders is a non-empty collection of 0..3 (ValueError otherwise).
-        Analytic curves make one jet call to the highest order.
-        Finite-difference curves check the margin of the highest order, then
-        make one evaluator call for all stencil offsets.  Returns a list in
-        `orders` order.
+        A closed form makes one jet call to the highest order.  A node table
+        checks the margin of the highest order, then makes one interpolant
+        call for all stencil offsets.  Returns a list in `orders` order.
         """
         top = jt.top_order(orders)
         arr = np.asarray(s, dtype=float)
@@ -207,7 +209,7 @@ class SpaceCurve:
                     f"order-{top} stencil needs {margin:.3g} of margin inside "
                     f"[{s0}, {s1}]"
                 )
-            out = jt.fd_derivatives(self._evaluator, q, orders, self._h)
+            out = jt.fd_derivatives(self._points, q, orders, self._h)
         if arr.ndim == 0:
             return [o[0] for o in out]
         return out
@@ -220,7 +222,7 @@ class SpaceCurve:
     # ------------------------------------------------------------------
     @staticmethod
     def from_samples(s, points):
-        """Sampled curve with cubic Hermite interpolation between nodes."""
+        """Node table of the strictly increasing s and points (n, 3), n >= 2."""
         s = np.asarray(s, dtype=float)
         points = np.asarray(points, dtype=float)
         if s.ndim != 1 or points.shape != (s.size, 3):
@@ -229,14 +231,7 @@ class SpaceCurve:
             raise ValueError("need at least two samples")
         if np.any(np.diff(s) <= 0.0):
             raise ValueError("sample parameters must be strictly increasing")
-        slopes = jt.node_slopes(s, points)
-        # the interpolant and the nodes share one contiguous copy of each input
-        s, points = _readonly(s), _readonly(points)
-        return SpaceCurve(
-            lambda q: jt.hermite(s, points, slopes, q),
-            (s[0], s[-1]),
-            nodes=(s, points, slopes),
-        )
+        return SpaceCurve(None, (s[0], s[-1]), nodes=(s, points, jt.node_slopes(s, points)))
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +256,7 @@ def circle_curve(radius=1.0, center=(0.0, 0.0, 0.0), turns=1.0):
             lambda: np.stack([-cos / r, -sin / r, zero], axis=-1),
             lambda: np.stack([sin / r**2, -cos / r**2, zero], axis=-1))
 
-    return SpaceCurve(lambda s: jet(s, 0)[0], (0.0, 2 * np.pi * r * turns), jet=jet)
+    return SpaceCurve(jet, (0.0, 2 * np.pi * r * turns))
 
 
 def helix_curve(radius, pitch, center=(0.0, 0.0, 0.0), turns=2.0):
@@ -282,7 +277,7 @@ def helix_curve(radius, pitch, center=(0.0, 0.0, 0.0), turns=2.0):
             lambda: np.stack([-R * cos / c**2, -R * sin / c**2, np.zeros_like(th)], axis=-1),
             lambda: np.stack([R * sin / c**3, -R * cos / c**3, np.zeros_like(th)], axis=-1))
 
-    return SpaceCurve(lambda s: jet(s, 0)[0], (0.0, 2 * np.pi * c * turns), jet=jet)
+    return SpaceCurve(jet, (0.0, 2 * np.pi * c * turns))
 
 
 def line_curve(point, direction, length=1.0):
@@ -299,7 +294,7 @@ def line_curve(point, direction, length=1.0):
         return jt.stack_slots(order, lambda: pos, lambda: np.broadcast_to(d, pos.shape),
                               lambda: np.zeros_like(pos), lambda: np.zeros_like(pos))
 
-    return SpaceCurve(lambda s: jet(s, 0)[0], (0.0, float(length)), jet=jet)
+    return SpaceCurve(jet, (0.0, float(length)))
 
 
 # ----------------------------------------------------------------------
@@ -307,12 +302,12 @@ def line_curve(point, direction, length=1.0):
 
 
 def sample_grid(curve, n=256):
-    """Uniform parameter grid avoiding the margins of the order-3 stencils.
+    """Parameter grid of about n points clear of the order-3 stencils' margins.
 
-    Sampled curves are sampled on their own (interior) nodes.  From 101
-    rows the stencil step is the node spacing, so stencil points land on
-    exact data; below that the step is capped at 1/100 of the domain and
-    the taps fall between the nodes.
+    A closed form has no margin: n uniform points span its domain.  A node
+    table is sampled on its own interior nodes, every stride-th of them.
+    Its stencil step is its mean node spacing, so on uniform rows the
+    stencil taps land on rows.
     """
     s0, s1 = curve.domain
     m = curve.fd_margin(SAMPLE_ORDER)
@@ -487,9 +482,9 @@ def reparametrize_arclength(curve):
     4097-node speed table, whose odd nodes are evaluated once.  Adaptive
     Simpson quadrature of the speed, seeded with that table, gives the
     cumulative length, and the inverse map is a monotone Hermite table with
-    slopes 1/speed.  Arc length counts from the first table node, one stencil
-    margin inside a finite-difference curve's domain.  Analytic input jets
-    are chain-ruled so the result keeps analytic derivative quality.
+    slopes 1/speed.  The result is the closed form whose jet is the input
+    jet at the inverse map, chain-ruled, so its points are the input's
+    points there and its derivatives keep analytic quality.
     """
     if curve.nodes is not None:
         raise ValueError("a node table is not reparametrized: its parameter "
@@ -499,8 +494,7 @@ def reparametrize_arclength(curve):
     def speeds(q):
         return np.linalg.norm(curve.derivative(q, 1), axis=-1)
 
-    m = curve.fd_margin(1)
-    scan = np.linspace(s0 + m, s1 - m, 2049)
+    scan = np.linspace(s0, s1, 2049)
     v = speeds(scan)
     if not np.all(np.isfinite(v)):
         raise SingularSpeed("speed is not finite on the parameter domain")
@@ -511,38 +505,28 @@ def reparametrize_arclength(curve):
             f"speed {float(np.min(v)):.3g} below regularity threshold {floor:.3g} "
             f"(1e-12 times the largest speed, {vmax:.3g})"
         )
-    # already unit speed up to the derivative noise of the mode: keep the
-    # curve (and, for sampled curves, its node grid and parameter labels)
-    if float(np.max(np.abs(v - 1.0))) < UNIT_TOL[curve.derivative_mode]:
+    # already unit speed up to the derivative noise of a closed form: keep it
+    if float(np.max(np.abs(v - 1.0))) < UNIT_TOL["analytic"]:
         return curve
 
     # the scan is bitwise the even nodes of the 4097-node grid
-    tau_nodes = np.linspace(s0 + m, s1 - m, 4097)
+    tau_nodes = np.linspace(s0, s1, 4097)
     table = np.empty(tau_nodes.size)
     table[::2] = v
     table[1::2] = speeds(tau_nodes[1::2])
     seg = _adaptive_simpson_segments(speeds, tau_nodes, table, _ARCLENGTH_TOL)
     # the result starts at the first table node's point and keeps its label,
     # so affine fits in s read the same before and after
-    a0 = tau_nodes[0]
-    s_table = a0 + np.concatenate([[0.0], np.cumsum(seg)])
+    s_table = s0 + np.concatenate([[0.0], np.cumsum(seg)])
     total = float(s_table[-1] - s_table[0])
     slopes = 1.0 / table
+    base_jet = curve.jet
 
-    def inverse(q):
-        return jt.hermite(s_table, tau_nodes, slopes, np.clip(q, s_table[0], s_table[-1]))
+    def jet(q, order):
+        tau = jt.hermite(s_table, tau_nodes, slopes, np.clip(q, s_table[0], s_table[-1]))
+        return jt.jet_reparametrize(base_jet(tau, order))
 
-    def evaluator(q):
-        return curve.evaluate(inverse(q))
-
-    jet = None
-    if curve.derivative_mode == "analytic":
-        base_jet = curve.jet
-
-        def jet(q, order):
-            return jt.jet_reparametrize(base_jet(inverse(q), order))
-
-    return SpaceCurve(evaluator, (a0, a0 + total), jet=jet)
+    return SpaceCurve(jet, (s0, s0 + total))
 
 
 # ----------------------------------------------------------------------

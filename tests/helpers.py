@@ -111,7 +111,7 @@ def trig_jet_curve(coeff_a, coeff_b, domain):
         g3 = (sin * ks**3) @ A + (-cos * ks**3) @ B
         return np.stack([g0, g1, g2, g3])
 
-    return SpaceCurve(lambda t: jet(t)[0], domain, jet=jet)
+    return SpaceCurve(jet, domain)
 
 
 def random_trig_curve(rng, modes=3, scale=1.0, domain=(0.0, 2 * np.pi)):
@@ -139,16 +139,30 @@ def named_speed_refusal(message):
     return head.rsplit(" ", 1)[1], s
 
 
-def reparametrized_fd_curve():
-    """(cos t, sin t, t^2 / 2) on [0, 3] by arc length, a finite-difference curve.
+def reparametrized_curve():
+    """(cos t, sin t, t^2 / 2) on [0, 3] by arc length, a closed form.
 
-    The closed form has no jet and its speed sqrt(1 + t^2) is not 1, so
-    reparametrize_arclength builds it: its stencil taps read a Hermite
-    inverse table.
+    Its speed in t, sqrt(1 + t^2), is not 1, so reparametrize_arclength
+    builds it: its jet reads a Hermite inverse table.
     """
-    raw = SpaceCurve(lambda t: np.stack([np.cos(t), np.sin(t), 0.5 * t * t], axis=-1),
-                     (0.0, 3.0))
-    return reparametrize_arclength(raw)
+
+    def jet(t, order):
+        zero = np.zeros_like(t)
+        return jets.stack_slots(
+            order,
+            lambda: np.stack([np.cos(t), np.sin(t), 0.5 * t * t], axis=-1),
+            lambda: np.stack([-np.sin(t), np.cos(t), t], axis=-1),
+            lambda: np.stack([-np.cos(t), -np.sin(t), np.ones_like(t)], axis=-1),
+            lambda: np.stack([np.sin(t), -np.cos(t), zero], axis=-1))
+
+    return reparametrize_arclength(SpaceCurve(jet, (0.0, 3.0)))
+
+
+def reparametrized_node_table(rows):
+    """reparametrized_curve sampled on `rows` uniform nodes: a node table."""
+    rep = reparametrized_curve()
+    s = np.linspace(*rep.domain, rows)
+    return SpaceCurve.from_samples(s, rep.evaluate(s))
 
 
 def random_rectifying(rng, circular=True):
@@ -190,7 +204,7 @@ def reference_circular_base(psi0):
             lambda: np.stack([sin / sp**2, -cos / sp**2, zero], axis=-1))
 
     period = 2 * np.pi * sp
-    curve = SpaceCurve(lambda t: jet(t, 0)[0], (0.0, period), jet=jet)
+    curve = SpaceCurve(jet, (0.0, period))
     return SphericalBaseCurve(curve, periodic=True)
 
 
@@ -208,7 +222,7 @@ def reference_spherical_curve(base, radius):
         return jets.jet_product(rad, jets.jet_compose(yj, lin))
 
     span = base.period if base.periodic else (d1 - d0)
-    return SpaceCurve(lambda s: jet(s, 0)[0], (0.0, r * span), jet=jet)
+    return SpaceCurve(jet, (0.0, r * span))
 
 
 def twisted_cubic_unit_speed():
@@ -221,7 +235,7 @@ def twisted_cubic_unit_speed():
         d3 = np.stack([zero, zero, 6 * one], axis=-1)
         return np.stack([p, d1, d2, d3])
 
-    raw = SpaceCurve(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
+    raw = SpaceCurve(jet, (-1.0, 1.0))
     return reparametrize_arclength(raw)
 
 
@@ -459,21 +473,36 @@ def reference_adaptive_simpson_segments(f, nodes, tol):
     return out
 
 
+class ReferenceArclengthCurve(SpaceCurve):
+    """A closed form whose points are raw.evaluate(inverse(q)), apart from its jet.
+
+    Its jet gives its derivatives; its points keep the formula of a
+    reparametrized curve from before points were read off the jet, so the
+    two can be compared bitwise.
+    """
+
+    def __init__(self, raw, inverse, jet, domain):
+        super().__init__(jet, domain)
+        self._raw, self._inverse = raw, inverse
+
+    def _points(self, q):
+        return self._raw.evaluate(self._inverse(q))
+
+
 def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
     """reparametrize_arclength before the shared speed table.
 
     The speed is evaluated on the scan, again on every Simpson level and
     again for the table slopes.  Arc length is counted from the first table
     node, as in the current version.  Kept as the reference the current
-    version must match bitwise on closed-form curves.
+    version must match bitwise on closed-form curves, points included.
     """
     s0, s1 = curve.domain
 
     def speed(q):
         return np.linalg.norm(curve.derivative(q, 1), axis=-1)
 
-    m = curve.fd_margin(1)
-    scan = np.linspace(s0 + m, s1 - m, 2049)
+    scan = np.linspace(s0, s1, 2049)
     v = speed(scan)
     if not np.all(np.isfinite(v)):
         raise SingularSpeed("speed is not finite on the parameter domain")
@@ -482,11 +511,10 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
         raise SingularSpeed(
             f"speed {float(np.min(v)):.3g} below regularity threshold"
         )
-    unit_tol = 1e-12 if curve.derivative_mode == "analytic" else 1e-5
-    if float(np.max(np.abs(v - 1.0))) < unit_tol:
+    if float(np.max(np.abs(v - 1.0))) < 1e-12:
         return curve
 
-    tau_nodes = np.linspace(s0 + m, s1 - m, table_size)
+    tau_nodes = np.linspace(s0, s1, table_size)
     seg = reference_adaptive_simpson_segments(speed, tau_nodes, tol)
     a0 = tau_nodes[0]
     s_table = a0 + np.concatenate([[0.0], np.cumsum(seg)])
@@ -496,17 +524,10 @@ def reference_reparametrize_arclength(curve, tol=1e-10, table_size=4097):
     def inverse(q):
         return jets.hermite(s_table, tau_nodes, slopes, np.clip(q, s_table[0], s_table[-1]))
 
-    def evaluator(q):
-        return curve.evaluate(inverse(q))
+    def jet(q, order=3):
+        return jets.jet_reparametrize(curve.jet(inverse(q)))
 
-    jet = None
-    if curve.derivative_mode == "analytic":
-        base_jet = curve.jet
-
-        def jet(q, order=3):
-            return jets.jet_reparametrize(base_jet(inverse(q)))
-
-    return SpaceCurve(evaluator, (a0, a0 + total), jet=jet)
+    return ReferenceArclengthCurve(curve, inverse, jet, (a0, a0 + total))
 
 
 def _reference_dot(a, b):

@@ -109,7 +109,7 @@ def test_classify_backwards_rectifying_curve_fits_negative_a():
     def jet(s, order):
         return cur.jet(-s, order) * signs[:order + 1]
 
-    backwards = SpaceCurve(lambda s: cur.evaluate(-s), (-hi, -lo), jet=jet)
+    backwards = SpaceCurve(jet, (-hi, -lo))
     rep = classify_rectifying_or_spherical(sample_curve(backwards))
     assert rep.label == LABEL_RECTIFYING
     assert abs(rep.fitted_a + params.a) < 1e-6 * params.a
@@ -179,10 +179,7 @@ def test_classify_mixed_subinterval_curve_is_ambiguous():
         out = np.where(s[None, :, None] < 0.0, lat_jet(s), rect.jet(np.maximum(s, 0.0)))
         return out
 
-    def glued_eval(s):
-        return glued_jet(s)[0]
-
-    glued = SpaceCurve(glued_eval, (-3.0, 5.0), jet=glued_jet)
+    glued = SpaceCurve(glued_jet, (-3.0, 5.0))
     mags = position_cross(*glued.derivatives(sample_grid(glued, 256), (0, 1)))[1]
     assert (mags.max() - mags.min()) / mags.mean() < 1e-12
     rep = classify_rectifying_or_spherical(sample_curve(glued))

@@ -402,10 +402,10 @@ def test_classify_line_exits_2(tmp_path):
     assert json.loads(rep.read_text())["error"] == "VanishingCurvature"
 
 
-def test_curves_under_101_rows_keep_their_step_under_the_cap(tmp_path, capsys):
-    # a node table's step is its node spacing, capped at length/100, so under
-    # 101 rows the stencil taps fall between the rows, where this geodesic's
-    # interpolant is off unit speed: both commands refuse it, naming a row
+def test_curves_under_101_rows_step_at_their_node_spacing(tmp_path, capsys):
+    # a node table's step is its mean node spacing at every row count, so
+    # the stencil taps land on the rows, where this coarse geodesic's grid
+    # speed is off 1: both commands refuse it, naming a row
     cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
     cone = tmp_path / "cone.json"
     cone.write_text(json.dumps({"kind": "circular", "psi0": 0.8}))
@@ -414,7 +414,8 @@ def test_curves_under_101_rows_keep_their_step_under_the_cap(tmp_path, capsys):
     for rows in range(90, 101):
         s = np.linspace(*cur.domain, rows)
         write_curve_csv(csv, s, cur.evaluate(s))
-        assert SpaceCurve.from_samples(*read_curve_csv(csv)).h == cur.length / 100.0
+        s_read, points = read_curve_csv(csv)
+        assert SpaceCurve.from_samples(s_read, points).h == float(np.mean(np.diff(s_read)))
         for argv in (["classify"], ["verify", "--cone", cone]):
             assert run_cli(*argv, "--in", csv, "--report", rep) == 2, rows
             _refused_at(capsys.readouterr().err, csv)
@@ -428,25 +429,18 @@ def _generated_on_cone(tmp_path, psi0, *args):
     return csv, cone
 
 
-@pytest.mark.parametrize("psi0,rows,gate", [(1.2, 64, "max_abs_kg"),
-                                            (1.1, 96, "clairaut_relvar")])
-def test_coarse_csv_with_unit_node_speeds_is_read_on_its_nodes(tmp_path, psi0, rows, gate):
-    # the speeds at the sampled nodes are within 1e-5 of 1 (5.6e-6, 9.4e-6),
-    # where the 2049-point scan read 1.3e-5 and 1.2e-5 and resampled the
-    # curve off its nodes (NotOnCone); kept on its nodes, the curve stays on
-    # the cone and verify names the gate that its resolution misses
+@pytest.mark.parametrize("psi0,rows,off", [(1.2, 64, "3.34e-05"), (1.1, 96, "1.21e-05")])
+def test_coarse_csv_read_on_its_nodes_is_refused(tmp_path, capsys, psi0, rows, off):
+    # with the step capped at length/100 the taps fell between the rows and
+    # read unit speed within 1e-5, and verify said not-geodesic on a true
+    # geodesic (classify: ambiguous at 64 rows); on the rows they read the
+    # speed off 1, and both commands refuse the file
     csv, cone = _generated_on_cone(tmp_path, psi0, "--a=1", "--samples", rows)
     rep = tmp_path / "rep.json"
-    assert run_cli("verify", "--cone", cone, "--in", csv, "--report", rep) == 0
-    data = json.loads(rep.read_text())
-    assert data["verdict"] == "not-geodesic"
-    assert [name for name in ("max_abs_kg", "clairaut_relvar")
-            if data[name] >= GATES[name][1]] == [gate]
-    assert run_cli("classify", "--in", csv, "--report", rep) == 0
-    if psi0 == 1.1:
-        data = json.loads(rep.read_text())
-        assert data["label"] == "rectifying"
-        assert abs(data["fitted_a"] - 1.0) < 5e-8
+    for argv in (["verify", "--cone", cone], ["classify"]):
+        assert run_cli(*argv, "--in", csv, "--report", rep) == 2
+        assert _refused_at(capsys.readouterr().err, csv)[0] == off
+        assert json.loads(rep.read_text())["error"] == "SingularSpeed"
 
 
 def test_readme_coarse_csv_sweep(tmp_path, capsys):
@@ -454,7 +448,7 @@ def test_readme_coarse_csv_sweep(tmp_path, capsys):
     # speeds are off 1 past the FD noise, and both commands refuse the file.
     # From 160 rows the file is read on its rows, as it always was: fitted_a
     # and fitted_b are the values measured before the refusal existed
-    refused = {32: "0.00168", 48: "0.000243", 64: "3.84e-05", 96: "3.6e-05", 128: "1.5e-05"}
+    refused = {32: "0.00255", 48: "0.00064", 64: "0.000222", 96: "4.66e-05", 128: "1.5e-05"}
     kept = {160: (1.3000000623712984, 0.20000000959558428),
             192: (1.3000000297353578, 0.20000000457467018),
             256: (1.3000000092738306, 0.2000000014267433)}
@@ -514,9 +508,8 @@ def test_curve_csv_too_short_for_node_stencils_exits_2(tmp_path, quarter_cone_js
     rep = tmp_path / "rep.json"
     code = run_cli("classify", "--in", csv, "--report", rep)
     if rows == 10:
-        # long enough for the stencils, whose taps fall between the rows
-        # (the step is capped at length/100), where the speed is off 1
-        assert code == 2 and _refused_at(capsys.readouterr().err, csv)[0] == "0.042"
+        # long enough for the stencils, whose taps read a speed off 1
+        assert code == 2 and _refused_at(capsys.readouterr().err, csv)[0] == "0.044"
         return
     message = (f"error: InsufficientMargin: sampled curve of {rows} rows too short "
                f"for derivative stencils: needs at least 10\n")

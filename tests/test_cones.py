@@ -650,7 +650,7 @@ def _sped_up(curve, k):
     def jet(t, order):
         return curve.jet(k * t, order) * scale[:order + 1]
 
-    return SpaceCurve(lambda t: curve.evaluate(k * t), (d0 / k, d1 / k), jet=jet)
+    return SpaceCurve(jet, (d0 / k, d1 / k))
 
 
 def _named_speed(message):

@@ -49,7 +49,8 @@ from helpers import (
     random_unit_speed_curve,
     reference_adaptive_simpson_segments,
     reference_reparametrize_arclength,
-    reparametrized_fd_curve,
+    reparametrized_curve,
+    reparametrized_node_table,
 )
 
 
@@ -128,51 +129,65 @@ def test_derivative_unit_circle():
     assert np.allclose(circ.derivative(0.0, 1), [0.0, 1.0, 0.0])
 
 
+def _fd_helix():
+    """helix_curve(0.6, 0.8) as a 2,001-row node table: its finite-difference twin."""
+    hx = helix_curve(0.6, 0.8)
+    s = np.linspace(*hx.domain, 2001)
+    return SpaceCurve.from_samples(s, hx.evaluate(s))
+
+
 def test_derivative_fd_matches_analytic():
     hx = helix_curve(0.6, 0.8)
-    fd_twin = SpaceCurve(lambda s: hx.evaluate(s), hx.domain)
+    fd_twin = _fd_helix()
     s = np.linspace(1.0, 5.0, 11)
     assert np.max(np.abs(fd_twin.derivative(s, 1) - hx.derivative(s, 1))) < 1e-9
 
 
 def test_step_and_kind_follow_the_constructor():
     # a curve is a node table or a closed form, and its step follows from that:
-    # the node spacing, at most 1/100 of the domain, or 1e-4 of the domain
+    # the mean node spacing at every row count, or none
     s = np.linspace(0.0, 1.0, 201)
     sampled = SpaceCurve.from_samples(s, np.stack([s, s * s, s**3], axis=-1))
     coarse = SpaceCurve.from_samples(s[::4], sampled.nodes[1][::4])
-    closed = SpaceCurve(np.sin, (0.0, 2.0))
+    closed = circle_curve(1.0)
     assert (sampled.nodes is not None, sampled.h) == (True, float(np.mean(np.diff(s))))
-    assert (coarse.nodes[0].size, coarse.h) == (51, 0.01)
-    assert (closed.nodes, closed.h) == (None, 2e-4)
+    assert (coarse.nodes[0].size, coarse.h) == (51, float(np.mean(np.diff(s[::4]))))
+    assert coarse.h > coarse.length / 100
+    assert (closed.nodes, closed.h, closed.fd_margin(3)) == (None, None, 0.0)
     with pytest.raises(TypeError, match="'h'"):
-        SpaceCurve(np.sin, (0.0, 2.0), h=0.02)
+        SpaceCurve(closed.jet, (0.0, 2.0), h=0.02)
+    with pytest.raises(TypeError, match="'jet'"):
+        SpaceCurve(np.sin, (0.0, 2.0), jet=closed.jet)
+    with pytest.raises(TypeError, match="^SpaceCurve takes a jet"):
+        SpaceCurve(None, (0.0, 2.0))
 
 
 def test_derivative_constant_curve_is_zero():
     # h large enough that round-off amplification 1/h^3 stays negligible
-    const = SpaceCurve(
-        lambda s: np.broadcast_to([1.0, 2.0, 3.0], s.shape + (3,)).copy(), (0.0, 50.0))
+    s = np.linspace(0.0, 50.0, 10_001)
+    const = SpaceCurve.from_samples(s, np.broadcast_to([1.0, 2.0, 3.0], s.shape + (3,)))
     assert const.h == 0.005
     for order in (1, 2, 3):
         assert np.allclose(const.derivative(0.5, order), 0.0, atol=1e-8)
 
 
-def _counting_fd_helix():
-    hx = helix_curve(0.6, 0.8)
+def _count_interpolant_calls(monkeypatch):
+    """The parameters of every jets.hermite call, as node tables evaluate."""
     calls = []
+    plain = jt.hermite
 
-    def evaluator(q):
+    def counted(s, values, slopes, q):
         calls.append(np.array(q))
-        return hx.evaluate(q)
+        return plain(s, values, slopes, q)
 
-    return SpaceCurve(evaluator, hx.domain), calls
+    monkeypatch.setattr(jt, "hermite", counted)
+    return calls
 
 
 @pytest.mark.parametrize("scalar", [False, True])
 def test_derivatives_bitwise_equal_to_single_orders(scalar):
     hx = helix_curve(0.6, 0.8)
-    fd, _ = _counting_fd_helix()
+    fd = _fd_helix()
     s = 2.5 if scalar else np.linspace(1.0, 5.0, 11)
     for curve in (hx, fd):
         got = curve.derivatives(s, (0, 1, 2, 3))
@@ -184,9 +199,10 @@ def test_derivatives_bitwise_equal_to_single_orders(scalar):
             [np.atleast_2d(e) for e in expect]).tobytes()
 
 
-def test_fd_frames_and_jet_evaluate_each_offset_once():
-    # one evaluator call holding the parameters of each distinct offset -3..3 once
-    fd, calls = _counting_fd_helix()
+def test_fd_frames_and_jet_evaluate_each_offset_once(monkeypatch):
+    # one interpolant call holding the parameters of each distinct offset -3..3 once
+    fd = _fd_helix()
+    calls = _count_interpolant_calls(monkeypatch)
     s = np.linspace(1.0, 5.0, 11)
     for pass_ in (lambda: frenet_apparatus(fd, s), lambda: fd.jet(s)):
         calls.clear()
@@ -197,7 +213,7 @@ def test_fd_frames_and_jet_evaluate_each_offset_once():
 
 
 def test_derivatives_margin_of_highest_order():
-    fd, _ = _counting_fd_helix()
+    fd = _fd_helix()
     s0 = fd.domain[0]
     edge = s0 + fd.fd_margin(2)
     fd.derivatives(edge, (0, 1, 2))
@@ -206,9 +222,8 @@ def test_derivatives_margin_of_highest_order():
 
 
 def test_derivative_margin_enforced():
-    fd = SpaceCurve(
-        lambda s: np.stack([s, s**2, np.zeros_like(s)], axis=-1), (0.0, 1.0)
-    )
+    s = np.linspace(0.0, 1.0, 201)
+    fd = SpaceCurve.from_samples(s, np.stack([s, s**2, np.zeros_like(s)], axis=-1))
     with pytest.raises(InsufficientMargin):
         fd.derivative(0.0, 3)
 
@@ -231,7 +246,7 @@ def test_reparametrize_circle_by_angle():
         d3 = np.stack([2 * np.sin(t), -2 * np.cos(t), zero], axis=-1)
         return np.stack([p, d1, d2, d3])
 
-    raw = SpaceCurve(lambda t: jet(t)[0], (0.0, 2 * np.pi), jet=jet)
+    raw = SpaceCurve(jet, (0.0, 2 * np.pi))
     unit = reparametrize_arclength(raw)
     assert abs(unit.length - 4 * np.pi) < 1e-9
     s = np.linspace(*unit.domain, 65)
@@ -248,7 +263,7 @@ def test_reparametrize_cubic_against_quadrature_oracle():
         d3 = np.stack([6 * np.ones_like(t), zero, zero], axis=-1)
         return np.stack([p, d1, d2, d3])
 
-    raw = SpaceCurve(lambda t: jet(t)[0], (0.0, 1.0), jet=jet)
+    raw = SpaceCurve(jet, (0.0, 1.0))
     unit = reparametrize_arclength(raw)
     # oracle: dense trapezoid quadrature of the speed 3 t^2 + 1
     t = np.linspace(0.0, 1.0, 200001)
@@ -275,7 +290,7 @@ def test_reparametrize_singular_speed():
         d2 = np.stack([2 * np.ones_like(t), zero, zero], axis=-1)
         return np.stack([p, d1, d2, np.zeros_like(p)])
 
-    cusp = SpaceCurve(lambda t: jet(t)[0], (-1.0, 1.0), jet=jet)
+    cusp = SpaceCurve(jet, (-1.0, 1.0))
     message = (r"^speed 0 below regularity threshold 2e-12 "
                r"\(1e-12 times the largest speed, 2\)$")
     with pytest.raises(SingularSpeed, match=message):
@@ -298,9 +313,13 @@ def test_simpson_stops_on_nonfinite_integrand():
 
 
 def test_reparametrize_rejects_nonfinite_speed():
-    nan_curve = SpaceCurve(
-        lambda s: np.where(s[:, None] > 0.5, np.nan, s[:, None] * [1.0, 0.0, 0.0]),
-        (0.0, 1.0))
+    def jet(s, order):
+        # the line s * e_x, NaN past s = 0.5
+        x = [s, np.ones_like(s), np.zeros_like(s), np.zeros_like(s)][:order + 1]
+        line = np.stack([np.stack([xk, 0.0 * s, 0.0 * s], axis=-1) for xk in x])
+        return np.where(s[:, None] > 0.5, np.nan, line)
+
+    nan_curve = SpaceCurve(jet, (0.0, 1.0))
     with pytest.raises(SingularSpeed):
         reparametrize_arclength(nan_curve)
 
@@ -417,11 +436,13 @@ def test_reparametrize_kinked_speed_matches_reference(monkeypatch):
     # x' = 1 + |t - 0.3| has a kink, so Simpson refines past its first doubling
     c = 0.3
 
-    def fn(t):
-        x = t + 0.5 * np.sign(t - c) * (t - c) ** 2
-        return np.stack([x, np.zeros_like(t), np.zeros_like(t)], axis=-1)
+    def jet(t, order):
+        x = [t + 0.5 * np.sign(t - c) * (t - c) ** 2, 1.0 + np.abs(t - c), np.sign(t - c),
+             np.zeros_like(t)]
+        return np.stack([np.stack([xk, np.zeros_like(t), np.zeros_like(t)], axis=-1)
+                         for xk in x[:order + 1]])
 
-    curve = SpaceCurve(fn, (0.0, 1.0))
+    curve = SpaceCurve(jet, (0.0, 1.0))
     sizes = count_speed_points(monkeypatch)
     reparametrize_arclength(curve)
     # the scan, the odd table nodes and two full Simpson levels are 16,385
@@ -435,8 +456,7 @@ def test_large_scale_curve_reparametrizes_in_bounded_work():
     # there, as at speed 2: the scan, the odd table nodes and two Simpson levels
     cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
     for scale in (2.0, 1e80):
-        raw = SpaceCurve(lambda s, k=scale: k * cur.evaluate(s), cur.domain,
-                         jet=lambda s, order, k=scale: k * cur.jet(s, order))
+        raw = SpaceCurve(lambda s, order, k=scale: k * cur.jet(s, order), cur.domain)
         with pytest.MonkeyPatch.context() as mp:
             sizes = count_speed_points(mp, limit=40_000)
             unit = reparametrize_arclength(raw)
@@ -445,12 +465,12 @@ def test_large_scale_curve_reparametrizes_in_bounded_work():
 
 
 @pytest.mark.parametrize("scale", [1e107, 1e140])
-def test_stencil_step_overflow_is_named_on_a_closed_form_curve(scale):
-    # a unit-speed finite-difference curve over a domain of 7.7 scale has the
-    # step 7.7e-4 scale, past 5.6e102, where h**3 overflows a float
+def test_stencil_step_overflow_is_named_on_a_node_table(scale):
+    # a unit-speed 1,024-row node table over a domain of 7.7 scale has the
+    # step 7.5e-3 scale, past 5.6e102, where h**3 overflows a float
     cur = generate_circular_geodesic(RectifyingParams(1.3, 0.2, 0.1), 0.8)
-    wide = SpaceCurve(lambda s: scale * cur.evaluate(s / scale),
-                      (scale * cur.domain[0], scale * cur.domain[1]))
+    s = np.linspace(*cur.domain, 1024)
+    wide = SpaceCurve.from_samples(scale * s, scale * cur.evaluate(s))
     with pytest.raises(OverflowError, match=r"^order-3 stencil step h = .*: h\*\*3 overflows$"):
         sample_arclength(wide, 64)
 
@@ -458,14 +478,18 @@ def test_stencil_step_overflow_is_named_on_a_closed_form_curve(scale):
 @_DERANDOMIZED
 @given(psi0=st.floats(0.35, 1.2), seed=st.integers(0, 2**31 - 1),
        amplitude=st.floats(0.01, 0.05))
+@example(psi0=0.8, seed=7, amplitude=0.03)  # a base as the general workload draws it
 def test_perturbed_base_matches_reference(psi0, seed, amplitude):
+    # the reference reads its points through the raw curve's evaluate at
+    # the inverse map; the curve reads them off its jet, to the same bits
     base = perturbed_circle_base(psi0, seed=seed, amplitude=amplitude)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cones_module, "reparametrize_arclength",
                    reference_reparametrize_arclength)
         ref = perturbed_circle_base(psi0, seed=seed, amplitude=amplitude)
     assert base.domain == ref.domain
-    t = np.linspace(*base.domain, 301)
+    # the 2,049-point grid on which a base CSV is written
+    t = np.linspace(*base.domain, 2049)
     assert_bitwise(base.jet(t), ref.jet(t))
     assert_bitwise(base.evaluate(t), ref.evaluate(t))
 
@@ -523,7 +547,8 @@ def test_frame_orthonormality_analytic_and_fd():
     assert np.max(np.linalg.norm(np.cross(fr.tangent, fr.normal) - fr.binormal,
                                  axis=-1)) < 1e-8
 
-    fd_twin = SpaceCurve(lambda q: unit.evaluate(q), unit.domain)
+    nodes = np.linspace(*unit.domain, 2001)
+    fd_twin = SpaceCurve.from_samples(nodes, unit.evaluate(nodes))
     s2 = sample_grid(fd_twin, 64)
     fr2 = frenet_apparatus(fd_twin, s2)
     for u, v in ((fr2.tangent, fr2.normal), (fr2.tangent, fr2.binormal),
@@ -616,9 +641,8 @@ def test_sample_arclength_reads_an_analytic_speed_to_1e_12(excess, kept):
     # the circle traced at speed 1 + excess: UNIT_TOL["analytic"] = 1e-12 decides
     circ, speed = circle_curve(3.0), 1.0 + excess
     powers = speed ** np.arange(4)[:, None, None]
-    fast = SpaceCurve(
-        lambda s: circ.evaluate(speed * s), (0.0, 10.0),
-        jet=lambda s, order: circ.jet(speed * s, order) * powers[:order + 1])
+    fast = SpaceCurve(lambda s, order: circ.jet(speed * s, order) * powers[:order + 1],
+                      (0.0, 10.0))
     assert fast.derivative_mode == "analytic"
     if kept:
         assert sample_arclength(fast, 64).curve is fast
@@ -656,8 +680,8 @@ def _generated_rows(n):
 
 def test_sample_curve_holds_one_block_of_jet_temporaries():
     # in one curve.jet call the stencil and Hermite temporaries of every
-    # grid point are held at once, about 940 bytes a sample
-    curve, n = reparametrized_fd_curve(), 100_000
+    # grid point are held at once, about 990 bytes a sample
+    curve, n = reparametrized_node_table(100_008), 100_000
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -673,7 +697,7 @@ def test_sample_curve_holds_one_block_of_jet_temporaries():
     lambda: generate_circular_geodesic(RectifyingParams(1.1, 0.2, 0.3), 0.8),
     lambda: perturbed_circle_base(1.1, seed=3).curve,
     lambda: _generated_rows(1024),
-    reparametrized_fd_curve,
+    reparametrized_curve,
 ], ids=["analytic", "perturbed-base", "sampled", "reparametrized"])
 def test_sample_curve_blocks_are_one_jet_call_bitwise(monkeypatch, make):
     curve = make()

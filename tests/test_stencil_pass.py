@@ -33,7 +33,7 @@ from helpers import (
     count_vector_hermite_calls,
     reference_fd_derivatives,
     reference_hermite,
-    reparametrized_fd_curve,
+    reparametrized_node_table,
 )
 
 _HYP = settings(max_examples=60, deadline=None, derandomize=True)
@@ -133,15 +133,15 @@ def test_periodic_sampled_base_across_its_seam(where, turns):
     _check_pass(base.derivatives, wrapped, q, base.curve.h)
 
 
-# a closed-form curve whose speed is not 1, so reparametrize_arclength rebuilds it
-_REP = reparametrized_fd_curve()
+# a node table of the arc-length reparametrization of a curve whose speed is not 1
+_REP = reparametrized_node_table(1025)
 
 
 @_HYP
 @given(where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_reparametrized_finite_difference_curve(where):
     rep = _REP
-    assert rep.derivative_mode == "finite-difference" and rep.nodes is None
+    assert rep.derivative_mode == "finite-difference" and rep.nodes is not None
     m = rep.fd_margin(3)
     q = rep.domain[0] + m + (rep.length - 2 * m) * np.asarray(where)
     _check_pass(rep.derivatives, rep.evaluate, q, rep.h)

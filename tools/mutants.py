@@ -84,8 +84,8 @@ WRITER = [
 
 # (label, module, text, replacement): one-line faults in the memory bound of
 # sample_curve, the file writer's cleanup, the wording of an RK4 error, the
-# base's unit-speed check, the curve's arc-length refusal, the arc-length
-# anchor, the option table's checker and the CSV reader
+# base's unit-speed check, the curve's arc-length refusal, a node table's
+# stencil step, the option table's checker and the CSV reader
 GUARDS = [
     ("sample_curve jet block unbounded", "curves.py", "_JET_BLOCK = 4096",
      "_JET_BLOCK = 10**12"),
@@ -97,7 +97,12 @@ GUARDS = [
      "if not off[worst] <= UNIT_TOL[curve.derivative_mode]:", "if not off[worst] <= 1.0:"),
     ("curve speed refusal skipped", "curves.py",
      "if not off[worst] < UNIT_TOL[curve.derivative_mode]:", "if False:"),
-    ("arc length anchored at s0 again", "curves.py", "a0 = tau_nodes[0]", "a0 = s0"),
+    ("node-table step halved", "curves.py",
+     "self._h = float(np.mean(np.diff(self._nodes[0])))",
+     "self._h = 0.5 * float(np.mean(np.diff(self._nodes[0])))"),
+    ("the length/100 cap restored", "curves.py",
+     "self._h = float(np.mean(np.diff(self._nodes[0])))",
+     "self._h = min(float(np.mean(np.diff(self._nodes[0]))), (s_max - s_min) / 100.0)"),
     ("positive-option rule lets 0 through", "cli.py",
      "not (value > 0)", "value < 0"),
     ("required rule skipped", "cli.py",
